@@ -5,7 +5,7 @@ The package splits into five layers:
 * ``geometry``: covering/packing counts, neighborhood volumes, box
   dimension, ball-mass densities, all exact where the inputs allow;
 * ``cantor``: parametrized Cantor-type interval constructions, their
-  natural measures, products, and random offset draws;
+  natural measures, product volume bounds, and random offset draws;
 * ``fourier``: transforms of those measures, octave diagnostics, bump
   mollifiers, and weighted shell sums;
 * ``tauberian``: cyclic-grid span/rank certificates, spherical zero
@@ -15,7 +15,6 @@ The package splits into five layers:
 """
 
 from .errors import (
-    AliasingError,
     ConfigError,
     DomainError,
     RejectionBudgetError,
@@ -26,7 +25,6 @@ from .numeric import LogRatio, as_fraction, parse_rational
 __version__ = "0.1.0"
 
 __all__ = [
-    "AliasingError",
     "ConfigError",
     "DomainError",
     "LogRatio",

@@ -29,13 +29,13 @@ from .cantor import (
 )
 from .fourier import (
     BumpFunction,
-    SpectralGrid,
     bessel_tail_profile,
     cantor_fourier,
     cantor_fourier_grid,
     lq_annulus_diagnostics,
     mollifier_sum,
 )
+from .experiments import spectral_grid
 from .geometry import (
     PointCloud,
     ScaleSweep,
@@ -239,14 +239,6 @@ def criterion_cantor_nondecay(depth: int = 40) -> CriterionResult:
 # 6. random construction: decay dichotomy across L^q exponents
 
 
-def _salem_spectral_grid(params: CantorParams, depth: int, j_lo: int, j_hi: int,
-                         per_octave: int = 512) -> SpectralGrid:
-    spacing = 2.0**j_lo / per_octave
-    xi = np.arange(spacing, 2.0 ** (j_hi + 1) + spacing / 2, spacing)
-    values, _ = cantor_fourier_grid(params, depth, xi)
-    return SpectralGrid(xi=xi, values=np.abs(values), spacing=spacing, dim=1)
-
-
 def criterion_salem_decay(
     seeds=(1, 2, 3, 4, 5),
     j_lo: int = 4,
@@ -275,7 +267,7 @@ def criterion_salem_decay(
         rng = np.random.default_rng(seed)
         offsets = sample_salem_offsets(branches, ratio, rng)
         params = CantorParams.create(branches, ratio, offsets, seed=seed)
-        grid = _salem_spectral_grid(params, depth=8, j_lo=j_lo, j_hi=j_hi)
+        grid, _, _ = spectral_grid(params, depth=8, j_lo=j_lo, j_hi=j_hi)
         hi_q = lq_annulus_diagnostics(grid, q_summable, j_lo, j_hi)
         lo_q = lq_annulus_diagnostics(grid, q_divergent, j_lo, j_hi)
         ok = hi_q.verdict == "summable-like" and lo_q.verdict == "divergent-like"

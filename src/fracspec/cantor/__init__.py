@@ -1,8 +1,8 @@
-"""Branching interval constructions, their levels, measures, and products."""
+"""Branching interval constructions, their levels, measures, and product bounds."""
 
 from .io import read_level_csv, read_params, write_level_csv, write_params
 from .levels import MAX_DEPTH, CantorLevel, build_level
-from .measures import CantorMeasure, measure_from_level, natural_measure
+from .measures import CantorMeasure, natural_measure
 from .params import (
     CantorParams,
     ValidationReport,
@@ -11,34 +11,21 @@ from .params import (
     tapered_eta,
     validate_params,
 )
-from .products import (
-    MAX_CUBES,
-    ProductMinkowskiBounds,
-    ProductSet,
-    product_from_level,
-    product_measure,
-    product_minkowski_bounds,
-)
-from .sampling import REJECTION_BUDGET, random_cantor_params, sample_salem_offsets
+from .products import ProductMinkowskiBounds, product_minkowski_bounds
+from .sampling import REJECTION_BUDGET, sample_salem_offsets
 
 __all__ = [
-    "MAX_CUBES",
     "MAX_DEPTH",
     "REJECTION_BUDGET",
     "CantorLevel",
     "CantorMeasure",
     "CantorParams",
     "ProductMinkowskiBounds",
-    "ProductSet",
     "ValidationReport",
     "build_level",
-    "measure_from_level",
     "middle_thirds_params",
     "natural_measure",
-    "product_from_level",
-    "product_measure",
     "product_minkowski_bounds",
-    "random_cantor_params",
     "read_level_csv",
     "read_params",
     "sample_salem_offsets",

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from ..errors import DomainError
 from ..geometry.density import WeightedMeasure
-from .levels import CantorLevel, build_level
+from .levels import build_level
 from .params import CantorParams
 
 
@@ -49,11 +49,3 @@ def natural_measure(params: CantorParams, depth: int) -> CantorMeasure:
     atoms = level.midpoints()
     return CantorMeasure(params, depth, atoms, Fraction(1, params.branches**depth))
 
-
-def measure_from_level(level: CantorLevel) -> CantorMeasure:
-    return CantorMeasure(
-        level.params,
-        level.depth,
-        level.midpoints(),
-        Fraction(1, level.params.branches**level.depth),
-    )

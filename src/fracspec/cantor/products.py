@@ -1,23 +1,16 @@
-"""Cartesian powers of a 1-D construction level, and their volume sandwich."""
+"""Volume sandwich for Cartesian powers of a 1-D construction level."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
-from ..errors import DomainError, SizeError
-from ..geometry.density import WeightedMeasure
+from ..errors import DomainError
 from ..geometry.intervals import IntervalUnion
 from ..geometry.sweeps import ScaleSweep
 from ..geometry.volumes import _ratio_factor
 from ..numeric import as_fraction
-from .levels import CantorLevel
-
-MAX_CUBES = 10**7
 
 # floor(2**40 / sqrt(n)) / 2**40 as an exact rational <= 1/sqrt(n)
 _SQRT_SHIFT = 40
@@ -25,83 +18,6 @@ _SQRT_SHIFT = 40
 
 def _inv_sqrt_lower(n: int) -> Fraction:
     return Fraction(math.isqrt((1 << (2 * _SQRT_SHIFT)) // n), 1 << _SQRT_SHIFT)
-
-
-@dataclass(frozen=True)
-class ProductSet:
-    """base**power: a union of axis-aligned cubes in R**power.
-
-    Exposes member_count / natural_scale / ambient_dim so the structural
-    box-dimension fit accepts a sequence of these directly.
-    """
-
-    base: IntervalUnion
-    power: int
-
-    def __post_init__(self):
-        if self.power < 1:
-            raise DomainError("power must be >= 1")
-        if self.base.count == 0:
-            raise DomainError("base union is empty")
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.power
-
-    @property
-    def cube_count(self) -> int:
-        return self.base.count**self.power
-
-    @property
-    def member_count(self) -> int:
-        return self.cube_count
-
-    @property
-    def side(self) -> Fraction:
-        lengths = {length for _, length in self.base.intervals}
-        if len(lengths) != 1:
-            raise DomainError("base intervals have mixed lengths; no single side")
-        return next(iter(lengths))
-
-    @property
-    def natural_scale(self) -> Fraction:
-        return self.side
-
-    def _check_budget(self):
-        if self.cube_count > MAX_CUBES:
-            raise SizeError(
-                f"{self.cube_count} cubes exceeds enumeration budget {MAX_CUBES}"
-            )
-
-    def cubes(self):
-        """Yield cubes as tuples of per-axis (start, length) pairs."""
-        self._check_budget()
-        return itertools.product(self.base.intervals, repeat=self.power)
-
-    def cube_centers(self) -> np.ndarray:
-        self._check_budget()
-        mids = [float(m) for m in self.base.midpoints()]
-        grids = np.meshgrid(*([mids] * self.power), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
-
-
-def product_from_level(level: CantorLevel, power: int) -> ProductSet:
-    return ProductSet(level.intervals, power)
-
-
-def product_measure(measure: WeightedMeasure, power: int) -> WeightedMeasure:
-    """Tensor power of an atomic measure: product atoms, product weights."""
-    if power < 1:
-        raise DomainError("power must be >= 1")
-    count = len(measure.atoms) ** power
-    if count > MAX_CUBES:
-        raise SizeError(f"{count} product atoms exceeds budget {MAX_CUBES}")
-    atoms, weights = [], []
-    for combo in itertools.product(range(len(measure.atoms)), repeat=power):
-        pt = tuple(c for i in combo for c in measure.atoms[i])
-        atoms.append(pt)
-        weights.append(float(np.prod([measure.weights[i] for i in combo])))
-    return WeightedMeasure.from_atoms(atoms, weights)
 
 
 @dataclass(frozen=True)

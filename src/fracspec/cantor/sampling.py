@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
 from ..errors import DomainError, RejectionBudgetError
 from ..numeric import as_fraction
-from .params import CantorParams
 
 REJECTION_BUDGET = 10**6
 
@@ -40,14 +38,3 @@ def sample_salem_offsets(branches: int, ratio, rng: np.random.Generator) -> tupl
         f"(branches={branches}, ratio={ratio})"
     )
 
-
-def random_cantor_params(
-    branches: int,
-    ratio,
-    seed: Optional[int] = None,
-    eta_rule: str = "constant",
-) -> CantorParams:
-    """A construction with random offsets; seeded draws are reproducible."""
-    rng = np.random.default_rng(seed)
-    offsets = sample_salem_offsets(branches, ratio, rng)
-    return CantorParams.create(branches, ratio, offsets, eta_rule=eta_rule, seed=seed)

@@ -30,7 +30,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a key=value config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="output directory (default: out)")
-        p.add_argument("--jobs", type=int, default=None, help="worker threads (default: 1)")
 
     v = sub.add_parser("verify", help="run acceptance criteria")
     v.add_argument(
@@ -59,11 +58,7 @@ def _run_verify(suite: list[str] | None) -> int:
 
 def _run_experiment_command(args) -> int:
     cfg = ExperimentConfig.from_file(
-        args.config,
-        experiment=args.command,
-        seed=args.seed,
-        out=args.out,
-        jobs=args.jobs,
+        args.config, experiment=args.command, seed=args.seed, out=args.out
     )
     record = run_experiment(cfg)
     print(json.dumps(record.to_dict(), sort_keys=True))

@@ -43,7 +43,6 @@ class ExperimentConfig:
     options: dict = field(default_factory=dict)
     seed: Optional[int] = None
     out: str = "out"
-    jobs: int = 1
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENT_IDS:
@@ -51,8 +50,6 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; "
                 f"known: {', '.join(EXPERIMENT_IDS)}"
             )
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
 
     @classmethod
     def from_file(
@@ -61,7 +58,6 @@ class ExperimentConfig:
         experiment: Optional[str] = None,
         seed: Optional[int] = None,
         out: Optional[str] = None,
-        jobs: Optional[int] = None,
     ) -> "ExperimentConfig":
         try:
             text = Path(path).read_text()
@@ -78,14 +74,14 @@ class ExperimentConfig:
                 seed = int(cfg_seed)
             except ValueError as exc:
                 raise ConfigError(f"seed must be an integer, got {cfg_seed!r}") from exc
+        if "jobs" in options:
+            raise ConfigError("the 'jobs' key was removed; every run is single-threaded")
         cfg_out = options.pop("out", None)
-        cfg_jobs = options.pop("jobs", None)
         return cls(
             experiment=exp,
             options=options,
             seed=seed,
             out=out if out is not None else (cfg_out or "out"),
-            jobs=jobs if jobs is not None else int(cfg_jobs or 1),
         )
 
     def get(self, key: str, default=None) -> Optional[str]:
@@ -130,9 +126,9 @@ class ExperimentConfig:
     def digest(self) -> str:
         """Stable identity of the computation inputs.
 
-        Output location and parallelism degree are excluded: they must
-        not change any computed value, and the determinism tests rely
-        on that exclusion to compare runs.
+        The output location is excluded: it must not change any
+        computed value, and the determinism tests rely on that exclusion
+        to compare runs.
         """
         lines = [f"experiment={self.experiment}", f"seed={self.seed}"]
         lines.extend(f"{k}={v}" for k, v in sorted(self.options.items()))

@@ -9,10 +9,6 @@ class SizeError(ValueError):
     """An input exceeds a configured size, depth, or cost budget."""
 
 
-class AliasingError(ValueError):
-    """A sampling grid is too coarse to resolve the requested frequencies."""
-
-
 class RejectionBudgetError(RuntimeError):
     """A rejection sampler exhausted its draw budget without accepting."""
 

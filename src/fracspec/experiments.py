@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -27,7 +26,7 @@ from .cantor import (
     write_params,
 )
 from .config import ExperimentConfig
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .fourier import (
     BumpFunction,
     SpectralGrid,
@@ -63,19 +62,6 @@ def write_csv(path: Path, header, rows) -> None:
     for row in rows:
         lines.append(",".join(str(c) if isinstance(c, (str, int)) else fmt(c) for c in row))
     path.write_text("\n".join(lines) + "\n")
-
-
-def pmap(fn, items, jobs: int):
-    """Map preserving input order; `jobs` must not change the results.
-
-    Work items are pure functions of their inputs, so the executor only
-    changes scheduling.  Results are collected in submit order.
-    """
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass
@@ -152,7 +138,7 @@ def run_dim(cfg: ExperimentConfig) -> ReportRecord:
     hi = cfg.get_int("dim.level_max", 10)
     if hi < lo:
         raise ConfigError("dim.level_max must be >= dim.level_min")
-    levels = pmap(lambda m: build_level(params, m), range(lo, hi + 1), cfg.jobs)
+    levels = [build_level(params, m) for m in range(lo, hi + 1)]
     fit = box_dimension_estimate(levels)
     out = _out_dir(cfg)
     write_csv(
@@ -182,8 +168,9 @@ def run_minkowski(cfg: ExperimentConfig) -> ReportRecord:
         raise ConfigError("need 1 <= minkowski.m_min <= minkowski.m_max <= level.depth")
     limit = cfg.get_float("minkowski.limit", 3.0)
     level = build_level(params, depth)
-    alpha = params.dimension_log_ratio()
-    if alpha is None:
+    try:
+        alpha = params.dimension_log_ratio()
+    except DomainError:  # eta is not 1/q: no exact exponent
         alpha = float(params.dimension)
     sweep_spec = ScaleSweep(
         eps_max=params.ratio**m_lo, ratio=params.ratio, count=m_hi - m_lo + 1
@@ -208,12 +195,19 @@ def run_minkowski(cfg: ExperimentConfig) -> ReportRecord:
     )
 
 
-def _fourier_grid(params: CantorParams, depth: int, j_lo: int, j_hi: int, per_octave: int) -> SpectralGrid:
+def spectral_grid(
+    params: CantorParams, depth: int, j_lo: int, j_hi: int, per_octave: int = 512
+) -> tuple[SpectralGrid, np.ndarray, np.ndarray]:
+    """|transform| on a uniform grid over octaves j_lo..j_hi.
+
+    Also returns the complex values and error bounds of that one
+    evaluation, for callers that sample them.
+    """
     spacing = 2.0**j_lo / per_octave
     top = 2.0 ** (j_hi + 1)
     xi = np.arange(spacing, top + spacing / 2, spacing)
-    values, _ = cantor_fourier_grid(params, depth, xi)
-    return SpectralGrid(xi=xi, values=np.abs(values), spacing=spacing, dim=1)
+    values, errors = cantor_fourier_grid(params, depth, xi)
+    return SpectralGrid(xi=xi, values=np.abs(values), spacing=spacing, dim=1), values, errors
 
 
 def run_fourier(cfg: ExperimentConfig) -> ReportRecord:
@@ -229,8 +223,12 @@ def run_fourier(cfg: ExperimentConfig) -> ReportRecord:
         raise ConfigError(f"fourier.q_list must be comma-separated numbers, got {qs_raw!r}") from exc
     if not qs:
         raise ConfigError("fourier.q_list is empty")
-    grid = _fourier_grid(params, depth, j_lo, j_hi, per_octave)
-    diags = pmap(lambda q: lq_annulus_diagnostics(grid, q, j_lo, j_hi), qs, cfg.jobs)
+    grid, values, errors = spectral_grid(params, depth, j_lo, j_hi, per_octave)
+    stride = max(1, grid.xi.size // 2048)
+    # copy the sample out so the full complex array can go now
+    sample = list(zip(grid.xi[::stride], values[::stride], errors[::stride]))
+    del values, errors
+    diags = [lq_annulus_diagnostics(grid, q, j_lo, j_hi) for q in qs]
     out = _out_dir(cfg)
     rows = []
     for q, diag in zip(qs, diags):
@@ -238,16 +236,10 @@ def run_fourier(cfg: ExperimentConfig) -> ReportRecord:
             ratio = "" if row.ratio is None else fmt(row.ratio)
             rows.append((fmt(q), row.j, fmt(row.lo), fmt(row.hi), fmt(row.integral), ratio))
     write_csv(out / "octaves.csv", ("q", "j", "lo", "hi", "integral", "ratio"), rows)
-    stride = max(1, grid.xi.size // 2048)
-    sample_xi = grid.xi[::stride]
-    sample_vals, sample_err = cantor_fourier_grid(params, depth, sample_xi)
     write_csv(
         out / "spectrum.csv",
         ("xi", "re", "im", "abs", "error_bound"),
-        [
-            (fmt(x), fmt(v.real), fmt(v.imag), fmt(abs(v)), fmt(e))
-            for x, v, e in zip(sample_xi, sample_vals, sample_err)
-        ],
+        [(fmt(x), fmt(v.real), fmt(v.imag), fmt(abs(v)), fmt(e)) for x, v, e in sample],
     )
     metrics = {"depth": depth, "octaves": j_hi - j_lo + 1}
     flags = {}
@@ -311,23 +303,22 @@ def _run_span_trials(cfg: ExperimentConfig, out: Path) -> ReportRecord:
     seed = cfg.seed if cfg.seed is not None else 0
     children = np.random.SeedSequence(seed).spawn(trials)
 
-    def one(args):
-        idx, child = args
+    def one(child):
         rng = np.random.default_rng(child)
         values = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         f = GridFunction(values)
         oracle = span_dimension_oracle(f)
         zeros = dft_zero_set(f)
         rank = circulant_rank(f)
-        return idx, oracle, rank, zeros.count
+        return oracle, rank, zeros.count
 
-    results = pmap(one, enumerate(children), cfg.jobs)
+    results = [one(child) for child in children]
     write_csv(
         out / "trials.csv",
         ("trial", "span_dim", "circulant_rank", "dft_zeros"),
-        [(i, o, r, z) for i, o, r, z in results],
+        [(i, o, r, z) for i, (o, r, z) in enumerate(results)],
     )
-    matches = sum(1 for _, o, r, z in results if o == r == m - z)
+    matches = sum(1 for o, r, z in results if o == r == m - z)
     return ReportRecord(
         cfg.experiment,
         cfg.digest(),

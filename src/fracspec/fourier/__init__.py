@@ -18,18 +18,14 @@ from .bump import (
 from .mollifier import (
     MollifierRow,
     MollifierSweep,
-    PairingResult,
     RadialProfile,
     bessel_tail_profile,
-    mollified_pairing,
     mollifier_sum,
 )
 from .transforms import (
     TransformValue,
     cantor_fourier,
     cantor_fourier_grid,
-    product_measure_fourier,
-    product_measure_fourier_grid,
 )
 
 __all__ = [
@@ -42,7 +38,6 @@ __all__ = [
     "MollifierSweep",
     "OctaveDiagnostics",
     "OctaveRow",
-    "PairingResult",
     "RadialProfile",
     "SpectralGrid",
     "TransformValue",
@@ -52,8 +47,5 @@ __all__ = [
     "cantor_fourier",
     "cantor_fourier_grid",
     "lq_annulus_diagnostics",
-    "mollified_pairing",
     "mollifier_sum",
-    "product_measure_fourier",
-    "product_measure_fourier_grid",
 ]

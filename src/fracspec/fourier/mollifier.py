@@ -1,4 +1,4 @@
-"""Shell tables b_j and mollified pairings against atomic measures.
+"""Shell tables b_j of radial profiles and their weighted sums.
 
 For a radial f with declared exponent p, the table entry at scale eps
 and octave j is
@@ -19,13 +19,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..errors import DomainError, SizeError
-from ..geometry.density import WeightedMeasure
+from ..errors import DomainError
 from ..numeric import quadrature_nodes, sphere_surface_area
 from .bump import BumpFunction, DyadicProfile, bump_profile
 
 SHELL_PANEL_WIDTH = 0.5
-MIN_GRID_SPACING_FACTOR = 1e-4
 BOUND_SLACK = 1e-9
 
 
@@ -233,95 +231,4 @@ def mollifier_sum(
         uniform_bound_ok=uniform_ok,
         tails_nonincreasing=tails_ok,
         notes=tuple(notes),
-    )
-
-
-def _simpson_axis(lo: float, hi: float, spacing: float) -> tuple[np.ndarray, np.ndarray]:
-    if hi <= lo:
-        raise DomainError("support interval must have lo < hi")
-    count = max(2, math.ceil((hi - lo) / spacing))
-    if count % 2:
-        count += 1
-    x = np.linspace(lo, hi, count + 1)
-    h = (hi - lo) / count
-    w = np.full(count + 1, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    return x, w * (h / 3.0)
-
-
-@dataclass(frozen=True)
-class PairingResult:
-    value: float
-    bound: float
-    u_l2: float
-    psi_l2_on_support: float
-    atom_pairing: float
-    grid_points: int
-
-
-def mollified_pairing(
-    u: WeightedMeasure,
-    psi: Callable,
-    chi: BumpFunction,
-    eps: float,
-    support: Sequence,
-    spacing: float,
-) -> PairingResult:
-    """<u mollified at scale eps, psi> on a Simpson grid over psi's support.
-
-    Also returns the Cauchy-Schwarz bound ||u_eps||_2 * ||psi||_2 with
-    psi restricted to the eps-fattened atom support; since u_eps
-    vanishes off that fattening pointwise, the bound dominates the
-    pairing exactly on the shared grid.
-    """
-    if not eps > 0:
-        raise DomainError("eps must be positive")
-    if spacing < MIN_GRID_SPACING_FACTOR * eps:
-        raise SizeError(
-            f"grid spacing {spacing:g} finer than {MIN_GRID_SPACING_FACTOR:g} * eps"
-        )
-    if chi.dim != u.n:
-        raise DomainError("bump dimension must match the measure's")
-    if u.n == 1:
-        lo, hi = support
-        pts_1d, w = _simpson_axis(float(lo), float(hi), spacing)
-        pts = pts_1d[:, None]
-        weights = w
-    elif u.n == 2:
-        (lo0, hi0), (lo1, hi1) = support
-        x0, w0 = _simpson_axis(float(lo0), float(hi0), spacing)
-        x1, w1 = _simpson_axis(float(lo1), float(hi1), spacing)
-        g0, g1 = np.meshgrid(x0, x1, indexing="ij")
-        pts = np.stack([g0.ravel(), g1.ravel()], axis=1)
-        weights = np.outer(w0, w1).ravel()
-    else:
-        raise DomainError("pairing grids support dim 1 and 2 only")
-
-    kernel = chi.mollifier(eps)
-    atoms = u.atom_array()
-    wts = u.weight_array()
-    u_eps = np.zeros(len(pts))
-    d2min = np.full(len(pts), np.inf)
-    for start in range(0, len(atoms), 128):
-        block = atoms[start : start + 128]
-        bw = wts[start : start + 128]
-        d2 = ((pts[:, None, :] - block[None, :, :]) ** 2).sum(axis=2)
-        u_eps += (kernel(np.sqrt(d2)) * bw[None, :]).sum(axis=1)
-        np.minimum(d2min, d2.min(axis=1), out=d2min)
-    psi_vals = np.asarray(psi(pts if u.n > 1 else pts[:, 0]), dtype=float)
-    on_support = d2min <= eps * eps
-    value = float(np.sum(weights * u_eps * psi_vals))
-    u_l2 = math.sqrt(float(np.sum(weights * u_eps**2)))
-    psi_l2 = math.sqrt(float(np.sum(weights * np.where(on_support, psi_vals, 0.0) ** 2)))
-    atom_pairing = float(
-        np.sum(wts * np.asarray(psi(atoms if u.n > 1 else atoms[:, 0]), dtype=float))
-    )
-    return PairingResult(
-        value=value,
-        bound=u_l2 * psi_l2,
-        u_l2=u_l2,
-        psi_l2_on_support=psi_l2,
-        atom_pairing=atom_pairing,
-        grid_points=len(pts),
     )

@@ -71,30 +71,3 @@ def cantor_fourier(params: CantorParams, depth: int, xi: float) -> TransformValu
     values, errors = cantor_fourier_grid(params, depth, np.array([float(xi)]))
     return TransformValue(complex(values[0]), float(errors[0]))
 
-
-def product_measure_fourier_grid(
-    params: CantorParams, depth: int, xi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Transform of the n-fold product measure on frequency vectors.
-
-    xi has shape (..., n); the transform is the coordinatewise product
-    of 1-D transforms.  Since every factor has modulus <= 1, truncation
-    errors add across coordinates.
-    """
-    xi_arr = np.asarray(xi, dtype=float)
-    if xi_arr.ndim < 1 or xi_arr.shape[-1] < 1:
-        raise DomainError("xi must have shape (..., n)")
-    values = np.ones(xi_arr.shape[:-1], dtype=complex)
-    errors = np.zeros(xi_arr.shape[:-1])
-    for i in range(xi_arr.shape[-1]):
-        v, e = cantor_fourier_grid(params, depth, xi_arr[..., i])
-        values *= v
-        errors += e
-    return values, errors
-
-
-def product_measure_fourier(params: CantorParams, depth: int, xi) -> TransformValue:
-    values, errors = product_measure_fourier_grid(
-        params, depth, np.asarray(xi, dtype=float)[None, :]
-    )
-    return TransformValue(complex(values[0]), float(errors[0]))

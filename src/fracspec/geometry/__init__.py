@@ -4,18 +4,14 @@ from .cloud import (
     DEFAULT_EXACT_CAP,
     Packing,
     PointCloud,
-    PremeasureBound,
     covering_number,
     covering_witness,
     packing_number,
-    packing_premeasure_lower,
     packing_witness,
 )
 from .density import (
     DensityEstimate,
-    RegularityReport,
     WeightedMeasure,
-    ad_regularity_check,
     ball_mass,
     upper_density_estimate,
 )
@@ -39,12 +35,9 @@ __all__ = [
     "MinkowskiSweep",
     "Packing",
     "PointCloud",
-    "PremeasureBound",
-    "RegularityReport",
     "ScaleSweep",
     "VolumeResult",
     "WeightedMeasure",
-    "ad_regularity_check",
     "ball_mass",
     "box_dimension_estimate",
     "covering_number",
@@ -52,7 +45,6 @@ __all__ = [
     "eps_neighborhood_volume",
     "minkowski_ratio_sweep",
     "packing_number",
-    "packing_premeasure_lower",
     "packing_witness",
     "upper_density_estimate",
 ]

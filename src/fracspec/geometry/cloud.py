@@ -32,7 +32,6 @@ search capped at ``cap`` points.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -40,7 +39,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..errors import DomainError, SizeError
-from ..numeric import LogRatio, as_fraction
 
 DEFAULT_EXACT_CAP = 15
 
@@ -85,14 +83,6 @@ class PointCloud:
     def as_array(self) -> np.ndarray:
         return np.asarray([[float(c) for c in p] for p in self.points], dtype=float)
 
-    def diameter(self) -> float:
-        a = self.as_array()
-        if len(a) == 1:
-            return 0.0
-        # fine for the sizes this package works with
-        d2 = ((a[:, None, :] - a[None, :, :]) ** 2).sum(axis=2)
-        return float(np.sqrt(d2.max()))
-
 
 @dataclass(frozen=True)
 class Packing:
@@ -112,67 +102,35 @@ class Packing:
 # greedy traversals
 
 
-def _farthest_point_order_numpy(pts: np.ndarray) -> list[int]:
-    order = [0]
+def _farthest_points(cloud: PointCloud):
+    """Farthest-point traversal from the first point.
+
+    Yields (i, d2): the next center and its squared distance to the
+    centers before it.  Fraction clouds run on object arrays, so the
+    arithmetic stays exact; argmax takes the first maximizer, i.e. the
+    lexicographically smallest point.
+    """
+    pts = np.asarray(cloud.points, dtype=float if cloud.is_float_backed() else object)
     d2 = ((pts - pts[0]) ** 2).sum(axis=1)
-    for _ in range(len(pts) - 1):
+    while True:
         i = int(np.argmax(d2))
-        order.append(i)
-        d2 = np.minimum(d2, ((pts - pts[i]) ** 2).sum(axis=1))
-    return order
-
-
-def _farthest_point_order_generic(points: Sequence) -> list[int]:
-    order = [0]
-    d2 = [_dist2(p, points[0]) for p in points]
-    for _ in range(len(points) - 1):
-        best = max(range(len(points)), key=lambda k: (d2[k], ()))
-        # first index attains the max because ties resolve to the smaller
-        # index, i.e. the lexicographically smaller point
-        for k in range(len(points)):
-            if d2[k] == d2[best] and k < best:
-                best = k
-        order.append(best)
-        nd = [_dist2(p, points[best]) for p in points]
-        d2 = [min(a, b) for a, b in zip(d2, nd)]
-    return order
+        yield i, d2[i]
+        np.minimum(d2, ((pts - pts[i]) ** 2).sum(axis=1), out=d2)
 
 
 def _greedy_cover_count(cloud: PointCloud, eps) -> tuple[int, list[int]]:
     """Farthest-point net: add the farthest uncovered point as a center."""
-    if cloud.is_float_backed():
-        pts = cloud.as_array()
-        e2 = float(eps) ** 2
-        centers = [0]
-        d2 = ((pts - pts[0]) ** 2).sum(axis=1)
-        while True:
-            i = int(np.argmax(d2))
-            if d2[i] <= e2:
-                return len(centers), centers
-            centers.append(i)
-            np.minimum(d2, ((pts - pts[i]) ** 2).sum(axis=1), out=d2)
-    e2 = eps * eps
-    points = cloud.points
+    e2 = float(eps) ** 2 if cloud.is_float_backed() else eps * eps
     centers = [0]
-    d2 = [_dist2(p, points[0]) for p in points]
-    while True:
-        i = max(range(len(points)), key=lambda k: d2[k])
-        for k in range(len(points)):
-            if d2[k] == d2[i] and k < i:
-                i = k
-        if d2[i] <= e2:
+    for i, d2 in _farthest_points(cloud):
+        if d2 <= e2:
             return len(centers), centers
         centers.append(i)
-        nd = [_dist2(p, points[i]) for p in points]
-        d2 = [min(a, b) for a, b in zip(d2, nd)]
 
 
 def _greedy_pack(cloud: PointCloud, eps) -> list[int]:
     """Maximal packing along the farthest-point order (a lower bound)."""
-    if cloud.is_float_backed():
-        order = _farthest_point_order_numpy(cloud.as_array())
-    else:
-        order = _farthest_point_order_generic(cloud.points)
+    order = [0] + [i for i, _ in itertools.islice(_farthest_points(cloud), cloud.size - 1)]
     thr = 4 * eps * eps
     chosen: list[int] = []
     for i in order:
@@ -379,37 +337,3 @@ def packing_number(cloud: PointCloud, eps, mode: str = "exact", cap: int = DEFAU
     """
     return len(packing_witness(cloud, eps, mode, cap).centers)
 
-
-@dataclass(frozen=True)
-class PremeasureBound:
-    """A certified lower bound for the s-packing pre-measure at scale eps.
-
-    value = packing_number(cloud, eps/2) * eps**s: the equal-radius
-    packing with radius eps/2 realizes exactly this sum of (2r)**s, and
-    the pre-measure is the supremum over all packings, so this never
-    overshoots.  Tagged as a bound, not the supremum itself.
-    """
-
-    value: float
-    value_exact: Fraction | None
-    packing_count: int
-    eps: object
-    s: object
-    kind: str = "lower_bound"
-
-
-def packing_premeasure_lower(cloud: PointCloud, s, eps, mode: str = "exact") -> PremeasureBound:
-    """Lower-bound the s-dimensional packing pre-measure at scale eps."""
-    _check_eps(eps)
-    s_val = float(s)
-    if s_val < 0:
-        raise DomainError("s must be nonnegative")
-    half = as_fraction(eps) / 2 if not isinstance(eps, float) else eps / 2.0
-    count = packing_number(cloud, half, mode=mode)
-    exact = None
-    if isinstance(s, LogRatio):
-        p = s.exact_power(as_fraction(eps))
-        if p is not None:
-            exact = count * p
-    value = count * float(eps) ** s_val if exact is None else float(exact)
-    return PremeasureBound(value, exact, count, eps, s)

@@ -1,10 +1,9 @@
-"""Ball-mass densities and Ahlfors-regularity diagnostics for atomic measures."""
+"""Ball masses and upper-density estimates for atomic measures."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -89,49 +88,3 @@ def upper_density_estimate(measure: WeightedMeasure, x, alpha: float, sweep: Sca
     sup = max(row[2] for row in rows)
     return DensityEstimate(sup, tuple(rows), alpha, tuple(float(c) for c in x))
 
-
-@dataclass(frozen=True)
-class RegularityReport:
-    """Extremes of mass(B_r(x)) / r**alpha over sampled centers and radii.
-
-    certificate is the honest claim this check can make: every sampled
-    ratio was strictly positive.  spread_flag marks b_est/a_est above the
-    threshold, the numerical signature of a measure that is not
-    Ahlfors-regular at exponent alpha on the sampled range.
-    """
-
-    a_est: float
-    b_est: float
-    certificate: bool
-    spread_flag: bool
-    spread_threshold: float
-    samples: int
-
-
-def ad_regularity_check(
-    measure: WeightedMeasure,
-    alpha: float,
-    sample_points: Sequence,
-    radii: Sequence[float],
-    spread_threshold: float = 10.0,
-) -> RegularityReport:
-    if not sample_points:
-        raise DomainError("need at least one sample point")
-    if not radii or any(not r > 0 for r in radii):
-        raise DomainError("radii must be positive")
-    ratios = []
-    for x in sample_points:
-        for r in radii:
-            rf = float(r)
-            ratios.append(ball_mass(measure, x, rf) / rf**alpha)
-    a_est, b_est = min(ratios), max(ratios)
-    cert = a_est > 0
-    spread = (b_est / a_est > spread_threshold) if cert else True
-    return RegularityReport(
-        a_est=a_est,
-        b_est=b_est,
-        certificate=cert,
-        spread_flag=spread,
-        spread_threshold=spread_threshold,
-        samples=len(ratios),
-    )

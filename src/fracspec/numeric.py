@@ -115,6 +115,20 @@ def _gauss_legendre(order: int):
     return x, w
 
 
+def _panels(lo: float, hi: float, panel_width: float, order: int):
+    """Gauss-Legendre nodes on panels of width <= panel_width over [lo, hi].
+
+    Returns the nodes (one row per panel), the reference weights and the
+    panel half-widths; callers combine the weights in their own order.
+    """
+    count = max(1, math.ceil((hi - lo) / panel_width))
+    edges = np.linspace(lo, hi, count + 1)
+    x, w = _gauss_legendre(order)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    halves = 0.5 * np.diff(edges)
+    return mids[:, None] + halves[:, None] * x[None, :], w, halves
+
+
 def integrate_panels(fn, lo: float, hi: float, *, panel_width: float, order: int = 32) -> float:
     """Composite Gauss-Legendre quadrature of fn over [lo, hi].
 
@@ -123,12 +137,7 @@ def integrate_panels(fn, lo: float, hi: float, *, panel_width: float, order: int
     """
     if hi <= lo:
         return 0.0
-    count = max(1, math.ceil((hi - lo) / panel_width))
-    edges = np.linspace(lo, hi, count + 1)
-    x, w = _gauss_legendre(order)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * np.diff(edges)
-    pts = mids[:, None] + halves[:, None] * x[None, :]
+    pts, w, halves = _panels(lo, hi, panel_width, order)
     vals = np.asarray(fn(pts.ravel()), dtype=float).reshape(pts.shape)
     return float(np.sum(vals * w[None, :] * halves[:, None]))
 
@@ -141,11 +150,5 @@ def quadrature_nodes(lo: float, hi: float, *, panel_width: float, order: int = 3
     """
     if hi <= lo:
         return np.empty(0), np.empty(0)
-    count = max(1, math.ceil((hi - lo) / panel_width))
-    edges = np.linspace(lo, hi, count + 1)
-    x, w = _gauss_legendre(order)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * np.diff(edges)
-    pts = (mids[:, None] + halves[:, None] * x[None, :]).ravel()
-    wts = (w[None, :] * halves[:, None]).ravel()
-    return pts, wts
+    pts, w, halves = _panels(lo, hi, panel_width, order)
+    return pts.ravel(), (w[None, :] * halves[:, None]).ravel()

@@ -1,27 +1,15 @@
 """Finite-torus translation-span experiments and density verdict tables."""
 
-from .angular import (
-    ConvolutionResidual,
-    angular_decompose,
-    angular_resynthesize,
-    radial_pair_check,
-    rotational_coefficient,
-)
 from .grid import (
     GridFunction,
     ZeroSet,
     default_tol,
     dft,
     dft_zero_set,
-    read_grid_function,
-    write_grid_function,
 )
 from .span import (
-    AnnihilatorResult,
-    annihilator_residual,
     circulant_matrix,
     circulant_rank,
-    circular_convolve,
     span_dimension_oracle,
 )
 from .spherical import (
@@ -51,31 +39,21 @@ __all__ = [
     "STATUS_DENSE",
     "STATUS_NONE",
     "STATUS_PRIOR",
-    "AnnihilatorResult",
-    "ConvolutionResidual",
     "DensityVerdict",
     "GridFunction",
     "SphericalZeroSet",
     "VerdictRow",
     "ZeroSet",
-    "angular_decompose",
-    "angular_resynthesize",
-    "annihilator_residual",
     "centered_frequencies",
     "circulant_matrix",
     "circulant_rank",
-    "circular_convolve",
     "default_tol",
     "dft",
     "dft_zero_set",
     "mask_spectrum_on_radii",
     "motion_p_lower",
-    "radial_pair_check",
-    "read_grid_function",
-    "rotational_coefficient",
     "span_dimension_oracle",
     "spherical_zero_radii",
     "translate_p_lower",
     "verdict",
-    "write_grid_function",
 ]

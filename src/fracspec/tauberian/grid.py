@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from ..errors import ConfigError, DomainError
+from ..errors import DomainError
 
 DEFAULT_TOL_FACTOR = 1e-9
 
@@ -99,42 +96,3 @@ def dft_zero_set(f: GridFunction, tol: Optional[float] = None) -> ZeroSet:
         indices = tuple((int(i), int(j)) for i, j in idx)
     return ZeroSet(indices=indices, tol=float(tol), m=f.m, n=f.n)
 
-
-def write_grid_function(f: GridFunction, csv_path, header_path) -> None:
-    """CSV of (index, re, im) rows plus a JSON sidecar with the geometry."""
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "re", "im"])
-        if f.n == 1:
-            for i, v in enumerate(f.values):
-                writer.writerow([i, format(v.real, ".17g"), format(v.imag, ".17g")])
-        else:
-            for i in range(f.m):
-                for j in range(f.m):
-                    v = f.values[i, j]
-                    writer.writerow(
-                        [f"{i},{j}", format(v.real, ".17g"), format(v.imag, ".17g")]
-                    )
-    Path(header_path).write_text(
-        json.dumps({"m": f.m, "n": f.n, "cell": f.cell}, sort_keys=True) + "\n"
-    )
-
-
-def read_grid_function(csv_path, header_path) -> GridFunction:
-    try:
-        header = json.loads(Path(header_path).read_text())
-        m, n, cell = int(header["m"]), int(header["n"]), float(header["cell"])
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        raise ConfigError(f"bad grid header {header_path}: {exc}") from exc
-    shape = (m,) if n == 1 else (m, m)
-    values = np.zeros(shape, dtype=complex)
-    with open(csv_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            v = complex(float(row["re"]), float(row["im"]))
-            if n == 1:
-                values[int(row["index"])] = v
-            else:
-                i, j = row["index"].split(",")
-                values[int(i), int(j)] = v
-    return GridFunction(values, cell)

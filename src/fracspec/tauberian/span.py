@@ -8,7 +8,6 @@ algebra; keeping both routes makes each an oracle for the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -51,41 +50,3 @@ def circulant_rank(f: GridFunction, tol: Optional[float] = None) -> int:
         tol = default_tol(dft(f))
     return int(np.linalg.matrix_rank(mat, tol=np.sqrt(f.m) * tol))
 
-
-@dataclass(frozen=True)
-class AnnihilatorResult:
-    """min over unit-norm h of ||h (*) f||_2 / sqrt(m), and who attains it.
-
-    The minimum over all unit vectors equals the smallest transform
-    modulus, attained by the character at the minimizing frequency.
-    The witness is reported whenever the residual clears the zero tol.
-    """
-
-    residual: float
-    frequency: int
-    witness: Optional[np.ndarray]
-    tol: float
-
-
-def annihilator_residual(f: GridFunction, tol: Optional[float] = None) -> AnnihilatorResult:
-    _require_1d(f)
-    fhat = dft(f)
-    if tol is None:
-        tol = default_tol(fhat)
-    mags = np.abs(fhat)
-    k = int(np.argmin(mags))
-    residual = float(mags[k])
-    witness = None
-    if residual < tol or residual == 0.0:
-        m = f.m
-        witness = np.exp(2j * np.pi * k * np.arange(m) / m) / np.sqrt(m)
-    return AnnihilatorResult(residual=residual, frequency=k, witness=witness, tol=float(tol))
-
-
-def circular_convolve(h: np.ndarray, f: GridFunction) -> np.ndarray:
-    """(h (*) f)(x) = sum_y h(y) f(x - y) on Z_m."""
-    _require_1d(f)
-    h = np.asarray(h, dtype=complex)
-    if h.shape != (f.m,):
-        raise DomainError("convolver must live on the same lattice")
-    return np.fft.ifft(np.fft.fft(h) * np.fft.fft(f.values))

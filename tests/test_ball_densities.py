@@ -1,4 +1,4 @@
-"""Ball masses, upper-density estimates, and regularity diagnostics."""
+"""Ball masses and upper-density estimates."""
 
 import math
 from fractions import Fraction
@@ -10,7 +10,6 @@ from fracspec.cantor.params import middle_thirds_params
 from fracspec.errors import DomainError
 from fracspec.geometry.density import (
     WeightedMeasure,
-    ad_regularity_check,
     ball_mass,
     upper_density_estimate,
 )
@@ -72,26 +71,3 @@ def test_density_input_validation():
     with pytest.raises(DomainError):
         upper_density_estimate(mu, 0.0, -0.2, sweep)
 
-
-def test_regularity_spread_flags_point_mass():
-    params = middle_thirds_params()
-    mu = natural_measure(params, 8).to_weighted()
-    radii = [3.0**-k for k in range(1, 6)]
-    centers = [mu.atoms[0], mu.atoms[len(mu.atoms) // 2], mu.atoms[-1]]
-    report = ad_regularity_check(mu, BETA, centers, radii)
-    assert report.certificate
-    assert not report.spread_flag
-    assert report.samples == len(centers) * len(radii)
-
-    # a lopsided measure at the same exponent blows the spread
-    lopsided = WeightedMeasure.from_atoms([0.0, 1.0], [1e-6, 1.0])
-    report2 = ad_regularity_check(lopsided, BETA, [(0.0,), (1.0,)], [0.5])
-    assert report2.spread_flag
-
-
-def test_regularity_input_validation():
-    mu = WeightedMeasure.from_atoms([0.0], [1.0])
-    with pytest.raises(DomainError):
-        ad_regularity_check(mu, 0.5, [], [0.5])
-    with pytest.raises(DomainError):
-        ad_regularity_check(mu, 0.5, [(0.0,)], [0.0])

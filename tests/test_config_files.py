@@ -44,15 +44,13 @@ def test_from_file_and_overrides(tmp_path):
     assert cfg.experiment == "dim"
     assert cfg.seed == 42
     assert cfg.out == "out"
-    assert cfg.jobs == 1
     # command-line style overrides win over the file
-    cfg2 = ExperimentConfig.from_file(path, experiment="minkowski", seed=7, out="elsewhere", jobs=3)
+    cfg2 = ExperimentConfig.from_file(path, experiment="minkowski", seed=7, out="elsewhere")
     assert cfg2.experiment == "minkowski"
     assert cfg2.seed == 7
     assert cfg2.out == "elsewhere"
-    assert cfg2.jobs == 3
     # the control keys are not left behind in options
-    for key in ("experiment", "seed", "out", "jobs"):
+    for key in ("experiment", "seed", "out"):
         assert key not in cfg2.options
 
 
@@ -70,8 +68,15 @@ def test_missing_file_and_missing_experiment(tmp_path):
 def test_unknown_experiment_rejected():
     with pytest.raises(ConfigError, match="unknown experiment"):
         ExperimentConfig(experiment="frobnicate")
-    with pytest.raises(ConfigError, match="jobs"):
-        ExperimentConfig(experiment="dim", jobs=0)
+
+
+@pytest.mark.parametrize("value", ["2", "four"])
+def test_removed_jobs_key_rejected(tmp_path, value):
+    # silently ignoring the key would leave it in the options and the digest
+    path = tmp_path / "run.cfg"
+    path.write_text(SAMPLE + f"jobs = {value}\n")
+    with pytest.raises(ConfigError, match="'jobs' key was removed"):
+        ExperimentConfig.from_file(path)
 
 
 def test_typed_getters(tmp_path):
@@ -96,8 +101,8 @@ def test_digest_covers_inputs_not_plumbing(tmp_path):
     path.write_text(SAMPLE)
     base = ExperimentConfig.from_file(path)
     assert base.digest() == ExperimentConfig.from_file(path).digest()
-    # out and jobs do not affect identity
-    moved = ExperimentConfig.from_file(path, out="x", jobs=8)
+    # out does not affect identity
+    moved = ExperimentConfig.from_file(path, out="x")
     assert moved.digest() == base.digest()
     # seed and options do
     reseeded = ExperimentConfig.from_file(path, seed=43)

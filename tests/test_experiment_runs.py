@@ -13,11 +13,11 @@ from fracspec.errors import ConfigError
 from fracspec.experiments import run_experiment
 
 
-def run(tmp_path, experiment, text, seed=None, out_name="out", jobs=None):
+def run(tmp_path, experiment, text, seed=None, out_name="out"):
     path = tmp_path / f"{experiment}.cfg"
     path.write_text(text)
     cfg = ExperimentConfig.from_file(
-        path, experiment=experiment, seed=seed, out=str(tmp_path / out_name), jobs=jobs
+        path, experiment=experiment, seed=seed, out=str(tmp_path / out_name)
     )
     record = run_experiment(cfg)
     return cfg, record, tmp_path / out_name / experiment
@@ -174,14 +174,12 @@ def report_without_timing(out_dir, experiment):
     ],
 )
 def test_reruns_are_byte_identical(tmp_path, experiment, text, seed):
-    run(tmp_path, experiment, text, seed=seed, out_name="a", jobs=1)
-    run(tmp_path, experiment, text, seed=seed, out_name="b", jobs=1)
-    run(tmp_path, experiment, text, seed=seed, out_name="c", jobs=3)
-    a, b, c = (artifact_bytes(tmp_path / name) for name in "abc")
-    assert a == b == c
+    run(tmp_path, experiment, text, seed=seed, out_name="a")
+    run(tmp_path, experiment, text, seed=seed, out_name="b")
+    assert artifact_bytes(tmp_path / "a") == artifact_bytes(tmp_path / "b")
     ra = report_without_timing(tmp_path / "a", experiment)
-    rc = report_without_timing(tmp_path / "c", experiment)
-    assert ra == rc
+    rb = report_without_timing(tmp_path / "b", experiment)
+    assert ra == rb
 
 
 def test_cli_runs_experiment(tmp_path, capsys):
@@ -199,6 +197,35 @@ def test_cli_config_errors_exit_2(tmp_path):
     dup.write_text("a = 1\na = 2\n")
     assert main(["dim", "--config", str(dup)]) == 2
     assert main(["dim", "--config", str(tmp_path / "missing.cfg")]) == 2
+
+
+@pytest.mark.parametrize("value", ["2", "four"])
+def test_cli_jobs_key_exits_2(tmp_path, capsys, value):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"level.depth = 2\njobs = {value}\n")
+    assert main(["construct", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "'jobs' key was removed" in err
+    assert "Traceback" not in err
+
+
+def test_cli_rejects_jobs_flag(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("level.depth = 2\n")
+    with pytest.raises(SystemExit) as err:
+        main(["construct", "--config", str(path), "--jobs", "2"])
+    assert err.value.code == 2
+
+
+def test_cli_minkowski_ratio_without_exact_exponent(tmp_path):
+    # eta = 2/7 is not 1/q, so the sweep runs on the float dimension
+    path = tmp_path / "run.cfg"
+    path.write_text("cantor.ratio = 2/7\ncantor.offsets = 0, 5/7\nlevel.depth = 6\n")
+    out = tmp_path / "out"
+    assert main(["minkowski", "--config", str(path), "--out", str(out)]) == 0
+    rows = (out / "minkowski" / "ratios.csv").read_text().splitlines()
+    assert rows[0] == "eps,value,bound_low,bound_high"
+    assert len(rows) == 1 + 5  # m_min = 2 .. m_max = depth
 
 
 def test_cli_domain_errors_exit_1(tmp_path):

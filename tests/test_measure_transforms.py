@@ -19,8 +19,6 @@ from fracspec.fourier.transforms import (
     cantor_fourier,
     cantor_fourier_grid,
     level_scale_floats,
-    product_measure_fourier,
-    product_measure_fourier_grid,
 )
 
 
@@ -105,16 +103,3 @@ def test_grid_depth_validation():
     with pytest.raises(DomainError):
         cantor_fourier_grid(middle_thirds_params(), 0, np.array([1.0]))
 
-
-def test_product_transform_factorizes():
-    params = middle_thirds_params()
-    xi = np.array([[1.3, -4.2]])
-    vals, errs = product_measure_fourier_grid(params, 5, xi)
-    a, ea = cantor_fourier_grid(params, 5, np.array([1.3]))
-    b, eb = cantor_fourier_grid(params, 5, np.array([-4.2]))
-    assert abs(vals[0] - a[0] * b[0]) < 1e-14
-    assert abs(errs[0] - (ea[0] + eb[0])) < 1e-14
-    single = product_measure_fourier(params, 5, (1.3, -4.2))
-    assert abs(single.value - vals[0]) < 1e-14
-    with pytest.raises(DomainError):
-        product_measure_fourier_grid(params, 5, np.zeros((3, 0)))

@@ -1,4 +1,4 @@
-"""Shell tables, weighted sums, and mollified pairings."""
+"""Shell tables and weighted sums."""
 
 import math
 
@@ -6,15 +6,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fracspec.errors import DomainError, SizeError
+from fracspec.errors import DomainError
 from fracspec.fourier.bump import BumpFunction
 from fracspec.fourier.mollifier import (
     RadialProfile,
     bessel_tail_profile,
-    mollified_pairing,
     mollifier_sum,
 )
-from fracspec.geometry.density import WeightedMeasure
 
 
 def test_shell_entry_against_quad():
@@ -86,48 +84,3 @@ def test_mollifier_sum_validation():
     with pytest.raises(DomainError):
         RadialProfile(lambda r: r, 2, 1.5)
 
-
-def test_pairing_approaches_atom_sum():
-    """Mollifying then pairing reproduces the atom pairing up to the
-    mollifier's own second-moment bias, order eps**2."""
-    chi = BumpFunction.standard(1)
-    u = WeightedMeasure.from_atoms([0.0], [1.0])
-    psi = lambda x: np.cos(np.asarray(x, dtype=float))
-    eps = 0.05
-    res = mollified_pairing(u, psi, chi, eps, (-1.5, 1.5), spacing=eps / 16)
-    assert res.atom_pairing == pytest.approx(1.0)
-    assert abs(res.value - res.atom_pairing) < 1e-3
-    assert res.bound >= abs(res.value)
-
-
-def test_pairing_bound_dominates_2d():
-    chi = BumpFunction.standard(2)
-    u = WeightedMeasure.from_atoms([(0.25, 0.5), (0.75, 0.5)], [0.5, 0.5])
-    psi = lambda pts: np.asarray(pts)[:, 0] + 1.0
-    res = mollified_pairing(
-        u, psi, chi, 0.05, ((-0.5, 1.5), (-0.5, 1.5)), spacing=0.05 / 16
-    )
-    assert abs(res.value - res.atom_pairing) < 1e-3
-    assert res.bound >= abs(res.value)
-    assert res.grid_points > 0
-
-
-def test_pairing_vanishes_with_separated_supports():
-    chi = BumpFunction.standard(1)
-    u = WeightedMeasure.from_atoms([0.0], [1.0])
-    psi_far = lambda x: np.where(np.abs(np.asarray(x, dtype=float) - 10.0) < 1.0, 1.0, 0.0)
-    res = mollified_pairing(u, psi_far, chi, 0.05, (-2.0, 2.0), spacing=0.01)
-    assert res.value == 0.0
-    assert res.psi_l2_on_support == 0.0
-
-
-def test_pairing_validation():
-    chi = BumpFunction.standard(1)
-    u = WeightedMeasure.from_atoms([0.0], [1.0])
-    psi = lambda x: np.ones_like(np.asarray(x, dtype=float))
-    with pytest.raises(DomainError):
-        mollified_pairing(u, psi, chi, 0.0, (-1, 1), spacing=0.01)
-    with pytest.raises(SizeError):
-        mollified_pairing(u, psi, chi, 1.0, (-1, 1), spacing=1e-6)
-    with pytest.raises(DomainError):
-        mollified_pairing(u, psi, BumpFunction.standard(2), 0.5, (-1, 1), spacing=0.01)

@@ -18,10 +18,8 @@ from fracspec.geometry.cloud import (
     covering_number,
     covering_witness,
     packing_number,
-    packing_premeasure_lower,
     packing_witness,
 )
-from fracspec.numeric import LogRatio
 
 
 def dist2(p, q):
@@ -127,6 +125,18 @@ def test_greedy_mode_brackets_exact():
         assert packing_number(cloud, eps, mode="greedy") <= packing_number(cloud, eps)
 
 
+def test_greedy_counts_exact_and_float_agree():
+    """Dyadic coordinates are exact in floats, so both traversals match."""
+    pts = [(Fraction(i, 8), Fraction(j * j % 11, 16)) for i in range(9) for j in range(4)]
+    exact = PointCloud.from_points(pts)
+    floats = PointCloud.from_points([tuple(float(c) for c in p) for p in pts])
+    assert floats.is_float_backed() and not exact.is_float_backed()
+    for eps in (Fraction(1, 16), Fraction(1, 8), Fraction(3, 16), Fraction(1, 2)):
+        # Fraction == float compares exact values, so the witnesses compare too
+        assert covering_witness(exact, eps, mode="greedy") == covering_witness(floats, eps, mode="greedy")
+        assert packing_witness(exact, eps, mode="greedy") == packing_witness(floats, eps, mode="greedy")
+
+
 def test_exact_cap_in_higher_dimension():
     pts = [(i, j) for i in range(4) for j in range(4)]
     cloud = PointCloud.from_points(pts)
@@ -180,18 +190,3 @@ def test_chain_inequalities_hold_2d(pts, eps_num):
         <= covering_number(cloud, eps / 2)
     )
 
-
-def test_premeasure_lower_bound():
-    pts = ternary_level_endpoints(3)
-    cloud = PointCloud.from_points(pts)
-    beta = LogRatio(2, 3)
-    eps = Fraction(1, 27)
-    bound = packing_premeasure_lower(cloud, beta, eps)
-    # packing at radius eps/2 = 1/54 keeps one point per level-3 interval
-    assert bound.packing_count == 8
-    assert bound.kind == "lower_bound"
-    # (1/27)**beta = 2**-3 exactly, so the bound is 8/8 = 1
-    assert bound.value_exact == Fraction(1)
-    assert bound.value == 1.0
-    with pytest.raises(DomainError):
-        packing_premeasure_lower(cloud, -1.0, eps)

@@ -1,72 +1,24 @@
-"""Cartesian powers of interval unions and their volume sandwich."""
+"""Volume sandwich for Cartesian powers of interval unions."""
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from fracspec.cantor.levels import build_level
 from fracspec.cantor.params import middle_thirds_params
-from fracspec.cantor.products import (
-    ProductSet,
-    product_from_level,
-    product_measure,
-    product_minkowski_bounds,
-)
-from fracspec.errors import DomainError, SizeError
-from fracspec.geometry.density import WeightedMeasure
+from fracspec.cantor.products import product_minkowski_bounds
+from fracspec.errors import DomainError
 from fracspec.geometry.intervals import IntervalUnion
 from fracspec.geometry.sweeps import ScaleSweep
 from fracspec.numeric import LogRatio
 
 
-def test_product_counts_and_scale():
-    level = build_level(middle_thirds_params(), 3)
-    square = product_from_level(level, 2)
-    assert square.cube_count == 64
-    assert square.member_count == 64
-    assert square.ambient_dim == 2
-    assert square.side == Fraction(1, 27)
-    assert square.natural_scale == Fraction(1, 27)
-    centers = square.cube_centers()
-    assert centers.shape == (64, 2)
-    first = sorted(map(tuple, centers.tolist()))[0]
-    assert first == (float(Fraction(1, 54)), float(Fraction(1, 54)))
-
-
-def test_product_validation():
-    base = IntervalUnion.from_endpoints([(0, 1)])
-    with pytest.raises(DomainError):
-        ProductSet(base, 0)
-    with pytest.raises(DomainError):
-        ProductSet(IntervalUnion.empty(), 2)
-    mixed = IntervalUnion.from_endpoints([(0, 1), (2, 4)])
-    with pytest.raises(DomainError):
-        ProductSet(mixed, 2).side
-
-
 def test_cube_budget():
+    # bounds never enumerate cubes: 4096**2 = 16.7M of them at depth 12
     level = build_level(middle_thirds_params(), 12)
-    big = ProductSet(level.intervals, 2)  # 4096**2 = 16.7M cubes
-    with pytest.raises(SizeError):
-        big.cube_centers()
-    # bounds never enumerate cubes, so the same object sweeps fine
     sweep = ScaleSweep(Fraction(1, 9), Fraction(1, 3), 4)
     bounds = product_minkowski_bounds(level.intervals, 2, LogRatio(4, 3), sweep)
     assert len(bounds.rows) == 4
-
-
-def test_product_measure_tensor():
-    mu = WeightedMeasure.from_atoms([0.0, 1.0], [0.25, 0.75])
-    sq = product_measure(mu, 2)
-    assert sq.n == 2
-    assert len(sq.atoms) == 4
-    assert abs(sq.total - 1.0) < 1e-12
-    weights = dict(zip(sq.atoms, sq.weights))
-    assert abs(weights[(1.0, 1.0)] - 0.5625) < 1e-12
-    assert abs(weights[(0.0, 1.0)] - 0.1875) < 1e-12
-    with pytest.raises(DomainError):
-        product_measure(mu, 0)
 
 
 def test_square_volume_sandwich_frozen():

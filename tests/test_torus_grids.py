@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-from fracspec.errors import ConfigError, DomainError
+from fracspec.errors import DomainError
 from fracspec.tauberian.grid import (
     GridFunction,
     ZeroSet,
     dft,
     dft_zero_set,
-    read_grid_function,
-    write_grid_function,
 )
 
 
@@ -79,16 +77,3 @@ def test_explicit_tolerance():
     with pytest.raises(DomainError):
         ZeroSet((), -1.0, 8, 1)
 
-
-def test_round_trip_files(tmp_path):
-    rng = np.random.default_rng(3)
-    for shape in (11, (5, 5)):
-        f = GridFunction(rng.normal(size=shape) + 1j * rng.normal(size=shape), cell=0.25)
-        csv_path = tmp_path / "grid.csv"
-        hdr_path = tmp_path / "grid.json"
-        write_grid_function(f, csv_path, hdr_path)
-        back = read_grid_function(csv_path, hdr_path)
-        assert back.cell == 0.25
-        assert np.array_equal(back.values, f.values)
-    with pytest.raises(ConfigError):
-        read_grid_function(csv_path, tmp_path / "missing.json")

@@ -12,10 +12,8 @@ import pytest
 from fracspec.errors import DomainError
 from fracspec.tauberian.grid import GridFunction, dft, dft_zero_set
 from fracspec.tauberian.span import (
-    annihilator_residual,
     circulant_matrix,
     circulant_rank,
-    circular_convolve,
     span_dimension_oracle,
 )
 
@@ -72,38 +70,9 @@ def test_circulant_matrix_structure():
     assert np.array_equal(mat[1], np.array([4.0, 1.0, 2.0, 3.0]))
 
 
-def test_annihilator_matches_minimum_modulus():
-    rng = np.random.default_rng(7)
-    f = GridFunction(rng.normal(size=12))
-    res = annihilator_residual(f)
-    fhat = dft(f)
-    assert res.residual == pytest.approx(float(np.abs(fhat).min()))
-    # any unit-norm convolver does no better than the reported minimum
-    for _ in range(25):
-        h = rng.normal(size=12) + 1j * rng.normal(size=12)
-        h /= np.linalg.norm(h)
-        attained = float(np.linalg.norm(circular_convolve(h, f)) / np.sqrt(12))
-        assert attained >= res.residual - 1e-12
-
-
-def test_annihilator_witness_on_true_zero():
-    values = np.ones(6)  # coefficients vanish off k = 0
-    f = GridFunction(values)
-    res = annihilator_residual(f)
-    assert res.residual == pytest.approx(0.0, abs=1e-12)
-    assert res.witness is not None
-    out = circular_convolve(res.witness, f)
-    assert float(np.abs(out).max()) < 1e-10
-
-
 def test_span_requires_1d():
     f2 = GridFunction(np.ones((4, 4)))
     with pytest.raises(DomainError):
         span_dimension_oracle(f2)
     with pytest.raises(DomainError):
         circulant_rank(f2)
-    with pytest.raises(DomainError):
-        annihilator_residual(f2)
-    f = GridFunction(np.ones(4))
-    with pytest.raises(DomainError):
-        circular_convolve(np.ones(5), f)
