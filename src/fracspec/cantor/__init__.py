@@ -1,7 +1,7 @@
 """Branching interval constructions, their levels, measures, and product bounds."""
 
 from .io import read_level_csv, read_params, write_level_csv, write_params
-from .levels import MAX_DEPTH, CantorLevel, build_level
+from .levels import CantorLevel, build_level
 from .measures import CantorMeasure, natural_measure
 from .params import (
     CantorParams,
@@ -15,7 +15,6 @@ from .products import ProductMinkowskiBounds, product_minkowski_bounds
 from .sampling import REJECTION_BUDGET, sample_salem_offsets
 
 __all__ = [
-    "MAX_DEPTH",
     "REJECTION_BUDGET",
     "CantorLevel",
     "CantorMeasure",

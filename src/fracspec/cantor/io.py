@@ -32,8 +32,6 @@ def write_params(params: CantorParams, path) -> None:
         "offsets": [_frac_str(a) for a in params.offsets],
         "eta_rule": params.eta_rule,
     }
-    if params.custom_etas is not None:
-        doc["custom_etas"] = [_frac_str(e) for e in params.custom_etas]
     if params.seed is not None:
         doc["seed"] = params.seed
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
@@ -50,11 +48,6 @@ def read_params(path) -> CantorParams:
             ratio=parse_rational(doc["ratio"]),
             offsets=[parse_rational(a) for a in doc["offsets"]],
             eta_rule=doc.get("eta_rule", "constant"),
-            custom_etas=(
-                [parse_rational(e) for e in doc["custom_etas"]]
-                if "custom_etas" in doc
-                else None
-            ),
             seed=doc.get("seed"),
         )
     except KeyError as exc:

@@ -9,7 +9,7 @@ from ..errors import DomainError, SizeError
 from ..geometry.intervals import IntervalUnion
 from .params import CantorParams
 
-MAX_DEPTH = 20
+MAX_INTERVALS = 2**20
 
 
 @dataclass(frozen=True)
@@ -56,10 +56,11 @@ def build_level(params: CantorParams, depth: int) -> CantorLevel:
     """
     if depth < 0:
         raise DomainError("depth must be >= 0")
-    if depth > MAX_DEPTH:
+    # branches >= 2, so capping the exponent at the budget's bit length
+    # changes no verdict and spares computing a huge power
+    if params.branches ** min(depth, MAX_INTERVALS.bit_length()) > MAX_INTERVALS:
         raise SizeError(
-            f"depth {depth} exceeds budget {MAX_DEPTH} "
-            f"({params.branches}**{depth} intervals)"
+            f"{params.branches}**{depth} intervals exceed the budget of {MAX_INTERVALS}"
         )
     starts = [Fraction(0)]
     length = Fraction(1)

@@ -12,14 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..errors import DomainError
 from ..numeric import LogRatio, as_fraction
 
 DIMENSION_RTOL = 1e-12
 
-ETA_RULES = ("constant", "tapered", "custom")
+ETA_RULES = ("constant", "tapered")
 
 
 def tapered_eta(eta: Fraction, j: int) -> Fraction:
@@ -46,7 +46,7 @@ class CantorParams:
     offsets are exact rationals; dimension is the float solution of
     N * eta**beta = 1.  eta_rule selects how the per-level ratio varies:
     "constant" uses eta at every level, "tapered" shrinks it by the
-    factor 1 - 1/(j+1)**2, "custom" defers to custom_etas.
+    factor 1 - 1/(j+1)**2.
     """
 
     branches: int
@@ -54,7 +54,6 @@ class CantorParams:
     offsets: tuple
     dimension: float
     eta_rule: str = "constant"
-    custom_etas: Optional[tuple] = None
     seed: Optional[int] = None
 
     @classmethod
@@ -64,20 +63,13 @@ class CantorParams:
         ratio,
         offsets: Sequence,
         eta_rule: str = "constant",
-        custom_etas: Optional[Sequence] = None,
         seed: Optional[int] = None,
-        declared_dimension: Optional[float] = None,
     ) -> "CantorParams":
         ratio = as_fraction(ratio)
         offsets = tuple(as_fraction(a) for a in offsets)
-        report = validate_params(
-            branches, ratio, offsets, eta_rule, custom_etas, declared_dimension
-        )
-        report.require()
-        if custom_etas is not None:
-            custom_etas = tuple(as_fraction(e) for e in custom_etas)
+        validate_params(branches, ratio, offsets, eta_rule).require()
         dim = similarity_dimension(branches, ratio)
-        return cls(branches, ratio, offsets, dim, eta_rule, custom_etas, seed)
+        return cls(branches, ratio, offsets, dim, eta_rule, seed)
 
     def eta_at(self, level: int) -> Fraction:
         """Contraction ratio used when refining level level-1 into level."""
@@ -85,15 +77,7 @@ class CantorParams:
             raise DomainError("levels are indexed from 1")
         if self.eta_rule == "constant":
             return self.ratio
-        if self.eta_rule == "tapered":
-            return tapered_eta(self.ratio, level)
-        assert self.custom_etas is not None
-        if level > len(self.custom_etas):
-            raise DomainError(
-                f"custom eta list has {len(self.custom_etas)} entries, "
-                f"level {level} requested"
-            )
-        return self.custom_etas[level - 1]
+        return tapered_eta(self.ratio, level)
 
     def level_length(self, level: int) -> Fraction:
         """Exact length of one level-`level` interval: prod of eta_1..eta_level."""
@@ -120,12 +104,7 @@ def similarity_dimension(branches: int, ratio: Fraction) -> float:
 
 
 def validate_params(
-    branches: int,
-    ratio,
-    offsets: Sequence,
-    eta_rule: str = "constant",
-    custom_etas: Optional[Sequence] = None,
-    declared_dimension: Optional[float] = None,
+    branches: int, ratio, offsets: Sequence, eta_rule: str = "constant"
 ) -> ValidationReport:
     """Collect all violations instead of stopping at the first."""
     problems = []
@@ -154,38 +133,6 @@ def validate_params(
                 )
     if eta_rule not in ETA_RULES:
         problems.append(f"eta_rule must be one of {ETA_RULES}, got {eta_rule!r}")
-    if eta_rule == "custom":
-        if not custom_etas:
-            problems.append("custom eta_rule needs a nonempty custom_etas list")
-        elif 0 < ratio < 1:
-            etas = [as_fraction(e) for e in custom_etas]
-            for j, e in enumerate(etas, start=1):
-                floor_j = tapered_eta(ratio, j)
-                if not (floor_j <= e <= ratio):
-                    problems.append(
-                        f"custom eta at level {j} = {e} leaves "
-                        f"[{floor_j}, {ratio}]"
-                    )
-            for j in range(len(etas) - 1):
-                if etas[j + 1] < etas[j]:
-                    problems.append(
-                        f"custom etas must be non-decreasing; level {j + 2} "
-                        f"drops to {etas[j + 1]} from {etas[j]}"
-                    )
-    elif custom_etas is not None:
-        problems.append("custom_etas given but eta_rule is not 'custom'")
-    if declared_dimension is not None and not problems:
-        if not (0 < declared_dimension < 1):
-            problems.append(
-                f"declared dimension {declared_dimension} leaves (0, 1)"
-            )
-        else:
-            beta = similarity_dimension(branches, ratio)
-            if abs(beta - declared_dimension) > DIMENSION_RTOL:
-                problems.append(
-                    f"declared dimension {declared_dimension} disagrees with "
-                    f"recomputed {beta}"
-                )
     return ValidationReport(not problems, tuple(problems))
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -17,6 +16,49 @@ from .errors import ConfigError
 from .numeric import parse_rational
 
 EXPERIMENT_IDS = ("construct", "dim", "minkowski", "fourier", "mollify", "tauberian")
+
+# Table default of a key that has no default and must be given.
+REQUIRED = object()
+
+
+def parse_real(raw: str) -> float:
+    """A number read exactly, then rounded once to a float."""
+    return float(parse_rational(raw))
+
+
+def list_of(parse):
+    """Parser for comma-separated values, at least one, each read by parse."""
+
+    def parse_list(raw: str) -> tuple:
+        values = tuple(parse(part) for part in raw.split(",") if part.strip())
+        if not values:
+            raise ValueError("expected at least one value")
+        return values
+
+    return parse_list
+
+
+def choice(*options: str):
+    """Parser accepting exactly one of options."""
+
+    def parse_choice(raw: str) -> str:
+        if raw not in options:
+            raise ValueError(f"expected one of {', '.join(options)}")
+        return raw
+
+    return parse_choice
+
+
+def at_least(low, parse=int):
+    """Parser: parse, then reject a value below low."""
+
+    def parse_bounded(raw: str):
+        value = parse(raw)
+        if value < low:
+            raise ValueError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse_bounded
 
 
 def parse_config_text(text: str) -> dict:
@@ -50,6 +92,8 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; "
                 f"known: {', '.join(EXPERIMENT_IDS)}"
             )
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
 
     @classmethod
     def from_file(
@@ -74,8 +118,6 @@ class ExperimentConfig:
                 seed = int(cfg_seed)
             except ValueError as exc:
                 raise ConfigError(f"seed must be an integer, got {cfg_seed!r}") from exc
-        if "jobs" in options:
-            raise ConfigError("the 'jobs' key was removed; every run is single-threaded")
         cfg_out = options.pop("out", None)
         return cls(
             experiment=exp,
@@ -84,44 +126,28 @@ class ExperimentConfig:
             out=out if out is not None else (cfg_out or "out"),
         )
 
-    def get(self, key: str, default=None) -> Optional[str]:
-        return self.options.get(key, default)
+    def resolve(self, table: dict) -> dict:
+        """Read the options through table, a `{key: (parse, default)}` map.
 
-    def get_int(self, key: str, default: Optional[int] = None) -> Optional[int]:
-        raw = self.options.get(key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key} must be an integer, got {raw!r}") from exc
-
-    def get_float(self, key: str, default: Optional[float] = None) -> Optional[float]:
-        raw = self.options.get(key)
-        if raw is None:
-            return default
-        try:
-            return float(Fraction(parse_rational(raw)))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"{key} must be numeric, got {raw!r}") from exc
-
-    def get_rational(self, key: str, default=None) -> Optional[Fraction]:
-        raw = self.options.get(key)
-        if raw is None:
-            return default
-        try:
-            return parse_rational(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"{key} must be rational 'p/q', got {raw!r}") from exc
-
-    def get_rational_list(self, key: str, default=None):
-        raw = self.options.get(key)
-        if raw is None:
-            return default
-        try:
-            return tuple(parse_rational(part) for part in raw.split(",") if part.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"{key} must be comma-separated rationals, got {raw!r}") from exc
+        Returns every key of the table: the parsed value where the
+        option is given, else the default.  A parser takes the raw string
+        and raises ValueError or ArithmeticError on malformed input.
+        Raises ConfigError naming the key for an option the table lacks,
+        a malformed value, or a missing REQUIRED key.
+        """
+        unknown = ", ".join(map(repr, sorted(set(self.options) - set(table))))
+        if unknown:
+            raise ConfigError(f"unknown key(s) for {self.experiment}: {unknown}")
+        values = {}
+        for key, (parse, default) in table.items():
+            raw = self.options.get(key)
+            if raw is None and default is REQUIRED:
+                raise ConfigError(f"{key} is required")
+            try:
+                values[key] = default if raw is None else parse(raw)
+            except (ValueError, ArithmeticError) as exc:
+                raise ConfigError(f"{key} = {raw!r} is malformed: {exc}") from exc
+        return values
 
     def digest(self) -> str:
         """Stable identity of the computation inputs.

@@ -25,9 +25,11 @@ from .cantor import (
     write_level_csv,
     write_params,
 )
-from .config import ExperimentConfig
+from .cantor.params import ETA_RULES
+from .config import REQUIRED, ExperimentConfig, at_least, choice, list_of, parse_real
 from .errors import ConfigError, DomainError
 from .fourier import (
+    MIN_OCTAVES,
     BumpFunction,
     SpectralGrid,
     bessel_tail_profile,
@@ -41,6 +43,8 @@ from .geometry import (
     box_dimension_estimate,
     minkowski_ratio_sweep,
 )
+from .geometry.dimension import MIN_SCALES
+from .numeric import parse_rational
 from .tauberian import (
     GridFunction,
     circulant_rank,
@@ -82,22 +86,68 @@ class ReportRecord:
         }
 
 
-def _params_from_config(cfg: ExperimentConfig) -> CantorParams:
-    branches = cfg.get_int("cantor.branches", 2)
-    ratio = cfg.get_rational("cantor.ratio", Fraction(1, 3))
-    offsets = cfg.get_rational_list("cantor.offsets")
-    rule = cfg.get("cantor.rule", "constant")
+def _real_or_none(raw: str):
+    return None if raw in ("none", "") else parse_real(raw)
+
+
+# The keys each runner reads, as {key: (parse, default)}; resolve rejects
+# any other key.  The runners that build a construction share CANTOR_KEYS,
+# and tauberian.kind selects SPAN_KEYS or RADIAL_KEYS.
+CANTOR_KEYS = {
+    "cantor.branches": (at_least(2), 2),
+    "cantor.ratio": (parse_rational, Fraction(1, 3)),
+    "cantor.offsets": (list_of(parse_rational), None),
+    "cantor.rule": (choice(*ETA_RULES), "constant"),
+}
+CONSTRUCT_KEYS = {**CANTOR_KEYS, "level.depth": (int, 6)}
+DIM_KEYS = {**CANTOR_KEYS, "dim.level_min": (int, 3), "dim.level_max": (int, 10)}
+MINKOWSKI_KEYS = {
+    **CANTOR_KEYS,
+    "level.depth": (int, 12),
+    "minkowski.m_min": (int, 2),
+    "minkowski.m_max": (int, None),  # None: level.depth
+    "minkowski.limit": (parse_real, 3.0),
+}
+FOURIER_KEYS = {
+    **CANTOR_KEYS,
+    "fourier.depth": (int, 8),
+    "fourier.j_min": (int, 2),
+    "fourier.j_max": (int, 10),
+    "fourier.samples_per_octave": (at_least(1), 512),
+    "fourier.q_list": (list_of(parse_real), (3.0, 6.0)),
+}
+MOLLIFY_KEYS = {
+    "mollify.dim": (int, 2),
+    "mollify.alpha": (parse_real, 1.0),
+    "mollify.p": (parse_real, 4.0),
+    "mollify.truncate": (_real_or_none, 1.0),
+    "mollify.eps_exp_min": (int, 2),
+    "mollify.eps_exp_max": (int, 8),
+    "mollify.j_min": (int, -20),
+    "mollify.j_max": (int, 4),
+}
+_KIND = {"tauberian.kind": (choice("span", "radial"), "span")}
+SPAN_KEYS = {**_KIND, "tauberian.m": (at_least(2), 16), "tauberian.trials": (at_least(1), 100)}
+RADIAL_KEYS = {
+    **_KIND,
+    "tauberian.m": (at_least(2), 128),
+    "tauberian.band": (at_least(0, parse_real), 1.2),
+    "tauberian.radii": (list_of(at_least(0, parse_real)), REQUIRED),
+}
+
+
+def _params_from_config(cfg: ExperimentConfig, opts: dict) -> CantorParams:
+    branches, ratio, offsets = opts["cantor.branches"], opts["cantor.ratio"], opts["cantor.offsets"]
     if offsets is None:
         if branches == 2 and ratio == Fraction(1, 3):
             offsets = (Fraction(0), Fraction(2, 3))
+        elif cfg.seed is None:
+            raise ConfigError("cantor.offsets missing and no seed given to draw them")
         else:
-            if cfg.seed is None:
-                raise ConfigError(
-                    "cantor.offsets missing and no seed given to draw them"
-                )
-            rng = np.random.default_rng(cfg.seed)
-            offsets = sample_salem_offsets(branches, ratio, rng)
-    return CantorParams.create(branches, ratio, offsets, eta_rule=rule, seed=cfg.seed)
+            offsets = sample_salem_offsets(branches, ratio, np.random.default_rng(cfg.seed))
+    return CantorParams.create(
+        branches, ratio, offsets, eta_rule=opts["cantor.rule"], seed=cfg.seed
+    )
 
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
@@ -107,8 +157,9 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
 
 
 def run_construct(cfg: ExperimentConfig) -> ReportRecord:
-    params = _params_from_config(cfg)
-    depth = cfg.get_int("level.depth", 6)
+    opts = cfg.resolve(CONSTRUCT_KEYS)
+    params = _params_from_config(cfg, opts)
+    depth = opts["level.depth"]
     level = build_level(params, depth)
     out = _out_dir(cfg)
     write_params(params, out / "params.json")
@@ -133,11 +184,11 @@ def run_construct(cfg: ExperimentConfig) -> ReportRecord:
 
 
 def run_dim(cfg: ExperimentConfig) -> ReportRecord:
-    params = _params_from_config(cfg)
-    lo = cfg.get_int("dim.level_min", 3)
-    hi = cfg.get_int("dim.level_max", 10)
-    if hi < lo:
-        raise ConfigError("dim.level_max must be >= dim.level_min")
+    opts = cfg.resolve(DIM_KEYS)
+    lo, hi = opts["dim.level_min"], opts["dim.level_max"]
+    if hi - lo + 1 < MIN_SCALES:
+        raise ConfigError(f"dim.level_min..dim.level_max must span at least {MIN_SCALES} levels")
+    params = _params_from_config(cfg, opts)
     levels = [build_level(params, m) for m in range(lo, hi + 1)]
     fit = box_dimension_estimate(levels)
     out = _out_dir(cfg)
@@ -160,13 +211,13 @@ def run_dim(cfg: ExperimentConfig) -> ReportRecord:
 
 
 def run_minkowski(cfg: ExperimentConfig) -> ReportRecord:
-    params = _params_from_config(cfg)
-    depth = cfg.get_int("level.depth", 12)
-    m_lo = cfg.get_int("minkowski.m_min", 2)
-    m_hi = cfg.get_int("minkowski.m_max", depth)
+    opts = cfg.resolve(MINKOWSKI_KEYS)
+    depth, m_lo = opts["level.depth"], opts["minkowski.m_min"]
+    m_hi = depth if opts["minkowski.m_max"] is None else opts["minkowski.m_max"]
     if not 1 <= m_lo <= m_hi <= depth:
         raise ConfigError("need 1 <= minkowski.m_min <= minkowski.m_max <= level.depth")
-    limit = cfg.get_float("minkowski.limit", 3.0)
+    limit = opts["minkowski.limit"]
+    params = _params_from_config(cfg, opts)
     level = build_level(params, depth)
     try:
         alpha = params.dimension_log_ratio()
@@ -211,18 +262,13 @@ def spectral_grid(
 
 
 def run_fourier(cfg: ExperimentConfig) -> ReportRecord:
-    params = _params_from_config(cfg)
-    depth = cfg.get_int("fourier.depth", 8)
-    j_lo = cfg.get_int("fourier.j_min", 2)
-    j_hi = cfg.get_int("fourier.j_max", 10)
-    per_octave = cfg.get_int("fourier.samples_per_octave", 512)
-    qs_raw = cfg.get("fourier.q_list", "3,6")
-    try:
-        qs = tuple(float(Fraction(part)) for part in qs_raw.split(",") if part.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"fourier.q_list must be comma-separated numbers, got {qs_raw!r}") from exc
-    if not qs:
-        raise ConfigError("fourier.q_list is empty")
+    opts = cfg.resolve(FOURIER_KEYS)
+    depth = opts["fourier.depth"]
+    j_lo, j_hi = opts["fourier.j_min"], opts["fourier.j_max"]
+    if j_hi - j_lo + 1 < MIN_OCTAVES:
+        raise ConfigError(f"fourier.j_min..fourier.j_max must span at least {MIN_OCTAVES} octaves")
+    per_octave, qs = opts["fourier.samples_per_octave"], opts["fourier.q_list"]
+    params = _params_from_config(cfg, opts)
     grid, values, errors = spectral_grid(params, depth, j_lo, j_hi, per_octave)
     stride = max(1, grid.xi.size // 2048)
     # copy the sample out so the full complex array can go now
@@ -250,18 +296,13 @@ def run_fourier(cfg: ExperimentConfig) -> ReportRecord:
 
 
 def run_mollify(cfg: ExperimentConfig) -> ReportRecord:
-    dim = cfg.get_int("mollify.dim", 2)
-    alpha = cfg.get_float("mollify.alpha", 1.0)
-    p = cfg.get_float("mollify.p", 4.0)
-    truncate_raw = cfg.get("mollify.truncate", "1")
-    truncate = None if truncate_raw in ("none", "") else float(Fraction(truncate_raw))
-    e_lo = cfg.get_int("mollify.eps_exp_min", 2)
-    e_hi = cfg.get_int("mollify.eps_exp_max", 8)
+    opts = cfg.resolve(MOLLIFY_KEYS)
+    dim, alpha, p = opts["mollify.dim"], opts["mollify.alpha"], opts["mollify.p"]
+    e_lo, e_hi = opts["mollify.eps_exp_min"], opts["mollify.eps_exp_max"]
     if e_hi < e_lo:
         raise ConfigError("mollify.eps_exp_max must be >= mollify.eps_exp_min")
-    j_lo = cfg.get_int("mollify.j_min", -20)
-    j_hi = cfg.get_int("mollify.j_max", 4)
-    f = bessel_tail_profile(dim=dim, p=p, truncate_at=truncate)
+    j_lo, j_hi = opts["mollify.j_min"], opts["mollify.j_max"]
+    f = bessel_tail_profile(dim=dim, p=p, truncate_at=opts["mollify.truncate"])
     chi = BumpFunction.standard(dim)
     eps_schedule = [2.0**-e for e in range(e_lo, e_hi + 1)]
     sweep = mollifier_sum(f, chi, alpha, eps_schedule, j_lo=j_lo, j_hi=j_hi)
@@ -297,9 +338,8 @@ def run_mollify(cfg: ExperimentConfig) -> ReportRecord:
     )
 
 
-def _run_span_trials(cfg: ExperimentConfig, out: Path) -> ReportRecord:
-    m = cfg.get_int("tauberian.m", 16)
-    trials = cfg.get_int("tauberian.trials", 100)
+def _run_span_trials(cfg: ExperimentConfig, opts: dict, out: Path) -> ReportRecord:
+    m, trials = opts["tauberian.m"], opts["tauberian.trials"]
     seed = cfg.seed if cfg.seed is not None else 0
     children = np.random.SeedSequence(seed).spawn(trials)
 
@@ -327,14 +367,10 @@ def _run_span_trials(cfg: ExperimentConfig, out: Path) -> ReportRecord:
     )
 
 
-def _run_radial_scan(cfg: ExperimentConfig, out: Path) -> ReportRecord:
-    m = cfg.get_int("tauberian.m", 128)
-    band = cfg.get_float("tauberian.band", 1.2)
-    radii_cfg = cfg.get_rational_list("tauberian.radii")
-    if radii_cfg is None:
-        raise ConfigError("tauberian.radii is required for the radial scan")
-    radii = tuple(sorted(float(r) for r in radii_cfg))
-    if radii and radii[-1] >= m / 2:
+def _run_radial_scan(cfg: ExperimentConfig, opts: dict, out: Path) -> ReportRecord:
+    m, band = opts["tauberian.m"], opts["tauberian.band"]
+    radii = tuple(sorted(opts["tauberian.radii"]))
+    if radii[-1] >= m / 2:
         raise ConfigError("tauberian.radii must sit below the grid Nyquist radius m/2")
     seed = cfg.seed if cfg.seed is not None else 0
     rng = np.random.default_rng(seed)
@@ -378,13 +414,10 @@ def _run_radial_scan(cfg: ExperimentConfig, out: Path) -> ReportRecord:
 
 
 def run_tauberian(cfg: ExperimentConfig) -> ReportRecord:
-    kind = cfg.get("tauberian.kind", "span")
-    out = _out_dir(cfg)
-    if kind == "span":
-        return _run_span_trials(cfg, out)
-    if kind == "radial":
-        return _run_radial_scan(cfg, out)
-    raise ConfigError(f"tauberian.kind must be 'span' or 'radial', got {kind!r}")
+    # the kind picks the table; the table's choice rejects any other kind
+    if cfg.options.get("tauberian.kind") == "radial":
+        return _run_radial_scan(cfg, cfg.resolve(RADIAL_KEYS), _out_dir(cfg))
+    return _run_span_trials(cfg, cfg.resolve(SPAN_KEYS), _out_dir(cfg))
 
 
 EXPERIMENTS = {

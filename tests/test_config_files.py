@@ -4,8 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from fracspec.config import ExperimentConfig, parse_config_text
+from fracspec.config import (
+    REQUIRED,
+    ExperimentConfig,
+    at_least,
+    choice,
+    list_of,
+    parse_config_text,
+    parse_real,
+)
 from fracspec.errors import ConfigError
+from fracspec.experiments import DIM_KEYS
+from fracspec.numeric import parse_rational
 
 SAMPLE = """\
 # run description
@@ -72,28 +82,58 @@ def test_unknown_experiment_rejected():
 
 @pytest.mark.parametrize("value", ["2", "four"])
 def test_removed_jobs_key_rejected(tmp_path, value):
-    # silently ignoring the key would leave it in the options and the digest
+    # jobs is no key of any run: silently ignoring it would leave it in the digest
     path = tmp_path / "run.cfg"
-    path.write_text(SAMPLE + f"jobs = {value}\n")
-    with pytest.raises(ConfigError, match="'jobs' key was removed"):
-        ExperimentConfig.from_file(path)
+    path.write_text(f"experiment = dim\ndim.level_max = 9\njobs = {value}\n")
+    cfg = ExperimentConfig.from_file(path)
+    with pytest.raises(ConfigError, match="unknown key\\(s\\) for dim: 'jobs'$"):
+        cfg.resolve(DIM_KEYS)
+
+
+TABLE = {
+    "cantor.branches": (at_least(2), 5),
+    "cantor.ratio": (parse_rational, None),
+    "cantor.rule": (choice("constant", "tapered"), "constant"),
+    "dim.level_max": (int, 10),
+    "dim.level_min": (int, 3),
+    "fourier.q_list": (list_of(parse_rational), None),
+    "mollify.alpha": (parse_real, 1.0),
+}
 
 
 def test_typed_getters(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(SAMPLE)
     cfg = ExperimentConfig.from_file(path)
-    assert cfg.get("cantor.branches") == "2"
-    assert cfg.get_int("cantor.branches") == 2
-    assert cfg.get_int("cantor.missing", 5) == 5
-    assert cfg.get_rational("cantor.ratio") == Fraction(1, 3)
-    assert cfg.get_float("mollify.alpha") == 0.5
-    assert cfg.get_rational_list("fourier.q_list") == (Fraction(3), Fraction(6))
-    assert cfg.get_rational_list("fourier.missing") is None
-    with pytest.raises(ConfigError):
-        cfg.get_int("cantor.ratio")
-    with pytest.raises(ConfigError):
-        cfg.get_rational("fourier.q_list")
+    got = cfg.resolve(TABLE)
+    assert got == {
+        "cantor.branches": 2,
+        "cantor.ratio": Fraction(1, 3),
+        "cantor.rule": "constant",
+        "dim.level_max": 9,
+        "dim.level_min": 3,
+        "fourier.q_list": (Fraction(3), Fraction(6)),
+        "mollify.alpha": 0.5,
+    }
+    assert type(got["cantor.branches"]) is int
+    assert type(got["cantor.ratio"]) is Fraction
+    assert type(got["mollify.alpha"]) is float
+    # every error names the key it is about
+    with pytest.raises(ConfigError, match="cantor.ratio = '1/3' is malformed"):
+        cfg.resolve({**TABLE, "cantor.ratio": (int, None)})
+    with pytest.raises(ConfigError, match="fourier.q_list"):
+        cfg.resolve({**TABLE, "fourier.q_list": (parse_rational, None)})
+    with pytest.raises(ConfigError, match="cantor.branches = '2' is malformed: must be >= 3"):
+        cfg.resolve({**TABLE, "cantor.branches": (at_least(3), 5)})
+    with pytest.raises(ConfigError, match="tauberian.radii is required"):
+        cfg.resolve({**TABLE, "tauberian.radii": (list_of(parse_rational), REQUIRED)})
+    with pytest.raises(ConfigError, match="unknown key\\(s\\) for dim: 'mollify.alpha'"):
+        cfg.resolve({k: v for k, v in TABLE.items() if k != "mollify.alpha"})
+    # arithmetic failures are config errors too
+    for raw in ("1/0", "1e400"):
+        bad = ExperimentConfig(experiment="dim", options={"mollify.alpha": raw})
+        with pytest.raises(ConfigError, match="mollify.alpha"):
+            bad.resolve(TABLE)
 
 
 def test_digest_covers_inputs_not_plumbing(tmp_path):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from fracspec.cantor.io import read_level_csv, read_params, write_level_csv, write_params
-from fracspec.cantor.levels import MAX_DEPTH, build_level
+from fracspec.cantor import levels
+from fracspec.cantor.levels import MAX_INTERVALS, build_level
 from fracspec.cantor.measures import natural_measure
 from fracspec.cantor.params import CantorParams, middle_thirds_params
 from fracspec.cantor.sampling import sample_salem_offsets
@@ -50,12 +51,28 @@ def test_tapered_level_one_frozen():
     )
 
 
-def test_depth_limits():
+def test_depth_limits(monkeypatch):
     params = middle_thirds_params()
+    three = CantorParams.create(
+        3, Fraction(1, 5), (Fraction(0), Fraction(3, 10), Fraction(61, 100))
+    )
     with pytest.raises(DomainError):
         build_level(params, -1)
+    # the budget counts intervals: 2**20 keeps two branches at depth 20,
+    # while three branches exceed it from depth 13 (1,594,323 intervals)
+    assert MAX_INTERVALS == 2**20
     with pytest.raises(SizeError):
-        build_level(params, MAX_DEPTH + 1)
+        build_level(params, 21)
+    with pytest.raises(SizeError):
+        build_level(three, 13)
+    # at a small budget both sides of the boundary are cheap to build
+    monkeypatch.setattr(levels, "MAX_INTERVALS", 16)
+    assert build_level(params, 4).member_count == 16
+    assert build_level(three, 2).member_count == 9
+    with pytest.raises(SizeError):
+        build_level(params, 5)
+    with pytest.raises(SizeError):
+        build_level(three, 3)
 
 
 def test_natural_measure_totals_and_interval_mass():
@@ -78,16 +95,17 @@ def test_params_json_round_trip(tmp_path):
         2,
         Fraction(1, 3),
         (Fraction(0), Fraction(2, 3)),
-        eta_rule="custom",
-        custom_etas=[Fraction(1, 4), Fraction(3, 10)],
+        eta_rule="tapered",
         seed=11,
     )
     path = tmp_path / "params.json"
     write_params(params, path)
     back = read_params(path)
     assert back == params
+    assert back.level_length(2) == Fraction(1, 4) * Fraction(8, 27)
     doc = json.loads(path.read_text())
     assert doc["ratio"] == "1/3"
+    assert doc["eta_rule"] == "tapered"
     assert doc["seed"] == 11
 
 

@@ -77,54 +77,6 @@ def test_tapered_rule_values():
     assert p.level_length(2) == Fraction(1, 4) * Fraction(8, 27)
 
 
-def test_custom_etas_window():
-    eta = Fraction(1, 3)
-    # each custom value must stay within [tapered floor, eta]
-    good = CantorParams.create(
-        2,
-        eta,
-        (Fraction(0), Fraction(2, 3)),
-        eta_rule="custom",
-        custom_etas=[Fraction(1, 4), Fraction(3, 10)],
-    )
-    assert good.eta_at(2) == Fraction(3, 10)
-    with pytest.raises(DomainError):
-        good.eta_at(3)  # list exhausted
-
-    report = validate_params(
-        2, eta, (Fraction(0), Fraction(2, 3)), "custom", [Fraction(1, 5)]
-    )
-    assert any("leaves" in v for v in report.violations)
-
-    report = validate_params(
-        2, eta, (Fraction(0), Fraction(2, 3)), "custom",
-        [Fraction(3, 10), Fraction(1, 4)],
-    )
-    assert any("non-decreasing" in v for v in report.violations)
-
-    report = validate_params(2, eta, (Fraction(0), Fraction(2, 3)), "custom", None)
-    assert any("nonempty" in v for v in report.violations)
-
-    report = validate_params(
-        2, eta, (Fraction(0), Fraction(2, 3)), "constant", [Fraction(1, 4)]
-    )
-    assert any("eta_rule" in v for v in report.violations)
-
-
-def test_declared_dimension_crosscheck():
-    beta = math.log(2) / math.log(3)
-    ok = validate_params(
-        2, Fraction(1, 3), (Fraction(0), Fraction(2, 3)),
-        declared_dimension=beta,
-    )
-    assert ok.ok
-    bad = validate_params(
-        2, Fraction(1, 3), (Fraction(0), Fraction(2, 3)),
-        declared_dimension=0.5,
-    )
-    assert any("disagrees" in v for v in bad.violations)
-
-
 def test_dimension_log_ratio_exactness():
     p = middle_thirds_params()
     lr = p.dimension_log_ratio()

@@ -1,16 +1,28 @@
 """Experiment runners end to end: artifacts, determinism, CLI exit codes."""
 
 import json
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fracspec.cantor import read_level_csv, read_params
 from fracspec.cli import main
 from fracspec.config import ExperimentConfig
 from fracspec.errors import ConfigError
-from fracspec.experiments import run_experiment
+from fracspec.experiments import (
+    CONSTRUCT_KEYS,
+    DIM_KEYS,
+    FOURIER_KEYS,
+    MINKOWSKI_KEYS,
+    MOLLIFY_KEYS,
+    RADIAL_KEYS,
+    SPAN_KEYS,
+    run_experiment,
+)
 
 
 def run(tmp_path, experiment, text, seed=None, out_name="out"):
@@ -205,8 +217,83 @@ def test_cli_jobs_key_exits_2(tmp_path, capsys, value):
     path.write_text(f"level.depth = 2\njobs = {value}\n")
     assert main(["construct", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert "'jobs' key was removed" in err
+    assert "unknown key(s) for construct: 'jobs'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "experiment,text,argv,named",
+    [
+        ("mollify", "mollify.truncate = abc", (), "mollify.truncate"),
+        ("minkowski", "level.depth = 4\nminkowski.limit = 1e400", (), "minkowski.limit"),
+        ("fourier", "fourier.samples_per_octave = 0", (), "fourier.samples_per_octave"),
+        ("tauberian", "tauberian.trials = -1", (), "tauberian.trials"),
+        ("construct", "cantor.branches = -1", ("--seed", "1"), "cantor.branches"),
+        ("construct", "cantor.bogus = 1", (), "'cantor.bogus'"),
+        ("dim", "dim.level_mx = 5", (), "'dim.level_mx'"),
+        ("tauberian", "tauberian.kind = radial\ntauberian.band = -1\ntauberian.radii = 5", (), "tauberian.band"),
+        ("tauberian", "tauberian.kind = radial\ntauberian.radii = -5", (), "tauberian.radii"),
+        ("construct", "cantor.rule = custom", (), "cantor.rule"),
+        ("construct", "jobs = 2", (), "'jobs'"),
+        ("construct", "jobs = four", (), "'jobs'"),
+        ("tauberian", "seed = -1\ntauberian.kind = span", (), "seed"),
+        ("construct", "cantor.branches = 3\ncantor.ratio = 1/5", ("--seed", "-3"), "seed"),
+        ("fourier", "fourier.j_min = 2\nfourier.j_max = 3", (), "fourier.j_min..fourier.j_max"),
+        ("dim", "dim.level_min = 3\ndim.level_max = 5", (), "dim.level_min..dim.level_max"),
+    ],
+)
+def test_cli_unusable_input_exits_2(tmp_path, capsys, experiment, text, argv, named):
+    path = tmp_path / "run.cfg"
+    path.write_text(text + "\n")
+    code = main([experiment, "--config", str(path), "--out", str(tmp_path / "out"), *argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert named in err
+    assert "Traceback" not in err
+
+
+# Small runs of each experiment, and values that are malformed for most keys.
+FUZZ_BASES = {
+    "construct": ("construct", "level.depth = 2", CONSTRUCT_KEYS),
+    "dim": ("dim", "dim.level_min = 3\ndim.level_max = 6", DIM_KEYS),
+    "minkowski": ("minkowski", "level.depth = 4", MINKOWSKI_KEYS),
+    "fourier": (
+        "fourier",
+        "fourier.depth = 3\nfourier.j_max = 5\nfourier.samples_per_octave = 16",
+        FOURIER_KEYS,
+    ),
+    "mollify": (
+        "mollify",
+        "mollify.eps_exp_max = 3\nmollify.j_min = -4\nmollify.j_max = 2",
+        MOLLIFY_KEYS,
+    ),
+    "span": ("tauberian", "tauberian.m = 4\ntauberian.trials = 2", SPAN_KEYS),
+    "radial": (
+        "tauberian",
+        "tauberian.kind = radial\ntauberian.m = 16\ntauberian.radii = 3",
+        RADIAL_KEYS,
+    ),
+}
+MALFORMED = ("", "abc", "-1", "0", "1/0", "nan", "1e400", ",")
+
+
+@pytest.mark.parametrize("base", sorted(FUZZ_BASES))
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_cli_malformed_values_never_escape(tmp_path, capsys, base, data):
+    experiment, text, table = FUZZ_BASES[base]
+    key = data.draw(st.sampled_from(sorted(table) + ["bogus.key"]), label="key")
+    value = data.draw(st.sampled_from(MALFORMED), label="value")
+    lines = [line for line in text.splitlines() if line.split(" = ")[0] != key]
+    # a fresh directory per example: rewriting a file costs far more than creating one
+    where = Path(tempfile.mkdtemp(dir=tmp_path))
+    path = where / "run.cfg"
+    path.write_text("\n".join(["seed = 1", *lines, f"{key} = {value}"]) + "\n")
+    code = main([experiment, "--config", str(path), "--out", str(where / "out")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cli_rejects_jobs_flag(tmp_path):
