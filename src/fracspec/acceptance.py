@@ -397,7 +397,7 @@ def criterion_verdict_formulas() -> CriterionResult:
 def criterion_upper_density(points: int = 200, seed: int = 4217) -> CriterionResult:
     params = middle_thirds_params()
     depth = 12
-    measure = natural_measure(params, depth).to_weighted()
+    measure = natural_measure(params, depth)
     beta = math.log(2) / math.log(3)
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(measure.atoms), size=points, replace=False)

@@ -2,7 +2,7 @@
 
 from .io import read_level_csv, read_params, write_level_csv, write_params
 from .levels import CantorLevel, build_level
-from .measures import CantorMeasure, natural_measure
+from .measures import natural_measure
 from .params import (
     CantorParams,
     ValidationReport,
@@ -17,7 +17,6 @@ from .sampling import REJECTION_BUDGET, sample_salem_offsets
 __all__ = [
     "REJECTION_BUDGET",
     "CantorLevel",
-    "CantorMeasure",
     "CantorParams",
     "ProductMinkowskiBounds",
     "ValidationReport",

@@ -68,8 +68,6 @@ def build_level(params: CantorParams, depth: int) -> CantorLevel:
         eta = params.eta_at(j)
         starts = [s + a * length for s in starts for a in params.offsets]
         length *= eta
-    starts.sort()
-    union = IntervalUnion.from_pairs((s, length) for s in starts)
-    if union.count != params.branches**depth:
-        raise DomainError("level intervals overlapped; offsets admit no gap")
-    return CantorLevel(params, depth, union)
+    # sorted parents and ascending offsets give sorted children, and offset
+    # gaps above eta keep them disjoint; IntervalUnion raises if they are not
+    return CantorLevel(params, depth, IntervalUnion(tuple((s, length) for s in starts)))

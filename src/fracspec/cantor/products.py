@@ -35,10 +35,10 @@ class ProductVolumeRow:
 class ProductMinkowskiBounds:
     """Two-sided eps**(alpha - n) * volume bounds for base**power.
 
-    The eps-neighborhood of a product is sandwiched between coordinate
-    fattenings:
+    With B_r the r-neighborhood of base, the eps-neighborhood of the
+    product is sandwiched between products of coordinate neighborhoods:
 
-        fatten(base, eps/sqrt(n))**n  <=  neighborhood  <=  fatten(base, eps)**n
+        B_{eps/sqrt(n)}**n  <=  neighborhood  <=  B_eps**n
 
     (a point within eps of the product is within eps of base in every
     coordinate; conversely per-coordinate slack eps/sqrt(n) keeps the
@@ -67,8 +67,8 @@ def product_minkowski_bounds(
 ) -> ProductMinkowskiBounds:
     """Bound the scale-normalized neighborhood volume of base**power.
 
-    Never enumerates cubes: both bounds come from exact 1-D fattenings
-    raised to the power, so deep levels stay cheap.
+    Never enumerates cubes: both bounds come from exact 1-D neighborhood
+    measures raised to the power, so deep levels stay cheap.
     """
     if base.count == 0:
         raise DomainError("base union is empty")
@@ -80,8 +80,8 @@ def product_minkowski_bounds(
     out = ProductMinkowskiBounds(alpha=alpha, power=power)
     for eps in sweep.scales():
         e = as_fraction(eps)
-        vol_hi = base.fatten(e).measure ** n
-        vol_lo = base.fatten(e * shrink).measure ** n
+        vol_hi = base.neighborhood_measure(e) ** n
+        vol_lo = base.neighborhood_measure(e * shrink) ** n
         factor = _ratio_factor(alpha, eps, n)
         if isinstance(factor, Fraction):
             lo_exact, hi_exact = factor * vol_lo, factor * vol_hi

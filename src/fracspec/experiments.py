@@ -165,9 +165,7 @@ def run_construct(cfg: ExperimentConfig) -> ReportRecord:
     write_params(params, out / "params.json")
     write_level_csv(level, out / "level.csv")
     starts = level.starts()
-    gaps = []
-    for (s0, l0), (s1, _) in zip(level.intervals.intervals, level.intervals.intervals[1:]):
-        gaps.append(s1 - (s0 + l0))
+    gaps = level.intervals.gaps()
     return ReportRecord(
         experiment=cfg.experiment,
         digest=cfg.digest(),

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import j0
 
 from ..errors import DomainError
-from ..numeric import integrate_panels, sphere_surface_area, unit_ball_volume
+from ..numeric import integrate_panels, sphere_surface_area
 
 NORMALIZATION_TOL = 1e-10
 SUP_SAMPLES_PER_OCTAVE = 64
@@ -67,11 +67,6 @@ class BumpFunction:
     def profile(self, r) -> np.ndarray:
         """Radial values at |x| = r (vectorized, zero outside [0, 1))."""
         return self.normalizer * _raw_profile(r)
-
-    def value_at(self, points: np.ndarray) -> np.ndarray:
-        """Values at points of shape (..., dim)."""
-        pts = np.asarray(points, dtype=float)
-        return self.profile(np.sqrt((pts * pts).sum(axis=-1)))
 
     def integral(self) -> float:
         return sphere_surface_area(self.dim) * integrate_panels(
@@ -207,7 +202,3 @@ def bump_profile(chi: BumpFunction, alpha: float, j_lo: int, j_hi: int) -> Dyadi
         stable_tail_index=stable,
     )
 
-
-def ball_volume_constant(dim: int) -> float:
-    """Unit-ball volume, re-exported for the shell-volume bound formulas."""
-    return unit_ball_volume(dim)

@@ -91,12 +91,6 @@ class Packing:
     centers: tuple
     radius: object
 
-    def check_disjoint(self) -> bool:
-        r2 = 4 * self.radius * self.radius
-        return all(
-            _dist2(p, q) > r2 for p, q in itertools.combinations(self.centers, 2)
-        )
-
 
 # ---------------------------------------------------------------------------
 # greedy traversals

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,15 +9,17 @@ import numpy as np
 from ..errors import DomainError
 from .sweeps import ScaleSweep
 
-TOTAL_MASS_RTOL = 1e-12
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedMeasure:
-    """A finite atomic measure: atoms with strictly positive weights."""
+    """A finite atomic measure: atoms with strictly positive weights.
 
-    atoms: tuple
-    weights: tuple
+    atoms is a (k, n) float array and weights a length-k float array, both
+    built once by from_atoms; equality is identity, not array comparison.
+    """
+
+    atoms: np.ndarray
+    weights: np.ndarray
     n: int
     total: float
 
@@ -39,26 +40,16 @@ class WeightedMeasure:
         n = len(at[0])
         if any(len(p) != n for p in at):
             raise DomainError("atoms must share a dimension")
-        total = float(np.sum(np.asarray(w)))
-        return cls(tuple(at), tuple(w), n, total)
-
-    def atom_array(self) -> np.ndarray:
-        return np.asarray(self.atoms, dtype=float)
-
-    def weight_array(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=float)
-
-    def check_total(self, declared: float) -> bool:
-        return math.isclose(self.total, declared, rel_tol=TOTAL_MASS_RTOL)
+        weights = np.asarray(w, dtype=float)
+        return cls(np.asarray(at, dtype=float), weights, n, float(np.sum(weights)))
 
 
 def ball_mass(measure: WeightedMeasure, x, r: float) -> float:
     """Mass of the closed ball of radius r around x."""
     if isinstance(x, (int, float)):
         x = (x,)
-    pts = measure.atom_array()
-    d2 = ((pts - np.asarray(x, dtype=float)) ** 2).sum(axis=1)
-    return float(measure.weight_array()[d2 <= r * r].sum())
+    d2 = ((measure.atoms - np.asarray(x, dtype=float)) ** 2).sum(axis=1)
+    return float(measure.weights[d2 <= r * r].sum())
 
 
 @dataclass(frozen=True)

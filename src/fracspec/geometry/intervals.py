@@ -1,8 +1,8 @@
 """Exact arithmetic on finite unions of closed 1-D intervals.
 
-Endpoints are Fractions, so fattening, merging, and Lebesgue measure are
-exact.  Downstream checks assert equalities like 10/9 on the nose, which
-is why nothing here ever rounds.
+Endpoints are Fractions, so merging, Lebesgue measure and neighborhood
+measure are exact.  Downstream checks assert equalities like 10/9 on the
+nose, which is why nothing here ever rounds.
 """
 
 from __future__ import annotations
@@ -35,6 +35,22 @@ def _normalize(pairs: Iterable[tuple]) -> tuple[Span, ...]:
         else:
             merged.append([s, l])
     return tuple((s, l) for s, l in merged)
+
+
+def tube_measure(length, gaps: Iterable, eps) -> Fraction:
+    """Measure of the closed eps-neighborhood of a nonempty finite union of
+    closed intervals and points in R.
+
+    The set has Lebesgue measure `length`, and `gaps` are the lengths of
+    its bounded complementary intervals.  Its two outer ends grow by eps
+    each and a gap fills up to 2 eps, which is the 1-D tube formula of
+    Lapidus-Pomerance (1993): length + 2 eps + sum(min(gap, 2 eps)).
+    """
+    e = as_fraction(eps)
+    if e < 0:
+        raise DomainError("eps must be nonnegative")
+    two_e = 2 * e
+    return length + two_e + sum((min(g, two_e) for g in gaps), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -88,14 +104,15 @@ class IntervalUnion:
     def midpoints(self) -> tuple[Fraction, ...]:
         return tuple(s + l / 2 for s, l in self.intervals)
 
-    def fatten(self, eps) -> "IntervalUnion":
-        """Closed eps-neighborhood: each interval grows by eps on both sides."""
-        e = as_fraction(eps)
-        if e < 0:
-            raise DomainError("eps must be nonnegative")
-        if e == 0:
-            return self
-        return IntervalUnion.from_pairs((s - e, l + 2 * e) for s, l in self.intervals)
+    def gaps(self) -> tuple[Fraction, ...]:
+        """Lengths of the bounded gaps between consecutive intervals."""
+        iv = self.intervals
+        return tuple(s1 - (s0 + l0) for (s0, l0), (s1, _) in zip(iv, iv[1:]))
+
+    def neighborhood_measure(self, eps) -> Fraction:
+        """Exact measure of the closed eps-neighborhood (0 for the empty union)."""
+        volume = tube_measure(self.measure, self.gaps(), eps)
+        return volume if self.intervals else Fraction(0)
 
     def contains(self, x) -> bool:
         v = as_fraction(x)

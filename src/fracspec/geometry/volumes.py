@@ -12,7 +12,7 @@ import numpy as np
 from ..errors import DomainError
 from ..numeric import LogRatio, as_fraction
 from .cloud import PointCloud
-from .intervals import IntervalUnion
+from .intervals import IntervalUnion, tube_measure
 from .sweeps import ScaleSweep
 
 OCCUPANCY_CELLS_PER_EPS = 8  # grid cell side is eps / 8
@@ -36,9 +36,9 @@ class VolumeResult:
 
 
 def _point_cloud_1d_volume(cloud: PointCloud, eps) -> VolumeResult:
-    e = as_fraction(eps)
-    iu = IntervalUnion.from_pairs((as_fraction(p[0]) - e, 2 * e) for p in cloud.points)
-    v = iu.measure
+    # the cloud is sorted and deduplicated: the gaps are consecutive differences
+    xs = [as_fraction(p[0]) for p in cloud.points]
+    v = tube_measure(Fraction(0), (b - a for a, b in zip(xs, xs[1:])), eps)
     return VolumeResult(v, v, v, exact=True)
 
 
@@ -66,17 +66,17 @@ def _occupancy_volume(cloud: PointCloud, eps: float, cells_per_eps: int) -> Volu
 def eps_neighborhood_volume(obj, eps, cells_per_eps: int = OCCUPANCY_CELLS_PER_EPS) -> VolumeResult:
     """Lebesgue volume of the open eps-neighborhood of obj.
 
-    IntervalUnion and 1-D clouds get exact rational volumes (open versus
-    closed fattening agree in measure).  Clouds in dimension >= 2 get an
-    occupancy-grid estimate with certified bounds; the default cell side
-    is eps/8.
+    IntervalUnion and 1-D clouds get exact rational volumes from the gap
+    (tube) formula; open and closed neighborhoods agree in measure.
+    Clouds in dimension >= 2 get an occupancy-grid estimate with certified
+    bounds; the default cell side is eps/8.
     """
     if not eps > 0:
         raise DomainError("eps must be positive")
     if isinstance(obj, IntervalUnion):
         if obj.count == 0:
             return VolumeResult(Fraction(0), Fraction(0), Fraction(0), True, empty_input=True)
-        v = obj.fatten(eps).measure
+        v = obj.neighborhood_measure(eps)
         return VolumeResult(v, v, v, exact=True)
     if isinstance(obj, PointCloud):
         if obj.n == 1:
@@ -106,13 +106,6 @@ class MinkowskiSweep:
     @property
     def sup_ratio(self) -> float:
         return max(r.ratio_high for r in self.rows)
-
-    def running_max(self) -> list[float]:
-        out, cur = [], -math.inf
-        for r in self.rows:
-            cur = max(cur, r.ratio_high)
-            out.append(cur)
-        return out
 
     def bounded_by(self, limit: float) -> bool:
         return self.sup_ratio <= limit

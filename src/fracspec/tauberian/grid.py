@@ -71,9 +71,6 @@ class ZeroSet:
     def count(self) -> int:
         return len(self.indices)
 
-    def is_empty(self) -> bool:
-        return not self.indices
-
 
 def dft_zero_set(f: GridFunction, tol: Optional[float] = None) -> ZeroSet:
     """Thresholded zero set of the transform.

@@ -66,9 +66,6 @@ class DensityVerdict:
     dim_ci: Optional[tuple]
     rows: tuple
 
-    def guaranteed_rows(self) -> tuple:
-        return tuple(r for r in self.rows if r.status == STATUS_DENSE)
-
     def as_dict(self) -> dict:
         return {
             "ambient_dim": self.ambient_dim,

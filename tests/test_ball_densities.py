@@ -27,7 +27,7 @@ def test_weighted_measure_validation():
         WeightedMeasure.from_atoms([0.0, 1.0], [1.0])
     mu = WeightedMeasure.from_atoms([0.0, 1.0], [0.25, 0.75])
     assert mu.total == 1.0 and mu.n == 1
-    assert mu.check_total(1.0)
+    assert mu.atoms.shape == (2, 1) and mu.weights.tolist() == [0.25, 0.75]
 
 
 def test_ball_mass_closed_boundary():
@@ -42,7 +42,7 @@ def test_ternary_upper_density_hits_two_to_minus_beta():
     """At a level-J midpoint, the ball of radius 3**-k captures exactly the
     ancestor's mass 2**-k, so (2r)**-beta * mass = 2**-beta at every k."""
     params = middle_thirds_params()
-    mu = natural_measure(params, 10).to_weighted()
+    mu = natural_measure(params, 10)
     x = mu.atoms[0]
     sweep = ScaleSweep(Fraction(1, 9), Fraction(1, 3), 6)
     est = upper_density_estimate(mu, x, BETA, sweep)

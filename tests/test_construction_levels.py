@@ -13,6 +13,8 @@ from fracspec.cantor.measures import natural_measure
 from fracspec.cantor.params import CantorParams, middle_thirds_params
 from fracspec.cantor.sampling import sample_salem_offsets
 from fracspec.errors import ConfigError, DomainError, SizeError
+from fracspec.geometry.density import ball_mass
+from fracspec.geometry.intervals import IntervalUnion
 
 
 def test_level_two_starts_frozen():
@@ -75,19 +77,68 @@ def test_depth_limits(monkeypatch):
         build_level(three, 3)
 
 
+def merged_level(params, depth):
+    """The enumerating route: every child of every parent, sorted and merged."""
+    union = IntervalUnion.from_pairs([(0, 1)])
+    for j in range(1, depth + 1):
+        eta = params.eta_at(j)
+        union = IntervalUnion.from_pairs(
+            (s + a * l, l * eta) for s, l in reversed(union.intervals) for a in params.offsets
+        )
+    return union
+
+
+@pytest.mark.parametrize(
+    "params, depth",
+    [
+        (middle_thirds_params(), 8),
+        (
+            CantorParams.create(
+                3,
+                Fraction(1, 5),
+                (Fraction(0), Fraction(3, 10), Fraction(61, 100)),
+                eta_rule="tapered",
+            ),
+            6,
+        ),
+        (
+            CantorParams.create(
+                4,
+                Fraction(1, 16),
+                sample_salem_offsets(4, Fraction(1, 16), np.random.default_rng(7)),
+            ),
+            5,
+        ),
+    ],
+    ids=["middle-thirds", "tapered-3", "seeded-4"],
+)
+def test_build_level_matches_merged_enumeration(params, depth):
+    level = build_level(params, depth)
+    assert level.intervals.intervals == merged_level(params, depth).intervals
+    assert level.member_count == params.branches**depth
+
+
+def test_unvalidated_offsets_raise():
+    # CantorParams built without create skips validation; the level union
+    # still refuses overlapping or out-of-order children
+    overlap = CantorParams(2, Fraction(1, 2), (Fraction(0), Fraction(1, 4)), 1.0)
+    descending = CantorParams(2, Fraction(1, 3), (Fraction(2, 3), Fraction(0)), 0.63)
+    for params in (overlap, descending):
+        with pytest.raises(DomainError):
+            build_level(params, 1)
+
+
 def test_natural_measure_totals_and_interval_mass():
     params = middle_thirds_params()
+    level = build_level(params, 5)
     mu = natural_measure(params, 5)
-    assert mu.total == 1
-    assert mu.weight == Fraction(1, 32)
-    # the left level-1 child carries exactly half the mass
-    assert mu.mass_of_interval(0, Fraction(1, 3)) == Fraction(1, 2)
-    assert mu.mass_of_interval(Fraction(2, 3), 1) == Fraction(1, 2)
-    with pytest.raises(DomainError):
-        mu.mass_of_interval(1, 0)
-    weighted = mu.to_weighted()
-    assert weighted.n == 1
-    assert abs(weighted.total - 1.0) < 1e-12
+    assert mu.n == 1
+    assert mu.atoms[:, 0].tolist() == [float(m) for m in level.midpoints()]
+    assert mu.weights.tolist() == [float(Fraction(1, 32))] * 32
+    assert mu.total == 1.0
+    # each level-1 child, [0, 1/3] and [2/3, 1], carries exactly half the mass
+    assert ball_mass(mu, 1 / 6, 1 / 6) == 0.5
+    assert ball_mass(mu, 5 / 6, 1 / 6) == 0.5
 
 
 def test_params_json_round_trip(tmp_path):

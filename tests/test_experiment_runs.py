@@ -1,5 +1,6 @@
 """Experiment runners end to end: artifacts, determinism, CLI exit codes."""
 
+import hashlib
 import json
 import tempfile
 from fractions import Fraction
@@ -192,6 +193,57 @@ def test_reruns_are_byte_identical(tmp_path, experiment, text, seed):
     ra = report_without_timing(tmp_path / "a", experiment)
     rb = report_without_timing(tmp_path / "b", experiment)
     assert ra == rb
+
+
+TAPERED_TEXT = (
+    "cantor.branches = 3\n"
+    "cantor.ratio = 1/5\n"
+    "cantor.offsets = 0, 3/10, 61/100\n"
+    "cantor.rule = tapered\n"
+)
+
+# SHA-256 of the exact-path artifacts as the enumerating implementation
+# wrote them (neighborhoods measured by merging the grown intervals, levels
+# sorted and merged), so the closed forms that replaced it must keep them.
+PINNED_ARTIFACTS = {
+    "middle-thirds": (
+        "",
+        8,
+        {
+            "construct/level.csv": "9c6f6838ad231df1b8da7a42a2725019838f270b8e373dd80d6a004a72515736",
+            "construct/params.json": "74e810c62a2a01eccdf44f6bc6e1163576ea14b67f38af53fed3f408686968fa",
+            "dim/counts.csv": "51c2e04a31e0e0f34f3faa42c3b3ce815bd9cf8ee84a72d011c9ad5e33c0c8d1",
+            "minkowski/ratios.csv": "d96b2674e69240fdb5675bba84b63fbb8a4e76bd1dbdd4ebceb7d5e675fa10ae",
+        },
+    ),
+    "tapered-3": (
+        TAPERED_TEXT,
+        6,
+        {
+            "construct/level.csv": "68e730964cc973ccc8856604696d38f467890a4df68792b2cba459bec27e57dc",
+            "construct/params.json": "0a561979cb06c37a6b1fff8428829ad1fa0fe8fa7a50c3c2b035170934ec4e18",
+            "dim/counts.csv": "a556a1bd3c9584ab1e0a94efe63caf9f8c0d1a635d2fdffd1a0a6c069bd3ca59",
+            "minkowski/ratios.csv": "ee83f1ac5fdf506a8533d817093eb15b9c798be61a1ed7c27c43eec752b0d751",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ARTIFACTS))
+def test_exact_artifacts_pinned(tmp_path, name):
+    """construct, dim 3..depth and minkowski at depth write the pinned bytes."""
+    base, depth, pinned = PINNED_ARTIFACTS[name]
+    texts = {
+        "construct": base + f"level.depth = {depth}\n",
+        "dim": base + f"dim.level_min = 3\ndim.level_max = {depth}\n",
+        "minkowski": base + f"level.depth = {depth}\n",
+    }
+    for experiment, text in texts.items():
+        run(tmp_path, experiment, text)
+    digests = {
+        rel: hashlib.sha256((tmp_path / "out" / rel).read_bytes()).hexdigest() for rel in pinned
+    }
+    assert digests == pinned
 
 
 def test_cli_runs_experiment(tmp_path, capsys):

@@ -30,15 +30,14 @@ def test_measure_and_midpoints():
 
 def test_fatten_exact():
     iu = IntervalUnion.from_endpoints([(0, Fraction(1, 3)), (Fraction(2, 3), 1)])
-    fat = iu.fatten(Fraction(1, 9))
+    assert iu.gaps() == (Fraction(1, 3),)
     # each piece grows by 2/9; the middle gap 1/3 > 2/9 keeps them apart
-    assert fat.count == 2
-    assert fat.measure == Fraction(10, 9)
-    # at eps = 1/6 the gap closes exactly and the pieces merge
-    assert iu.fatten(Fraction(1, 6)).count == 1
-    assert iu.fatten(0) is iu
+    assert iu.neighborhood_measure(Fraction(1, 9)) == Fraction(10, 9)
+    # at eps = 1/6 the gap closes exactly: [-1/6, 7/6]
+    assert iu.neighborhood_measure(Fraction(1, 6)) == Fraction(4, 3)
+    assert iu.neighborhood_measure(0) == iu.measure == Fraction(2, 3)
     with pytest.raises(DomainError):
-        iu.fatten(-1)
+        iu.neighborhood_measure(-1)
 
 
 def test_contains_endpoints_closed():
@@ -91,3 +90,13 @@ def test_normalization_invariants(pairs):
         assert iu.contains(s) and iu.contains(s + l)
     # idempotent under re-normalization
     assert IntervalUnion.from_pairs(spans).intervals == spans
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs=st.lists(pair, max_size=8), k=st.integers(min_value=0, max_value=16))
+def test_neighborhood_measure_matches_merged_union(pairs, k):
+    """The gap formula against merging the grown pieces, the enumerating oracle."""
+    iu = IntervalUnion.from_pairs(pairs)
+    eps = Fraction(k, 8)
+    grown = IntervalUnion.from_pairs((s - eps, l + 2 * eps) for s, l in iu.intervals)
+    assert iu.neighborhood_measure(eps) == grown.measure

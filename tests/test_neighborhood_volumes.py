@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracspec.errors import DomainError
 from fracspec.geometry.cloud import PointCloud
@@ -31,6 +33,26 @@ def test_cloud_volume_1d_exact():
     # neighbors merge once 2*eps reaches the 1/2 spacing
     vol2 = eps_neighborhood_volume(cloud, Fraction(1, 4))
     assert vol2.value == Fraction(3, 2)
+
+
+quarter = st.integers(min_value=-20, max_value=20)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    xs=st.lists(
+        st.one_of(quarter.map(lambda k: Fraction(k, 4)), quarter.map(lambda k: k / 4)),
+        min_size=1,
+        max_size=8,
+    ),
+    k=st.integers(min_value=1, max_value=16),
+)
+def test_cloud_volume_1d_matches_merged_union(xs, k):
+    """The gap formula against merging the pieces [x - eps, x + eps]."""
+    eps = Fraction(k, 8)
+    vol = eps_neighborhood_volume(PointCloud.from_points(xs), eps)
+    pieces = IntervalUnion.from_pairs((Fraction(x) - eps, 2 * eps) for x in xs)
+    assert vol.exact and vol.value == pieces.measure
 
 
 def test_occupancy_bounds_bracket_disk_area():
@@ -85,8 +107,6 @@ def test_ternary_ratio_exact_five_halves():
     assert all(r.ratio_exact is not None for r in result.rows)
     assert all(Fraction(1) <= r.ratio_exact <= Fraction(3) for r in result.rows)
     assert result.bounded_by(3.0)
-    running = result.running_max()
-    assert running == sorted(running)
 
 
 def test_ratio_sweep_alpha_range():

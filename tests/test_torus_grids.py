@@ -43,7 +43,6 @@ def test_delta_has_empty_zero_set():
     values = np.zeros(8)
     values[0] = 1.0
     zs = dft_zero_set(GridFunction(values))
-    assert zs.is_empty()
     assert zs.count == 0 and zs.m == 8 and zs.n == 1
 
 
@@ -73,7 +72,7 @@ def test_explicit_tolerance():
     values[1] = 1e-6
     # fhat(k) = (1 + 1e-6 w^k)/sqrt(8): moduli near 0.3536, none below tol
     tight = dft_zero_set(GridFunction(values), tol=1e-9)
-    assert tight.is_empty()
+    assert tight.count == 0
     with pytest.raises(DomainError):
         ZeroSet((), -1.0, 8, 1)
 
