@@ -5,7 +5,9 @@ criterion (salem-decay) is expected to fail; the reason lives in its
 docstring and is summarized in the xfail mark below.
 """
 
+import hashlib
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -45,6 +47,45 @@ def test_criterion(name, capsys):
         print()
         print(result.line())
     assert result.passed, result.detail
+
+
+# SHA-256 of the per-check tuples of criterion_chain_inequalities, recorded
+# before the pairwise-distance table and the cached gaps were introduced
+CHAIN_CHECKS_SHA256 = "d29e305effaffc74e60285de6cd5a334f1d44724e333e270ecda27ef4f57091d"
+
+
+def test_chain_inequalities_pinned(monkeypatch):
+    """Every count and volume bound of chain-inequalities, not just its tally.
+
+    Each check is (n_double, n_eps, n_half, p_eps, vol.low, vol.high) with
+    exact volumes as Fractions and estimated ones as float.hex, taken
+    from the criterion's own calls in the order it makes them.
+    """
+    calls = []
+
+    def record(fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            calls.append(out)
+            return out
+
+        return wrapper
+
+    for name in ("covering_number", "packing_number", "eps_neighborhood_volume"):
+        monkeypatch.setattr(acceptance, name, record(getattr(acceptance, name)))
+    result = acceptance.criterion_chain_inequalities()
+    assert result.passed, result.detail
+
+    def exact(v):
+        return str(v) if isinstance(v, Fraction) else float(v).hex()
+
+    checks = [
+        (n_double, n_eps, n_half, p_eps, exact(vol.low), exact(vol.high))
+        for n_double, n_eps, n_half, p_eps, vol in zip(*[iter(calls)] * 5)
+    ]
+    assert len(checks) * 5 == len(calls)
+    assert len(checks) == result.values["checks"] == 500
+    assert hashlib.sha256(repr(checks).encode()).hexdigest() == CHAIN_CHECKS_SHA256
 
 
 def test_wrong_exponent_is_detected():
