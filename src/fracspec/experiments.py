@@ -165,7 +165,7 @@ def run_construct(cfg: ExperimentConfig) -> ReportRecord:
     write_params(params, out / "params.json")
     write_level_csv(level, out / "level.csv")
     starts = level.starts()
-    gaps = level.intervals.gaps()
+    gaps = level.intervals.gap_counts
     return ReportRecord(
         experiment=cfg.experiment,
         digest=cfg.digest(),
@@ -173,7 +173,7 @@ def run_construct(cfg: ExperimentConfig) -> ReportRecord:
             "depth": depth,
             "intervals": level.member_count,
             "total_length": float(level.intervals.measure),
-            "min_gap": float(min(gaps)) if gaps else 0.0,
+            "min_gap": float(gaps[0][0]) if gaps else 0.0,
             "dimension": float(params.dimension),
             "first_start": float(starts[0]),
         },

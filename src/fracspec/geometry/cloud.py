@@ -26,7 +26,11 @@ Comparisons run on squared distances, so clouds with Fraction
 coordinates are handled exactly.  In one dimension the exact counts use
 left-to-right sweeps (optimal by the standard exchange argument) and
 have no size cap; in higher dimensions exact mode is a branch-and-bound
-search capped at ``cap`` points.
+search capped at ``cap`` points.  The pairwise squared distances it
+reads do not depend on eps: they are computed once per cloud, on the
+first exact count, and each eps then costs one threshold pass over
+them.  The greedy modes, meant for clouds too large for exact search,
+never build that O(size**2) table.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -82,6 +87,15 @@ class PointCloud:
 
     def as_array(self) -> np.ndarray:
         return np.asarray([[float(c) for c in p] for p in self.points], dtype=float)
+
+    @cached_property
+    def _dist2_table(self) -> tuple:
+        """Squared distances between all pairs of points, row by row.
+
+        Built by the first exact count in dimension >= 2 and kept, since
+        the distances do not depend on eps.
+        """
+        return tuple(tuple(_dist2(p, q) for q in self.points) for p in self.points)
 
 
 @dataclass(frozen=True)
@@ -171,16 +185,9 @@ def _exact_pack_1d(xs: Sequence, eps) -> list[int]:
 
 
 def _cover_masks(cloud: PointCloud, eps) -> list[int]:
+    """Per point, the bitmask of the points within distance eps of it."""
     e2 = eps * eps
-    pts = cloud.points
-    masks = []
-    for c in pts:
-        m = 0
-        for j, p in enumerate(pts):
-            if _dist2(p, c) <= e2:
-                m |= 1 << j
-        masks.append(m)
-    return masks
+    return [sum(1 << j for j, d2 in enumerate(row) if d2 <= e2) for row in cloud._dist2_table]
 
 
 def _exact_cover_nd(cloud: PointCloud, eps) -> tuple[int, list[int]]:
@@ -230,14 +237,9 @@ def _greedy_set_cover(masks: list[int], full: int) -> tuple[int, list[int]]:
 
 
 def _exact_pack_nd(cloud: PointCloud, eps) -> list[int]:
-    thr = 4 * eps * eps
-    pts = cloud.points
     npts = cloud.size
-    conflict = [0] * npts
-    for i, j in itertools.combinations(range(npts), 2):
-        if not _dist2(pts[i], pts[j]) > thr:
-            conflict[i] |= 1 << j
-            conflict[j] |= 1 << i
+    # i and j conflict unless dist(i, j) > 2 eps
+    conflict = [m & ~(1 << i) for i, m in enumerate(_cover_masks(cloud, 2 * eps))]
 
     memo: dict[int, tuple[int, int]] = {}
 

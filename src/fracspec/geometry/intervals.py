@@ -8,8 +8,10 @@ nose, which is why nothing here ever rounds.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Tuple
 
 from ..errors import DomainError
@@ -37,25 +39,31 @@ def _normalize(pairs: Iterable[tuple]) -> tuple[Span, ...]:
     return tuple((s, l) for s, l in merged)
 
 
-def tube_measure(length, gaps: Iterable, eps) -> Fraction:
+def tube_measure(length, gap_counts: Iterable[tuple], eps) -> Fraction:
     """Measure of the closed eps-neighborhood of a nonempty finite union of
     closed intervals and points in R.
 
-    The set has Lebesgue measure `length`, and `gaps` are the lengths of
-    its bounded complementary intervals.  Its two outer ends grow by eps
-    each and a gap fills up to 2 eps, which is the 1-D tube formula of
-    Lapidus-Pomerance (1993): length + 2 eps + sum(min(gap, 2 eps)).
+    The set has Lebesgue measure `length`, and `gap_counts` holds the
+    lengths of its bounded complementary intervals as (gap, multiplicity)
+    pairs.  Its two outer ends grow by eps each and a gap fills up to
+    2 eps, which is the 1-D tube formula of Lapidus-Pomerance (1993):
+    length + 2 eps + sum(min(gap, 2 eps)).
     """
     e = as_fraction(eps)
     if e < 0:
         raise DomainError("eps must be nonnegative")
     two_e = 2 * e
-    return length + two_e + sum((min(g, two_e) for g in gaps), Fraction(0))
+    return length + two_e + sum((mult * min(g, two_e) for g, mult in gap_counts), Fraction(0))
 
 
 @dataclass(frozen=True)
 class IntervalUnion:
-    """Sorted, pairwise-disjoint closed intervals as (start, length) pairs."""
+    """Sorted, pairwise-disjoint closed intervals as (start, length) pairs.
+
+    The measure and the gap multiset do not depend on eps; each is
+    computed on first use and kept, so a sweep over scales pays only for
+    the tube formula over the distinct gaps.
+    """
 
     intervals: Tuple[Span, ...]
 
@@ -86,7 +94,7 @@ class IntervalUnion:
     def count(self) -> int:
         return len(self.intervals)
 
-    @property
+    @cached_property
     def measure(self) -> Fraction:
         return sum((l for _, l in self.intervals), Fraction(0))
 
@@ -104,14 +112,19 @@ class IntervalUnion:
     def midpoints(self) -> tuple[Fraction, ...]:
         return tuple(s + l / 2 for s, l in self.intervals)
 
-    def gaps(self) -> tuple[Fraction, ...]:
-        """Lengths of the bounded gaps between consecutive intervals."""
+    @cached_property
+    def gap_counts(self) -> tuple[tuple[Fraction, int], ...]:
+        """The bounded gaps between consecutive intervals as a multiset:
+        (length, multiplicity) pairs, shortest first."""
         iv = self.intervals
-        return tuple(s1 - (s0 + l0) for (s0, l0), (s1, _) in zip(iv, iv[1:]))
+        # keyed by (numerator, denominator): hashing a Fraction itself costs
+        # a modular inverse, ten times the rest of the count
+        gaps = Counter((s1 - (s0 + l0)).as_integer_ratio() for (s0, l0), (s1, _) in zip(iv, iv[1:]))
+        return tuple(sorted((Fraction(*g), mult) for g, mult in gaps.items()))
 
     def neighborhood_measure(self, eps) -> Fraction:
         """Exact measure of the closed eps-neighborhood (0 for the empty union)."""
-        volume = tube_measure(self.measure, self.gaps(), eps)
+        volume = tube_measure(self.measure, self.gap_counts, eps)
         return volume if self.intervals else Fraction(0)
 
     def contains(self, x) -> bool:

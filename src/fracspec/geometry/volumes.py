@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
@@ -38,7 +39,8 @@ class VolumeResult:
 def _point_cloud_1d_volume(cloud: PointCloud, eps) -> VolumeResult:
     # the cloud is sorted and deduplicated: the gaps are consecutive differences
     xs = [as_fraction(p[0]) for p in cloud.points]
-    v = tube_measure(Fraction(0), (b - a for a, b in zip(xs, xs[1:])), eps)
+    gaps = Counter(b - a for a, b in zip(xs, xs[1:]))
+    v = tube_measure(Fraction(0), gaps.items(), eps)
     return VolumeResult(v, v, v, exact=True)
 
 
@@ -51,11 +53,12 @@ def _occupancy_volume(cloud: PointCloud, eps: float, cells_per_eps: int) -> Volu
     lo = pts.min(axis=0) - eps - cell
     hi = pts.max(axis=0) + eps + cell
     axes = [np.arange(lo[k] + cell / 2, hi[k], cell) for k in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    centers = np.stack([m.ravel() for m in mesh], axis=1)
-    d2 = np.full(len(centers), np.inf)
+    # a product grid: the squared distance from p to every cell center is a
+    # broadcast sum of one 1-D term per axis, added in axis order
+    d2 = np.full([len(a) for a in axes], np.inf)
     for p in pts:
-        np.minimum(d2, ((centers - p) ** 2).sum(axis=1), out=d2)
+        terms = np.ix_(*[(a - c) ** 2 for a, c in zip(axes, p)])
+        np.minimum(d2, sum(terms[1:], terms[0]), out=d2)
     d = np.sqrt(d2)
     cell_vol = cell**n
     inside = float(np.count_nonzero(d <= eps - half_diag) * cell_vol)

@@ -30,7 +30,7 @@ def test_measure_and_midpoints():
 
 def test_fatten_exact():
     iu = IntervalUnion.from_endpoints([(0, Fraction(1, 3)), (Fraction(2, 3), 1)])
-    assert iu.gaps() == (Fraction(1, 3),)
+    assert iu.gap_counts == ((Fraction(1, 3), 1),)
     # each piece grows by 2/9; the middle gap 1/3 > 2/9 keeps them apart
     assert iu.neighborhood_measure(Fraction(1, 9)) == Fraction(10, 9)
     # at eps = 1/6 the gap closes exactly: [-1/6, 7/6]

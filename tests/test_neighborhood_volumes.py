@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from fracspec.geometry.cloud import PointCloud
 from fracspec.geometry.intervals import IntervalUnion
 from fracspec.geometry.sweeps import ScaleSweep
 from fracspec.geometry.volumes import (
+    VolumeResult,
     eps_neighborhood_volume,
     minkowski_ratio_sweep,
 )
@@ -68,6 +70,62 @@ def test_occupancy_bounds_bracket_disk_area():
     fine = eps_neighborhood_volume(cloud, eps, cells_per_eps=32)
     assert fine.high - fine.low < vol.high - vol.low
     assert fine.low <= true_area <= fine.high
+
+
+NUMPY_SQRT = np.sqrt
+
+
+def meshgrid_occupancy(cloud, eps, cells_per_eps):
+    """Reference: every cell center materialized, distances summed per row."""
+    pts = cloud.as_array()
+    n = cloud.n
+    eps = float(eps)
+    cell = eps / cells_per_eps
+    half_diag = 0.5 * cell * math.sqrt(n)
+    lo = pts.min(axis=0) - eps - cell
+    hi = pts.max(axis=0) + eps + cell
+    axes = [np.arange(lo[k] + cell / 2, hi[k], cell) for k in range(n)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    centers = np.stack([m.ravel() for m in mesh], axis=1)
+    d2 = np.full(len(centers), np.inf)
+    for p in pts:
+        np.minimum(d2, ((centers - p) ** 2).sum(axis=1), out=d2)
+    d = np.sqrt(d2)
+    cell_vol = cell**n
+    inside = float(np.count_nonzero(d <= eps - half_diag) * cell_vol)
+    maybe = float(np.count_nonzero(d < eps + half_diag) * cell_vol)
+    return VolumeResult(0.5 * (inside + maybe), inside, maybe, exact=False)
+
+
+@pytest.mark.parametrize("cells_per_eps", [8, 32])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["float", "fraction"])
+def test_occupancy_matches_meshgrid_reference(monkeypatch, kind, n, cells_per_eps):
+    """The separable grid gives exactly the reference's distances and bounds."""
+    sqrt_args = []
+
+    def recording_sqrt(x):
+        sqrt_args.append(x)
+        return NUMPY_SQRT(x)
+
+    monkeypatch.setattr(np, "sqrt", recording_sqrt)
+    rng = np.random.default_rng(1000 * n + cells_per_eps)
+    # points spread over [0, 1)^2, or [0, 1/4)^3 so the finest 3-D grid stays small
+    spread = 1000 if n == 2 else 250
+    for eps in (Fraction(1, 4), Fraction(1, 7), Fraction(3, 10)):
+        coords = rng.integers(0, spread, size=(int(rng.integers(1, 7)), n))
+        if kind == "float":
+            pts = [tuple(map(float, row)) for row in (coords + rng.random(coords.shape)) / 1000]
+        else:
+            pts = [tuple(Fraction(int(c), 1000) for c in row) for row in coords]
+        cloud = PointCloud.from_points(pts)
+        vol = eps_neighborhood_volume(cloud, eps, cells_per_eps=cells_per_eps)
+        ref = meshgrid_occupancy(cloud, eps, cells_per_eps)
+        assert (vol.low, vol.high, vol.value) == (ref.low, ref.high, ref.value)
+        # the squared distances match bit for bit, cell by cell in ij order
+        d2, ref_d2 = sqrt_args[-2:]
+        assert np.array_equal(d2.ravel(), ref_d2)
+        assert vol.low < vol.high
 
 
 def test_empty_union_flagged():

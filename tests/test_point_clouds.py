@@ -8,18 +8,21 @@ by these oracles and are asserted exactly.
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracspec.errors import DomainError, SizeError
 from fracspec.geometry.cloud import (
+    DEFAULT_EXACT_CAP,
     PointCloud,
     covering_number,
     covering_witness,
     packing_number,
     packing_witness,
 )
+from fracspec.geometry.intervals import IntervalUnion
 
 
 def dist2(p, q):
@@ -191,3 +194,42 @@ def test_chain_inequalities_hold_2d(pts, eps_num):
         <= covering_number(cloud, eps / 2)
     )
 
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(st.integers(-20, 20), st.integers(1, 6)), min_size=1, max_size=6
+    ),
+    pts=st.lists(st.tuples(coords, coords), min_size=1, max_size=7, unique=True),
+    order=st.permutations([Fraction(k, 8) for k in range(1, 17)]),
+)
+def test_cached_tables_carry_no_eps(pairs, pts, order):
+    """One union and one exact 2-D cloud queried at every eps in shuffled
+    order agree with fresh objects and with the enumerating oracles."""
+    iu = IntervalUnion.from_pairs((Fraction(a, 4), Fraction(b, 4)) for a, b in pairs)
+    cloud = PointCloud.from_points(pts)
+    for eps in order:
+        grown = IntervalUnion.from_pairs((s - eps, l + 2 * eps) for s, l in iu.intervals)
+        fresh_iu = IntervalUnion(iu.intervals)
+        assert iu.neighborhood_measure(eps) == fresh_iu.neighborhood_measure(eps) == grown.measure
+        fresh = PointCloud.from_points(pts)
+        cover = covering_number(cloud, eps)
+        assert cover == covering_number(fresh, eps) == brute_min_cover(cloud.points, eps)
+        pack = packing_number(cloud, eps)
+        assert pack == packing_number(fresh, eps) == brute_max_packing(cloud.points, eps)
+    # the queries above ran on the kept tables
+    assert "gap_counts" in iu.__dict__ and "_dist2_table" in cloud.__dict__
+
+
+def test_greedy_modes_build_no_pairwise_table():
+    """Greedy counts are for clouds above the exact cap: no O(size**2) table."""
+    rng = np.random.default_rng(7)
+    cloud = PointCloud.from_points([tuple(map(float, p)) for p in rng.random((2000, 2))])
+    assert cloud.size > DEFAULT_EXACT_CAP
+    for eps in (0.05, 0.2):
+        assert covering_number(cloud, eps, mode="greedy") >= 1
+        assert packing_number(cloud, eps, mode="greedy") >= 1
+    assert "_dist2_table" not in cloud.__dict__
+    with pytest.raises(SizeError):
+        covering_number(cloud, 0.2)
+    assert "_dist2_table" not in cloud.__dict__
