@@ -36,6 +36,7 @@ never build that O(size**2) table.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -44,6 +45,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..errors import DomainError, SizeError
+from ..numeric import as_fraction
 
 DEFAULT_EXACT_CAP = 15
 
@@ -87,6 +89,16 @@ class PointCloud:
 
     def as_array(self) -> np.ndarray:
         return np.asarray([[float(c) for c in p] for p in self.points], dtype=float)
+
+    @cached_property
+    def gap_counts(self) -> tuple[tuple[Fraction, int], ...]:
+        """In one dimension, the exact gaps between consecutive points as a
+        multiset: (length, multiplicity) pairs, shortest first."""
+        if self.n != 1:
+            raise DomainError("gaps are defined for 1-D clouds")
+        # the points are sorted and deduplicated
+        xs = [as_fraction(p[0]) for p in self.points]
+        return tuple(sorted(Counter(b - a for a, b in zip(xs, xs[1:])).items()))
 
     @cached_property
     def _dist2_table(self) -> tuple:

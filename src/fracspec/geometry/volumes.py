@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
@@ -34,14 +33,6 @@ class VolumeResult:
     high: Union[Fraction, float]
     exact: bool
     empty_input: bool = False
-
-
-def _point_cloud_1d_volume(cloud: PointCloud, eps) -> VolumeResult:
-    # the cloud is sorted and deduplicated: the gaps are consecutive differences
-    xs = [as_fraction(p[0]) for p in cloud.points]
-    gaps = Counter(b - a for a, b in zip(xs, xs[1:]))
-    v = tube_measure(Fraction(0), gaps.items(), eps)
-    return VolumeResult(v, v, v, exact=True)
 
 
 def _occupancy_volume(cloud: PointCloud, eps: float, cells_per_eps: int) -> VolumeResult:
@@ -83,7 +74,8 @@ def eps_neighborhood_volume(obj, eps, cells_per_eps: int = OCCUPANCY_CELLS_PER_E
         return VolumeResult(v, v, v, exact=True)
     if isinstance(obj, PointCloud):
         if obj.n == 1:
-            return _point_cloud_1d_volume(obj, eps)
+            v = tube_measure(Fraction(0), obj.gap_counts, eps)
+            return VolumeResult(v, v, v, exact=True)
         return _occupancy_volume(obj, eps, cells_per_eps)
     raise DomainError(f"unsupported input type {type(obj).__name__}")
 

@@ -73,12 +73,6 @@ class LogRatio:
     def __float__(self) -> float:
         return self.value
 
-    def scaled(self, k: int) -> "LogRatio":
-        """k * log(num)/log(den) as LogRatio(num**k, den)."""
-        if k < 1:
-            raise ValueError("k must be a positive integer")
-        return LogRatio(self.num**k, self.den)
-
     def exact_power(self, base, shift: int = 0) -> Fraction | None:
         """base ** (value + shift) as a Fraction, when exact.
 

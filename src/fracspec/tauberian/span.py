@@ -31,9 +31,10 @@ def span_dimension_oracle(f: GridFunction, tol: Optional[float] = None) -> int:
 
 
 def circulant_matrix(f: GridFunction) -> np.ndarray:
-    """Row k is the k-step cyclic translate of f."""
+    """Row k is the k-step cyclic translate of f: entry (k, j) is f[j - k mod m]."""
     _require_1d(f)
-    return np.stack([np.roll(f.values, k) for k in range(f.m)])
+    idx = np.arange(f.m)
+    return f.values[(idx[None, :] - idx[:, None]) % f.m]
 
 
 def circulant_rank(f: GridFunction, tol: Optional[float] = None) -> int:

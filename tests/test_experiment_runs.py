@@ -246,6 +246,48 @@ def test_exact_artifacts_pinned(tmp_path, name):
     assert digests == pinned
 
 
+# SHA-256 of the spectral-path artifacts as the per-level (F, N) transform
+# loop and the np.roll circulant wrote them.  Depth 6 with j_max = 6 gives
+# 16,384 frequencies, so the blocked transform crosses several blocks.
+PINNED_SPECTRAL = {
+    "salem-4": (
+        "fourier",
+        "cantor.branches = 4\ncantor.ratio = 1/16\nfourier.depth = 6\nfourier.j_max = 6\n",
+        1,
+        {
+            "fourier/octaves.csv": "e4a8ded49724124b02bfe960dcfec3b406e4bac0e4ab173b60392cce0f0effd1",
+            "fourier/spectrum.csv": "548e2da09f0ced4023e147bdff9e4979d1ee3923c24b3312348de8a986728ca4",
+        },
+    ),
+    "tapered-3": (
+        "fourier",
+        TAPERED_TEXT + "fourier.depth = 6\nfourier.j_max = 6\n",
+        None,
+        {
+            "fourier/octaves.csv": "384d44f553d8cfa40d41b9f0da00cf9527e3ace62d46c47f7269523685d9d0f2",
+            "fourier/spectrum.csv": "92248dddada7107330142e2cd9804ccd1779fd5422f43062fc5c38f3a2798d15",
+        },
+    ),
+    "span-64": (
+        "tauberian",
+        "tauberian.kind = span\ntauberian.m = 64\ntauberian.trials = 50\n",
+        1,
+        {"tauberian/trials.csv": "ea13fba921de5f16dad68f23aadbc9d7dfb3f11283d354dbd4f603fe2b0f39f3"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SPECTRAL))
+def test_spectral_artifacts_pinned(tmp_path, name):
+    """fourier and the tauberian span trials write the pinned bytes."""
+    experiment, text, seed, pinned = PINNED_SPECTRAL[name]
+    run(tmp_path, experiment, text, seed=seed)
+    digests = {
+        rel: hashlib.sha256((tmp_path / "out" / rel).read_bytes()).hexdigest() for rel in pinned
+    }
+    assert digests == pinned
+
+
 def test_cli_runs_experiment(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text("level.depth = 2\n")

@@ -16,6 +16,7 @@ from fracspec.cantor.measures import natural_measure
 from fracspec.cantor.params import CantorParams, middle_thirds_params
 from fracspec.errors import DomainError
 from fracspec.fourier.transforms import (
+    BLOCK,
     cantor_fourier,
     cantor_fourier_grid,
     level_scale_floats,
@@ -59,6 +60,42 @@ def test_mass_normalization_and_modulus():
     # conjugate symmetry: the measure is real
     back, _ = cantor_fourier_grid(params, 8, -xi)
     assert np.max(np.abs(np.conj(values) - back)) < 1e-14
+
+
+def unblocked_transform(params, depth, xi):
+    """The transform as it was first computed: one (F, N) exp per level."""
+    xi_arr = np.asarray(xi, dtype=float)
+    scales = level_scale_floats(params, depth)
+    offsets = np.array([float(a) for a in params.offsets])
+    values = np.ones(xi_arr.shape, dtype=complex)
+    for j in range(1, depth + 1):
+        phases = np.exp(-1j * xi_arr[..., None] * (offsets * scales[j - 1]))
+        values *= phases.mean(axis=-1)
+    values *= np.exp(-0.5j * xi_arr * scales[depth])
+    errors = np.abs(xi_arr) * scales[depth]
+    return values, errors
+
+
+TAPERED = CantorParams.create(
+    3, Fraction(1, 5), (Fraction(0), Fraction(3, 10), Fraction(61, 100)), eta_rule="tapered"
+)
+
+
+@pytest.mark.parametrize("params", [middle_thirds_params(), TAPERED], ids=["constant", "tapered"])
+@pytest.mark.parametrize(
+    "shape",
+    [(0,), (1,), (BLOCK - 1,), (BLOCK,), (BLOCK + 1,), (5 * BLOCK // 2,), (37, 301), ()],
+)
+def test_blocked_grid_matches_unblocked_reference(params, shape):
+    """Blocking over xi changes no bit of the values or the error bounds."""
+    rng = np.random.default_rng(sum(shape) + 1)
+    xi = rng.uniform(-3000.0, 3000.0, size=shape)
+    values, errors = cantor_fourier_grid(params, 9, xi)
+    ref_values, ref_errors = unblocked_transform(params, 9, xi)
+    assert values.shape == ref_values.shape == np.shape(xi)
+    assert np.array_equal(values.reshape(-1).view(float), ref_values.reshape(-1).view(float))
+    assert np.shape(errors) == np.shape(ref_errors)
+    assert np.array_equal(errors, ref_errors)
 
 
 def test_truncation_bound_certifies_depth_gap():

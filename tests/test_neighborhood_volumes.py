@@ -57,6 +57,20 @@ def test_cloud_volume_1d_matches_merged_union(xs, k):
     assert vol.exact and vol.value == pieces.measure
 
 
+def test_cloud_gap_counts_kept_across_scales():
+    """A 1-D cloud builds its gap multiset once and every eps reuses it."""
+    xs = [0, 0.25, Fraction(3, 4), 1, Fraction(5, 4), 3]
+    cloud = PointCloud.from_points(xs)
+    assert cloud.gap_counts == ((Fraction(1, 4), 3), (Fraction(1, 2), 1), (Fraction(7, 4), 1))
+    for k in (5, 1, 3):
+        eps = Fraction(k, 8)
+        fresh = eps_neighborhood_volume(PointCloud.from_points(xs), eps)
+        assert eps_neighborhood_volume(cloud, eps).value == fresh.value
+    assert "gap_counts" in cloud.__dict__
+    with pytest.raises(DomainError):
+        PointCloud.from_points([(0, 0), (1, 1)]).gap_counts
+
+
 def test_occupancy_bounds_bracket_disk_area():
     cloud = PointCloud.from_points([(0.0, 0.0)])
     eps = 0.5

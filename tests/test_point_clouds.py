@@ -5,7 +5,9 @@ ground truth for small clouds; frozen literals in the tests were produced
 by these oracles and are asserted exactly.
 """
 
+import functools
 import itertools
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -30,21 +32,37 @@ def dist2(p, q):
 
 
 def brute_min_cover(pts, eps):
-    """Smallest number of closed eps-balls centered at pts that covers pts."""
+    """Smallest number of closed eps-balls centered at pts that covers pts.
+
+    Bit i of ball[c] says that the ball at pts[c] covers pts[i]; a set of
+    centers covers when the union of its balls has every bit set.
+    """
     e2 = eps * eps
+    ball = [sum(1 << i for i, p in enumerate(pts) if dist2(p, c) <= e2) for c in pts]
+    everything = (1 << len(pts)) - 1
     for k in range(1, len(pts) + 1):
-        for centers in itertools.combinations(pts, k):
-            if all(any(dist2(p, c) <= e2 for c in centers) for p in pts):
+        for centers in itertools.combinations(ball, k):
+            if functools.reduce(operator.or_, centers) == everything:
                 return k
     return len(pts)
 
 
 def brute_max_packing(pts, eps):
-    """Largest subset of pts with pairwise distance > 2*eps."""
+    """Largest subset of pts with pairwise distance > 2*eps.
+
+    Bit j of clash[i] says that pts[i] and pts[j] (j != i) are not farther
+    apart than 2*eps; a subset packs when none of its members clashes
+    with another.
+    """
     thr = 4 * eps * eps
+    clash = [
+        sum(1 << j for j, q in enumerate(pts) if j != i and not dist2(p, q) > thr)
+        for i, p in enumerate(pts)
+    ]
     for k in range(len(pts), 0, -1):
-        for sub in itertools.combinations(pts, k):
-            if all(dist2(p, q) > thr for p, q in itertools.combinations(sub, 2)):
+        for sub in itertools.combinations(range(len(pts)), k):
+            members = sum(1 << i for i in sub)
+            if not any(clash[i] & members for i in sub):
                 return k
     return 0
 

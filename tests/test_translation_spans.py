@@ -70,6 +70,21 @@ def test_circulant_matrix_structure():
     assert np.array_equal(mat[1], np.array([4.0, 1.0, 2.0, 3.0]))
 
 
+def roll_circulant(values):
+    """The translate matrix as it was first built: one np.roll per row."""
+    return np.stack([np.roll(values, k) for k in range(len(values))])
+
+
+@pytest.mark.parametrize("m", [2, 3, 64, 65])
+def test_circulant_matrix_matches_roll_reference(m):
+    rng = np.random.default_rng(m)
+    f = GridFunction(rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    mat = circulant_matrix(f)
+    ref = roll_circulant(f.values)
+    assert mat.dtype == ref.dtype
+    assert np.array_equal(mat, ref)
+
+
 def test_span_requires_1d():
     f2 = GridFunction(np.ones((4, 4)))
     with pytest.raises(DomainError):
