@@ -1,7 +1,7 @@
 """Branching interval constructions, their levels, measures, and product bounds."""
 
-from .io import read_level_csv, read_params, write_level_csv, write_params
-from .levels import CantorLevel, build_level
+from .io import write_level_csv, write_params
+from .levels import CantorLevel, build_level, check_level_budget
 from .measures import natural_measure
 from .params import (
     CantorParams,
@@ -21,11 +21,10 @@ __all__ = [
     "ProductMinkowskiBounds",
     "ValidationReport",
     "build_level",
+    "check_level_budget",
     "middle_thirds_params",
     "natural_measure",
     "product_minkowski_bounds",
-    "read_level_csv",
-    "read_params",
     "sample_salem_offsets",
     "similarity_dimension",
     "tapered_eta",

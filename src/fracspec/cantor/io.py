@@ -1,8 +1,8 @@
 """On-disk formats for construction parameters and levels.
 
-Parameters round-trip through JSON with rationals serialized as "p/q"
-strings, so a reload reproduces the construction bit for bit.  Levels
-export to CSV with numerator/denominator columns for the same reason.
+Parameters are written as JSON with rationals serialized as "p/q"
+strings, and levels as CSV with numerator/denominator columns, so the
+files record the exact rationals rather than rounded floats.
 """
 
 from __future__ import annotations
@@ -12,9 +12,6 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from ..errors import ConfigError
-from ..geometry.intervals import IntervalUnion
-from ..numeric import parse_rational
 from .levels import CantorLevel
 from .params import CantorParams
 
@@ -37,23 +34,6 @@ def write_params(params: CantorParams, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def read_params(path) -> CantorParams:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read parameter file {path}: {exc}") from exc
-    try:
-        return CantorParams.create(
-            branches=int(doc["branches"]),
-            ratio=parse_rational(doc["ratio"]),
-            offsets=[parse_rational(a) for a in doc["offsets"]],
-            eta_rule=doc.get("eta_rule", "constant"),
-            seed=doc.get("seed"),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"parameter file {path} is missing {exc}") from exc
-
-
 def write_level_csv(level: CantorLevel, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -68,19 +48,3 @@ def write_level_csv(level: CantorLevel, path) -> None:
                     length.denominator,
                 ]
             )
-
-
-def read_level_csv(path) -> IntervalUnion:
-    """Reload interval data written by write_level_csv (geometry only)."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(LEVEL_FIELDS) - set(reader.fieldnames):
-            raise ConfigError(f"{path} lacks the expected level columns")
-        pairs = [
-            (
-                Fraction(int(row["start_num"]), int(row["start_den"])),
-                Fraction(int(row["len_num"]), int(row["len_den"])),
-            )
-            for row in reader
-        ]
-    return IntervalUnion.from_pairs(pairs)

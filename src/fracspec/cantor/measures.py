@@ -18,5 +18,5 @@ def natural_measure(params: CantorParams, depth: int) -> WeightedMeasure:
     level = build_level(params, depth)
     weight = float(Fraction(1, params.branches**depth))
     return WeightedMeasure.from_atoms(
-        [float(a) for a in level.midpoints()], [weight] * level.member_count
+        [float(a) for a in level.intervals.midpoints()], [weight] * level.member_count
     )

@@ -79,12 +79,15 @@ class CantorParams:
             return self.ratio
         return tapered_eta(self.ratio, level)
 
-    def level_length(self, level: int) -> Fraction:
-        """Exact length of one level-`level` interval: prod of eta_1..eta_level."""
-        out = Fraction(1)
-        for j in range(1, level + 1):
-            out *= self.eta_at(j)
-        return out
+    def level_lengths(self, depth: int) -> tuple:
+        """Exact (L_0, ..., L_depth): L_j = eta_1 * ... * eta_j is the length
+        of each of the branches**j level-j intervals."""
+        if depth < 0:
+            raise DomainError("depth must be >= 0")
+        out = [Fraction(1)]
+        for j in range(1, depth + 1):
+            out.append(out[-1] * self.eta_at(j))
+        return tuple(out)
 
     def dimension_log_ratio(self) -> LogRatio:
         """Exact-form dimension log(N)/log(1/eta) when eta is 1/q for integer q."""

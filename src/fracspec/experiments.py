@@ -21,6 +21,7 @@ import numpy as np
 from .cantor import (
     CantorParams,
     build_level,
+    check_level_budget,
     sample_salem_offsets,
     write_level_csv,
     write_params,
@@ -164,7 +165,7 @@ def run_construct(cfg: ExperimentConfig) -> ReportRecord:
     out = _out_dir(cfg)
     write_params(params, out / "params.json")
     write_level_csv(level, out / "level.csv")
-    starts = level.starts()
+    first_start, _ = level.intervals.intervals[0]
     gaps = level.intervals.gap_counts
     return ReportRecord(
         experiment=cfg.experiment,
@@ -175,7 +176,7 @@ def run_construct(cfg: ExperimentConfig) -> ReportRecord:
             "total_length": float(level.intervals.measure),
             "min_gap": float(gaps[0][0]) if gaps else 0.0,
             "dimension": float(params.dimension),
-            "first_start": float(starts[0]),
+            "first_start": float(first_start),
         },
         flags={"count_matches_branching": level.member_count == params.branches**depth},
     )
@@ -187,14 +188,15 @@ def run_dim(cfg: ExperimentConfig) -> ReportRecord:
     if hi - lo + 1 < MIN_SCALES:
         raise ConfigError(f"dim.level_min..dim.level_max must span at least {MIN_SCALES} levels")
     params = _params_from_config(cfg, opts)
-    levels = [build_level(params, m) for m in range(lo, hi + 1)]
-    fit = box_dimension_estimate(levels)
+    # the counts are structural, branches**m intervals of length L_m, so no
+    # level is built; a window build_level would refuse is still refused
+    for depth in (lo, hi):
+        check_level_budget(params, depth)
+    lengths = params.level_lengths(hi)
+    rows = [(lengths[m], params.branches**m) for m in range(lo, hi + 1)]
+    fit = box_dimension_estimate(rows)
     out = _out_dir(cfg)
-    write_csv(
-        out / "counts.csv",
-        ("eps", "count"),
-        [(fmt(lv.natural_scale), lv.member_count) for lv in levels],
-    )
+    write_csv(out / "counts.csv", ("eps", "count"), [(fmt(eps), count) for eps, count in rows])
     return ReportRecord(
         experiment=cfg.experiment,
         digest=cfg.digest(),

@@ -9,7 +9,6 @@ from .annuli import (
     lq_annulus_diagnostics,
 )
 from .bump import (
-    SUP_METADATA,
     BumpFunction,
     DyadicProfile,
     annulus_sup_squared,
@@ -22,16 +21,11 @@ from .mollifier import (
     bessel_tail_profile,
     mollifier_sum,
 )
-from .transforms import (
-    TransformValue,
-    cantor_fourier,
-    cantor_fourier_grid,
-)
+from .transforms import cantor_fourier_grid
 
 __all__ = [
     "MIN_OCTAVES",
     "RATIO_THRESHOLD",
-    "SUP_METADATA",
     "BumpFunction",
     "DyadicProfile",
     "MollifierRow",
@@ -40,11 +34,9 @@ __all__ = [
     "OctaveRow",
     "RadialProfile",
     "SpectralGrid",
-    "TransformValue",
     "annulus_sup_squared",
     "bessel_tail_profile",
     "bump_profile",
-    "cantor_fourier",
     "cantor_fourier_grid",
     "lq_annulus_diagnostics",
     "mollifier_sum",

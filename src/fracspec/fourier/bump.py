@@ -1,9 +1,9 @@
 """The canonical unit-ball bump, its transform, and dyadic annulus sups.
 
 One fixed bump keeps every downstream table reproducible.  The annulus
-suprema are certified only up to the sampling density (64 radii per
-octave plus golden-section refinement to 1e-8 relative); that caveat is
-carried in SUP_METADATA rather than silently dropped.
+suprema are certified only up to the sampling density: 64 radii per
+octave plus golden-section refinement to 1e-8 relative.  A narrower
+peak between two samples can be missed.
 """
 
 from __future__ import annotations
@@ -22,14 +22,6 @@ NORMALIZATION_TOL = 1e-10
 SUP_SAMPLES_PER_OCTAVE = 64
 SUP_RELATIVE_TOL = 1e-8
 TAIL_INCREMENT_TOL = 1e-8
-
-SUP_METADATA = {
-    "samples_per_octave": SUP_SAMPLES_PER_OCTAVE,
-    "refinement": "golden-section",
-    "relative_tol": SUP_RELATIVE_TOL,
-    "caveat": "sup certified only up to sampling density",
-}
-
 
 def _raw_profile(r: np.ndarray) -> np.ndarray:
     r = np.asarray(r, dtype=float)

@@ -21,36 +21,10 @@ the value at xi = 0 is the total mass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 import numpy as np
 
 from ..errors import DomainError
 from ..cantor.params import CantorParams
-
-
-@dataclass(frozen=True)
-class TransformValue:
-    """One transform sample plus its certified truncation bound.
-
-    error_bound dominates the distance to the un-truncated limit:
-    the residual mass at level J sits in intervals of diameter L_J,
-    so the phase error is at most |xi| * L_J.
-    """
-
-    value: complex
-    error_bound: float
-
-
-def level_scale_floats(params: CantorParams, depth: int) -> list[float]:
-    """[L_0, L_1, ..., L_depth] with L_j = eta_1 * ... * eta_j, as floats."""
-    out = [1.0]
-    acc = Fraction(1)
-    for j in range(1, depth + 1):
-        acc *= params.eta_at(j)
-        out.append(float(acc))
-    return out
 
 
 # Frequencies per block of cantor_fourier_grid, small enough that the
@@ -63,12 +37,15 @@ BLOCK = 4096
 def cantor_fourier_grid(params: CantorParams, depth: int, xi) -> tuple[np.ndarray, np.ndarray]:
     """Transform of the level-`depth` measure on an array of frequencies.
 
-    Returns (values, error_bounds), both shaped like xi.
+    Returns (values, error_bounds), both shaped like xi.  An error bound
+    dominates the distance to the un-truncated limit: the level-depth mass
+    sits in intervals of length L_depth, so the phase error is at most
+    |xi| * L_depth.
     """
     if depth < 1:
         raise DomainError("depth must be >= 1")
     xi_arr = np.asarray(xi, dtype=float)
-    scales = level_scale_floats(params, depth)
+    scales = [float(length) for length in params.level_lengths(depth)]
     offsets = np.array([float(a) for a in params.offsets])
     shifts = [offsets * scales[j - 1] for j in range(1, depth + 1)]
     flat = xi_arr.reshape(-1)
@@ -86,10 +63,3 @@ def cantor_fourier_grid(params: CantorParams, depth: int, xi) -> tuple[np.ndarra
         block *= np.exp(-0.5j * xi_block * scales[depth])
     errors = np.abs(xi_arr) * scales[depth]
     return values.reshape(xi_arr.shape), errors
-
-
-def cantor_fourier(params: CantorParams, depth: int, xi: float) -> TransformValue:
-    """Scalar convenience wrapper around cantor_fourier_grid."""
-    values, errors = cantor_fourier_grid(params, depth, np.array([float(xi)]))
-    return TransformValue(complex(values[0]), float(errors[0]))
-

@@ -54,9 +54,8 @@ def box_dimension_estimate(source, sweep: ScaleSweep | None = None, mode: str = 
 
     * a PointCloud plus a ScaleSweep: counts come from covering_number
       at each scale (greedy by default, so large clouds are fine);
-    * a sequence of construction levels (anything with ``member_count``
-      and ``natural_scale`` attributes): counts are structural, one ball
-      per member at that member's own scale.
+    * (scale, count) rows of a 1-D construction, such as N**m intervals
+      at their length L_m: the counts are taken as given.
 
     The slope is clamped to [0, ambient dimension]; a flat count profile
     is reported as degenerate rather than hidden.
@@ -67,10 +66,5 @@ def box_dimension_estimate(source, sweep: ScaleSweep | None = None, mode: str = 
         scales = sweep.scales()
         counts = [covering_number(source, e, mode=mode) for e in scales]
         return _fit(scales, counts, source.n)
-    levels = list(source)
-    if not levels:
-        raise DomainError("empty level sequence")
-    eps_values = [lv.natural_scale for lv in levels]
-    counts = [lv.member_count for lv in levels]
-    ambient = getattr(levels[0], "ambient_dim", 1)
-    return _fit(eps_values, counts, ambient)
+    rows = list(source)
+    return _fit([scale for scale, _ in rows], [count for _, count in rows], 1)

@@ -82,11 +82,6 @@ class IntervalUnion:
         return cls(_normalize(pairs))
 
     @classmethod
-    def from_endpoints(cls, spans: Iterable[tuple]) -> "IntervalUnion":
-        """Build from (a, b) endpoint pairs with a < b."""
-        return cls.from_pairs((a, as_fraction(b) - as_fraction(a)) for a, b in spans)
-
-    @classmethod
     def empty(cls) -> "IntervalUnion":
         return cls(())
 
@@ -97,17 +92,6 @@ class IntervalUnion:
     @cached_property
     def measure(self) -> Fraction:
         return sum((l for _, l in self.intervals), Fraction(0))
-
-    def starts(self) -> tuple[Fraction, ...]:
-        return tuple(s for s, _ in self.intervals)
-
-    def endpoints(self) -> tuple[Fraction, ...]:
-        """All interval endpoints, left to right."""
-        out = []
-        for s, l in self.intervals:
-            out.append(s)
-            out.append(s + l)
-        return tuple(out)
 
     def midpoints(self) -> tuple[Fraction, ...]:
         return tuple(s + l / 2 for s, l in self.intervals)
@@ -136,18 +120,6 @@ class IntervalUnion:
             return False
         s, l = self.intervals[i - 1]
         return s <= v <= s + l
-
-    def is_subset_of(self, other: "IntervalUnion") -> bool:
-        """True when every interval here sits inside one interval of other."""
-        other_starts = other.starts()
-        for s, l in self.intervals:
-            i = bisect_right(other_starts, s)
-            if i == 0:
-                return False
-            os, ol = other.intervals[i - 1]
-            if not (os <= s and s + l <= os + ol):
-                return False
-        return True
 
     def __iter__(self):
         return iter(self.intervals)

@@ -16,9 +16,8 @@ LOG2_OVER_LOG3 = math.log(2) / math.log(3)
 
 
 def test_structural_counts_give_exact_slope():
-    params = middle_thirds_params()
-    levels = [build_level(params, m) for m in range(3, 11)]
-    fit = box_dimension_estimate(levels)
+    lengths = middle_thirds_params().level_lengths(10)
+    fit = box_dimension_estimate([(lengths[m], 2**m) for m in range(3, 11)])
     # counts 2**m at scales 3**-m make the log-log fit a perfect line
     assert abs(fit.slope - LOG2_OVER_LOG3) < 1e-12
     assert fit.residual_rms < 1e-12

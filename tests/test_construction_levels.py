@@ -1,32 +1,29 @@
 """Level recursion, natural measures, and on-disk round-trips."""
 
+import csv
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fracspec.cantor.io import read_level_csv, read_params, write_level_csv, write_params
+from fracspec.cantor.io import write_level_csv, write_params
 from fracspec.cantor import levels
 from fracspec.cantor.levels import MAX_INTERVALS, build_level
 from fracspec.cantor.measures import natural_measure
 from fracspec.cantor.params import CantorParams, middle_thirds_params
 from fracspec.cantor.sampling import sample_salem_offsets
-from fracspec.errors import ConfigError, DomainError, SizeError
+from fracspec.errors import DomainError, SizeError
 from fracspec.geometry.density import ball_mass
 from fracspec.geometry.intervals import IntervalUnion
 
 
 def test_level_two_starts_frozen():
     level = build_level(middle_thirds_params(), 2)
-    assert level.starts() == (
-        Fraction(0),
-        Fraction(2, 9),
-        Fraction(2, 3),
-        Fraction(8, 9),
+    assert level.intervals.intervals == tuple(
+        (s, Fraction(1, 9)) for s in (Fraction(0), Fraction(2, 9), Fraction(2, 3), Fraction(8, 9))
     )
     assert level.member_count == 4
-    assert level.natural_scale == Fraction(1, 9)
     assert level.intervals.measure == Fraction(4, 9)
 
 
@@ -36,7 +33,10 @@ def test_levels_nest():
     assert prev.intervals.intervals == ((Fraction(0), Fraction(1)),)
     for depth in range(1, 7):
         cur = build_level(params, depth)
-        assert cur.intervals.is_subset_of(prev.intervals)
+        # the i-th interval is a child of parent i // 2
+        for i, (s, l) in enumerate(cur.intervals):
+            ps, pl = prev.intervals.intervals[i // 2]
+            assert ps <= s and s + l <= ps + pl
         assert cur.member_count == 2**depth
         prev = cur
 
@@ -88,7 +88,7 @@ def merged_level(params, depth):
     return union
 
 
-@pytest.mark.parametrize(
+ORACLE_CASES = pytest.mark.parametrize(
     "params, depth",
     [
         (middle_thirds_params(), 8),
@@ -112,10 +112,26 @@ def merged_level(params, depth):
     ],
     ids=["middle-thirds", "tapered-3", "seeded-4"],
 )
+
+
+@ORACLE_CASES
 def test_build_level_matches_merged_enumeration(params, depth):
     level = build_level(params, depth)
     assert level.intervals.intervals == merged_level(params, depth).intervals
     assert level.member_count == params.branches**depth
+
+
+@ORACLE_CASES
+def test_closed_form_rows_match_built_levels(params, depth):
+    """The (L_m, N**m) rows that dim and box-dimension read without
+    building a level are each built level's interval length and count;
+    the test above holds build_level to the merged enumeration."""
+    lengths = params.level_lengths(depth)
+    assert len(lengths) == depth + 1
+    for m in range(depth + 1):
+        level = build_level(params, m)
+        assert {l for _, l in level.intervals} == {lengths[m]}
+        assert level.intervals.count == params.branches**m
 
 
 def test_unvalidated_offsets_raise():
@@ -133,7 +149,7 @@ def test_natural_measure_totals_and_interval_mass():
     level = build_level(params, 5)
     mu = natural_measure(params, 5)
     assert mu.n == 1
-    assert mu.atoms[:, 0].tolist() == [float(m) for m in level.midpoints()]
+    assert mu.atoms[:, 0].tolist() == [float(m) for m in level.intervals.midpoints()]
     assert mu.weights.tolist() == [float(Fraction(1, 32))] * 32
     assert mu.total == 1.0
     # each level-1 child, [0, 1/3] and [2/3, 1], carries exactly half the mass
@@ -151,44 +167,40 @@ def test_params_json_round_trip(tmp_path):
     )
     path = tmp_path / "params.json"
     write_params(params, path)
-    back = read_params(path)
-    assert back == params
-    assert back.level_length(2) == Fraction(1, 4) * Fraction(8, 27)
     doc = json.loads(path.read_text())
-    assert doc["ratio"] == "1/3"
-    assert doc["eta_rule"] == "tapered"
-    assert doc["seed"] == 11
-
-
-def test_params_read_errors(tmp_path):
-    missing = tmp_path / "nope.json"
-    with pytest.raises(ConfigError):
-        read_params(missing)
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(ConfigError):
-        read_params(bad)
-    incomplete = tmp_path / "incomplete.json"
-    incomplete.write_text(json.dumps({"branches": 2}))
-    with pytest.raises(ConfigError):
-        read_params(incomplete)
+    assert doc == {
+        "branches": 2,
+        "ratio": "1/3",
+        "offsets": ["0/1", "2/3"],
+        "eta_rule": "tapered",
+        "seed": 11,
+    }
+    back = CantorParams.create(
+        doc["branches"],
+        Fraction(doc["ratio"]),
+        [Fraction(a) for a in doc["offsets"]],
+        eta_rule=doc["eta_rule"],
+        seed=doc["seed"],
+    )
+    assert back == params
 
 
 def test_level_csv_round_trip(tmp_path):
     level = build_level(middle_thirds_params(), 4)
     path = tmp_path / "level.csv"
     write_level_csv(level, path)
-    union = read_level_csv(path)
-    assert union == level.intervals
-    header = path.read_text().splitlines()[0]
-    assert header == "index,start_num,start_den,len_num,len_den"
-
-
-def test_level_csv_rejects_wrong_columns(tmp_path):
-    path = tmp_path / "wrong.csv"
-    path.write_text("a,b\n1,2\n")
-    with pytest.raises(ConfigError):
-        read_level_csv(path)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["index", "start_num", "start_den", "len_num", "len_den"]
+    stored = [
+        (
+            Fraction(int(row["start_num"]), int(row["start_den"])),
+            Fraction(int(row["len_num"]), int(row["len_den"])),
+        )
+        for row in rows
+    ]
+    assert [int(row["index"]) for row in rows] == list(range(16))
+    assert IntervalUnion.from_pairs(stored) == level.intervals
 
 
 def test_offset_sampling_respects_gaps():

@@ -22,7 +22,7 @@ def test_middle_thirds_defaults():
     assert p.offsets == (Fraction(0), Fraction(2, 3))
     assert abs(p.dimension - math.log(2) / math.log(3)) < 1e-15
     assert p.eta_rule == "constant"
-    assert p.level_length(3) == Fraction(1, 27)
+    assert p.level_lengths(3) == (1, Fraction(1, 3), Fraction(1, 9), Fraction(1, 27))
 
 
 def test_similarity_dimension_solves_moran():
@@ -74,7 +74,9 @@ def test_tapered_rule_values():
         2, eta, (Fraction(0), Fraction(2, 3)), eta_rule="tapered"
     )
     assert p.eta_at(1) == Fraction(1, 4)
-    assert p.level_length(2) == Fraction(1, 4) * Fraction(8, 27)
+    assert p.level_lengths(2) == (1, Fraction(1, 4), Fraction(1, 4) * Fraction(8, 27))
+    with pytest.raises(DomainError):
+        p.level_lengths(-1)
 
 
 def test_dimension_log_ratio_exactness():

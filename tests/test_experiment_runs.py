@@ -3,14 +3,13 @@
 import hashlib
 import json
 import tempfile
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fracspec.cantor import read_level_csv, read_params
+import fracspec.experiments
 from fracspec.cli import main
 from fracspec.config import ExperimentConfig
 from fracspec.errors import ConfigError
@@ -46,10 +45,10 @@ def test_construct_artifacts(tmp_path):
     # narrowest gap at depth 3 separates sibling leaves: length (1/3)^3
     assert record.metrics["min_gap"] == pytest.approx(1 / 27)
     assert record.flags["count_matches_branching"]
-    params = read_params(out / "params.json")
-    assert params.branches == 2 and params.ratio == Fraction(1, 3)
-    stored = read_level_csv(out / "level.csv")
-    assert len(stored.intervals) == 8
+    params = json.loads((out / "params.json").read_text())
+    assert params["branches"] == 2 and params["ratio"] == "1/3"
+    # a header line and one line per interval
+    assert len((out / "level.csv").read_text().splitlines()) == 1 + 8
     on_disk = json.loads((out / "report.json").read_text())
     assert on_disk["digest"] == cfg.digest()
 
@@ -296,6 +295,30 @@ def test_cli_runs_experiment(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["experiment"] == "construct"
     assert doc["metrics"]["intervals"] == 4
+
+
+@pytest.mark.parametrize(
+    "level_min, level_max, code, message",
+    [
+        (3, 21, 1, "exceed the budget"),
+        (3, 10**6, 1, "exceed the budget"),
+        (-1, 5, 1, ">= 0"),
+        (3, 20, 0, ""),
+    ],
+)
+def test_cli_dim_budget(tmp_path, capsys, monkeypatch, level_min, level_max, code, message):
+    """dim refuses the windows build_level would, before any work: two
+    branches fit 2**20 intervals at level 20 but not at level 21."""
+    called = []
+    monkeypatch.setattr(fracspec.experiments, "build_level", lambda *args: called.append(args))
+    path = tmp_path / "run.cfg"
+    path.write_text(f"dim.level_min = {level_min}\ndim.level_max = {level_max}\n")
+    assert main(["dim", "--config", str(path), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert called == []
+    assert "Traceback" not in err
+    assert message in err
+    assert (tmp_path / "out" / "dim").exists() == (code == 0)
 
 
 def test_cli_config_errors_exit_2(tmp_path):

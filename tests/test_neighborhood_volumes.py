@@ -21,7 +21,7 @@ from fracspec.numeric import LogRatio
 
 
 def test_interval_union_volume_exact():
-    k1 = IntervalUnion.from_endpoints([(0, Fraction(1, 3)), (Fraction(2, 3), 1)])
+    k1 = IntervalUnion.from_pairs([(0, Fraction(1, 3)), (Fraction(2, 3), Fraction(1, 3))])
     vol = eps_neighborhood_volume(k1, Fraction(1, 9))
     assert vol.exact
     assert vol.value == vol.low == vol.high == Fraction(10, 9)
@@ -192,7 +192,7 @@ def test_ratio_sweep_alpha_range():
 
 def test_full_interval_ratio_constant():
     # alpha = 1 on [0, 1]: ratio = (1 + 2 eps) -> stays within [1, 3] for eps <= 1
-    union = IntervalUnion.from_endpoints([(0, 1)])
+    union = IntervalUnion.from_pairs([(0, 1)])
     sweep = ScaleSweep(Fraction(1, 2), Fraction(1, 2), 6)
     result = minkowski_ratio_sweep(union, 1.0, sweep)
     for row, eps in zip(result.rows, sweep.scales()):

@@ -42,7 +42,7 @@ def test_square_volume_sandwich_frozen():
 
 
 def test_product_bounds_validation():
-    base = IntervalUnion.from_endpoints([(0, 1)])
+    base = IntervalUnion.from_pairs([(0, 1)])
     sweep = ScaleSweep(Fraction(1, 2), Fraction(1, 2), 4)
     with pytest.raises(DomainError):
         product_minkowski_bounds(IntervalUnion.empty(), 2, 1.0, sweep)
@@ -52,7 +52,7 @@ def test_product_bounds_validation():
 
 def test_unit_square_sandwich_brackets_truth():
     # [0,1]**2 at alpha = 2: ratio_low <= (1 + 2 eps)**2 <= ratio_high
-    base = IntervalUnion.from_endpoints([(0, 1)])
+    base = IntervalUnion.from_pairs([(0, 1)])
     sweep = ScaleSweep(Fraction(1, 4), Fraction(1, 2), 5)
     bounds = product_minkowski_bounds(base, 2, 2.0, sweep)
     for row, eps in zip(bounds.rows, sweep.scales()):
