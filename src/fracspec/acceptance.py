@@ -68,7 +68,6 @@ class CriterionResult:
     detail: str
     values: dict = field(default_factory=dict)
     wall_time_s: float = 0.0
-    time_limit_s: float | None = None
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
@@ -364,7 +363,7 @@ def criterion_span_oracle(trials: int = 100, seed: int = 907) -> CriterionResult
 def criterion_verdict_formulas() -> CriterionResult:
     issues = []
 
-    radial = SphericalZeroSet(radii=(1.0,), gaps=(), tol=1e-9, shell_width=1.0)
+    radial = SphericalZeroSet(radii=(1.0,), gaps=(), tol=1e-9)
     report = verdict(radial, 0.0, 2)
     row = next(r for r in report.rows if r.rule == RULE_MOTION_RADIAL)
     if not (abs(row.p_lo - 4.0 / 3.0) <= 1e-12 and row.p_hi == 2.0):
@@ -446,7 +445,6 @@ def run_criterion(name: str) -> CriterionResult:
     except Exception as exc:  # a crash is a failure, not an abort
         result = CriterionResult(name=name, passed=False, detail=f"raised {exc!r}")
     result.wall_time_s = time.perf_counter() - started
-    result.time_limit_s = limit
     if limit is not None and result.wall_time_s > limit:
         result.passed = False
         result.detail += f"; exceeded time limit {limit:.0f}s"

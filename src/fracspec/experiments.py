@@ -258,7 +258,7 @@ def spectral_grid(
     top = 2.0 ** (j_hi + 1)
     xi = np.arange(spacing, top + spacing / 2, spacing)
     values, errors = cantor_fourier_grid(params, depth, xi)
-    return SpectralGrid(xi=xi, values=np.abs(values), spacing=spacing, dim=1), values, errors
+    return SpectralGrid(xi=xi, values=np.abs(values), spacing=spacing), values, errors
 
 
 def run_fourier(cfg: ExperimentConfig) -> ReportRecord:
@@ -376,7 +376,7 @@ def _run_radial_scan(cfg: ExperimentConfig, opts: dict, out: Path) -> ReportReco
     rng = np.random.default_rng(seed)
     base = GridFunction(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
     masked = mask_spectrum_on_radii(base, radii, band)
-    zero_set = spherical_zero_radii(masked, shell_width=1.0)
+    zero_set = spherical_zero_radii(masked)
     write_csv(out / "radii.csv", ("radius",), [(fmt(r),) for r in zero_set.radii])
     recovered = []
     for target in radii:

@@ -18,31 +18,26 @@ from ..numeric import integrate_panels, sphere_surface_area
 RATIO_THRESHOLD = 0.9
 TAIL_RATIO_COUNT = 4
 MIN_OCTAVES = 4
+# panel width of the quadrature for radial (callable) sources
+OCTAVE_PANEL_WIDTH = 0.5
 
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Uniformly spaced transform samples, 1-D or 2-D frequency lattice."""
+    """Uniformly spaced transform samples on a 1-D frequency lattice."""
 
     xi: np.ndarray
     values: np.ndarray
     spacing: float
-    dim: int = 1
 
     def __post_init__(self):
         if not self.spacing > 0:
             raise DomainError("spacing must be positive")
-        if self.dim not in (1, 2):
-            raise DomainError("only 1-D and 2-D grids are supported")
-        norms = self.norms()
-        if norms.shape != np.asarray(self.values).shape:
+        if self.norms().shape != np.asarray(self.values).shape:
             raise DomainError("xi and values shapes disagree")
 
     def norms(self) -> np.ndarray:
-        xi = np.asarray(self.xi, dtype=float)
-        if self.dim == 1:
-            return np.abs(xi)
-        return np.sqrt((xi**2).sum(axis=-1))
+        return np.abs(np.asarray(self.xi, dtype=float))
 
     @property
     def extent(self) -> float:
@@ -65,11 +60,6 @@ class OctaveDiagnostics:
     rows: tuple
     tail_ratios: tuple
     verdict: str
-    threshold: float = RATIO_THRESHOLD
-
-    @property
-    def integrals(self) -> tuple:
-        return tuple(r.integral for r in self.rows)
 
 
 def _octave_rows_from_grid(grid: SpectralGrid, q: float, j0: int, j1: int) -> list[OctaveRow]:
@@ -80,18 +70,15 @@ def _octave_rows_from_grid(grid: SpectralGrid, q: float, j0: int, j1: int) -> li
         )
     norms = grid.norms().ravel()
     mags = np.abs(np.asarray(grid.values)).ravel()
-    cell = grid.spacing**grid.dim
     rows = []
     for j in range(j0, j1 + 1):
         lo, hi = 2.0**j, 2.0**(j + 1)
         mask = (norms >= lo) & (norms < hi)
-        rows.append(OctaveRow(j, lo, hi, float((mags[mask] ** q).sum() * cell), None))
+        rows.append(OctaveRow(j, lo, hi, float((mags[mask] ** q).sum() * grid.spacing), None))
     return rows
 
 
-def _octave_rows_from_callable(
-    fn, q: float, j0: int, j1: int, dim: int, panel_width: float
-) -> list[OctaveRow]:
+def _octave_rows_from_callable(fn, q: float, j0: int, j1: int, dim: int) -> list[OctaveRow]:
     surface = sphere_surface_area(dim)
     rows = []
     for j in range(j0, j1 + 1):
@@ -100,7 +87,7 @@ def _octave_rows_from_callable(
         def integrand(r):
             return np.abs(np.asarray(fn(r))) ** q * r ** (dim - 1)
 
-        val = surface * integrate_panels(integrand, lo, hi, panel_width=panel_width)
+        val = surface * integrate_panels(integrand, lo, hi, panel_width=OCTAVE_PANEL_WIDTH)
         rows.append(OctaveRow(j, lo, hi, val, None))
     return rows
 
@@ -116,14 +103,7 @@ def _attach_ratios(rows: list[OctaveRow]) -> list[OctaveRow]:
     return out
 
 
-def lq_annulus_diagnostics(
-    source,
-    q: float,
-    j0: int,
-    j1: int,
-    dim: int = 1,
-    panel_width: float = 0.5,
-) -> OctaveDiagnostics:
+def lq_annulus_diagnostics(source, q: float, j0: int, j1: int, dim: int = 1) -> OctaveDiagnostics:
     """Integrate |source|**q over the annuli 2**j <= |xi| <= 2**(j+1).
 
     source is either a SpectralGrid (lattice Riemann sums; a one-sided
@@ -141,9 +121,9 @@ def lq_annulus_diagnostics(
         raise DomainError(f"need at least {MIN_OCTAVES} octaves")
     if isinstance(source, SpectralGrid):
         rows = _octave_rows_from_grid(source, q, j0, j1)
-        dim = source.dim
+        dim = 1
     elif callable(source):
-        rows = _octave_rows_from_callable(source, q, j0, j1, dim, panel_width)
+        rows = _octave_rows_from_callable(source, q, j0, j1, dim)
     else:
         raise DomainError(f"unsupported source type {type(source).__name__}")
     rows = _attach_ratios(rows)

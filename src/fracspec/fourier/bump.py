@@ -21,7 +21,6 @@ from ..numeric import integrate_panels, sphere_surface_area
 NORMALIZATION_TOL = 1e-10
 SUP_SAMPLES_PER_OCTAVE = 64
 SUP_RELATIVE_TOL = 1e-8
-TAIL_INCREMENT_TOL = 1e-8
 
 def _raw_profile(r: np.ndarray) -> np.ndarray:
     r = np.asarray(r, dtype=float)
@@ -67,13 +66,6 @@ class BumpFunction:
             1.0,
             panel_width=0.125,
         )
-
-    def mollifier(self, eps: float):
-        """x -> eps**-dim * chi(x/eps) as a radial callable."""
-        if not eps > 0:
-            raise DomainError("eps must be positive")
-        scale = float(eps) ** (-self.dim)
-        return lambda r: scale * self.profile(np.asarray(r, dtype=float) / eps)
 
     def fourier_radial(self, rho) -> np.ndarray:
         """The transform at |xi| = rho, with the (2pi)**(-dim/2) prefactor.
@@ -148,13 +140,6 @@ class DyadicProfile:
     j_lo: int
     j_hi: int
     a: tuple
-    sup_values: tuple
-    partial_sums: tuple
-    stable_tail_index: int | None
-
-    @property
-    def total(self) -> float:
-        return self.partial_sums[-1]
 
     def a_at(self, j: int) -> float:
         if not (self.j_lo <= j <= self.j_hi):
@@ -163,34 +148,11 @@ class DyadicProfile:
 
 
 def bump_profile(chi: BumpFunction, alpha: float, j_lo: int, j_hi: int) -> DyadicProfile:
-    """Tabulate the dyadic weights a_j for the given exponent.
-
-    stable_tail_index is the first j beyond which every partial-sum
-    increment stays below TAIL_INCREMENT_TOL (None if never reached).
-    """
+    """Tabulate the dyadic weights a_j for the given exponent."""
     if not (0 <= alpha < chi.dim):
         raise DomainError(f"alpha must lie in [0, {chi.dim})")
     if j_hi < j_lo:
         raise DomainError("j_hi must be >= j_lo")
-    sups = [annulus_sup_squared(chi.dim, j) for j in range(j_lo, j_hi + 1)]
-    a = [2.0 ** (j * (chi.dim - alpha)) * s for j, s in zip(range(j_lo, j_hi + 1), sups)]
-    sums, acc = [], 0.0
-    for v in a:
-        acc += v
-        sums.append(acc)
-    stable = None
-    for i in range(len(a)):
-        if all(v < TAIL_INCREMENT_TOL for v in a[i:]):
-            stable = j_lo + i
-            break
-    return DyadicProfile(
-        dim=chi.dim,
-        alpha=alpha,
-        j_lo=j_lo,
-        j_hi=j_hi,
-        a=tuple(a),
-        sup_values=tuple(sups),
-        partial_sums=tuple(sums),
-        stable_tail_index=stable,
-    )
-
+    js = range(j_lo, j_hi + 1)
+    a = tuple(2.0 ** (j * (chi.dim - alpha)) * annulus_sup_squared(chi.dim, j) for j in js)
+    return DyadicProfile(dim=chi.dim, alpha=alpha, j_lo=j_lo, j_hi=j_hi, a=a)

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..errors import DomainError
 from ..numeric import quadrature_nodes, sphere_surface_area
-from .bump import BumpFunction, DyadicProfile, bump_profile
+from .bump import BumpFunction, bump_profile
 
 SHELL_PANEL_WIDTH = 0.5
 BOUND_SLACK = 1e-9
@@ -82,9 +82,7 @@ class MollifierRow:
     holder_bounds: tuple
     shell_volumes: tuple
     shell_lp_masses: tuple
-    peak_index: int
     tail_nonincreasing: bool
-    final_over_peak: float
 
 
 @dataclass(frozen=True)
@@ -93,11 +91,9 @@ class MollifierSweep:
     alpha: float
     p: float
     eps: tuple
-    profile: DyadicProfile
     rows: tuple
     sums: tuple  # per eps: sum over j of a_j * b_j
     holder_constant: float
-    f_lp_sq: Optional[float]
     uniform_bound_ok: bool
     tails_nonincreasing: bool
     notes: tuple
@@ -180,7 +176,6 @@ def mollifier_sum(
         nonincreasing = all(
             later <= earlier * (1 + BOUND_SLACK) for earlier, later in zip(tail, tail[1:])
         )
-        final_over_peak = 0.0 if b_vals[peak] == 0 else b_vals[-1] / b_vals[peak]
         rows.append(
             MollifierRow(
                 j=j,
@@ -189,9 +184,7 @@ def mollifier_sum(
                 holder_bounds=tuple(bounds),
                 shell_volumes=tuple(vols),
                 shell_lp_masses=tuple(masses),
-                peak_index=peak,
                 tail_nonincreasing=nonincreasing,
-                final_over_peak=final_over_peak,
             )
         )
         if not all(math.isfinite(v) for v in b_vals):
@@ -206,11 +199,7 @@ def mollifier_sum(
                 holder_constant = max(
                     holder_constant, scale * row.shell_volumes[e_idx] ** (1 - 2 / f.p)
                 )
-    f_lp_sq = None
-    if f.support_radius is not None:
-        _, _, total_lp = _shell_integrals(f, 0.0, f.support_radius)
-        f_lp_sq = total_lp ** (2 / f.p)
-    else:
+    if f.support_radius is None:
         notes.append("unbounded support: L^p mass reported per shell only")
     uniform_ok = all(
         b <= bound * (1 + BOUND_SLACK) + 1e-300
@@ -223,11 +212,9 @@ def mollifier_sum(
         alpha=alpha,
         p=f.p,
         eps=tuple(eps),
-        profile=profile,
         rows=tuple(rows),
         sums=sums,
         holder_constant=holder_constant,
-        f_lp_sq=f_lp_sq,
         uniform_bound_ok=uniform_ok,
         tails_nonincreasing=tails_ok,
         notes=tuple(notes),

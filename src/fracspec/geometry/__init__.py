@@ -1,8 +1,7 @@
 """Exact and approximate covering/packing geometry on finite data."""
 
 from .cloud import (
-    DEFAULT_EXACT_CAP,
-    Packing,
+    EXACT_CAP,
     PointCloud,
     covering_number,
     covering_witness,
@@ -27,13 +26,12 @@ from .volumes import (
 )
 
 __all__ = [
-    "DEFAULT_EXACT_CAP",
+    "EXACT_CAP",
     "DensityEstimate",
     "DimensionFit",
     "IntervalUnion",
     "MinkowskiRow",
     "MinkowskiSweep",
-    "Packing",
     "PointCloud",
     "ScaleSweep",
     "VolumeResult",

@@ -22,20 +22,19 @@ every count reported here is the centers-in-set version, and callers who
 need two-sided control evaluate the chain at doubled / halved radii as
 above rather than guessing.
 
-Comparisons run on squared distances, so clouds with Fraction
-coordinates are handled exactly.  In one dimension the exact counts use
-left-to-right sweeps (optimal by the standard exchange argument) and
-have no size cap; in higher dimensions exact mode is a branch-and-bound
-search capped at ``cap`` points.  The pairwise squared distances it
-reads do not depend on eps: they are computed once per cloud, on the
-first exact count, and each eps then costs one threshold pass over
-them.  The greedy modes, meant for clouds too large for exact search,
-never build that O(size**2) table.
+Every count is exact, and comparisons run on squared distances, so
+clouds with Fraction coordinates are handled exactly.  In one dimension
+the counts use left-to-right sweeps (optimal by the standard exchange
+argument) and have no size cap; in higher dimensions they come from a
+branch-and-bound search over at most EXACT_CAP points, and a larger
+cloud raises SizeError before any work.  The pairwise squared distances
+the search reads do not depend on eps: they are computed once per
+cloud, on the first count, and each eps then costs one threshold pass
+over them.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,7 +46,7 @@ import numpy as np
 from ..errors import DomainError, SizeError
 from ..numeric import as_fraction
 
-DEFAULT_EXACT_CAP = 15
+EXACT_CAP = 15
 
 
 def _dist2(p, q):
@@ -56,11 +55,7 @@ def _dist2(p, q):
 
 @dataclass(frozen=True)
 class PointCloud:
-    """A finite, deduplicated point set, sorted lexicographically.
-
-    The sort order is what makes greedy traversals deterministic: numpy's
-    argmax picks the first (hence lexicographically smallest) maximizer.
-    """
+    """A finite, deduplicated point set, sorted lexicographically."""
 
     points: tuple
     n: int
@@ -84,9 +79,6 @@ class PointCloud:
     def size(self) -> int:
         return len(self.points)
 
-    def is_float_backed(self) -> bool:
-        return all(isinstance(c, (int, float)) and not isinstance(c, bool) for p in self.points for c in p)
-
     def as_array(self) -> np.ndarray:
         return np.asarray([[float(c) for c in p] for p in self.points], dtype=float)
 
@@ -104,59 +96,10 @@ class PointCloud:
     def _dist2_table(self) -> tuple:
         """Squared distances between all pairs of points, row by row.
 
-        Built by the first exact count in dimension >= 2 and kept, since
-        the distances do not depend on eps.
+        Built by the first count in dimension >= 2 and kept, since the
+        distances do not depend on eps.
         """
         return tuple(tuple(_dist2(p, q) for q in self.points) for p in self.points)
-
-
-@dataclass(frozen=True)
-class Packing:
-    """Centers of pairwise disjoint open balls of a common radius."""
-
-    centers: tuple
-    radius: object
-
-
-# ---------------------------------------------------------------------------
-# greedy traversals
-
-
-def _farthest_points(cloud: PointCloud):
-    """Farthest-point traversal from the first point.
-
-    Yields (i, d2): the next center and its squared distance to the
-    centers before it.  Fraction clouds run on object arrays, so the
-    arithmetic stays exact; argmax takes the first maximizer, i.e. the
-    lexicographically smallest point.
-    """
-    pts = np.asarray(cloud.points, dtype=float if cloud.is_float_backed() else object)
-    d2 = ((pts - pts[0]) ** 2).sum(axis=1)
-    while True:
-        i = int(np.argmax(d2))
-        yield i, d2[i]
-        np.minimum(d2, ((pts - pts[i]) ** 2).sum(axis=1), out=d2)
-
-
-def _greedy_cover_count(cloud: PointCloud, eps) -> tuple[int, list[int]]:
-    """Farthest-point net: add the farthest uncovered point as a center."""
-    e2 = float(eps) ** 2 if cloud.is_float_backed() else eps * eps
-    centers = [0]
-    for i, d2 in _farthest_points(cloud):
-        if d2 <= e2:
-            return len(centers), centers
-        centers.append(i)
-
-
-def _greedy_pack(cloud: PointCloud, eps) -> list[int]:
-    """Maximal packing along the farthest-point order (a lower bound)."""
-    order = [0] + [i for i, _ in itertools.islice(_farthest_points(cloud), cloud.size - 1)]
-    thr = 4 * eps * eps
-    chosen: list[int] = []
-    for i in order:
-        if all(_dist2(cloud.points[i], cloud.points[c]) > thr for c in chosen):
-            chosen.append(i)
-    return chosen
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +150,7 @@ def _exact_cover_nd(cloud: PointCloud, eps) -> tuple[int, list[int]]:
     npts = cloud.size
     full = (1 << npts) - 1
 
-    best_count, best_sel = _greedy_set_cover(masks, full)
+    best_count, best_sel = _incumbent_cover(masks, full)
     max_gain = max(m.bit_count() for m in masks)
 
     def rec(uncovered: int, used: int, sel: list[int]):
@@ -239,7 +182,9 @@ def _exact_cover_nd(cloud: PointCloud, eps) -> tuple[int, list[int]]:
     return best_count, best_sel
 
 
-def _greedy_set_cover(masks: list[int], full: int) -> tuple[int, list[int]]:
+def _incumbent_cover(masks: list[int], full: int) -> tuple[int, list[int]]:
+    """A first cover to bound the search: take the center that covers the
+    most uncovered points until none is left."""
     uncovered, sel = full, []
     while uncovered:
         c = max(range(len(masks)), key=lambda k: ((masks[k] & uncovered).bit_count(), -k))
@@ -284,64 +229,44 @@ def _check_eps(eps):
         raise DomainError("eps must be positive")
 
 
-def covering_witness(cloud: PointCloud, eps, mode: str = "exact", cap: int = DEFAULT_EXACT_CAP):
+def _check_cap(cloud: PointCloud, what: str) -> None:
+    if cloud.size > EXACT_CAP:
+        raise SizeError(
+            f"exact {what} caps at {EXACT_CAP} points in dimension >= 2; got {cloud.size}"
+        )
+
+
+def covering_witness(cloud: PointCloud, eps):
     """Covering count plus the chosen centers (as cloud points)."""
     _check_eps(eps)
-    if mode == "greedy":
-        count, idx = _greedy_cover_count(cloud, eps)
-    elif mode == "exact":
-        if cloud.n == 1:
-            xs = [p[0] for p in cloud.points]
-            count, idx = _exact_cover_1d(xs, eps)
-        else:
-            if cloud.size > cap:
-                raise SizeError(
-                    f"exact covering caps at {cap} points in dimension >= 2; "
-                    f"got {cloud.size} (use mode='greedy')"
-                )
-            count, idx = _exact_cover_nd(cloud, eps)
+    if cloud.n == 1:
+        count, idx = _exact_cover_1d([p[0] for p in cloud.points], eps)
     else:
-        raise DomainError(f"unknown mode {mode!r}")
+        _check_cap(cloud, "covering")
+        count, idx = _exact_cover_nd(cloud, eps)
     return count, tuple(cloud.points[i] for i in idx)
 
 
-def covering_number(cloud: PointCloud, eps, mode: str = "exact", cap: int = DEFAULT_EXACT_CAP) -> int:
-    """Fewest closed eps-balls centered at cloud points that cover the cloud.
-
-    mode='exact' gives the true minimum (1-D always; otherwise up to
-    ``cap`` points).  mode='greedy' returns the size of the deterministic
-    farthest-point net, an upper bound on the exact count.
-    """
-    return covering_witness(cloud, eps, mode, cap)[0]
+def covering_number(cloud: PointCloud, eps) -> int:
+    """Fewest closed eps-balls centered at cloud points that cover the cloud."""
+    return covering_witness(cloud, eps)[0]
 
 
-def packing_witness(cloud: PointCloud, eps, mode: str = "exact", cap: int = DEFAULT_EXACT_CAP) -> Packing:
-    """A packing attaining the reported count."""
+def packing_witness(cloud: PointCloud, eps) -> tuple:
+    """The centers of a packing attaining the reported count."""
     _check_eps(eps)
-    if mode == "greedy":
-        idx = _greedy_pack(cloud, eps)
-    elif mode == "exact":
-        if cloud.n == 1:
-            xs = [p[0] for p in cloud.points]
-            idx = _exact_pack_1d(xs, eps)
-        else:
-            if cloud.size > cap:
-                raise SizeError(
-                    f"exact packing caps at {cap} points in dimension >= 2; "
-                    f"got {cloud.size} (use mode='greedy')"
-                )
-            idx = _exact_pack_nd(cloud, eps)
+    if cloud.n == 1:
+        idx = _exact_pack_1d([p[0] for p in cloud.points], eps)
     else:
-        raise DomainError(f"unknown mode {mode!r}")
-    return Packing(tuple(cloud.points[i] for i in idx), eps)
+        _check_cap(cloud, "packing")
+        idx = _exact_pack_nd(cloud, eps)
+    return tuple(cloud.points[i] for i in idx)
 
 
-def packing_number(cloud: PointCloud, eps, mode: str = "exact", cap: int = DEFAULT_EXACT_CAP) -> int:
+def packing_number(cloud: PointCloud, eps) -> int:
     """Most points of the cloud with pairwise distance > 2*eps.
 
     Equivalently the maximum number of disjoint open eps-balls centered
-    at cloud points.  mode='greedy' returns a maximal (not maximum)
-    packing along the farthest-point order, a lower bound.
+    at cloud points.
     """
-    return len(packing_witness(cloud, eps, mode, cap).centers)
-
+    return len(packing_witness(cloud, eps))

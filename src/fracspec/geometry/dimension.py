@@ -18,7 +18,6 @@ class DimensionFit:
     """Least-squares slope of log(count) against log(1/eps)."""
 
     slope: float
-    raw_slope: float
     residual_rms: float
     rows: tuple  # (eps, count) pairs, largest scale first
     ambient_dim: int
@@ -39,7 +38,6 @@ def _fit(eps_values, counts, ambient_dim: int) -> DimensionFit:
     clamped = min(max(float(slope), 0.0), float(ambient_dim))
     return DimensionFit(
         slope=clamped,
-        raw_slope=float(slope),
         residual_rms=rms,
         rows=tuple(zip(eps_values, counts)),
         ambient_dim=ambient_dim,
@@ -47,13 +45,14 @@ def _fit(eps_values, counts, ambient_dim: int) -> DimensionFit:
     )
 
 
-def box_dimension_estimate(source, sweep: ScaleSweep | None = None, mode: str = "greedy") -> DimensionFit:
+def box_dimension_estimate(source, sweep: ScaleSweep | None = None) -> DimensionFit:
     """Box-counting dimension estimate.
 
     Two input forms:
 
-    * a PointCloud plus a ScaleSweep: counts come from covering_number
-      at each scale (greedy by default, so large clouds are fine);
+    * a PointCloud plus a ScaleSweep: the count at each scale is the
+      exact covering_number, the fewest eps-balls that cover the cloud
+      (uncapped in one dimension, at most EXACT_CAP points otherwise);
     * (scale, count) rows of a 1-D construction, such as N**m intervals
       at their length L_m: the counts are taken as given.
 
@@ -64,7 +63,7 @@ def box_dimension_estimate(source, sweep: ScaleSweep | None = None, mode: str = 
         if sweep is None:
             raise DomainError("a PointCloud source needs a ScaleSweep")
         scales = sweep.scales()
-        counts = [covering_number(source, e, mode=mode) for e in scales]
+        counts = [covering_number(source, e) for e in scales]
         return _fit(scales, counts, source.n)
     rows = list(source)
     return _fit([scale for scale, _ in rows], [count for _, count in rows], 1)

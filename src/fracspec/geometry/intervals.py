@@ -7,7 +7,6 @@ nose, which is why nothing here ever rounds.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,10 +80,6 @@ class IntervalUnion:
         """Build from (start, length) pairs, merging overlap and touching."""
         return cls(_normalize(pairs))
 
-    @classmethod
-    def empty(cls) -> "IntervalUnion":
-        return cls(())
-
     @property
     def count(self) -> int:
         return len(self.intervals)
@@ -110,16 +105,6 @@ class IntervalUnion:
         """Exact measure of the closed eps-neighborhood (0 for the empty union)."""
         volume = tube_measure(self.measure, self.gap_counts, eps)
         return volume if self.intervals else Fraction(0)
-
-    def contains(self, x) -> bool:
-        v = as_fraction(x)
-        i = bisect_right(self.intervals, (v, Fraction(0)))
-        if i < len(self.intervals) and self.intervals[i][0] == v:
-            return True
-        if i == 0:
-            return False
-        s, l = self.intervals[i - 1]
-        return s <= v <= s + l
 
     def __iter__(self):
         return iter(self.intervals)

@@ -32,14 +32,13 @@ class VolumeResult:
     low: Union[Fraction, float]
     high: Union[Fraction, float]
     exact: bool
-    empty_input: bool = False
 
 
-def _occupancy_volume(cloud: PointCloud, eps: float, cells_per_eps: int) -> VolumeResult:
+def _occupancy_volume(cloud: PointCloud, eps: float) -> VolumeResult:
     pts = cloud.as_array()
     n = cloud.n
     eps = float(eps)
-    cell = eps / cells_per_eps
+    cell = eps / OCCUPANCY_CELLS_PER_EPS
     half_diag = 0.5 * cell * math.sqrt(n)
     lo = pts.min(axis=0) - eps - cell
     hi = pts.max(axis=0) + eps + cell
@@ -57,26 +56,24 @@ def _occupancy_volume(cloud: PointCloud, eps: float, cells_per_eps: int) -> Volu
     return VolumeResult(0.5 * (inside + maybe), inside, maybe, exact=False)
 
 
-def eps_neighborhood_volume(obj, eps, cells_per_eps: int = OCCUPANCY_CELLS_PER_EPS) -> VolumeResult:
+def eps_neighborhood_volume(obj, eps) -> VolumeResult:
     """Lebesgue volume of the open eps-neighborhood of obj.
 
     IntervalUnion and 1-D clouds get exact rational volumes from the gap
     (tube) formula; open and closed neighborhoods agree in measure.
     Clouds in dimension >= 2 get an occupancy-grid estimate with certified
-    bounds; the default cell side is eps/8.
+    bounds on a grid of cell side eps / OCCUPANCY_CELLS_PER_EPS.
     """
     if not eps > 0:
         raise DomainError("eps must be positive")
     if isinstance(obj, IntervalUnion):
-        if obj.count == 0:
-            return VolumeResult(Fraction(0), Fraction(0), Fraction(0), True, empty_input=True)
         v = obj.neighborhood_measure(eps)
         return VolumeResult(v, v, v, exact=True)
     if isinstance(obj, PointCloud):
         if obj.n == 1:
             v = tube_measure(Fraction(0), obj.gap_counts, eps)
             return VolumeResult(v, v, v, exact=True)
-        return _occupancy_volume(obj, eps, cells_per_eps)
+        return _occupancy_volume(obj, eps)
     raise DomainError(f"unsupported input type {type(obj).__name__}")
 
 

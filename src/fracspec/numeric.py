@@ -103,13 +103,16 @@ def sphere_surface_area(n: int) -> float:
     return 2 * math.pi ** (n / 2) / math.gamma(n / 2)
 
 
-@lru_cache(maxsize=64)
-def _gauss_legendre(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+# Gauss-Legendre nodes per panel of the shared quadrature rule
+QUADRATURE_ORDER = 32
 
 
-def _panels(lo: float, hi: float, panel_width: float, order: int):
+@lru_cache(maxsize=1)
+def _gauss_legendre():
+    return np.polynomial.legendre.leggauss(QUADRATURE_ORDER)
+
+
+def _panels(lo: float, hi: float, panel_width: float):
     """Gauss-Legendre nodes on panels of width <= panel_width over [lo, hi].
 
     Returns the nodes (one row per panel), the reference weights and the
@@ -117,13 +120,13 @@ def _panels(lo: float, hi: float, panel_width: float, order: int):
     """
     count = max(1, math.ceil((hi - lo) / panel_width))
     edges = np.linspace(lo, hi, count + 1)
-    x, w = _gauss_legendre(order)
+    x, w = _gauss_legendre()
     mids = 0.5 * (edges[:-1] + edges[1:])
     halves = 0.5 * np.diff(edges)
     return mids[:, None] + halves[:, None] * x[None, :], w, halves
 
 
-def integrate_panels(fn, lo: float, hi: float, *, panel_width: float, order: int = 32) -> float:
+def integrate_panels(fn, lo: float, hi: float, *, panel_width: float) -> float:
     """Composite Gauss-Legendre quadrature of fn over [lo, hi].
 
     panel_width caps each panel so oscillatory integrands stay resolved;
@@ -131,12 +134,12 @@ def integrate_panels(fn, lo: float, hi: float, *, panel_width: float, order: int
     """
     if hi <= lo:
         return 0.0
-    pts, w, halves = _panels(lo, hi, panel_width, order)
+    pts, w, halves = _panels(lo, hi, panel_width)
     vals = np.asarray(fn(pts.ravel()), dtype=float).reshape(pts.shape)
     return float(np.sum(vals * w[None, :] * halves[:, None]))
 
 
-def quadrature_nodes(lo: float, hi: float, *, panel_width: float, order: int = 32):
+def quadrature_nodes(lo: float, hi: float, *, panel_width: float):
     """Nodes and weights of the same panelized rule used by integrate_panels.
 
     Exposed so that two integrals that must satisfy a pointwise inequality
@@ -144,5 +147,5 @@ def quadrature_nodes(lo: float, hi: float, *, panel_width: float, order: int = 3
     """
     if hi <= lo:
         return np.empty(0), np.empty(0)
-    pts, w, halves = _panels(lo, hi, panel_width, order)
+    pts, w, halves = _panels(lo, hi, panel_width)
     return pts.ravel(), (w[None, :] * halves[:, None]).ravel()

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -17,7 +16,6 @@ class GridFunction:
     """Complex values on Z_m (shape (m,)) or Z_m x Z_m (shape (m, m))."""
 
     values: np.ndarray
-    cell: float = 1.0
 
     def __post_init__(self):
         vals = np.asarray(self.values)
@@ -29,8 +27,6 @@ class GridFunction:
             raise DomainError("need m >= 2")
         if not np.all(np.isfinite(vals.real)) or not np.all(np.isfinite(vals.imag)):
             raise DomainError("grid values must be finite")
-        if not self.cell > 0:
-            raise DomainError("cell size must be positive")
         object.__setattr__(self, "values", np.asarray(vals, dtype=complex))
 
     @property
@@ -72,17 +68,16 @@ class ZeroSet:
         return len(self.indices)
 
 
-def dft_zero_set(f: GridFunction, tol: Optional[float] = None) -> ZeroSet:
+def dft_zero_set(f: GridFunction) -> ZeroSet:
     """Thresholded zero set of the transform.
 
-    Default tol is 1e-9 times the peak modulus (scale-free).  The zero
-    convention is strict inequality |fhat| < tol, so the identically
+    tol is default_tol, 1e-9 times the peak modulus (scale-free).  The
+    zero convention is strict inequality |fhat| < tol, so the identically
     zero function needs special handling: everything is a zero.
     """
     fhat = dft(f)
     mags = np.abs(fhat)
-    if tol is None:
-        tol = default_tol(fhat)
+    tol = default_tol(fhat)
     if mags.max() == 0:
         idx = np.argwhere(np.ones_like(mags, dtype=bool))
     else:

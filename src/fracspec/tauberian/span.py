@@ -8,8 +8,6 @@ algebra; keeping both routes makes each an oracle for the other.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..errors import DomainError
@@ -21,12 +19,12 @@ def _require_1d(f: GridFunction) -> None:
         raise DomainError("span oracles are defined on the 1-D torus")
 
 
-def span_dimension_oracle(f: GridFunction, tol: Optional[float] = None) -> int:
-    """Dimension of span{translates of f} = #{k : |fhat(k)| >= tol}."""
+def span_dimension_oracle(f: GridFunction) -> int:
+    """Dimension of span{translates of f} = #{k : |fhat(k)| >= tol}, with
+    tol = default_tol."""
     _require_1d(f)
     fhat = dft(f)
-    if tol is None:
-        tol = default_tol(fhat)
+    tol = default_tol(fhat)
     return int(np.count_nonzero(np.abs(fhat) >= tol)) if tol > 0 else f.m
 
 
@@ -37,7 +35,7 @@ def circulant_matrix(f: GridFunction) -> np.ndarray:
     return f.values[(idx[None, :] - idx[:, None]) % f.m]
 
 
-def circulant_rank(f: GridFunction, tol: Optional[float] = None) -> int:
+def circulant_rank(f: GridFunction) -> int:
     """Numerical rank of the translate matrix.
 
     The singular values of a circulant are sqrt(m) times the unitary
@@ -47,7 +45,6 @@ def circulant_rank(f: GridFunction, tol: Optional[float] = None) -> int:
     """
     _require_1d(f)
     mat = circulant_matrix(f)
-    if tol is None:
-        tol = default_tol(dft(f))
+    tol = default_tol(dft(f))
     return int(np.linalg.matrix_rank(mat, tol=np.sqrt(f.m) * tol))
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -23,7 +22,6 @@ class SphericalZeroSet:
     radii: tuple
     gaps: tuple
     tol: float
-    shell_width: float
 
     def __post_init__(self):
         if any(not r > 0 for r in self.radii):
@@ -37,42 +35,32 @@ def centered_frequencies(m: int) -> np.ndarray:
     return np.fft.fftfreq(m, d=1.0 / m)
 
 
-def spherical_zero_radii(
-    f: GridFunction,
-    tol: Optional[float] = None,
-    shell_width: float = 1.0,
-) -> SphericalZeroSet:
-    """Scan shells r - w/2 <= |k| < r + w/2 at radii r = w, 2w, 3w, ...
+def spherical_zero_radii(f: GridFunction) -> SphericalZeroSet:
+    """Scan shells r - 1/2 <= |k| < r + 1/2 at radii r = 1, 2, 3, ...
 
-    up to the largest lattice radius.  The lattice spacing is 1 in
-    frequency units, so shells thinner than that may be empty; the
-    scan flags such radii as gaps rather than zeros.
+    up to the largest lattice radius, with tol = default_tol.  The shell
+    width is the lattice spacing, 1 in frequency units; a radius whose
+    shell holds no lattice point is flagged as a gap rather than a zero.
     """
     if f.n != 2:
         raise DomainError("spherical scans need a 2-D grid")
-    if shell_width < 1.0:
-        raise DomainError("shell width below the lattice spacing (1) is unresolvable")
     fhat = dft(f)
-    if tol is None:
-        tol = default_tol(fhat)
+    tol = default_tol(fhat)
     freqs = centered_frequencies(f.m)
     kx, ky = np.meshgrid(freqs, freqs, indexing="ij")
     norms = np.sqrt(kx**2 + ky**2).ravel()
     mags = np.abs(fhat).ravel()
     r_max = float(norms.max())
     radii, gaps = [], []
-    t = 1
-    while t * shell_width <= r_max:
-        r = t * shell_width
-        mask = (norms >= r - shell_width / 2) & (norms < r + shell_width / 2)
+    r = 1.0
+    while r <= r_max:
+        mask = (norms >= r - 0.5) & (norms < r + 0.5)
         if not mask.any():
             gaps.append(r)
         elif float(mags[mask].max()) < tol:
             radii.append(r)
-        t += 1
-    return SphericalZeroSet(
-        radii=tuple(radii), gaps=tuple(gaps), tol=float(tol), shell_width=shell_width
-    )
+        r += 1.0
+    return SphericalZeroSet(radii=tuple(radii), gaps=tuple(gaps), tol=float(tol))
 
 
 def mask_spectrum_on_radii(
@@ -94,4 +82,4 @@ def mask_spectrum_on_radii(
     for r in radii:
         mask |= np.abs(norms - float(r)) <= band
     fhat = np.where(mask, 0.0, fhat)
-    return GridFunction(np.fft.ifft2(fhat, norm="ortho"), f.cell)
+    return GridFunction(np.fft.ifft2(fhat, norm="ortho"))

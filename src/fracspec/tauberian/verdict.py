@@ -43,9 +43,6 @@ class VerdictRow:
         if self.status != STATUS_NONE and not (1.0 <= self.p_lo <= self.p_hi):
             raise DomainError("p-interval must sit inside [1, inf)")
 
-    def contains(self, p: float) -> bool:
-        return self.p_lo <= p <= self.p_hi
-
     def as_dict(self) -> dict:
         return {
             "rule": self.rule,

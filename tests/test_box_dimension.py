@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fracspec.cantor.levels import build_level
@@ -29,7 +30,7 @@ def test_structural_counts_give_exact_slope():
 def test_dense_interval_sample_slope_near_one():
     cloud = PointCloud.from_points([Fraction(k, 4096) for k in range(4097)])
     sweep = ScaleSweep(Fraction(1, 8), Fraction(1, 2), 6)
-    fit = box_dimension_estimate(cloud, sweep, mode="exact")
+    fit = box_dimension_estimate(cloud, sweep)
     assert abs(fit.slope - 1.0) < 0.02
 
 
@@ -42,14 +43,20 @@ def test_single_point_is_degenerate():
 
 
 def test_slope_clamped_to_ambient():
-    # two clusters separated by 1 with a count profile jumping 1 -> 4:
-    # the raw two-scale trend can exceed 1, the clamp caps it
+    # counts 8**m at scales 2**-m trend with slope 3, above the ambient
+    # dimension 1; counts that fall as eps shrinks trend with slope -3
+    rising = [(Fraction(1, 2**m), 8**m) for m in range(4)]
+    falling = [(eps, 8**3 // count) for eps, count in rising]
+    for rows, raw, clamped in ((rising, 3.0, 1.0), (falling, -3.0, 0.0)):
+        x = [math.log(1 / float(eps)) for eps, _ in rows]
+        y = [math.log(count) for _, count in rows]
+        assert np.polyfit(x, y, 1)[0] == pytest.approx(raw)
+        assert box_dimension_estimate(rows).slope == clamped
+    # a cloud's covering counts stay in range
     pts = [Fraction(0), Fraction(1, 100), Fraction(99, 100), Fraction(1)]
-    cloud = PointCloud.from_points(pts)
     sweep = ScaleSweep(Fraction(2), Fraction(1, 200), 4)
-    fit = box_dimension_estimate(cloud, sweep)
+    fit = box_dimension_estimate(PointCloud.from_points(pts), sweep)
     assert 0.0 <= fit.slope <= 1.0
-    assert fit.raw_slope >= fit.slope
 
 
 def test_needs_enough_scales():
@@ -77,7 +84,7 @@ def test_cloud_route_agrees_with_structural_route():
         pts.append(s + l)
     cloud = PointCloud.from_points(pts)
     sweep = ScaleSweep(Fraction(1, 27), Fraction(1, 3), 4)
-    fit = box_dimension_estimate(cloud, sweep, mode="exact")
+    fit = box_dimension_estimate(cloud, sweep)
     counts = [c for _, c in fit.rows]
     assert counts == [8, 16, 32, 64]
     assert abs(fit.slope - LOG2_OVER_LOG3) < 1e-12

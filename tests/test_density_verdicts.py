@@ -23,7 +23,7 @@ from fracspec.tauberian.verdict import (
 
 
 def radial_zero_set():
-    return SphericalZeroSet((1.0,), (), 1e-9, 1.0)
+    return SphericalZeroSet((1.0,), (), 1e-9)
 
 
 def full_zero_set():
@@ -61,8 +61,8 @@ def test_radial_verdict_table():
     assert row.status == STATUS_DENSE
     assert row.p_lo == pytest.approx(4.0 / 3.0)
     assert row.p_hi == 2.0
-    assert row.contains(1.5)
-    assert not row.contains(2.5)
+    assert row.p_lo <= 1.5 <= row.p_hi
+    assert not row.p_lo <= 2.5 <= row.p_hi
     priors = [r for r in v.rows if r.status == STATUS_PRIOR]
     assert len(priors) == 4
 
@@ -130,7 +130,7 @@ def test_verdict_validation():
 
 
 def test_prior_rows_empty_flagging():
-    empty = SphericalZeroSet((), (), 1e-9, 1.0)
+    empty = SphericalZeroSet((), (), 1e-9)
     v = verdict(empty, 0.0, 2)
     l1 = next(r for r in v.rows if r.rule == "prior-l1")
     assert any("empty" in n for n in l1.notes)

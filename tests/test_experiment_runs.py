@@ -95,14 +95,11 @@ def test_fourier_artifacts(tmp_path):
     assert record.metrics["tail_ratio_max_q6"] > 1.0
 
 
+MOLLIFY_SMALL = "mollify.eps_exp_min = 2\nmollify.eps_exp_max = 4\nmollify.j_min = -8\nmollify.j_max = 4\n"
+
+
 def test_mollify_artifacts(tmp_path):
-    text = (
-        "mollify.eps_exp_min = 2\n"
-        "mollify.eps_exp_max = 4\n"
-        "mollify.j_min = -8\n"
-        "mollify.j_max = 4\n"
-    )
-    _, record, out = run(tmp_path, "mollify", text)
+    _, record, out = run(tmp_path, "mollify", MOLLIFY_SMALL)
     sweep_rows = (out / "sweep.csv").read_text().splitlines()
     assert sweep_rows[0] == "eps,j,b,a,product"
     assert len(sweep_rows) == 1 + 13 * 3
@@ -125,14 +122,16 @@ def test_tauberian_span_artifacts(tmp_path):
     assert record.flags["all_match"]
 
 
+RADIAL_TEXT = (
+    "tauberian.kind = radial\n"
+    "tauberian.m = 64\n"
+    "tauberian.band = 1.2\n"
+    "tauberian.radii = 5, 11\n"
+)
+
+
 def test_tauberian_radial_artifacts(tmp_path):
-    text = (
-        "tauberian.kind = radial\n"
-        "tauberian.m = 64\n"
-        "tauberian.band = 1.2\n"
-        "tauberian.radii = 5, 11\n"
-    )
-    _, record, out = run(tmp_path, "tauberian", text, seed=9)
+    _, record, out = run(tmp_path, "tauberian", RADIAL_TEXT, seed=9)
     assert (out / "radii.csv").exists()
     doc = json.loads((out / "verdict.json").read_text())
     assert doc["zero_kind"] == "radial"
@@ -280,6 +279,54 @@ PINNED_SPECTRAL = {
 def test_spectral_artifacts_pinned(tmp_path, name):
     """fourier and the tauberian span trials write the pinned bytes."""
     experiment, text, seed, pinned = PINNED_SPECTRAL[name]
+    run(tmp_path, experiment, text, seed=seed)
+    digests = {
+        rel: hashlib.sha256((tmp_path / "out" / rel).read_bytes()).hexdigest() for rel in pinned
+    }
+    assert digests == pinned
+
+
+# SHA-256 of the mollify tables and the radial scan as written while the
+# shell sweep still computed a whole-support L^p integral and per-row peak
+# data, and the radial box count still came from a farthest-point net.
+# No file reads the dropped values, and on this radial config the net
+# already found minimum covers, so all of these bytes stay.  The
+# untruncated run pins the "unbounded support" note in summary.json.
+PINNED_TABLES = {
+    "mollify-truncated": (
+        "mollify",
+        MOLLIFY_SMALL,
+        None,
+        {
+            "mollify/sweep.csv": "fcf761e9228c39eec9c06c90f8d4669dcca04f3c41fce3dd8b3ed59ba0da4744",
+            "mollify/summary.json": "ba730042e17cce0b064bdbdb7d07e72aea3c22a082bc7996bcdcb3e97a4cb037",
+        },
+    ),
+    "mollify-untruncated": (
+        "mollify",
+        "mollify.truncate = none\n" + MOLLIFY_SMALL,
+        None,
+        {
+            "mollify/sweep.csv": "0c7b747a5a25b3ae7959784ec035139b515afeceba85c88c66ee64a7d97ebf8b",
+            "mollify/summary.json": "9c5bb81b591dc8194c5f4a1c88d437cf34219c7c2468772ddd0d05dcb463ee9b",
+        },
+    ),
+    "radial-64": (
+        "tauberian",
+        RADIAL_TEXT,
+        9,
+        {
+            "tauberian/radii.csv": "6424b27fdcb399a28fd45d2d793f6715524907974a5d57080d1f1d8078bd2e18",
+            "tauberian/verdict.json": "efdc5cf36542b71d8a256c556ef874f39cb6a8deef76b9b4942eefde4234a109",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TABLES))
+def test_table_artifacts_pinned(tmp_path, name):
+    """mollify and the radial tauberian scan write the pinned bytes."""
+    experiment, text, seed, pinned = PINNED_TABLES[name]
     run(tmp_path, experiment, text, seed=seed)
     digests = {
         rel: hashlib.sha256((tmp_path / "out" / rel).read_bytes()).hexdigest() for rel in pinned

@@ -41,9 +41,9 @@ def test_fatten_exact():
 def test_contains_endpoints_closed():
     iu = IntervalUnion.from_pairs([(0, 1), (2, 1)])
     for x in (0, 1, 2, 3, Fraction(1, 2)):
-        assert iu.contains(x)
+        assert any(s <= x <= s + l for s, l in iu)
     for x in (Fraction(3, 2), -1, 4):
-        assert not iu.contains(x)
+        assert not any(s <= x <= s + l for s, l in iu)
 
 
 def test_invalid_inputs():
@@ -53,7 +53,7 @@ def test_invalid_inputs():
         IntervalUnion.from_pairs([(1, -1)])
     with pytest.raises(DomainError):
         IntervalUnion(((Fraction(0), Fraction(2)), (Fraction(1), Fraction(1))))
-    assert IntervalUnion.empty().measure == 0
+    assert IntervalUnion(()).measure == 0
 
 
 pair = st.tuples(
@@ -76,7 +76,7 @@ def test_normalization_invariants(pairs):
     assert iu.measure >= max(l for _, l in pairs)
     # every input point stays covered
     for s, l in pairs:
-        assert iu.contains(s) and iu.contains(s + l)
+        assert any(a <= s and s + l <= a + b for a, b in spans)
     # idempotent under re-normalization
     assert IntervalUnion.from_pairs(spans).intervals == spans
 

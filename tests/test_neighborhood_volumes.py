@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracspec.errors import DomainError
+from fracspec.geometry import volumes
 from fracspec.geometry.cloud import PointCloud
 from fracspec.geometry.intervals import IntervalUnion
 from fracspec.geometry.sweeps import ScaleSweep
@@ -71,7 +72,7 @@ def test_cloud_gap_counts_kept_across_scales():
         PointCloud.from_points([(0, 0), (1, 1)]).gap_counts
 
 
-def test_occupancy_bounds_bracket_disk_area():
+def test_occupancy_bounds_bracket_disk_area(monkeypatch):
     cloud = PointCloud.from_points([(0.0, 0.0)])
     eps = 0.5
     vol = eps_neighborhood_volume(cloud, eps)
@@ -81,7 +82,8 @@ def test_occupancy_bounds_bracket_disk_area():
     # default cell eps/8 keeps the bracket within ~25 percent
     assert vol.high - vol.low < 0.5 * true_area
     # finer cells tighten the bracket
-    fine = eps_neighborhood_volume(cloud, eps, cells_per_eps=32)
+    monkeypatch.setattr(volumes, "OCCUPANCY_CELLS_PER_EPS", 32)
+    fine = eps_neighborhood_volume(cloud, eps)
     assert fine.high - fine.low < vol.high - vol.low
     assert fine.low <= true_area <= fine.high
 
@@ -123,6 +125,7 @@ def test_occupancy_matches_meshgrid_reference(monkeypatch, kind, n, cells_per_ep
         return NUMPY_SQRT(x)
 
     monkeypatch.setattr(np, "sqrt", recording_sqrt)
+    monkeypatch.setattr(volumes, "OCCUPANCY_CELLS_PER_EPS", cells_per_eps)
     rng = np.random.default_rng(1000 * n + cells_per_eps)
     # points spread over [0, 1)^2, or [0, 1/4)^3 so the finest 3-D grid stays small
     spread = 1000 if n == 2 else 250
@@ -133,7 +136,7 @@ def test_occupancy_matches_meshgrid_reference(monkeypatch, kind, n, cells_per_ep
         else:
             pts = [tuple(Fraction(int(c), 1000) for c in row) for row in coords]
         cloud = PointCloud.from_points(pts)
-        vol = eps_neighborhood_volume(cloud, eps, cells_per_eps=cells_per_eps)
+        vol = eps_neighborhood_volume(cloud, eps)
         ref = meshgrid_occupancy(cloud, eps, cells_per_eps)
         assert (vol.low, vol.high, vol.value) == (ref.low, ref.high, ref.value)
         # the squared distances match bit for bit, cell by cell in ij order
@@ -143,13 +146,13 @@ def test_occupancy_matches_meshgrid_reference(monkeypatch, kind, n, cells_per_ep
 
 
 def test_empty_union_flagged():
-    vol = eps_neighborhood_volume(IntervalUnion.empty(), Fraction(1, 2))
-    assert vol.empty_input and vol.value == 0
+    vol = eps_neighborhood_volume(IntervalUnion(()), Fraction(1, 2))
+    assert vol.exact and vol.value == vol.low == vol.high == 0
 
 
 def test_volume_input_validation():
     with pytest.raises(DomainError):
-        eps_neighborhood_volume(IntervalUnion.empty(), 0)
+        eps_neighborhood_volume(IntervalUnion(()), 0)
     with pytest.raises(DomainError):
         eps_neighborhood_volume([(0, 1)], Fraction(1, 2))
 

@@ -1,7 +1,10 @@
-"""Every name a package lists in __all__ exists on it, and the program uses it."""
+"""Every name a package lists in __all__ exists on it, and the program uses
+it and every member of the classes among them."""
 
 import ast
 import importlib
+import inspect
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -46,4 +49,46 @@ def test_all_names_are_used(name):
     tests reach: wire it into an experiment or criterion, or delete it."""
     used = used_names()
     unused = [export for export in importlib.import_module(name).__all__ if export not in used]
+    assert unused == []
+
+
+# Members the program need not read.  IntervalUnion.from_pairs merges
+# overlapping and touching intervals: it is the merged-union oracle the
+# tests compare the tube-formula measures against.
+MEMBER_ALLOWLIST = {"IntervalUnion.from_pairs"}
+
+
+def exported_members():
+    """(Class.member, member) for the methods, properties and annotated
+    fields a class in some package's __all__ defines itself; dunder
+    methods are called by the language, not read, and are left out."""
+    seen = {}
+    for name in PACKAGES:
+        module = importlib.import_module(name)
+        for export in module.__all__:
+            cls = getattr(module, export)
+            if not isinstance(cls, type) or not cls.__module__.startswith("fracspec."):
+                continue
+            members = [
+                attr
+                for attr, value in vars(cls).items()
+                if isinstance(value, (classmethod, staticmethod, property, cached_property))
+                or inspect.isfunction(value)
+            ]
+            members += list(vars(cls).get("__annotations__", {}))
+            for attr in members:
+                if not (attr.startswith("__") and attr.endswith("__")):
+                    seen[f"{cls.__name__}.{attr}"] = attr
+    return seen
+
+
+def test_all_members_are_used():
+    """A method, property or field that no module of the program reads is
+    library surface only tests reach: use it in the program or delete it."""
+    used = used_names()
+    unused = sorted(
+        qualified
+        for qualified, attr in exported_members().items()
+        if attr not in used and qualified not in MEMBER_ALLOWLIST
+    )
     assert unused == []

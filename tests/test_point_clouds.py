@@ -12,19 +12,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracspec.errors import DomainError, SizeError
 from fracspec.geometry.cloud import (
-    DEFAULT_EXACT_CAP,
+    EXACT_CAP,
     PointCloud,
     covering_number,
     covering_witness,
     packing_number,
     packing_witness,
 )
+from fracspec.geometry.dimension import box_dimension_estimate
 from fracspec.geometry.intervals import IntervalUnion
+from fracspec.geometry.sweeps import ScaleSweep
 
 
 def dist2(p, q):
@@ -135,28 +137,8 @@ def test_witnesses_certify_their_counts():
     assert all(any(dist2(p, c) <= e2 for c in centers) for p in cloud.points)
     packing = packing_witness(cloud, eps)
     thr = 4 * eps * eps
-    assert all(dist2(p, q) > thr for p, q in itertools.combinations(packing.centers, 2))
-    assert len(packing.centers) == packing_number(cloud, eps)
-
-
-def test_greedy_mode_brackets_exact():
-    pts = ternary_level_endpoints(3)
-    cloud = PointCloud.from_points(pts)
-    for eps in (Fraction(1, 10), Fraction(1, 27), Fraction(1, 100)):
-        assert covering_number(cloud, eps, mode="greedy") >= covering_number(cloud, eps)
-        assert packing_number(cloud, eps, mode="greedy") <= packing_number(cloud, eps)
-
-
-def test_greedy_counts_exact_and_float_agree():
-    """Dyadic coordinates are exact in floats, so both traversals match."""
-    pts = [(Fraction(i, 8), Fraction(j * j % 11, 16)) for i in range(9) for j in range(4)]
-    exact = PointCloud.from_points(pts)
-    floats = PointCloud.from_points([tuple(float(c) for c in p) for p in pts])
-    assert floats.is_float_backed() and not exact.is_float_backed()
-    for eps in (Fraction(1, 16), Fraction(1, 8), Fraction(3, 16), Fraction(1, 2)):
-        # Fraction == float compares exact values, so the witnesses compare too
-        assert covering_witness(exact, eps, mode="greedy") == covering_witness(floats, eps, mode="greedy")
-        assert packing_witness(exact, eps, mode="greedy") == packing_witness(floats, eps, mode="greedy")
+    assert all(dist2(p, q) > thr for p, q in itertools.combinations(packing, 2))
+    assert len(packing) == packing_number(cloud, eps)
 
 
 def test_exact_cap_in_higher_dimension():
@@ -166,8 +148,10 @@ def test_exact_cap_in_higher_dimension():
         covering_number(cloud, 1)
     with pytest.raises(SizeError):
         packing_number(cloud, 1)
-    # greedy has no cap
-    assert covering_number(cloud, 10, mode="greedy") == 1
+    # a cloud at the cap is still searched
+    at_cap = PointCloud.from_points(pts[:EXACT_CAP])
+    assert covering_number(at_cap, 10) == 1
+    assert packing_number(at_cap, 10) == 1
 
 
 def test_eps_must_be_positive():
@@ -239,15 +223,32 @@ def test_cached_tables_carry_no_eps(pairs, pts, order):
     assert "gap_counts" in iu.__dict__ and "_dist2_table" in cloud.__dict__
 
 
-def test_greedy_modes_build_no_pairwise_table():
-    """Greedy counts are for clouds above the exact cap: no O(size**2) table."""
+def test_exact_cap_builds_no_pairwise_table():
+    """A cloud above the cap is refused before its O(size**2) table exists."""
     rng = np.random.default_rng(7)
     cloud = PointCloud.from_points([tuple(map(float, p)) for p in rng.random((2000, 2))])
-    assert cloud.size > DEFAULT_EXACT_CAP
-    for eps in (0.05, 0.2):
-        assert covering_number(cloud, eps, mode="greedy") >= 1
-        assert packing_number(cloud, eps, mode="greedy") >= 1
-    assert "_dist2_table" not in cloud.__dict__
+    assert cloud.size > EXACT_CAP
     with pytest.raises(SizeError):
         covering_number(cloud, 0.2)
+    with pytest.raises(SizeError):
+        packing_number(cloud, 0.2)
     assert "_dist2_table" not in cloud.__dict__
+
+
+# the radii 18..22 at eps = 1: centers 19 and 21 cover them, while a
+# farthest-point net from 18 takes 18, 22 and then 20
+RADII_18_22 = [Fraction(r) for r in range(18, 23)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(extra=st.lists(st.integers(min_value=0, max_value=40), max_size=4, unique=True))
+@example(extra=[])
+def test_box_counts_are_minimum_covers_1d(extra):
+    """The box-dimension fit reads the fewest eps-balls that cover the cloud."""
+    cloud = PointCloud.from_points(RADII_18_22 + [Fraction(x) for x in extra])
+    sweep = ScaleSweep(Fraction(4), Fraction(1, 2), 5)
+    fit = box_dimension_estimate(cloud, sweep)
+    assert Fraction(1) in sweep.scales()
+    assert [count for _, count in fit.rows] == [
+        brute_min_cover(cloud.points, eps) for eps in sweep.scales()
+    ]

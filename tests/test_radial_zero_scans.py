@@ -25,7 +25,7 @@ def test_round_trip_masked_radii_recovered():
     f = GridFunction(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
     targets = (5.0, 11.0, 19.0)
     masked = mask_spectrum_on_radii(f, targets, band=1.2)
-    zs = spherical_zero_radii(masked, shell_width=1.0)
+    zs = spherical_zero_radii(masked)
     # every target shows up; neighbors half a lattice step away may too,
     # since the mask band 1.2 swallows them
     for t in targets:
@@ -44,30 +44,27 @@ def test_unmasked_noise_has_no_zero_radii():
 
 
 def test_gap_flagging_with_wide_shells():
-    # shells of width 1 on a tiny lattice: all shells contain points, so
-    # no gaps; the gap list exists for wider-than-lattice scans
-    f = GridFunction(np.ones((4, 4)))
-    zs = spherical_zero_radii(f, shell_width=1.0)
-    assert isinstance(zs.gaps, tuple)
+    # shells as wide as the lattice spacing always hold a lattice point:
+    # the norms step by at most 1 out to the corner, so no radius is a gap
+    for m in (2, 4, 7, 16):
+        zs = spherical_zero_radii(GridFunction(np.ones((m, m))))
+        assert zs.gaps == ()
 
 
 def test_scan_validation():
     f1 = GridFunction(np.ones(8))
     with pytest.raises(DomainError):
         spherical_zero_radii(f1)
-    f2 = GridFunction(np.ones((8, 8)))
-    with pytest.raises(DomainError):
-        spherical_zero_radii(f2, shell_width=0.5)
     with pytest.raises(DomainError):
         mask_spectrum_on_radii(f1, (1.0,), 1.0)
 
 
 def test_zero_set_dataclass_validation():
     with pytest.raises(DomainError):
-        SphericalZeroSet((0.0,), (), 1e-9, 1.0)
+        SphericalZeroSet((0.0,), (), 1e-9)
     with pytest.raises(DomainError):
-        SphericalZeroSet((2.0, 1.0), (), 1e-9, 1.0)
-    ok = SphericalZeroSet((1.0, 2.0), (), 1e-9, 1.0)
+        SphericalZeroSet((2.0, 1.0), (), 1e-9)
+    ok = SphericalZeroSet((1.0, 2.0), (), 1e-9)
     assert ok.radii == (1.0, 2.0)
 
 
@@ -79,5 +76,5 @@ def test_mask_keeps_unmasked_energy():
     # masking only removes energy
     assert np.sum(np.abs(masked.values) ** 2) < np.sum(np.abs(f.values) ** 2)
     # and the removed band is really silent
-    zs = spherical_zero_radii(masked, shell_width=1.0)
+    zs = spherical_zero_radii(masked)
     assert 6.0 in zs.radii

@@ -21,8 +21,6 @@ def test_grid_validation():
         GridFunction(np.array([1.0, np.inf]))
     with pytest.raises(DomainError):
         GridFunction(np.zeros((2, 2, 2)))
-    with pytest.raises(DomainError):
-        GridFunction(np.zeros(4), cell=0.0)
     g = GridFunction(np.arange(6))
     assert g.m == 6 and g.n == 1
     g2 = GridFunction(np.zeros((4, 4)))
@@ -70,9 +68,11 @@ def test_explicit_tolerance():
     values = np.zeros(8)
     values[0] = 1.0
     values[1] = 1e-6
-    # fhat(k) = (1 + 1e-6 w^k)/sqrt(8): moduli near 0.3536, none below tol
-    tight = dft_zero_set(GridFunction(values), tol=1e-9)
+    # fhat(k) = (1 + 1e-6 w^k)/sqrt(8): moduli near 0.3536, none below the
+    # tolerance 1e-9 times the peak modulus
+    tight = dft_zero_set(GridFunction(values))
     assert tight.count == 0
+    assert tight.tol == 1e-9 * np.abs(dft(GridFunction(values))).max()
     with pytest.raises(DomainError):
         ZeroSet((), -1.0, 8, 1)
 
