@@ -363,7 +363,7 @@ def criterion_span_oracle(trials: int = 100, seed: int = 907) -> CriterionResult
 def criterion_verdict_formulas() -> CriterionResult:
     issues = []
 
-    radial = SphericalZeroSet(radii=(1.0,), gaps=(), tol=1e-9)
+    radial = SphericalZeroSet(radii=(1.0,), tol=1e-9)
     report = verdict(radial, 0.0, 2)
     row = next(r for r in report.rows if r.rule == RULE_MOTION_RADIAL)
     if not (abs(row.p_lo - 4.0 / 3.0) <= 1e-12 and row.p_hi == 2.0):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,16 +36,11 @@ def write_params(params: CantorParams, path) -> None:
 
 
 def write_level_csv(level: CantorLevel, path) -> None:
+    """One row per interval, each rational in lowest terms."""
+    den = level.intervals.denominator
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(LEVEL_FIELDS)
-        for i, (start, length) in enumerate(level.intervals):
-            writer.writerow(
-                [
-                    i,
-                    start.numerator,
-                    start.denominator,
-                    length.numerator,
-                    length.denominator,
-                ]
-            )
+        for i, (start, length) in enumerate(level.intervals.intervals):
+            gs, gl = math.gcd(start, den), math.gcd(length, den)
+            writer.writerow([i, start // gs, den // gs, length // gl, den // gl])

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ..errors import DomainError, SizeError
 from ..geometry.intervals import IntervalUnion
@@ -39,17 +39,27 @@ def check_level_budget(params: CantorParams, depth: int) -> None:
 
 
 def build_level(params: CantorParams, depth: int) -> CantorLevel:
-    """Run the recursion down to `depth` with exact rational endpoints.
+    """Run the recursion down to `depth` in integers over one denominator.
 
     Level 0 is [0, 1].  Refining level j-1 places one child per offset,
     so starts accumulate as start + a_k * L_(j-1), and every level-depth
-    interval has length L_depth.
+    interval has length L_depth.  The denominator is the lcm of those of
+    L_depth and of every a_k * L_(j-1), so each move is an integer step
+    and the recursion adds ints; no Fraction is made per interval.
     """
     check_level_budget(params, depth)
     lengths = params.level_lengths(depth)
-    starts = [Fraction(0)]
-    for length in lengths[:-1]:
-        starts = [s + a * length for s in starts for a in params.offsets]
+    moves = [[a * length for a in params.offsets] for length in lengths[:-1]]
+    den = math.lcm(lengths[-1].denominator, *(m.denominator for row in moves for m in row))
+    starts = [0]
+    for row in moves:
+        steps = [m.numerator * (den // m.denominator) for m in row]
+        starts = [s + a for s in starts for a in steps]
+    length = lengths[-1].numerator * (den // lengths[-1].denominator)
+    # the union keeps lowest terms, which this lcm need not be
+    g = math.gcd(den, length, *starts)
+    if g > 1:
+        den, length, starts = den // g, length // g, [s // g for s in starts]
     # sorted parents and ascending offsets give sorted children, and offset
     # gaps above eta keep them disjoint; IntervalUnion raises if they are not
-    return CantorLevel(params, depth, IntervalUnion(tuple((s, lengths[-1]) for s in starts)))
+    return CantorLevel(params, depth, IntervalUnion(tuple((s, length) for s in starts), den))

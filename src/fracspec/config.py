@@ -149,13 +149,17 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} = {raw!r} is malformed: {exc}") from exc
         return values
 
-    def digest(self) -> str:
-        """Stable identity of the computation inputs.
+    def digest(self, values: dict) -> str:
+        """Stable identity of the computation inputs: the experiment, the
+        seed and `values`, the map resolve returned.  Defaults are in it
+        and every value is parsed, so an option given at its default, or
+        written another way ("2/6" for "1/3"), hashes like the same run
+        with it left out.
 
         The output location is excluded: it must not change any
         computed value, and the determinism tests rely on that exclusion
         to compare runs.
         """
         lines = [f"experiment={self.experiment}", f"seed={self.seed}"]
-        lines.extend(f"{k}={v}" for k, v in sorted(self.options.items()))
+        lines.extend(f"{k}={v!r}" for k, v in sorted(values.items()))
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()

@@ -165,18 +165,19 @@ def run_construct(cfg: ExperimentConfig) -> ReportRecord:
     out = _out_dir(cfg)
     write_params(params, out / "params.json")
     write_level_csv(level, out / "level.csv")
-    first_start, _ = level.intervals.intervals[0]
-    gaps = level.intervals.gap_counts
+    union = level.intervals
+    first_start = union.intervals[0][0] / union.denominator
+    gaps = union.gap_counts
     return ReportRecord(
         experiment=cfg.experiment,
-        digest=cfg.digest(),
+        digest=cfg.digest(opts),
         metrics={
             "depth": depth,
             "intervals": level.member_count,
-            "total_length": float(level.intervals.measure),
+            "total_length": float(union.measure),
             "min_gap": float(gaps[0][0]) if gaps else 0.0,
             "dimension": float(params.dimension),
-            "first_start": float(first_start),
+            "first_start": first_start,
         },
         flags={"count_matches_branching": level.member_count == params.branches**depth},
     )
@@ -199,7 +200,7 @@ def run_dim(cfg: ExperimentConfig) -> ReportRecord:
     write_csv(out / "counts.csv", ("eps", "count"), [(fmt(eps), count) for eps, count in rows])
     return ReportRecord(
         experiment=cfg.experiment,
-        digest=cfg.digest(),
+        digest=cfg.digest(opts),
         metrics={
             "slope": fit.slope,
             "residual_rms": fit.residual_rms,
@@ -235,7 +236,7 @@ def run_minkowski(cfg: ExperimentConfig) -> ReportRecord:
     )
     return ReportRecord(
         experiment=cfg.experiment,
-        digest=cfg.digest(),
+        digest=cfg.digest(opts),
         metrics={
             "sup_ratio": sweep.sup_ratio,
             "rows": len(sweep.rows),
@@ -292,7 +293,7 @@ def run_fourier(cfg: ExperimentConfig) -> ReportRecord:
     for q, diag in zip(qs, diags):
         metrics[f"tail_ratio_max_q{fmt(q)}"] = max(diag.tail_ratios)
         flags[f"summable_q{fmt(q)}"] = diag.verdict == "summable-like"
-    return ReportRecord(cfg.experiment, cfg.digest(), metrics, flags)
+    return ReportRecord(cfg.experiment, cfg.digest(opts), metrics, flags)
 
 
 def run_mollify(cfg: ExperimentConfig) -> ReportRecord:
@@ -328,7 +329,7 @@ def run_mollify(cfg: ExperimentConfig) -> ReportRecord:
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return ReportRecord(
         cfg.experiment,
-        cfg.digest(),
+        cfg.digest(opts),
         metrics={
             "final_over_initial": sweep.final_over_initial,
             "holder_constant": sweep.holder_constant,
@@ -361,7 +362,7 @@ def _run_span_trials(cfg: ExperimentConfig, opts: dict, out: Path) -> ReportReco
     matches = sum(1 for o, r, z in results if o == r == m - z)
     return ReportRecord(
         cfg.experiment,
-        cfg.digest(),
+        cfg.digest(opts),
         metrics={"m": m, "trials": trials, "matches": matches},
         flags={"all_match": matches == trials},
     )
@@ -402,7 +403,7 @@ def _run_radial_scan(cfg: ExperimentConfig, opts: dict, out: Path) -> ReportReco
     (out / "verdict.json").write_text(json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
     return ReportRecord(
         cfg.experiment,
-        cfg.digest(),
+        cfg.digest(opts),
         metrics={
             "m": m,
             "detected_radii": len(zero_set.radii),

@@ -1,12 +1,17 @@
 """Exact arithmetic on finite unions of closed 1-D intervals.
 
-Endpoints are Fractions, so merging, Lebesgue measure and neighborhood
-measure are exact.  Downstream checks assert equalities like 10/9 on the
-nose, which is why nothing here ever rounds.
+A union holds integer numerators over one common denominator: the pair
+(s, l) over den is the interval [s/den, (s + l)/den].  Ordering checks,
+the Lebesgue measure and the gap multiset run on ints, and Fraction
+appears only at the API edge: from_pairs takes rationals, and measure,
+gap_counts, midpoints and neighborhood_measure return Fractions.
+Downstream checks assert equalities like 10/9 on the nose, which is why
+nothing here ever rounds.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,10 +21,10 @@ from typing import Iterable, Tuple
 from ..errors import DomainError
 from ..numeric import as_fraction
 
-Span = Tuple[Fraction, Fraction]  # (start, length), length > 0
+Span = Tuple[int, int]  # (start, length) numerators, length > 0
 
 
-def _normalize(pairs: Iterable[tuple]) -> tuple[Span, ...]:
+def _normalize(pairs: Iterable[tuple]) -> tuple[tuple[Fraction, Fraction], ...]:
     spans = []
     for start, length in pairs:
         s, l = as_fraction(start), as_fraction(length)
@@ -57,7 +62,9 @@ def tube_measure(length, gap_counts: Iterable[tuple], eps) -> Fraction:
 
 @dataclass(frozen=True)
 class IntervalUnion:
-    """Sorted, pairwise-disjoint closed intervals as (start, length) pairs.
+    """Sorted, pairwise-disjoint closed intervals as (start, length) pairs
+    of integer numerators over one denominator, in lowest terms, so equal
+    unions compare equal.
 
     The measure and the gap multiset do not depend on eps; each is
     computed on first use and kept, so a sweep over scales pays only for
@@ -65,8 +72,11 @@ class IntervalUnion:
     """
 
     intervals: Tuple[Span, ...]
+    denominator: int
 
     def __post_init__(self):
+        if self.denominator < 1:
+            raise DomainError("denominator must be a positive integer")
         prev_end = None
         for s, l in self.intervals:
             if l <= 0:
@@ -74,11 +84,17 @@ class IntervalUnion:
             if prev_end is not None and s <= prev_end:
                 raise DomainError("intervals not normalized; use from_pairs")
             prev_end = s + l
+        if math.gcd(self.denominator, *(x for span in self.intervals for x in span)) != 1:
+            raise DomainError("numerators and denominator share a factor")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple]) -> "IntervalUnion":
-        """Build from (start, length) pairs, merging overlap and touching."""
-        return cls(_normalize(pairs))
+        """Build from rational (start, length) pairs, merging overlap and
+        touching, over the lcm of the merged values' denominators."""
+        spans = _normalize(pairs)
+        den = math.lcm(*(x.denominator for span in spans for x in span))
+        lattice = tuple(tuple(x.numerator * (den // x.denominator) for x in span) for span in spans)
+        return cls(lattice, den)
 
     @property
     def count(self) -> int:
@@ -86,25 +102,23 @@ class IntervalUnion:
 
     @cached_property
     def measure(self) -> Fraction:
-        return sum((l for _, l in self.intervals), Fraction(0))
+        return Fraction(sum(l for _, l in self.intervals), self.denominator)
 
     def midpoints(self) -> tuple[Fraction, ...]:
-        return tuple(s + l / 2 for s, l in self.intervals)
+        twice = 2 * self.denominator
+        return tuple(Fraction(2 * s + l, twice) for s, l in self.intervals)
 
     @cached_property
     def gap_counts(self) -> tuple[tuple[Fraction, int], ...]:
         """The bounded gaps between consecutive intervals as a multiset:
         (length, multiplicity) pairs, shortest first."""
         iv = self.intervals
-        # keyed by (numerator, denominator): hashing a Fraction itself costs
-        # a modular inverse, ten times the rest of the count
-        gaps = Counter((s1 - (s0 + l0)).as_integer_ratio() for (s0, l0), (s1, _) in zip(iv, iv[1:]))
-        return tuple(sorted((Fraction(*g), mult) for g, mult in gaps.items()))
+        # counted as integer numerators; only the few distinct gaps become
+        # Fractions
+        gaps = Counter(s1 - s0 - l0 for (s0, l0), (s1, _) in zip(iv, iv[1:]))
+        return tuple((Fraction(g, self.denominator), mult) for g, mult in sorted(gaps.items()))
 
     def neighborhood_measure(self, eps) -> Fraction:
         """Exact measure of the closed eps-neighborhood (0 for the empty union)."""
         volume = tube_measure(self.measure, self.gap_counts, eps)
         return volume if self.intervals else Fraction(0)
-
-    def __iter__(self):
-        return iter(self.intervals)

@@ -12,15 +12,9 @@ from .grid import GridFunction, default_tol, dft
 
 @dataclass(frozen=True)
 class SphericalZeroSet:
-    """Radii whose whole lattice shell has transform modulus below tol.
-
-    gaps lists scanned radii whose shell contained no lattice point at
-    all: those carry no evidence either way and are flagged instead of
-    being reported as zeros.
-    """
+    """Radii whose whole lattice shell has transform modulus below tol."""
 
     radii: tuple
-    gaps: tuple
     tol: float
 
     def __post_init__(self):
@@ -38,9 +32,15 @@ def centered_frequencies(m: int) -> np.ndarray:
 def spherical_zero_radii(f: GridFunction) -> SphericalZeroSet:
     """Scan shells r - 1/2 <= |k| < r + 1/2 at radii r = 1, 2, 3, ...
 
-    up to the largest lattice radius, with tol = default_tol.  The shell
-    width is the lattice spacing, 1 in frequency units; a radius whose
-    shell holds no lattice point is flagged as a gap rather than a zero.
+    up to the largest lattice radius r_max, with tol = default_tol.  The
+    shell width is the lattice spacing, 1 in frequency units, so every
+    scanned shell holds a lattice point and a zero always rests on
+    evidence.  Proof: let K be the largest |coordinate|.  The axis points
+    (k, 0), k = 0..K, have norms 0, 1, ..., K, and along (K, 0), (K, 1),
+    ..., (K, K) the norm rises from K to the corner norm r_max = K sqrt(2)
+    by steps of at most 1 (triangle inequality).  A rising sequence whose
+    steps are at most 1 meets every half-open window [r - 1/2, r + 1/2)
+    with r between its ends, so every shell with 1 <= r <= r_max does.
     """
     if f.n != 2:
         raise DomainError("spherical scans need a 2-D grid")
@@ -51,16 +51,14 @@ def spherical_zero_radii(f: GridFunction) -> SphericalZeroSet:
     norms = np.sqrt(kx**2 + ky**2).ravel()
     mags = np.abs(fhat).ravel()
     r_max = float(norms.max())
-    radii, gaps = [], []
+    radii = []
     r = 1.0
     while r <= r_max:
         mask = (norms >= r - 0.5) & (norms < r + 0.5)
-        if not mask.any():
-            gaps.append(r)
-        elif float(mags[mask].max()) < tol:
+        if float(mags[mask].max()) < tol:
             radii.append(r)
         r += 1.0
-    return SphericalZeroSet(radii=tuple(radii), gaps=tuple(gaps), tol=float(tol))
+    return SphericalZeroSet(radii=tuple(radii), tol=float(tol))
 
 
 def mask_spectrum_on_radii(

@@ -79,9 +79,10 @@ def test_cloud_route_agrees_with_structural_route():
     params = middle_thirds_params()
     pts = []
     level = build_level(params, 6)
-    for s, l in level.intervals:
-        pts.append(s)
-        pts.append(s + l)
+    den = level.intervals.denominator
+    for s, l in level.intervals.intervals:
+        pts.append(Fraction(s, den))
+        pts.append(Fraction(s + l, den))
     cloud = PointCloud.from_points(pts)
     sweep = ScaleSweep(Fraction(1, 27), Fraction(1, 3), 4)
     fit = box_dimension_estimate(cloud, sweep)

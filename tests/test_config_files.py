@@ -136,22 +136,39 @@ def test_typed_getters(tmp_path):
             bad.resolve(TABLE)
 
 
+def digest_of(cfg):
+    return cfg.digest(cfg.resolve(TABLE))
+
+
 def test_digest_covers_inputs_not_plumbing(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(SAMPLE)
     base = ExperimentConfig.from_file(path)
-    assert base.digest() == ExperimentConfig.from_file(path).digest()
+    assert digest_of(base) == digest_of(ExperimentConfig.from_file(path))
     # out does not affect identity
     moved = ExperimentConfig.from_file(path, out="x")
-    assert moved.digest() == base.digest()
+    assert digest_of(moved) == digest_of(base)
     # seed and options do
     reseeded = ExperimentConfig.from_file(path, seed=43)
-    assert reseeded.digest() != base.digest()
+    assert digest_of(reseeded) != digest_of(base)
     other = ExperimentConfig(experiment="dim", options={"cantor.branches": "3"}, seed=42)
-    assert other.digest() != base.digest()
+    assert digest_of(other) != digest_of(base)
 
 
 def test_digest_is_order_insensitive():
-    a = ExperimentConfig(experiment="dim", options={"x": "1", "y": "2"})
-    b = ExperimentConfig(experiment="dim", options={"y": "2", "x": "1"})
-    assert a.digest() == b.digest()
+    a = ExperimentConfig(experiment="dim", options={"dim.level_min": "1", "dim.level_max": "2"})
+    b = ExperimentConfig(experiment="dim", options={"dim.level_max": "2", "dim.level_min": "1"})
+    assert digest_of(a) == digest_of(b)
+
+
+def test_digest_hashes_resolved_values():
+    """An option given at its default, or written another way, is the
+    same run as one left out; another value is not."""
+
+    def digest(**ratio):
+        options = {"dim.level_max": "9", **{f"cantor.{k}": v for k, v in ratio.items()}}
+        cfg = ExperimentConfig(experiment="dim", options=options)
+        return cfg.digest(cfg.resolve(DIM_KEYS))
+
+    assert digest() == digest(ratio="1/3") == digest(ratio="2/6")
+    assert digest(ratio="1/5") != digest()

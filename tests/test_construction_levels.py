@@ -2,6 +2,7 @@
 
 import csv
 import json
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -18,9 +19,17 @@ from fracspec.geometry.density import ball_mass
 from fracspec.geometry.intervals import IntervalUnion
 
 
+def spans(union):
+    """The union's (start, length) pairs as Fractions."""
+    return tuple(
+        (Fraction(s, union.denominator), Fraction(l, union.denominator))
+        for s, l in union.intervals
+    )
+
+
 def test_level_two_starts_frozen():
     level = build_level(middle_thirds_params(), 2)
-    assert level.intervals.intervals == tuple(
+    assert spans(level.intervals) == tuple(
         (s, Fraction(1, 9)) for s in (Fraction(0), Fraction(2, 9), Fraction(2, 3), Fraction(8, 9))
     )
     assert level.member_count == 4
@@ -30,12 +39,13 @@ def test_level_two_starts_frozen():
 def test_levels_nest():
     params = middle_thirds_params()
     prev = build_level(params, 0)
-    assert prev.intervals.intervals == ((Fraction(0), Fraction(1)),)
+    assert spans(prev.intervals) == ((Fraction(0), Fraction(1)),)
     for depth in range(1, 7):
         cur = build_level(params, depth)
+        parents = spans(prev.intervals)
         # the i-th interval is a child of parent i // 2
-        for i, (s, l) in enumerate(cur.intervals):
-            ps, pl = prev.intervals.intervals[i // 2]
+        for i, (s, l) in enumerate(spans(cur.intervals)):
+            ps, pl = parents[i // 2]
             assert ps <= s and s + l <= ps + pl
         assert cur.member_count == 2**depth
         prev = cur
@@ -47,7 +57,7 @@ def test_tapered_level_one_frozen():
     )
     level = build_level(params, 1)
     # eta_1 = (1/3)(1 - 1/4) = 1/4
-    assert level.intervals.intervals == (
+    assert spans(level.intervals) == (
         (Fraction(0), Fraction(1, 4)),
         (Fraction(2, 3), Fraction(1, 4)),
     )
@@ -83,33 +93,26 @@ def merged_level(params, depth):
     for j in range(1, depth + 1):
         eta = params.eta_at(j)
         union = IntervalUnion.from_pairs(
-            (s + a * l, l * eta) for s, l in reversed(union.intervals) for a in params.offsets
+            (s + a * l, l * eta) for s, l in reversed(spans(union)) for a in params.offsets
         )
     return union
 
 
+TAPERED_3 = CantorParams.create(
+    3,
+    Fraction(1, 5),
+    (Fraction(0), Fraction(3, 10), Fraction(61, 100)),
+    eta_rule="tapered",
+)
+SEEDED_4 = CantorParams.create(
+    4,
+    Fraction(1, 16),
+    sample_salem_offsets(4, Fraction(1, 16), np.random.default_rng(7)),
+)
+
 ORACLE_CASES = pytest.mark.parametrize(
     "params, depth",
-    [
-        (middle_thirds_params(), 8),
-        (
-            CantorParams.create(
-                3,
-                Fraction(1, 5),
-                (Fraction(0), Fraction(3, 10), Fraction(61, 100)),
-                eta_rule="tapered",
-            ),
-            6,
-        ),
-        (
-            CantorParams.create(
-                4,
-                Fraction(1, 16),
-                sample_salem_offsets(4, Fraction(1, 16), np.random.default_rng(7)),
-            ),
-            5,
-        ),
-    ],
+    [(middle_thirds_params(), 8), (TAPERED_3, 6), (SEEDED_4, 5)],
     ids=["middle-thirds", "tapered-3", "seeded-4"],
 )
 
@@ -117,8 +120,36 @@ ORACLE_CASES = pytest.mark.parametrize(
 @ORACLE_CASES
 def test_build_level_matches_merged_enumeration(params, depth):
     level = build_level(params, depth)
-    assert level.intervals.intervals == merged_level(params, depth).intervals
+    # both routes keep lowest terms, so the unions agree numerator for numerator
+    assert level.intervals == merged_level(params, depth)
     assert level.member_count == params.branches**depth
+
+
+# starts 1/4 + 1/36 = 5/18, 1/3, 7/9, 5/6 at depth 2: the lcm 324 of the
+# steps' denominators is twice the least common denominator of the level
+SHARED_FACTOR = CantorParams.create(2, Fraction(1, 9), (Fraction(1, 4), Fraction(3, 4)))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [middle_thirds_params(), TAPERED_3, SEEDED_4, SHARED_FACTOR],
+    ids=["middle-thirds", "tapered-3", "seeded-4", "shared-factor"],
+)
+def test_build_level_matches_fraction_recursion(params):
+    """The integer recursion against the Fraction one it replaced, with
+    the measure, gap multiset and midpoints taken from the Fraction spans."""
+    lengths = params.level_lengths(8)
+    starts = [Fraction(0)]
+    for depth in range(9):
+        if depth:
+            starts = [s + a * lengths[depth - 1] for s in starts for a in params.offsets]
+        oracle = tuple((s, lengths[depth]) for s in starts)
+        union = build_level(params, depth).intervals
+        assert spans(union) == oracle
+        assert union.measure == len(oracle) * lengths[depth]
+        gaps = Counter(s1 - (s0 + l0) for (s0, l0), (s1, _) in zip(oracle, oracle[1:]))
+        assert union.gap_counts == tuple(sorted(gaps.items()))
+        assert union.midpoints() == tuple(s + l / 2 for s, l in oracle)
 
 
 @ORACLE_CASES
@@ -130,7 +161,7 @@ def test_closed_form_rows_match_built_levels(params, depth):
     assert len(lengths) == depth + 1
     for m in range(depth + 1):
         level = build_level(params, m)
-        assert {l for _, l in level.intervals} == {lengths[m]}
+        assert {l for _, l in spans(level.intervals)} == {lengths[m]}
         assert level.intervals.count == params.branches**m
 
 

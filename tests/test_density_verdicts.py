@@ -23,7 +23,7 @@ from fracspec.tauberian.verdict import (
 
 
 def radial_zero_set():
-    return SphericalZeroSet((1.0,), (), 1e-9)
+    return SphericalZeroSet((1.0,), 1e-9)
 
 
 def full_zero_set():
@@ -130,7 +130,7 @@ def test_verdict_validation():
 
 
 def test_prior_rows_empty_flagging():
-    empty = SphericalZeroSet((), (), 1e-9)
+    empty = SphericalZeroSet((), 1e-9)
     v = verdict(empty, 0.0, 2)
     l1 = next(r for r in v.rows if r.rule == "prior-l1")
     assert any("empty" in n for n in l1.notes)

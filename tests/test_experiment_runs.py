@@ -50,7 +50,10 @@ def test_construct_artifacts(tmp_path):
     # a header line and one line per interval
     assert len((out / "level.csv").read_text().splitlines()) == 1 + 8
     on_disk = json.loads((out / "report.json").read_text())
-    assert on_disk["digest"] == cfg.digest()
+    assert on_disk["digest"] == cfg.digest(cfg.resolve(CONSTRUCT_KEYS))
+    # the ratio at its default is the same run as the ratio left out
+    _, explicit, _ = run(tmp_path, "construct", "level.depth = 3\ncantor.ratio = 1/3\n")
+    assert explicit.digest == record.digest
 
 
 def test_dim_artifacts(tmp_path):
@@ -242,6 +245,31 @@ def test_exact_artifacts_pinned(tmp_path, name):
         rel: hashlib.sha256((tmp_path / "out" / rel).read_bytes()).hexdigest() for rel in pinned
     }
     assert digests == pinned
+
+
+# SHA-256 of level.csv at depth 8 as the Fraction recursion wrote it, for
+# a tapered ratio and for offsets drawn from a seed (dyadic numerators
+# over 2**81), so integer levels over a common denominator must keep it.
+PINNED_LEVELS = {
+    "tapered-3": (
+        TAPERED_TEXT,
+        None,
+        "44a58221d3576cc60bc0968b3969c42fe81eacb18bbda4947f5a7980255e97db",
+    ),
+    "seeded-4": (
+        "cantor.branches = 4\ncantor.ratio = 1/16\n",
+        1,
+        "780775a513dfb8db4f19aaaa583c8e09823c89108d366a13ee7eff24b81ab3d8",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LEVELS))
+def test_level_csv_pinned(tmp_path, name):
+    base, seed, pinned = PINNED_LEVELS[name]
+    run(tmp_path, "construct", base + "level.depth = 8\n", seed=seed)
+    level_csv = tmp_path / "out" / "construct" / "level.csv"
+    assert hashlib.sha256(level_csv.read_bytes()).hexdigest() == pinned
 
 
 # SHA-256 of the spectral-path artifacts as the per-level (F, N) transform

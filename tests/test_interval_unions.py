@@ -1,5 +1,6 @@
 """Exact interval-union arithmetic."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,10 +11,18 @@ from fracspec.errors import DomainError
 from fracspec.geometry.intervals import IntervalUnion
 
 
+def spans(union):
+    """The union's (start, length) pairs as Fractions."""
+    return tuple(
+        (Fraction(s, union.denominator), Fraction(l, union.denominator))
+        for s, l in union.intervals
+    )
+
+
 def test_merging_and_touching():
     iu = IntervalUnion.from_pairs([(0, 1), (Fraction(1, 2), 1), (3, 1)])
     assert iu.count == 2
-    assert iu.intervals == ((Fraction(0), Fraction(3, 2)), (Fraction(3), Fraction(1)))
+    assert spans(iu) == ((Fraction(0), Fraction(3, 2)), (Fraction(3), Fraction(1)))
     # touching endpoints merge: closed intervals share the point
     iu2 = IntervalUnion.from_pairs([(0, 1), (1, 1)])
     assert iu2.count == 1
@@ -41,9 +50,9 @@ def test_fatten_exact():
 def test_contains_endpoints_closed():
     iu = IntervalUnion.from_pairs([(0, 1), (2, 1)])
     for x in (0, 1, 2, 3, Fraction(1, 2)):
-        assert any(s <= x <= s + l for s, l in iu)
+        assert any(s <= x <= s + l for s, l in spans(iu))
     for x in (Fraction(3, 2), -1, 4):
-        assert not any(s <= x <= s + l for s, l in iu)
+        assert not any(s <= x <= s + l for s, l in spans(iu))
 
 
 def test_invalid_inputs():
@@ -52,8 +61,13 @@ def test_invalid_inputs():
     with pytest.raises(DomainError):
         IntervalUnion.from_pairs([(1, -1)])
     with pytest.raises(DomainError):
-        IntervalUnion(((Fraction(0), Fraction(2)), (Fraction(1), Fraction(1))))
-    assert IntervalUnion(()).measure == 0
+        IntervalUnion(((0, 2), (1, 1)), 1)
+    # the numerators are over a positive denominator, in lowest terms
+    with pytest.raises(DomainError):
+        IntervalUnion(((0, 1),), 0)
+    with pytest.raises(DomainError):
+        IntervalUnion(((0, 2), (4, 2)), 6)
+    assert IntervalUnion((), 1).measure == 0
 
 
 pair = st.tuples(
@@ -66,19 +80,19 @@ pair = st.tuples(
 @given(pairs=st.lists(pair, min_size=1, max_size=8))
 def test_normalization_invariants(pairs):
     iu = IntervalUnion.from_pairs(pairs)
-    spans = iu.intervals
+    merged = spans(iu)
     # sorted, strictly separated, positive lengths
-    for (s0, l0), (s1, _) in zip(spans, spans[1:]):
+    for (s0, l0), (s1, _) in zip(merged, merged[1:]):
         assert s0 + l0 < s1
-    assert all(l > 0 for _, l in spans)
+    assert all(l > 0 for _, l in merged)
     # measure never exceeds the raw total and never undershoots the longest piece
     assert iu.measure <= sum(l for _, l in pairs)
     assert iu.measure >= max(l for _, l in pairs)
     # every input point stays covered
     for s, l in pairs:
-        assert any(a <= s and s + l <= a + b for a, b in spans)
+        assert any(a <= s and s + l <= a + b for a, b in merged)
     # idempotent under re-normalization
-    assert IntervalUnion.from_pairs(spans).intervals == spans
+    assert IntervalUnion.from_pairs(merged) == iu
 
 
 @settings(max_examples=100, deadline=None)
@@ -87,5 +101,38 @@ def test_neighborhood_measure_matches_merged_union(pairs, k):
     """The gap formula against merging the grown pieces, the enumerating oracle."""
     iu = IntervalUnion.from_pairs(pairs)
     eps = Fraction(k, 8)
-    grown = IntervalUnion.from_pairs((s - eps, l + 2 * eps) for s, l in iu.intervals)
+    grown = IntervalUnion.from_pairs((s - eps, l + 2 * eps) for s, l in spans(iu))
     assert iu.neighborhood_measure(eps) == grown.measure
+
+
+def fraction_merge(pairs):
+    """Sort and merge closed intervals in plain Fraction arithmetic."""
+    merged = []
+    for s, l in sorted(pairs):
+        if merged and s <= merged[-1][0] + merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], s + l - merged[-1][0])
+        else:
+            merged.append([s, l])
+    return [(s, l) for s, l in merged]
+
+
+rational = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+positive = st.fractions(min_value=0, max_value=3, max_denominator=12).filter(lambda x: x > 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(rational, positive), max_size=8),
+    eps=st.fractions(min_value=0, max_value=2, max_denominator=12),
+)
+def test_lattice_union_matches_fraction_merge(pairs, eps):
+    """Numerators over the lcm of mixed denominators read back as the
+    Fraction merge, with its measure, gap multiset and eps-neighborhood."""
+    iu = IntervalUnion.from_pairs(pairs)
+    merged = fraction_merge(pairs)
+    assert spans(iu) == tuple(merged)
+    assert iu.measure == sum((l for _, l in merged), Fraction(0))
+    gaps = Counter(s1 - (s0 + l0) for (s0, l0), (s1, _) in zip(merged, merged[1:]))
+    assert iu.gap_counts == tuple(sorted(gaps.items()))
+    grown = fraction_merge([(s - eps, l + 2 * eps) for s, l in merged])
+    assert iu.neighborhood_measure(eps) == sum((l for _, l in grown), Fraction(0))

@@ -146,13 +146,13 @@ def test_occupancy_matches_meshgrid_reference(monkeypatch, kind, n, cells_per_ep
 
 
 def test_empty_union_flagged():
-    vol = eps_neighborhood_volume(IntervalUnion(()), Fraction(1, 2))
+    vol = eps_neighborhood_volume(IntervalUnion((), 1), Fraction(1, 2))
     assert vol.exact and vol.value == vol.low == vol.high == 0
 
 
 def test_volume_input_validation():
     with pytest.raises(DomainError):
-        eps_neighborhood_volume(IntervalUnion(()), 0)
+        eps_neighborhood_volume(IntervalUnion((), 1), 0)
     with pytest.raises(DomainError):
         eps_neighborhood_volume([(0, 1)], Fraction(1, 2))
 

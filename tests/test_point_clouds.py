@@ -211,8 +211,11 @@ def test_cached_tables_carry_no_eps(pairs, pts, order):
     iu = IntervalUnion.from_pairs((Fraction(a, 4), Fraction(b, 4)) for a, b in pairs)
     cloud = PointCloud.from_points(pts)
     for eps in order:
-        grown = IntervalUnion.from_pairs((s - eps, l + 2 * eps) for s, l in iu.intervals)
-        fresh_iu = IntervalUnion(iu.intervals)
+        den = iu.denominator
+        grown = IntervalUnion.from_pairs(
+            (Fraction(s, den) - eps, Fraction(l, den) + 2 * eps) for s, l in iu.intervals
+        )
+        fresh_iu = IntervalUnion(iu.intervals, den)
         assert iu.neighborhood_measure(eps) == fresh_iu.neighborhood_measure(eps) == grown.measure
         fresh = PointCloud.from_points(pts)
         cover = covering_number(cloud, eps)

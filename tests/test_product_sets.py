@@ -45,7 +45,7 @@ def test_product_bounds_validation():
     base = IntervalUnion.from_pairs([(0, 1)])
     sweep = ScaleSweep(Fraction(1, 2), Fraction(1, 2), 4)
     with pytest.raises(DomainError):
-        product_minkowski_bounds(IntervalUnion(()), 2, 1.0, sweep)
+        product_minkowski_bounds(IntervalUnion((), 1), 2, 1.0, sweep)
     with pytest.raises(DomainError):
         product_minkowski_bounds(base, 2, 2.5, sweep)
 
