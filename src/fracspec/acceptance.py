@@ -160,7 +160,7 @@ def criterion_minkowski_ratio(alpha=None) -> CriterionResult:
         alpha,
         ScaleSweep(eps_max=Fraction(1, 9), ratio=Fraction(1, 3), count=11),
     )
-    in_range = all(1.0 <= r.ratio_low and r.ratio_high <= 3.0 for r in sweep.rows)
+    in_range = all(1.0 <= r.ratio <= 3.0 for r in sweep.rows)
     all_exact = all(r.ratio_exact is not None for r in sweep.rows)
     first = sweep.rows[0].ratio_exact
     first_ok = first == Fraction(5, 2)

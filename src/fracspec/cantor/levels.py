@@ -16,8 +16,6 @@ MAX_INTERVALS = 2**20
 class CantorLevel:
     """Level-depth stage of the recursion: branches**depth closed intervals."""
 
-    params: CantorParams
-    depth: int
     intervals: IntervalUnion
 
     @property
@@ -62,4 +60,4 @@ def build_level(params: CantorParams, depth: int) -> CantorLevel:
         den, length, starts = den // g, length // g, [s // g for s in starts]
     # sorted parents and ascending offsets give sorted children, and offset
     # gaps above eta keep them disjoint; IntervalUnion raises if they are not
-    return CantorLevel(params, depth, IntervalUnion(tuple((s, length) for s in starts), den))
+    return CantorLevel(IntervalUnion(tuple((s, length) for s in starts), den))

@@ -12,11 +12,14 @@ from .params import CantorParams
 def natural_measure(params: CantorParams, depth: int) -> WeightedMeasure:
     """Level-depth atomic stand-in for the limit measure, as floats.
 
-    One atom at each level-depth interval midpoint (the float of the exact
-    midpoint), each of weight float(branches**-depth).
+    One atom at each level-depth interval midpoint, each of weight
+    float(branches**-depth).  The midpoint of the span (s, l) over den is
+    (2s + l) / (2 den); int true division rounds it correctly, as
+    float(Fraction) does, without reducing a Fraction per interval.
     """
     level = build_level(params, depth)
     weight = float(Fraction(1, params.branches**depth))
+    twice = 2 * level.intervals.denominator
     return WeightedMeasure.from_atoms(
-        [float(a) for a in level.intervals.midpoints()], [weight] * level.member_count
+        [(2 * s + l) / twice for s, l in level.intervals.intervals], [weight] * level.member_count
     )

@@ -23,12 +23,8 @@ def _inv_sqrt_lower(n: int) -> Fraction:
 @dataclass(frozen=True)
 class ProductVolumeRow:
     eps: object
-    volume_low: Fraction
-    volume_high: Fraction
     ratio_low: float
     ratio_high: float
-    ratio_low_exact: Fraction | None
-    ratio_high_exact: Fraction | None
 
 
 @dataclass
@@ -46,8 +42,6 @@ class ProductMinkowskiBounds:
     so the lower volume stays an exact underestimate.
     """
 
-    alpha: object
-    power: int
     rows: list[ProductVolumeRow] = field(default_factory=list)
 
     @property
@@ -77,19 +71,16 @@ def product_minkowski_bounds(
     if not (0 <= a <= n):
         raise DomainError(f"alpha must lie in [0, {n}]")
     shrink = _inv_sqrt_lower(n)
-    out = ProductMinkowskiBounds(alpha=alpha, power=power)
+    out = ProductMinkowskiBounds()
     for eps in sweep.scales():
         e = as_fraction(eps)
         vol_hi = base.neighborhood_measure(e) ** n
         vol_lo = base.neighborhood_measure(e * shrink) ** n
         factor = _ratio_factor(alpha, eps, n)
         if isinstance(factor, Fraction):
-            lo_exact, hi_exact = factor * vol_lo, factor * vol_hi
-            lo, hi = float(lo_exact), float(hi_exact)
+            # the exact products decide the floats
+            lo, hi = float(factor * vol_lo), float(factor * vol_hi)
         else:
-            lo_exact = hi_exact = None
             lo, hi = factor * float(vol_lo), factor * float(vol_hi)
-        out.rows.append(
-            ProductVolumeRow(eps, vol_lo, vol_hi, lo, hi, lo_exact, hi_exact)
-        )
+        out.rows.append(ProductVolumeRow(eps, lo, hi))
     return out

@@ -42,6 +42,7 @@ from .geometry import (
     PointCloud,
     ScaleSweep,
     box_dimension_estimate,
+    covering_number,
     minkowski_ratio_sweep,
 )
 from .geometry.dimension import MIN_SCALES
@@ -232,7 +233,7 @@ def run_minkowski(cfg: ExperimentConfig) -> ReportRecord:
     write_csv(
         out / "ratios.csv",
         ("eps", "value", "bound_low", "bound_high"),
-        [(fmt(r.eps), fmt(r.ratio), fmt(r.ratio_low), fmt(r.ratio_high)) for r in sweep.rows],
+        [(fmt(r.eps), fmt(r.ratio), fmt(r.ratio), fmt(r.ratio)) for r in sweep.rows],
     )
     return ReportRecord(
         experiment=cfg.experiment,
@@ -397,7 +398,9 @@ def _run_radial_scan(cfg: ExperimentConfig, opts: dict, out: Path) -> ReportReco
                 ).limit_denominator(10**6),
                 count=count,
             )
-            fit = box_dimension_estimate(cloud, sweep)
+            fit = box_dimension_estimate(
+                [(eps, covering_number(cloud, eps)) for eps in sweep.scales()]
+            )
             dim_est = fit.slope
     report = verdict(zero_set, dim_est, 2)
     (out / "verdict.json").write_text(json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")

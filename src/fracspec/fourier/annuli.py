@@ -55,7 +55,6 @@ class OctaveRow:
 
 @dataclass(frozen=True)
 class OctaveDiagnostics:
-    q: float
     dim: int
     rows: tuple
     tail_ratios: tuple
@@ -130,4 +129,4 @@ def lq_annulus_diagnostics(source, q: float, j0: int, j1: int, dim: int = 1) -> 
     ratios = [r.ratio for r in rows if r.ratio is not None]
     tail = tuple(ratios[-TAIL_RATIO_COUNT:])
     verdict = "summable-like" if all(r < RATIO_THRESHOLD for r in tail) else "divergent-like"
-    return OctaveDiagnostics(q, dim, tuple(rows), tail, verdict)
+    return OctaveDiagnostics(dim, tuple(rows), tail, verdict)

@@ -136,7 +136,6 @@ class DyadicProfile:
     """a_j = 2**(j(dim - alpha)) * (annulus sup of |transform|^2)."""
 
     dim: int
-    alpha: float
     j_lo: int
     j_hi: int
     a: tuple
@@ -155,4 +154,4 @@ def bump_profile(chi: BumpFunction, alpha: float, j_lo: int, j_hi: int) -> Dyadi
         raise DomainError("j_hi must be >= j_lo")
     js = range(j_lo, j_hi + 1)
     a = tuple(2.0 ** (j * (chi.dim - alpha)) * annulus_sup_squared(chi.dim, j) for j in js)
-    return DyadicProfile(dim=chi.dim, alpha=alpha, j_lo=j_lo, j_hi=j_hi, a=a)
+    return DyadicProfile(dim=chi.dim, j_lo=j_lo, j_hi=j_hi, a=a)

@@ -35,7 +35,6 @@ class RadialProfile:
     dim: int
     p: float
     support_radius: Optional[float] = None
-    label: str = ""
 
     def __post_init__(self):
         if self.dim < 1:
@@ -68,8 +67,7 @@ def bessel_tail_profile(dim: int = 2, p: float = 4.0, truncate_at: Optional[floa
         out[pos] = vals
         return out
 
-    label = "bessel-tail" + ("" if truncate_at is None else f"-trunc{truncate_at:g}")
-    return RadialProfile(func, dim, p, truncate_at, label)
+    return RadialProfile(func, dim, p, truncate_at)
 
 
 @dataclass(frozen=True)
@@ -88,7 +86,6 @@ class MollifierRow:
 @dataclass(frozen=True)
 class MollifierSweep:
     dim: int
-    alpha: float
     p: float
     eps: tuple
     rows: tuple
@@ -209,7 +206,6 @@ def mollifier_sum(
     tails_ok = all(row.tail_nonincreasing for row in rows)
     return MollifierSweep(
         dim=n,
-        alpha=alpha,
         p=f.p,
         eps=tuple(eps),
         rows=tuple(rows),

@@ -4,9 +4,7 @@ from .cloud import (
     EXACT_CAP,
     PointCloud,
     covering_number,
-    covering_witness,
     packing_number,
-    packing_witness,
 )
 from .density import (
     DensityEstimate,
@@ -39,10 +37,8 @@ __all__ = [
     "ball_mass",
     "box_dimension_estimate",
     "covering_number",
-    "covering_witness",
     "eps_neighborhood_volume",
     "minkowski_ratio_sweep",
     "packing_number",
-    "packing_witness",
     "upper_density_estimate",
 ]

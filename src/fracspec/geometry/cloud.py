@@ -1,4 +1,4 @@
-"""Covering and packing statistics for finite point sets.
+"""Exact covering and packing counts for finite point sets.
 
 Conventions, fixed once for the whole package:
 
@@ -23,11 +23,12 @@ need two-sided control evaluate the chain at doubled / halved radii as
 above rather than guessing.
 
 Every count is exact, and comparisons run on squared distances, so
-clouds with Fraction coordinates are handled exactly.  In one dimension
-the counts use left-to-right sweeps (optimal by the standard exchange
-argument) and have no size cap; in higher dimensions they come from a
-branch-and-bound search over at most EXACT_CAP points, and a larger
-cloud raises SizeError before any work.  The pairwise squared distances
+clouds with Fraction coordinates are handled exactly.  The searches
+return counts only; no center set is kept.  In one dimension the counts
+use left-to-right sweeps (optimal by the standard exchange argument) and
+have no size cap; in higher dimensions they come from a branch-and-bound
+search over at most EXACT_CAP points, and a larger cloud raises
+SizeError before any work.  The pairwise squared distances
 the search reads do not depend on eps: they are computed once per
 cloud, on the first count, and each eps then costs one threshold pass
 over them.
@@ -106,9 +107,8 @@ class PointCloud:
 # exact counts, one dimension: left-to-right sweeps, no size cap
 
 
-def _exact_cover_1d(xs: Sequence, eps) -> tuple[int, list[int]]:
+def _exact_cover_1d(xs: Sequence, eps) -> int:
     count = 0
-    centers = []
     i, n = 0, len(xs)
     while i < n:
         # cover the leftmost uncovered point with the rightmost usable center
@@ -116,23 +116,22 @@ def _exact_cover_1d(xs: Sequence, eps) -> tuple[int, list[int]]:
         c = i
         while c + 1 < n and xs[c + 1] <= limit:
             c += 1
-        centers.append(c)
         count += 1
         reach = xs[c] + eps
         while i < n and xs[i] <= reach:
             i += 1
-    return count, centers
+    return count
 
 
-def _exact_pack_1d(xs: Sequence, eps) -> list[int]:
-    chosen = [0]
+def _exact_pack_1d(xs: Sequence, eps) -> int:
+    count = 1
     last = xs[0]
     gap = 2 * eps
-    for i in range(1, len(xs)):
-        if xs[i] - last > gap:
-            chosen.append(i)
-            last = xs[i]
-    return chosen
+    for x in xs[1:]:
+        if x - last > gap:
+            count += 1
+            last = x
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -145,79 +144,71 @@ def _cover_masks(cloud: PointCloud, eps) -> list[int]:
     return [sum(1 << j for j, d2 in enumerate(row) if d2 <= e2) for row in cloud._dist2_table]
 
 
-def _exact_cover_nd(cloud: PointCloud, eps) -> tuple[int, list[int]]:
+def _exact_cover_nd(cloud: PointCloud, eps) -> int:
     masks = _cover_masks(cloud, eps)
     npts = cloud.size
     full = (1 << npts) - 1
 
-    best_count, best_sel = _incumbent_cover(masks, full)
+    best_count = _incumbent_cover(masks, full)
     max_gain = max(m.bit_count() for m in masks)
 
-    def rec(uncovered: int, used: int, sel: list[int]):
-        nonlocal best_count, best_sel
+    def rec(uncovered: int, used: int):
+        nonlocal best_count
         if uncovered == 0:
-            if used < best_count:
-                best_count, best_sel = used, list(sel)
+            best_count = min(best_count, used)
             return
         need = -(-uncovered.bit_count() // max_gain)  # ceil division
         if used + need >= best_count:
             return
         # branch on the uncovered point with the fewest usable centers
-        target, target_opts = -1, None
+        target_opts = None
         u = uncovered
         while u:
             j = (u & -u).bit_length() - 1
             u &= u - 1
             opts = [c for c in range(npts) if masks[c] >> j & 1]
             if target_opts is None or len(opts) < len(target_opts):
-                target, target_opts = j, opts
+                target_opts = opts
                 if len(opts) == 1:
                     break
         for c in sorted(target_opts, key=lambda c: -(masks[c] & uncovered).bit_count()):
-            sel.append(c)
-            rec(uncovered & ~masks[c], used + 1, sel)
-            sel.pop()
+            rec(uncovered & ~masks[c], used + 1)
 
-    rec(full, 0, [])
-    return best_count, best_sel
+    rec(full, 0)
+    return best_count
 
 
-def _incumbent_cover(masks: list[int], full: int) -> tuple[int, list[int]]:
-    """A first cover to bound the search: take the center that covers the
-    most uncovered points until none is left."""
-    uncovered, sel = full, []
+def _incumbent_cover(masks: list[int], full: int) -> int:
+    """The size of a first cover to bound the search: take the center that
+    covers the most uncovered points until none is left."""
+    uncovered, count = full, 0
     while uncovered:
         c = max(range(len(masks)), key=lambda k: ((masks[k] & uncovered).bit_count(), -k))
-        sel.append(c)
+        count += 1
         uncovered &= ~masks[c]
-    return len(sel), sel
+    return count
 
 
-def _exact_pack_nd(cloud: PointCloud, eps) -> list[int]:
-    npts = cloud.size
+def _exact_pack_nd(cloud: PointCloud, eps) -> int:
     # i and j conflict unless dist(i, j) > 2 eps
     conflict = [m & ~(1 << i) for i, m in enumerate(_cover_masks(cloud, 2 * eps))]
 
-    memo: dict[int, tuple[int, int]] = {}
+    memo: dict[int, int] = {}
 
-    def rec(cand: int) -> tuple[int, int]:
+    def rec(cand: int) -> int:
         if cand == 0:
-            return 0, 0
+            return 0
         hit = memo.get(cand)
         if hit is not None:
             return hit
         v = (cand & -cand).bit_length() - 1
         bit = 1 << v
-        # include v (preferred on ties: earliest points in the witness)
-        s_in, m_in = rec(cand & ~(bit | conflict[v]))
-        s_in, m_in = s_in + 1, m_in | bit
-        s_out, m_out = rec(cand & ~bit)
-        res = (s_in, m_in) if s_in >= s_out else (s_out, m_out)
+        # the lowest candidate is either in the packing or out of it
+        res = max(rec(cand & ~(bit | conflict[v])) + 1, rec(cand & ~bit))
         memo[cand] = res
         return res
 
-    _, mask = rec((1 << npts) - 1)
-    return [i for i in range(npts) if mask >> i & 1]
+    return rec((1 << cloud.size) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -236,31 +227,13 @@ def _check_cap(cloud: PointCloud, what: str) -> None:
         )
 
 
-def covering_witness(cloud: PointCloud, eps):
-    """Covering count plus the chosen centers (as cloud points)."""
-    _check_eps(eps)
-    if cloud.n == 1:
-        count, idx = _exact_cover_1d([p[0] for p in cloud.points], eps)
-    else:
-        _check_cap(cloud, "covering")
-        count, idx = _exact_cover_nd(cloud, eps)
-    return count, tuple(cloud.points[i] for i in idx)
-
-
 def covering_number(cloud: PointCloud, eps) -> int:
     """Fewest closed eps-balls centered at cloud points that cover the cloud."""
-    return covering_witness(cloud, eps)[0]
-
-
-def packing_witness(cloud: PointCloud, eps) -> tuple:
-    """The centers of a packing attaining the reported count."""
     _check_eps(eps)
     if cloud.n == 1:
-        idx = _exact_pack_1d([p[0] for p in cloud.points], eps)
-    else:
-        _check_cap(cloud, "packing")
-        idx = _exact_pack_nd(cloud, eps)
-    return tuple(cloud.points[i] for i in idx)
+        return _exact_cover_1d([p[0] for p in cloud.points], eps)
+    _check_cap(cloud, "covering")
+    return _exact_cover_nd(cloud, eps)
 
 
 def packing_number(cloud: PointCloud, eps) -> int:
@@ -269,4 +242,8 @@ def packing_number(cloud: PointCloud, eps) -> int:
     Equivalently the maximum number of disjoint open eps-balls centered
     at cloud points.
     """
-    return len(packing_witness(cloud, eps))
+    _check_eps(eps)
+    if cloud.n == 1:
+        return _exact_pack_1d([p[0] for p in cloud.points], eps)
+    _check_cap(cloud, "packing")
+    return _exact_pack_nd(cloud, eps)

@@ -56,8 +56,6 @@ def ball_mass(measure: WeightedMeasure, x, r: float) -> float:
 class DensityEstimate:
     sup_ratio: float
     rows: tuple  # (r, mass, ratio)
-    alpha: float
-    x: tuple
 
 
 def upper_density_estimate(measure: WeightedMeasure, x, alpha: float, sweep: ScaleSweep) -> DensityEstimate:
@@ -77,5 +75,5 @@ def upper_density_estimate(measure: WeightedMeasure, x, alpha: float, sweep: Sca
         ratio = m * (2.0 * rf) ** (-alpha)
         rows.append((rf, m, ratio))
     sup = max(row[2] for row in rows)
-    return DensityEstimate(sup, tuple(rows), alpha, tuple(float(c) for c in x))
+    return DensityEstimate(sup, tuple(rows))
 

@@ -4,7 +4,7 @@ A union holds integer numerators over one common denominator: the pair
 (s, l) over den is the interval [s/den, (s + l)/den].  Ordering checks,
 the Lebesgue measure and the gap multiset run on ints, and Fraction
 appears only at the API edge: from_pairs takes rationals, and measure,
-gap_counts, midpoints and neighborhood_measure return Fractions.
+gap_counts and neighborhood_measure return Fractions.
 Downstream checks assert equalities like 10/9 on the nose, which is why
 nothing here ever rounds.
 """
@@ -103,10 +103,6 @@ class IntervalUnion:
     @cached_property
     def measure(self) -> Fraction:
         return Fraction(sum(l for _, l in self.intervals), self.denominator)
-
-    def midpoints(self) -> tuple[Fraction, ...]:
-        twice = 2 * self.denominator
-        return tuple(Fraction(2 * s + l, twice) for s, l in self.intervals)
 
     @cached_property
     def gap_counts(self) -> tuple[tuple[Fraction, int], ...]:

@@ -10,7 +10,7 @@ from typing import Union
 import numpy as np
 
 from ..errors import DomainError
-from ..numeric import LogRatio, as_fraction
+from ..numeric import LogRatio
 from .cloud import PointCloud
 from .intervals import IntervalUnion, tube_measure
 from .sweeps import ScaleSweep
@@ -22,7 +22,7 @@ OCCUPANCY_CELLS_PER_EPS = 8  # grid cell side is eps / 8
 class VolumeResult:
     """Volume of an eps-neighborhood, with certified two-sided bounds.
 
-    For exact inputs low == value == high and exact is True.  For the
+    For 1-D clouds the volume is exact and low == value == high.  For the
     occupancy-grid estimate, low counts cells certified inside and high
     counts cells that might touch, so low <= true volume <= high up to
     float rounding in the distance tests.
@@ -31,7 +31,6 @@ class VolumeResult:
     value: Union[Fraction, float]
     low: Union[Fraction, float]
     high: Union[Fraction, float]
-    exact: bool
 
 
 def _occupancy_volume(cloud: PointCloud, eps: float) -> VolumeResult:
@@ -53,51 +52,43 @@ def _occupancy_volume(cloud: PointCloud, eps: float) -> VolumeResult:
     cell_vol = cell**n
     inside = float(np.count_nonzero(d <= eps - half_diag) * cell_vol)
     maybe = float(np.count_nonzero(d < eps + half_diag) * cell_vol)
-    return VolumeResult(0.5 * (inside + maybe), inside, maybe, exact=False)
+    return VolumeResult(0.5 * (inside + maybe), inside, maybe)
 
 
-def eps_neighborhood_volume(obj, eps) -> VolumeResult:
-    """Lebesgue volume of the open eps-neighborhood of obj.
+def eps_neighborhood_volume(cloud: PointCloud, eps) -> VolumeResult:
+    """Lebesgue volume of the open eps-neighborhood of a point cloud.
 
-    IntervalUnion and 1-D clouds get exact rational volumes from the gap
-    (tube) formula; open and closed neighborhoods agree in measure.
-    Clouds in dimension >= 2 get an occupancy-grid estimate with certified
-    bounds on a grid of cell side eps / OCCUPANCY_CELLS_PER_EPS.
+    1-D clouds get exact rational volumes from the gap (tube) formula;
+    open and closed neighborhoods agree in measure.  Clouds in dimension
+    >= 2 get an occupancy-grid estimate with certified bounds on a grid of
+    cell side eps / OCCUPANCY_CELLS_PER_EPS.
     """
     if not eps > 0:
         raise DomainError("eps must be positive")
-    if isinstance(obj, IntervalUnion):
-        v = obj.neighborhood_measure(eps)
-        return VolumeResult(v, v, v, exact=True)
-    if isinstance(obj, PointCloud):
-        if obj.n == 1:
-            v = tube_measure(Fraction(0), obj.gap_counts, eps)
-            return VolumeResult(v, v, v, exact=True)
-        return _occupancy_volume(obj, eps)
-    raise DomainError(f"unsupported input type {type(obj).__name__}")
+    if not isinstance(cloud, PointCloud):
+        raise DomainError(f"unsupported input type {type(cloud).__name__}")
+    if cloud.n == 1:
+        v = tube_measure(Fraction(0), cloud.gap_counts, eps)
+        return VolumeResult(v, v, v)
+    return _occupancy_volume(cloud, eps)
 
 
 @dataclass(frozen=True)
 class MinkowskiRow:
     eps: object
-    volume: object
     ratio: float
     ratio_exact: Fraction | None
-    ratio_low: float
-    ratio_high: float
 
 
 @dataclass
 class MinkowskiSweep:
-    """Scale-by-scale values of eps**(alpha - n) * volume(eps-neighborhood)."""
+    """Scale-by-scale values of eps**(alpha - 1) * |union(eps)|."""
 
-    alpha: object
-    ambient_dim: int
     rows: list[MinkowskiRow] = field(default_factory=list)
 
     @property
     def sup_ratio(self) -> float:
-        return max(r.ratio_high for r in self.rows)
+        return max(r.ratio for r in self.rows)
 
     def bounded_by(self, limit: float) -> bool:
         return self.sup_ratio <= limit
@@ -113,29 +104,25 @@ def _ratio_factor(alpha, eps, n: int):
     return float(eps) ** (float(alpha) - n)
 
 
-def minkowski_ratio_sweep(obj, alpha, sweep: ScaleSweep) -> MinkowskiSweep:
-    """Sweep eps**(alpha - n) * |obj(eps)| over a scale schedule.
+def minkowski_ratio_sweep(union: IntervalUnion, alpha, sweep: ScaleSweep) -> MinkowskiSweep:
+    """Sweep eps**(alpha - 1) * |union(eps)| over a scale schedule.
 
     For bounded sets of packing dimension alpha this ratio stays bounded
-    as eps shrinks; the sweep reports per-scale ratios with whatever
-    exactness the inputs allow.
+    as eps shrinks.  The neighborhood measure is exact, so ratio_exact
+    holds the exact ratio whenever eps**(alpha - 1) is rational (alpha a
+    LogRatio and eps a matching power), and None otherwise.
     """
-    n = obj.n if isinstance(obj, PointCloud) else 1
-    a = float(alpha)
-    if not (0 <= a <= n):
-        raise DomainError(f"alpha must lie in [0, {n}]")
-    result = MinkowskiSweep(alpha=alpha, ambient_dim=n)
+    if not (0 <= float(alpha) <= 1):
+        raise DomainError("alpha must lie in [0, 1]")
+    result = MinkowskiSweep()
     for eps in sweep.scales():
-        vol = eps_neighborhood_volume(obj, eps)
-        factor = _ratio_factor(alpha, eps, n)
-        exact = None
-        if isinstance(factor, Fraction) and vol.exact:
-            exact = factor * as_fraction(vol.value)
+        vol = union.neighborhood_measure(eps)
+        factor = _ratio_factor(alpha, eps, 1)
+        if isinstance(factor, Fraction):
+            exact = factor * vol
             ratio = float(exact)
-            low = high = ratio
         else:
-            f = float(factor)
-            ratio = f * float(vol.value)
-            low, high = f * float(vol.low), f * float(vol.high)
-        result.rows.append(MinkowskiRow(eps, vol.value, ratio, exact, low, high))
+            exact = None
+            ratio = factor * float(vol)
+        result.rows.append(MinkowskiRow(eps, ratio, exact))
     return result

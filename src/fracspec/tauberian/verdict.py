@@ -2,17 +2,15 @@
 
 Nothing here proves density in any continuous space.  The rows report
 what the density results guarantee GIVEN a dimension estimate for the
-transform's zero set, with the estimate's confidence interval pushed
-through the (monotone) interval-endpoint formulas.  Rows restating
-previously known results are labeled status "prior-result" and are
-informational only.
+transform's zero set, pushed through the interval-endpoint formulas.
+Rows restating previously known results are labeled status
+"prior-result" and are informational only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from ..errors import DomainError
 from .grid import ZeroSet
@@ -35,7 +33,6 @@ class VerdictRow:
     status: str
     p_lo: float
     p_hi: float
-    p_lo_ci: Optional[tuple]
     formula: str
     notes: tuple = ()
 
@@ -49,7 +46,7 @@ class VerdictRow:
             "status": self.status,
             "p_lo": self.p_lo,
             "p_hi": None if math.isinf(self.p_hi) else self.p_hi,
-            "p_lo_ci": list(self.p_lo_ci) if self.p_lo_ci else None,
+            "p_lo_ci": None,  # no interval is estimated; the key keeps the layout
             "formula": self.formula,
             "notes": list(self.notes),
         }
@@ -60,7 +57,6 @@ class DensityVerdict:
     ambient_dim: int
     zero_kind: str  # "radial" | "full"
     dim_estimate: float
-    dim_ci: Optional[tuple]
     rows: tuple
 
     def as_dict(self) -> dict:
@@ -68,7 +64,7 @@ class DensityVerdict:
             "ambient_dim": self.ambient_dim,
             "zero_kind": self.zero_kind,
             "dim_estimate": self.dim_estimate,
-            "dim_ci": list(self.dim_ci) if self.dim_ci else None,
+            "dim_ci": None,  # no interval is estimated; the key keeps the layout
             "rows": [r.as_dict() for r in self.rows],
         }
 
@@ -87,18 +83,6 @@ def translate_p_lower(n: int, alpha: float) -> float:
     return 2 * n / (2 * n - alpha)
 
 
-def _ci_map(formula, n: int, ci: Optional[tuple], cap: float) -> tuple[Optional[tuple], tuple]:
-    if ci is None:
-        return None, ()
-    lo, hi = ci
-    notes = []
-    if hi >= cap:
-        hi = math.nextafter(cap, 0.0)
-        notes.append("CI upper end exceeds the rule's range; truncated")
-    lo = max(0.0, lo)
-    return (formula(n, lo), formula(n, hi)), tuple(notes)
-
-
 def _prior_rows(n: int, zero_set_empty: bool) -> list[VerdictRow]:
     """Informational restatements of the earlier motion-group results."""
     empty_note = f"radial zero set is {'empty' if zero_set_empty else 'nonempty'} on this grid"
@@ -108,7 +92,6 @@ def _prior_rows(n: int, zero_set_empty: bool) -> list[VerdictRow]:
             status=STATUS_PRIOR,
             p_lo=1.0,
             p_hi=1.0,
-            p_lo_ci=None,
             formula="p = 1: dense iff no zero radii and nonzero mean",
             notes=(empty_note,),
         ),
@@ -117,7 +100,6 @@ def _prior_rows(n: int, zero_set_empty: bool) -> list[VerdictRow]:
             status=STATUS_PRIOR,
             p_lo=1.0,
             p_hi=2 * n / (n + 1),
-            p_lo_ci=None,
             formula="1 < p < 2n/(n+1): dense iff no zero radii",
             notes=(empty_note,),
         ),
@@ -126,7 +108,6 @@ def _prior_rows(n: int, zero_set_empty: bool) -> list[VerdictRow]:
             status=STATUS_PRIOR,
             p_lo=2.0,
             p_hi=2 * n / (n - 1) if n > 1 else math.inf,
-            p_lo_ci=None,
             formula="2 <= p <= 2n/(n-1): dense when zero radii have zero length",
             notes=(),
         ),
@@ -135,7 +116,6 @@ def _prior_rows(n: int, zero_set_empty: bool) -> list[VerdictRow]:
             status=STATUS_PRIOR,
             p_lo=2 * n / (n - 1) if n > 1 else math.inf,
             p_hi=math.inf,
-            p_lo_ci=None,
             formula="2n/(n-1) < p: dense iff zero radii nowhere dense",
             notes=(),
         ),
@@ -143,23 +123,17 @@ def _prior_rows(n: int, zero_set_empty: bool) -> list[VerdictRow]:
     return [r for r in rows if math.isfinite(r.p_lo)]
 
 
-def verdict(
-    zero_data,
-    dim_estimate,
-    n: int,
-    ci: Optional[tuple] = None,
-) -> DensityVerdict:
+def verdict(zero_data, dim_estimate: float, n: int) -> DensityVerdict:
     """Build the verdict table for a measured zero set.
 
     zero_data selects the applicable rules: a SphericalZeroSet engages
     the rigid-motion rule (plus prior-result reference rows); a full
     ZeroSet engages the translation rules.  dim_estimate is the packing
-    dimension estimate for the zero set (float, or anything with a
-    .slope attribute).
+    dimension estimate for the zero set.
     """
     if n < 1:
         raise DomainError("ambient dimension must be >= 1")
-    dim = float(getattr(dim_estimate, "slope", dim_estimate))
+    dim = float(dim_estimate)
     if dim < 0:
         raise DomainError("dimension estimate must be nonnegative")
     rows: list[VerdictRow] = []
@@ -169,20 +143,17 @@ def verdict(
         kind = "radial"
         if dim >= 1:
             rows.append(
-                VerdictRow(RULE_MOTION_RADIAL, STATUS_NONE, math.nan, math.nan, None,
+                VerdictRow(RULE_MOTION_RADIAL, STATUS_NONE, math.nan, math.nan,
                            "p_lo = 2n/(n+1-beta)", (NO_CONCLUSION_NOTE,))
             )
         else:
-            p_ci, notes = _ci_map(motion_p_lower, n, ci, 1.0)
             rows.append(
                 VerdictRow(
                     RULE_MOTION_RADIAL,
                     STATUS_DENSE,
                     motion_p_lower(n, dim),
                     2.0,
-                    p_ci,
                     "p_lo = 2n/(n+1-beta)",
-                    notes,
                 )
             )
         rows.extend(_prior_rows(n, zero_set_empty=not zero_data.radii))
@@ -190,20 +161,17 @@ def verdict(
         kind = "full"
         if dim >= n:
             rows.append(
-                VerdictRow(RULE_TRANSLATE_FULL, STATUS_NONE, math.nan, math.nan, None,
+                VerdictRow(RULE_TRANSLATE_FULL, STATUS_NONE, math.nan, math.nan,
                            "p_lo = 2n/(2n-alpha)", (NO_CONCLUSION_NOTE,))
             )
         else:
-            p_ci, notes = _ci_map(translate_p_lower, n, ci, float(n))
             rows.append(
                 VerdictRow(
                     RULE_TRANSLATE_FULL,
                     STATUS_DENSE,
                     translate_p_lower(n, dim),
                     math.inf,
-                    p_ci,
                     "p_lo = 2n/(2n-alpha)",
-                    notes,
                 )
             )
             rows.append(
@@ -212,7 +180,6 @@ def verdict(
                     STATUS_DENSE,
                     translate_p_lower(n, dim),
                     math.inf,
-                    p_ci,
                     "alpha <= 2n/q with 1/p + 1/q = 1",
                     ("conjugate-exponent restatement of the same endpoint",),
                 )
@@ -223,6 +190,5 @@ def verdict(
         ambient_dim=n,
         zero_kind=kind,
         dim_estimate=dim,
-        dim_ci=tuple(ci) if ci else None,
         rows=tuple(rows),
     )

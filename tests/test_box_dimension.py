@@ -9,11 +9,16 @@ import pytest
 from fracspec.cantor.levels import build_level
 from fracspec.cantor.params import middle_thirds_params
 from fracspec.errors import DomainError
-from fracspec.geometry.cloud import PointCloud
-from fracspec.geometry.dimension import box_dimension_estimate
+from fracspec.geometry.cloud import PointCloud, covering_number
+from fracspec.geometry.dimension import MIN_SCALES, box_dimension_estimate
 from fracspec.geometry.sweeps import ScaleSweep
 
 LOG2_OVER_LOG3 = math.log(2) / math.log(3)
+
+
+def covering_rows(cloud, sweep):
+    """(eps, covering_number) rows, as the radial scan builds them."""
+    return [(eps, covering_number(cloud, eps)) for eps in sweep.scales()]
 
 
 def test_structural_counts_give_exact_slope():
@@ -23,21 +28,19 @@ def test_structural_counts_give_exact_slope():
     assert abs(fit.slope - LOG2_OVER_LOG3) < 1e-12
     assert fit.residual_rms < 1e-12
     assert not fit.degenerate
-    assert fit.ambient_dim == 1
-    assert fit.rows[0] == (Fraction(1, 27), 8)
 
 
 def test_dense_interval_sample_slope_near_one():
     cloud = PointCloud.from_points([Fraction(k, 4096) for k in range(4097)])
     sweep = ScaleSweep(Fraction(1, 8), Fraction(1, 2), 6)
-    fit = box_dimension_estimate(cloud, sweep)
+    fit = box_dimension_estimate(covering_rows(cloud, sweep))
     assert abs(fit.slope - 1.0) < 0.02
 
 
 def test_single_point_is_degenerate():
     cloud = PointCloud.from_points([Fraction(1, 2)])
     sweep = ScaleSweep(Fraction(1, 2), Fraction(1, 2), 5)
-    fit = box_dimension_estimate(cloud, sweep)
+    fit = box_dimension_estimate(covering_rows(cloud, sweep))
     assert fit.degenerate
     assert fit.slope == 0.0
 
@@ -55,16 +58,16 @@ def test_slope_clamped_to_ambient():
     # a cloud's covering counts stay in range
     pts = [Fraction(0), Fraction(1, 100), Fraction(99, 100), Fraction(1)]
     sweep = ScaleSweep(Fraction(2), Fraction(1, 200), 4)
-    fit = box_dimension_estimate(PointCloud.from_points(pts), sweep)
+    fit = box_dimension_estimate(covering_rows(PointCloud.from_points(pts), sweep))
     assert 0.0 <= fit.slope <= 1.0
 
 
 def test_needs_enough_scales():
     cloud = PointCloud.from_points([0, 1])
     with pytest.raises(DomainError):
-        box_dimension_estimate(cloud, ScaleSweep(1, Fraction(1, 2), 3))
+        box_dimension_estimate(covering_rows(cloud, ScaleSweep(1, Fraction(1, 2), 3)))
     with pytest.raises(DomainError):
-        box_dimension_estimate(cloud)
+        box_dimension_estimate([(Fraction(1, 2**m), 0) for m in range(MIN_SCALES)])
     with pytest.raises(DomainError):
         box_dimension_estimate([])
 
@@ -85,7 +88,7 @@ def test_cloud_route_agrees_with_structural_route():
         pts.append(Fraction(s + l, den))
     cloud = PointCloud.from_points(pts)
     sweep = ScaleSweep(Fraction(1, 27), Fraction(1, 3), 4)
-    fit = box_dimension_estimate(cloud, sweep)
-    counts = [c for _, c in fit.rows]
-    assert counts == [8, 16, 32, 64]
+    rows = covering_rows(cloud, sweep)
+    assert [c for _, c in rows] == [8, 16, 32, 64]
+    fit = box_dimension_estimate(rows)
     assert abs(fit.slope - LOG2_OVER_LOG3) < 1e-12

@@ -149,7 +149,9 @@ def test_build_level_matches_fraction_recursion(params):
         assert union.measure == len(oracle) * lengths[depth]
         gaps = Counter(s1 - (s0 + l0) for (s0, l0), (s1, _) in zip(oracle, oracle[1:]))
         assert union.gap_counts == tuple(sorted(gaps.items()))
-        assert union.midpoints() == tuple(s + l / 2 for s, l in oracle)
+        twice = 2 * union.denominator
+        midpoints = tuple(Fraction(2 * s + l, twice) for s, l in union.intervals)
+        assert midpoints == tuple(s + l / 2 for s, l in oracle)
 
 
 @ORACLE_CASES
@@ -180,7 +182,10 @@ def test_natural_measure_totals_and_interval_mass():
     level = build_level(params, 5)
     mu = natural_measure(params, 5)
     assert mu.n == 1
-    assert mu.atoms[:, 0].tolist() == [float(m) for m in level.intervals.midpoints()]
+    # the float of each exact midpoint, rounded once by Fraction
+    twice = 2 * level.intervals.denominator
+    midpoints = [Fraction(2 * s + l, twice) for s, l in level.intervals.intervals]
+    assert mu.atoms[:, 0].tolist() == [float(m) for m in midpoints]
     assert mu.weights.tolist() == [float(Fraction(1, 32))] * 32
     assert mu.total == 1.0
     # each level-1 child, [0, 1/3] and [2/3, 1], carries exactly half the mass

@@ -95,29 +95,6 @@ def test_translate_no_conclusion_at_ambient():
     assert row.status == STATUS_NONE
 
 
-def test_dim_estimate_accepts_fit_objects():
-    class FakeFit:
-        slope = 0.25
-
-    v = verdict(radial_zero_set(), FakeFit(), 2)
-    row = next(r for r in v.rows if r.rule == RULE_MOTION_RADIAL)
-    assert row.p_lo == pytest.approx(motion_p_lower(2, 0.25))
-    assert v.dim_estimate == 0.25
-
-
-def test_confidence_interval_mapping():
-    v = verdict(radial_zero_set(), 0.5, 2, ci=(0.4, 0.6))
-    row = next(r for r in v.rows if r.rule == RULE_MOTION_RADIAL)
-    lo, hi = row.p_lo_ci
-    assert lo == pytest.approx(motion_p_lower(2, 0.4))
-    assert hi == pytest.approx(motion_p_lower(2, 0.6))
-    # upper end beyond the rule's validity is truncated with a note
-    v2 = verdict(radial_zero_set(), 0.5, 2, ci=(0.4, 1.2))
-    row2 = next(r for r in v2.rows if r.rule == RULE_MOTION_RADIAL)
-    assert any("truncated" in n for n in row2.notes)
-    assert row2.p_lo_ci[1] < motion_p_lower(2, math.nextafter(1.0, 0.0)) + 1e-9
-
-
 def test_verdict_validation():
     with pytest.raises(DomainError):
         verdict(radial_zero_set(), 0.5, 1)

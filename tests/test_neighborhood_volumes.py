@@ -23,16 +23,14 @@ from fracspec.numeric import LogRatio
 
 def test_interval_union_volume_exact():
     k1 = IntervalUnion.from_pairs([(0, Fraction(1, 3)), (Fraction(2, 3), Fraction(1, 3))])
-    vol = eps_neighborhood_volume(k1, Fraction(1, 9))
-    assert vol.exact
-    assert vol.value == vol.low == vol.high == Fraction(10, 9)
+    assert k1.neighborhood_measure(Fraction(1, 9)) == Fraction(10, 9)
 
 
 def test_cloud_volume_1d_exact():
     cloud = PointCloud.from_points([Fraction(0), Fraction(1, 2), Fraction(1)])
     vol = eps_neighborhood_volume(cloud, Fraction(1, 8))
     # three disjoint intervals of length 1/4
-    assert vol.exact and vol.value == Fraction(3, 4)
+    assert vol.value == vol.low == vol.high == Fraction(3, 4)
     # neighbors merge once 2*eps reaches the 1/2 spacing
     vol2 = eps_neighborhood_volume(cloud, Fraction(1, 4))
     assert vol2.value == Fraction(3, 2)
@@ -55,7 +53,7 @@ def test_cloud_volume_1d_matches_merged_union(xs, k):
     eps = Fraction(k, 8)
     vol = eps_neighborhood_volume(PointCloud.from_points(xs), eps)
     pieces = IntervalUnion.from_pairs((Fraction(x) - eps, 2 * eps) for x in xs)
-    assert vol.exact and vol.value == pieces.measure
+    assert vol.value == vol.low == vol.high == pieces.measure
 
 
 def test_cloud_gap_counts_kept_across_scales():
@@ -77,8 +75,7 @@ def test_occupancy_bounds_bracket_disk_area(monkeypatch):
     eps = 0.5
     vol = eps_neighborhood_volume(cloud, eps)
     true_area = math.pi * eps * eps
-    assert not vol.exact
-    assert vol.low <= true_area <= vol.high
+    assert vol.low < true_area < vol.high
     # default cell eps/8 keeps the bracket within ~25 percent
     assert vol.high - vol.low < 0.5 * true_area
     # finer cells tighten the bracket
@@ -110,7 +107,7 @@ def meshgrid_occupancy(cloud, eps, cells_per_eps):
     cell_vol = cell**n
     inside = float(np.count_nonzero(d <= eps - half_diag) * cell_vol)
     maybe = float(np.count_nonzero(d < eps + half_diag) * cell_vol)
-    return VolumeResult(0.5 * (inside + maybe), inside, maybe, exact=False)
+    return VolumeResult(0.5 * (inside + maybe), inside, maybe)
 
 
 @pytest.mark.parametrize("cells_per_eps", [8, 32])
@@ -146,15 +143,15 @@ def test_occupancy_matches_meshgrid_reference(monkeypatch, kind, n, cells_per_ep
 
 
 def test_empty_union_flagged():
-    vol = eps_neighborhood_volume(IntervalUnion((), 1), Fraction(1, 2))
-    assert vol.exact and vol.value == vol.low == vol.high == 0
+    assert IntervalUnion((), 1).neighborhood_measure(Fraction(1, 2)) == 0
 
 
 def test_volume_input_validation():
-    with pytest.raises(DomainError):
-        eps_neighborhood_volume(IntervalUnion((), 1), 0)
-    with pytest.raises(DomainError):
-        eps_neighborhood_volume([(0, 1)], Fraction(1, 2))
+    with pytest.raises(DomainError, match="eps must be positive"):
+        eps_neighborhood_volume(PointCloud.from_points([0]), 0)
+    for unsupported in (IntervalUnion((), 1), [(0, 1)]):
+        with pytest.raises(DomainError, match="unsupported input type"):
+            eps_neighborhood_volume(unsupported, Fraction(1, 2))
 
 
 def build_ternary_union(depth):

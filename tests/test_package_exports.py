@@ -1,9 +1,10 @@
-"""Every name a package lists in __all__ exists on it, and the program uses
-it and every member of the classes among them."""
+"""Every name a package lists in __all__ exists on it and the program uses
+it, and the program reads every member of every class it defines."""
 
 import ast
 import importlib
 import inspect
+import pkgutil
 from functools import cached_property
 from pathlib import Path
 
@@ -27,20 +28,38 @@ def test_all_names_exist(name):
     assert missing == []
 
 
-def used_names() -> set:
-    """Names loaded or read as attributes in the modules of fracspec other
-    than the package __init__ files.  A definition (def, class, or an
-    assignment target) is not a use, and neither is an import."""
-    used = set()
+def program_trees():
+    """The parsed modules of fracspec other than the package __init__
+    files, which only import and re-export."""
     for path in Path(fracspec.__file__).parent.rglob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if path.name != "__init__.py":
+            yield ast.parse(path.read_text(), filename=str(path))
+
+
+def used_names() -> set:
+    """Names loaded or read as attributes in the modules of fracspec.  A
+    definition (def, class, or an assignment target) is not a use, and
+    neither is an import."""
+    used = set()
+    for tree in program_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     return used
+
+
+def read_attributes() -> set:
+    """Attribute names the modules of fracspec read, as in obj.name in a
+    load context.  A bare name is not a read of a member: a local or a
+    parameter of the same name says nothing about the field."""
+    return {
+        node.attr
+        for tree in program_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
 
 
 @pytest.mark.parametrize("name", PACKAGES)
@@ -58,37 +77,42 @@ def test_all_names_are_used(name):
 MEMBER_ALLOWLIST = {"IntervalUnion.from_pairs"}
 
 
-def exported_members():
+def program_classes():
+    """Every class defined in a module of fracspec, exported or not."""
+    for info in pkgutil.walk_packages(fracspec.__path__, "fracspec."):
+        module = importlib.import_module(info.name)
+        for value in vars(module).values():
+            if isinstance(value, type) and value.__module__ == info.name:
+                yield value
+
+
+def class_members():
     """(Class.member, member) for the methods, properties and annotated
-    fields a class in some package's __all__ defines itself; dunder
-    methods are called by the language, not read, and are left out."""
+    fields a class of the program defines itself; dunder methods are
+    called by the language, not read, and are left out."""
     seen = {}
-    for name in PACKAGES:
-        module = importlib.import_module(name)
-        for export in module.__all__:
-            cls = getattr(module, export)
-            if not isinstance(cls, type) or not cls.__module__.startswith("fracspec."):
-                continue
-            members = [
-                attr
-                for attr, value in vars(cls).items()
-                if isinstance(value, (classmethod, staticmethod, property, cached_property))
-                or inspect.isfunction(value)
-            ]
-            members += list(vars(cls).get("__annotations__", {}))
-            for attr in members:
-                if not (attr.startswith("__") and attr.endswith("__")):
-                    seen[f"{cls.__name__}.{attr}"] = attr
+    for cls in program_classes():
+        members = [
+            attr
+            for attr, value in vars(cls).items()
+            if isinstance(value, (classmethod, staticmethod, property, cached_property))
+            or inspect.isfunction(value)
+        ]
+        members += list(vars(cls).get("__annotations__", {}))
+        for attr in members:
+            if not (attr.startswith("__") and attr.endswith("__")):
+                seen[f"{cls.__name__}.{attr}"] = attr
     return seen
 
 
 def test_all_members_are_used():
-    """A method, property or field that no module of the program reads is
-    library surface only tests reach: use it in the program or delete it."""
-    used = used_names()
+    """A method, property or field that no module of the program reads as
+    an attribute is library surface only tests reach: use it in the
+    program or delete it."""
+    read = read_attributes()
     unused = sorted(
         qualified
-        for qualified, attr in exported_members().items()
-        if attr not in used and qualified not in MEMBER_ALLOWLIST
+        for qualified, attr in class_members().items()
+        if attr not in read and qualified not in MEMBER_ALLOWLIST
     )
     assert unused == []
