@@ -176,7 +176,7 @@ def run_construct(cfg: ExperimentConfig) -> ReportRecord:
             "depth": depth,
             "intervals": level.member_count,
             "total_length": float(union.measure),
-            "min_gap": float(gaps[0][0]) if gaps else 0.0,
+            "min_gap": gaps[0][0] / union.denominator if gaps else 0.0,
             "dimension": float(params.dimension),
             "first_start": first_start,
         },

@@ -22,20 +22,28 @@ every count reported here is the centers-in-set version, and callers who
 need two-sided control evaluate the chain at doubled / halved radii as
 above rather than guessing.
 
-Every count is exact, and comparisons run on squared distances, so
-clouds with Fraction coordinates are handled exactly.  The searches
+Every count is exact.  A cloud holds its coordinates as integer
+numerators over one common denominator den, the lcm of the exact
+coordinate denominators; floats convert losslessly, so float clouds are
+compared exactly too.  eps = p/q is compared after scaling: a lattice
+distance d is within eps when d * q <= p * den, which for an integer d
+is d <= floor(p * den / q), and squared distances are compared the same
+way against floor((p * den / q)**2).  So the searches run on Python
+ints, and Fraction appears only at the edge: clouds take ints, floats
+and Fractions, and eps is any positive rational or float.  The searches
 return counts only; no center set is kept.  In one dimension the counts
 use left-to-right sweeps (optimal by the standard exchange argument) and
 have no size cap; in higher dimensions they come from a branch-and-bound
 search over at most EXACT_CAP points, and a larger cloud raises
-SizeError before any work.  The pairwise squared distances
-the search reads do not depend on eps: they are computed once per
-cloud, on the first count, and each eps then costs one threshold pass
-over them.
+SizeError before any work.  The lattice and the pairwise squared
+distances the search reads do not depend on eps: they are computed once
+per cloud, on the first count, and each eps then costs one threshold
+pass over them.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,6 +81,8 @@ class PointCloud:
         n = len(norm[0])
         if n < 1 or any(len(p) != n for p in norm):
             raise DomainError("points must share a positive dimension")
+        if any(isinstance(c, float) and not math.isfinite(c) for p in norm for c in p):
+            raise DomainError("point coordinates must be finite")
         uniq = sorted(set(norm))
         return cls(tuple(uniq), n)
 
@@ -84,49 +94,66 @@ class PointCloud:
         return np.asarray([[float(c) for c in p] for p in self.points], dtype=float)
 
     @cached_property
-    def gap_counts(self) -> tuple[tuple[Fraction, int], ...]:
+    def _lattice(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The points as integer numerators over their common denominator,
+        the lcm of the exact coordinate denominators, and that denominator."""
+        exact = [[as_fraction(c) for c in p] for p in self.points]
+        den = math.lcm(*(c.denominator for p in exact for c in p))
+        return tuple(tuple(c.numerator * (den // c.denominator) for c in p) for p in exact), den
+
+    @property
+    def denominator(self) -> int:
+        return self._lattice[1]
+
+    @cached_property
+    def gap_counts(self) -> tuple[tuple[int, int], ...]:
         """In one dimension, the exact gaps between consecutive points as a
-        multiset: (length, multiplicity) pairs, shortest first."""
+        multiset: (length, multiplicity) pairs, shortest first, each
+        length an integer numerator over the cloud's denominator."""
         if self.n != 1:
             raise DomainError("gaps are defined for 1-D clouds")
         # the points are sorted and deduplicated
-        xs = [as_fraction(p[0]) for p in self.points]
+        xs = [p[0] for p in self._lattice[0]]
         return tuple(sorted(Counter(b - a for a, b in zip(xs, xs[1:])).items()))
 
     @cached_property
     def _dist2_table(self) -> tuple:
-        """Squared distances between all pairs of points, row by row.
+        """Squared lattice distances between all pairs of points, row by row.
 
         Built by the first count in dimension >= 2 and kept, since the
         distances do not depend on eps.
         """
-        return tuple(tuple(_dist2(p, q) for q in self.points) for p in self.points)
+        pts = self._lattice[0]
+        return tuple(tuple(_dist2(p, q) for q in pts) for p in pts)
 
 
 # ---------------------------------------------------------------------------
 # exact counts, one dimension: left-to-right sweeps, no size cap
 
 
-def _exact_cover_1d(xs: Sequence, eps) -> int:
+def _exact_cover_1d(xs: Sequence[int], reach: int) -> int:
+    """Fewest centers covering the sorted lattice points xs, where a center
+    covers the points at most reach away."""
     count = 0
     i, n = 0, len(xs)
     while i < n:
         # cover the leftmost uncovered point with the rightmost usable center
-        limit = xs[i] + eps
+        limit = xs[i] + reach
         c = i
         while c + 1 < n and xs[c + 1] <= limit:
             c += 1
         count += 1
-        reach = xs[c] + eps
-        while i < n and xs[i] <= reach:
+        limit = xs[c] + reach
+        while i < n and xs[i] <= limit:
             i += 1
     return count
 
 
-def _exact_pack_1d(xs: Sequence, eps) -> int:
+def _exact_pack_1d(xs: Sequence[int], gap: int) -> int:
+    """Most of the sorted lattice points xs that lie pairwise more than gap
+    apart."""
     count = 1
     last = xs[0]
-    gap = 2 * eps
     for x in xs[1:]:
         if x - last > gap:
             count += 1
@@ -138,14 +165,14 @@ def _exact_pack_1d(xs: Sequence, eps) -> int:
 # exact counts, n >= 2: branch and bound over bitmasks, capped
 
 
-def _cover_masks(cloud: PointCloud, eps) -> list[int]:
-    """Per point, the bitmask of the points within distance eps of it."""
-    e2 = eps * eps
-    return [sum(1 << j for j, d2 in enumerate(row) if d2 <= e2) for row in cloud._dist2_table]
+def _cover_masks(cloud: PointCloud, reach2: int) -> list[int]:
+    """Per point, the bitmask of the points whose squared lattice distance
+    to it is at most reach2."""
+    return [sum(1 << j for j, d2 in enumerate(row) if d2 <= reach2) for row in cloud._dist2_table]
 
 
-def _exact_cover_nd(cloud: PointCloud, eps) -> int:
-    masks = _cover_masks(cloud, eps)
+def _exact_cover_nd(cloud: PointCloud, reach2: int) -> int:
+    masks = _cover_masks(cloud, reach2)
     npts = cloud.size
     full = (1 << npts) - 1
 
@@ -189,9 +216,9 @@ def _incumbent_cover(masks: list[int], full: int) -> int:
     return count
 
 
-def _exact_pack_nd(cloud: PointCloud, eps) -> int:
-    # i and j conflict unless dist(i, j) > 2 eps
-    conflict = [m & ~(1 << i) for i, m in enumerate(_cover_masks(cloud, 2 * eps))]
+def _exact_pack_nd(cloud: PointCloud, reach2: int) -> int:
+    # i and j conflict unless their squared lattice distance exceeds reach2
+    conflict = [m & ~(1 << i) for i, m in enumerate(_cover_masks(cloud, reach2))]
 
     memo: dict[int, int] = {}
 
@@ -215,9 +242,10 @@ def _exact_pack_nd(cloud: PointCloud, eps) -> int:
 # public operations
 
 
-def _check_eps(eps):
-    if not eps > 0:
-        raise DomainError("eps must be positive")
+def _check_eps(eps) -> Fraction:
+    if not eps > 0 or eps == math.inf:
+        raise DomainError("eps must be positive and finite")
+    return as_fraction(eps)
 
 
 def _check_cap(cloud: PointCloud, what: str) -> None:
@@ -229,11 +257,12 @@ def _check_cap(cloud: PointCloud, what: str) -> None:
 
 def covering_number(cloud: PointCloud, eps) -> int:
     """Fewest closed eps-balls centered at cloud points that cover the cloud."""
-    _check_eps(eps)
+    eps = _check_eps(eps)
     if cloud.n == 1:
-        return _exact_cover_1d([p[0] for p in cloud.points], eps)
+        xs = [p[0] for p in cloud._lattice[0]]
+        return _exact_cover_1d(xs, math.floor(eps * cloud.denominator))
     _check_cap(cloud, "covering")
-    return _exact_cover_nd(cloud, eps)
+    return _exact_cover_nd(cloud, math.floor((eps * cloud.denominator) ** 2))
 
 
 def packing_number(cloud: PointCloud, eps) -> int:
@@ -242,8 +271,9 @@ def packing_number(cloud: PointCloud, eps) -> int:
     Equivalently the maximum number of disjoint open eps-balls centered
     at cloud points.
     """
-    _check_eps(eps)
+    eps = _check_eps(eps)
     if cloud.n == 1:
-        return _exact_pack_1d([p[0] for p in cloud.points], eps)
+        xs = [p[0] for p in cloud._lattice[0]]
+        return _exact_pack_1d(xs, math.floor(2 * eps * cloud.denominator))
     _check_cap(cloud, "packing")
-    return _exact_pack_nd(cloud, eps)
+    return _exact_pack_nd(cloud, math.floor((2 * eps * cloud.denominator) ** 2))

@@ -2,9 +2,10 @@
 
 A union holds integer numerators over one common denominator: the pair
 (s, l) over den is the interval [s/den, (s + l)/den].  Ordering checks,
-the Lebesgue measure and the gap multiset run on ints, and Fraction
-appears only at the API edge: from_pairs takes rationals, and measure,
-gap_counts and neighborhood_measure return Fractions.
+the Lebesgue measure, the gap multiset and the tube formula run on ints,
+and Fraction appears only at the API edge: from_pairs takes rationals,
+gap_counts holds numerators over den like the intervals, and measure
+and neighborhood_measure return Fractions.
 Downstream checks assert equalities like 10/9 on the nose, which is why
 nothing here ever rounds.
 """
@@ -43,21 +44,25 @@ def _normalize(pairs: Iterable[tuple]) -> tuple[tuple[Fraction, Fraction], ...]:
     return tuple((s, l) for s, l in merged)
 
 
-def tube_measure(length, gap_counts: Iterable[tuple], eps) -> Fraction:
+def tube_measure(length: int, gap_counts: Iterable[tuple[int, int]], den: int, eps) -> Fraction:
     """Measure of the closed eps-neighborhood of a nonempty finite union of
     closed intervals and points in R.
 
-    The set has Lebesgue measure `length`, and `gap_counts` holds the
+    The set has Lebesgue measure length / den, and `gap_counts` holds the
     lengths of its bounded complementary intervals as (gap, multiplicity)
-    pairs.  Its two outer ends grow by eps each and a gap fills up to
-    2 eps, which is the 1-D tube formula of Lapidus-Pomerance (1993):
+    pairs, each gap an integer numerator over den.  Its two outer ends
+    grow by eps each and a gap fills up to 2 eps, which is the 1-D tube
+    formula of Lapidus-Pomerance (1993):
     length + 2 eps + sum(min(gap, 2 eps)).
     """
     e = as_fraction(eps)
     if e < 0:
         raise DomainError("eps must be nonnegative")
-    two_e = 2 * e
-    return length + two_e + sum((mult * min(g, two_e) for g, mult in gap_counts), Fraction(0))
+    # scaled by den * q for eps = p / q, every term is an integer
+    q = e.denominator
+    two_e = 2 * e.numerator * den
+    tube = length * q + two_e + sum(mult * min(g * q, two_e) for g, mult in gap_counts)
+    return Fraction(tube, den * q)
 
 
 @dataclass(frozen=True)
@@ -66,7 +71,7 @@ class IntervalUnion:
     of integer numerators over one denominator, in lowest terms, so equal
     unions compare equal.
 
-    The measure and the gap multiset do not depend on eps; each is
+    The total length and the gap multiset do not depend on eps; each is
     computed on first use and kept, so a sweep over scales pays only for
     the tube formula over the distinct gaps.
     """
@@ -101,20 +106,24 @@ class IntervalUnion:
         return len(self.intervals)
 
     @cached_property
+    def _length(self) -> int:
+        """The Lebesgue measure as a numerator over the denominator."""
+        return sum(l for _, l in self.intervals)
+
+    @property
     def measure(self) -> Fraction:
-        return Fraction(sum(l for _, l in self.intervals), self.denominator)
+        return Fraction(self._length, self.denominator)
 
     @cached_property
-    def gap_counts(self) -> tuple[tuple[Fraction, int], ...]:
+    def gap_counts(self) -> tuple[tuple[int, int], ...]:
         """The bounded gaps between consecutive intervals as a multiset:
-        (length, multiplicity) pairs, shortest first."""
+        (length, multiplicity) pairs, shortest first, each length an
+        integer numerator over the denominator."""
         iv = self.intervals
-        # counted as integer numerators; only the few distinct gaps become
-        # Fractions
         gaps = Counter(s1 - s0 - l0 for (s0, l0), (s1, _) in zip(iv, iv[1:]))
-        return tuple((Fraction(g, self.denominator), mult) for g, mult in sorted(gaps.items()))
+        return tuple(sorted(gaps.items()))
 
     def neighborhood_measure(self, eps) -> Fraction:
         """Exact measure of the closed eps-neighborhood (0 for the empty union)."""
-        volume = tube_measure(self.measure, self.gap_counts, eps)
+        volume = tube_measure(self._length, self.gap_counts, self.denominator, eps)
         return volume if self.intervals else Fraction(0)

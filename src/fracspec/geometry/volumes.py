@@ -68,7 +68,7 @@ def eps_neighborhood_volume(cloud: PointCloud, eps) -> VolumeResult:
     if not isinstance(cloud, PointCloud):
         raise DomainError(f"unsupported input type {type(cloud).__name__}")
     if cloud.n == 1:
-        v = tube_measure(Fraction(0), cloud.gap_counts, eps)
+        v = tube_measure(0, cloud.gap_counts, cloud.denominator, eps)
         return VolumeResult(v, v, v)
     return _occupancy_volume(cloud, eps)
 

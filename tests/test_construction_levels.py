@@ -148,7 +148,8 @@ def test_build_level_matches_fraction_recursion(params):
         assert spans(union) == oracle
         assert union.measure == len(oracle) * lengths[depth]
         gaps = Counter(s1 - (s0 + l0) for (s0, l0), (s1, _) in zip(oracle, oracle[1:]))
-        assert union.gap_counts == tuple(sorted(gaps.items()))
+        den = union.denominator
+        assert union.gap_counts == tuple(sorted((g * den, m) for g, m in gaps.items()))
         twice = 2 * union.denominator
         midpoints = tuple(Fraction(2 * s + l, twice) for s, l in union.intervals)
         assert midpoints == tuple(s + l / 2 for s, l in oracle)

@@ -39,7 +39,8 @@ def test_measure_and_midpoints():
 
 def test_fatten_exact():
     iu = IntervalUnion.from_pairs([(0, Fraction(1, 3)), (Fraction(2, 3), Fraction(1, 3))])
-    assert iu.gap_counts == ((Fraction(1, 3), 1),)
+    # one gap of 1/3, a numerator over the denominator 3
+    assert iu.denominator == 3 and iu.gap_counts == ((1, 1),)
     # each piece grows by 2/9; the middle gap 1/3 > 2/9 keeps them apart
     assert iu.neighborhood_measure(Fraction(1, 9)) == Fraction(10, 9)
     # at eps = 1/6 the gap closes exactly: [-1/6, 7/6]
@@ -135,6 +136,6 @@ def test_lattice_union_matches_fraction_merge(pairs, eps):
     assert spans(iu) == tuple(merged)
     assert iu.measure == sum((l for _, l in merged), Fraction(0))
     gaps = Counter(s1 - (s0 + l0) for (s0, l0), (s1, _) in zip(merged, merged[1:]))
-    assert iu.gap_counts == tuple(sorted(gaps.items()))
+    assert iu.gap_counts == tuple(sorted((g * iu.denominator, m) for g, m in gaps.items()))
     grown = fraction_merge([(s - eps, l + 2 * eps) for s, l in merged])
     assert iu.neighborhood_measure(eps) == sum((l for _, l in grown), Fraction(0))

@@ -60,7 +60,9 @@ def test_cloud_gap_counts_kept_across_scales():
     """A 1-D cloud builds its gap multiset once and every eps reuses it."""
     xs = [0, 0.25, Fraction(3, 4), 1, Fraction(5, 4), 3]
     cloud = PointCloud.from_points(xs)
-    assert cloud.gap_counts == ((Fraction(1, 4), 3), (Fraction(1, 2), 1), (Fraction(7, 4), 1))
+    # gaps 1/4 (three times), 1/2 and 7/4 as numerators over 4
+    assert cloud.denominator == 4
+    assert cloud.gap_counts == ((1, 3), (2, 1), (7, 1))
     for k in (5, 1, 3):
         eps = Fraction(k, 8)
         fresh = eps_neighborhood_volume(PointCloud.from_points(xs), eps)

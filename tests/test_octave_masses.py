@@ -8,7 +8,6 @@ import pytest
 from fracspec.errors import DomainError
 from fracspec.fourier.annuli import (
     MIN_OCTAVES,
-    RATIO_THRESHOLD,
     SpectralGrid,
     lq_annulus_diagnostics,
 )

@@ -1,5 +1,6 @@
 """Every name a package lists in __all__ exists on it and the program uses
-it, and the program reads every member of every class it defines."""
+it, the program reads every member of every class it defines, and no
+module of the program or of its tests imports a name it never reads."""
 
 import ast
 import importlib
@@ -116,3 +117,44 @@ def test_all_members_are_used():
         if attr not in read and qualified not in MEMBER_ALLOWLIST
     )
     assert unused == []
+
+
+def import_scan_paths():
+    """The modules of fracspec and of its test suite."""
+    yield from sorted(Path(fracspec.__file__).parent.rglob("*.py"))
+    yield from sorted(Path(__file__).parent.rglob("*.py"))
+
+
+def unused_imports(path: Path) -> list:
+    """Names a module binds by a module-level import and never loads.  A
+    name the module lists in __all__ is exported, which counts as a read,
+    and `from __future__` imports are compiler directives, not names."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported, exported = set(), set()
+    for node in tree.body:
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            # `import a.b` binds a
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= set(ast.literal_eval(node.value))
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(imported - read - exported)
+
+
+def test_no_unused_imports():
+    """An import nothing reads is dead weight, and in the program it is a
+    dependency the code does not have."""
+    unused = {}
+    for path in import_scan_paths():
+        names = unused_imports(path)
+        if names:
+            unused[f"{path.parent.name}/{path.name}"] = names
+    assert unused == {}

@@ -88,6 +88,10 @@ def test_cloud_normalization():
         PointCloud.from_points([])
     with pytest.raises(DomainError):
         PointCloud.from_points([(1, 2), (3,)])
+    # a cloud is a set of rationals, so non-finite floats are refused
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            PointCloud.from_points([(0.5, bad)])
 
 
 def test_exact_counts_match_brute_force_1d():
@@ -148,6 +152,8 @@ def test_eps_must_be_positive():
         covering_number(cloud, 0)
     with pytest.raises(DomainError):
         packing_number(cloud, Fraction(-1, 2))
+    with pytest.raises(DomainError):
+        covering_number(cloud, float("inf"))
 
 
 coords = st.integers(min_value=-50, max_value=50).map(lambda k: Fraction(k, 10))
@@ -210,8 +216,64 @@ def test_cached_tables_carry_no_eps(pairs, pts, order):
         assert cover == covering_number(fresh, eps) == brute_min_cover(cloud.points, eps)
         pack = packing_number(cloud, eps)
         assert pack == packing_number(fresh, eps) == brute_max_packing(cloud.points, eps)
-    # the queries above ran on the kept tables
+    # the queries above ran on the kept tables, which hold ints only
     assert "gap_counts" in iu.__dict__ and "_dist2_table" in cloud.__dict__
+    assert all(type(d2) is int for row in cloud._dist2_table for d2 in row)
+
+
+@pytest.mark.parametrize(
+    "xs, eps",
+    [
+        ([0.47, 0.52], Fraction(1, 20)),
+        ([0.07, 0.17], Fraction(1, 10)),
+        ([0.26, 0.46], Fraction(1, 5)),
+    ],
+)
+def test_float_clouds_are_counted_exactly_1d(xs, eps):
+    """Each float gap exceeds the decimal eps it rounds to by one part in
+    about 10**17, so one ball does not cover both points."""
+    assert Fraction(xs[1]) - Fraction(xs[0]) > eps
+    cloud = PointCloud.from_points(xs)
+    assert covering_number(cloud, eps) == 2
+    assert packing_number(cloud, eps / 2) == 2
+
+
+def test_float_clouds_are_counted_exactly_2d():
+    pts = [(0.5, 0.3), (0.8, 0.7)]
+    # 0.3 and 0.7 are floats just below and above the decimals, so the
+    # squared distance 0.3**2 + 0.4**2 exceeds 1/4
+    assert dist2(*[tuple(map(Fraction, p)) for p in pts]) > Fraction(1, 4)
+    assert covering_number(PointCloud.from_points(pts), Fraction(1, 2)) == 2
+
+
+mixed_coords = st.one_of(
+    st.floats(min_value=-2, max_value=2, allow_nan=False, allow_infinity=False),
+    st.fractions(min_value=-2, max_value=2, max_denominator=30),
+)
+mixed_eps = st.one_of(
+    st.fractions(min_value=0, max_value=2, max_denominator=40).filter(lambda e: e > 0),
+    st.floats(min_value=1e-3, max_value=2),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pts=st.one_of(
+        st.lists(mixed_coords.map(lambda c: (c,)), min_size=1, max_size=7),
+        st.lists(st.tuples(mixed_coords, mixed_coords), min_size=1, max_size=6),
+    ),
+    eps=mixed_eps,
+)
+@example(pts=[(0.47,), (0.52,)], eps=Fraction(1, 20))
+@example(pts=[(0.5, 0.3), (0.8, 0.7)], eps=Fraction(1, 4))
+def test_mixed_clouds_match_brute_force(pts, eps):
+    """Float and mixed-denominator Fraction clouds against the enumerating
+    oracles run on the exact Fraction values of the points and of eps."""
+    cloud = PointCloud.from_points(pts)
+    exact = [tuple(map(Fraction, p)) for p in cloud.points]
+    e = Fraction(eps)
+    assert covering_number(cloud, eps) == brute_min_cover(exact, e)
+    assert packing_number(cloud, eps) == brute_max_packing(exact, e)
 
 
 def test_exact_cap_builds_no_pairwise_table():
