@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 from ..errors import DomainError, SizeError
 from ..geometry.intervals import IntervalUnion
+from ..numeric import to_lattice
 from .params import CantorParams
 
 MAX_INTERVALS = 2**20
@@ -47,13 +48,12 @@ def build_level(params: CantorParams, depth: int) -> CantorLevel:
     """
     check_level_budget(params, depth)
     lengths = params.level_lengths(depth)
-    moves = [[a * length for a in params.offsets] for length in lengths[:-1]]
-    den = math.lcm(lengths[-1].denominator, *(m.denominator for row in moves for m in row))
+    moves = [a * length for length in lengths[:-1] for a in params.offsets]
+    (length, *moves), den = to_lattice([lengths[-1], *moves])
+    k = len(params.offsets)
     starts = [0]
-    for row in moves:
-        steps = [m.numerator * (den // m.denominator) for m in row]
-        starts = [s + a for s in starts for a in steps]
-    length = lengths[-1].numerator * (den // lengths[-1].denominator)
+    for j in range(0, len(moves), k):
+        starts = [s + a for s in starts for a in moves[j : j + k]]
     # the union keeps lowest terms, which this lcm need not be
     g = math.gcd(den, length, *starts)
     if g > 1:

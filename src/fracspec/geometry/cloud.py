@@ -53,7 +53,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..errors import DomainError, SizeError
-from ..numeric import as_fraction
+from ..numeric import as_fraction, to_lattice
 
 EXACT_CAP = 15
 
@@ -97,9 +97,9 @@ class PointCloud:
     def _lattice(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """The points as integer numerators over their common denominator,
         the lcm of the exact coordinate denominators, and that denominator."""
-        exact = [[as_fraction(c) for c in p] for p in self.points]
-        den = math.lcm(*(c.denominator for p in exact for c in p))
-        return tuple(tuple(c.numerator * (den // c.denominator) for c in p) for p in exact), den
+        nums, den = to_lattice(c for p in self.points for c in p)
+        n = self.n
+        return tuple(tuple(nums[i : i + n]) for i in range(0, len(nums), n)), den
 
     @property
     def denominator(self) -> int:

@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Iterable, Tuple
 
 from ..errors import DomainError
-from ..numeric import as_fraction
+from ..numeric import as_fraction, to_lattice
 
 Span = Tuple[int, int]  # (start, length) numerators, length > 0
 
@@ -97,9 +97,8 @@ class IntervalUnion:
         """Build from rational (start, length) pairs, merging overlap and
         touching, over the lcm of the merged values' denominators."""
         spans = _normalize(pairs)
-        den = math.lcm(*(x.denominator for span in spans for x in span))
-        lattice = tuple(tuple(x.numerator * (den // x.denominator) for x in span) for span in spans)
-        return cls(lattice, den)
+        nums, den = to_lattice(x for span in spans for x in span)
+        return cls(tuple(zip(nums[::2], nums[1::2])), den)
 
     @property
     def count(self) -> int:

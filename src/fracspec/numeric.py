@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
@@ -25,6 +26,18 @@ def as_fraction(x) -> Fraction:
             raise ValueError(f"cannot represent {x!r} as a rational")
         return Fraction(x)
     return Fraction(x)
+
+
+def to_lattice(values: Iterable) -> tuple[list[int], int]:
+    """Exact values as integer numerators over one common denominator.
+
+    Returns (numerators, den) with den the lcm of the values' denominators
+    (1 for no values), so the i-th value is numerators[i] / den.  Each
+    value goes through as_fraction, so floats convert losslessly.
+    """
+    exact = [as_fraction(x) for x in values]
+    den = math.lcm(*(x.denominator for x in exact))
+    return [x.numerator * (den // x.denominator) for x in exact], den
 
 
 def parse_rational(text: str) -> Fraction:

@@ -221,31 +221,6 @@ def test_cached_tables_carry_no_eps(pairs, pts, order):
     assert all(type(d2) is int for row in cloud._dist2_table for d2 in row)
 
 
-@pytest.mark.parametrize(
-    "xs, eps",
-    [
-        ([0.47, 0.52], Fraction(1, 20)),
-        ([0.07, 0.17], Fraction(1, 10)),
-        ([0.26, 0.46], Fraction(1, 5)),
-    ],
-)
-def test_float_clouds_are_counted_exactly_1d(xs, eps):
-    """Each float gap exceeds the decimal eps it rounds to by one part in
-    about 10**17, so one ball does not cover both points."""
-    assert Fraction(xs[1]) - Fraction(xs[0]) > eps
-    cloud = PointCloud.from_points(xs)
-    assert covering_number(cloud, eps) == 2
-    assert packing_number(cloud, eps / 2) == 2
-
-
-def test_float_clouds_are_counted_exactly_2d():
-    pts = [(0.5, 0.3), (0.8, 0.7)]
-    # 0.3 and 0.7 are floats just below and above the decimals, so the
-    # squared distance 0.3**2 + 0.4**2 exceeds 1/4
-    assert dist2(*[tuple(map(Fraction, p)) for p in pts]) > Fraction(1, 4)
-    assert covering_number(PointCloud.from_points(pts), Fraction(1, 2)) == 2
-
-
 mixed_coords = st.one_of(
     st.floats(min_value=-2, max_value=2, allow_nan=False, allow_infinity=False),
     st.fractions(min_value=-2, max_value=2, max_denominator=30),
@@ -264,7 +239,17 @@ mixed_eps = st.one_of(
     ),
     eps=mixed_eps,
 )
+# each float gap exceeds the decimal it rounds to by about one part in
+# 10**17, so the cover needs 2 balls at that eps and the packing holds 2
+# balls at half of it; in 2-D, 0.3 and 0.7 are floats just below and above
+# the decimals, so the squared distance exceeds 1/4
 @example(pts=[(0.47,), (0.52,)], eps=Fraction(1, 20))
+@example(pts=[(0.47,), (0.52,)], eps=Fraction(1, 40))
+@example(pts=[(0.07,), (0.17,)], eps=Fraction(1, 10))
+@example(pts=[(0.07,), (0.17,)], eps=Fraction(1, 20))
+@example(pts=[(0.26,), (0.46,)], eps=Fraction(1, 5))
+@example(pts=[(0.26,), (0.46,)], eps=Fraction(1, 10))
+@example(pts=[(0.5, 0.3), (0.8, 0.7)], eps=Fraction(1, 2))
 @example(pts=[(0.5, 0.3), (0.8, 0.7)], eps=Fraction(1, 4))
 def test_mixed_clouds_match_brute_force(pts, eps):
     """Float and mixed-denominator Fraction clouds against the enumerating
