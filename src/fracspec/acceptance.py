@@ -86,6 +86,8 @@ def _result(name, passed, detail, **values) -> CriterionResult:
 def criterion_chain_inequalities(sets: int = 100, seed: int = 1811) -> CriterionResult:
     rng = np.random.default_rng(seed)
     eps_values = [Fraction(2, 5), Fraction(1, 5), Fraction(1, 10), Fraction(1, 20), Fraction(1, 40)]
+    # 2 eps, eps and eps/2 over the halving schedule: 7 distinct radii
+    radii = sorted({r for eps in eps_values for r in (2 * eps, eps, eps / 2)}, reverse=True)
     chain_ok = volume_ok = 0
     checks = 0
     for i in range(sets):
@@ -95,11 +97,10 @@ def criterion_chain_inequalities(sets: int = 100, seed: int = 1811) -> Criterion
         cloud = PointCloud.from_points(
             [tuple(Fraction(int(c), 10**6) for c in row) for row in coords]
         )
+        covers = {r: covering_number(cloud, r) for r in radii}
         for eps in eps_values:
             checks += 1
-            n_double = covering_number(cloud, 2 * eps)
-            n_eps = covering_number(cloud, eps)
-            n_half = covering_number(cloud, eps / 2)
+            n_double, n_eps, n_half = covers[2 * eps], covers[eps], covers[eps / 2]
             p_eps = packing_number(cloud, eps)
             if n_double <= p_eps <= n_half:
                 chain_ok += 1

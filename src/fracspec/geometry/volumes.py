@@ -9,13 +9,16 @@ from typing import Union
 
 import numpy as np
 
-from ..errors import DomainError
+from ..errors import DomainError, SizeError
 from ..numeric import LogRatio
 from .cloud import PointCloud
 from .intervals import IntervalUnion, tube_measure
 from .sweeps import ScaleSweep
 
 OCCUPANCY_CELLS_PER_EPS = 8  # grid cell side is eps / 8
+# cells of the occupancy grid over the cloud's padded bounding box; a
+# larger grid raises SizeError before it is allocated
+OCCUPANCY_MAX_CELLS = 2**24
 
 
 @dataclass(frozen=True)
@@ -33,6 +36,14 @@ class VolumeResult:
     high: Union[Fraction, float]
 
 
+def _cell_windows(origin: np.ndarray, pts: np.ndarray, cell: float, reach: int) -> list:
+    """Per point, index slices (one per axis) of the grid cells within
+    reach cells of the cell whose center is nearest to it; origin is the
+    center of cell (0, ..., 0)."""
+    nearest = np.rint((pts - origin) / cell).astype(int).tolist()
+    return [tuple(slice(max(0, i - reach), i + reach + 1) for i in row) for row in nearest]
+
+
 def _occupancy_volume(cloud: PointCloud, eps: float) -> VolumeResult:
     pts = cloud.as_array()
     n = cloud.n
@@ -41,18 +52,35 @@ def _occupancy_volume(cloud: PointCloud, eps: float) -> VolumeResult:
     half_diag = 0.5 * cell * math.sqrt(n)
     lo = pts.min(axis=0) - eps - cell
     hi = pts.max(axis=0) + eps + cell
-    axes = [np.arange(lo[k] + cell / 2, hi[k], cell) for k in range(n)]
-    # a product grid: the squared distance from p to every cell center is a
-    # broadcast sum of one 1-D term per axis, added in axis order
-    d2 = np.full([len(a) for a in axes], np.inf)
-    for p in pts:
-        terms = np.ix_(*[(a - c) ** 2 for a, c in zip(axes, p)])
-        np.minimum(d2, sum(terms[1:], terms[0]), out=d2)
-    d = np.sqrt(d2)
+    origin = lo + cell / 2
+    axes = [np.arange(origin[k], hi[k], cell) for k in range(n)]
+    shape = [len(a) for a in axes]
+    if math.prod(shape) > OCCUPANCY_MAX_CELLS:
+        raise SizeError(
+            f"occupancy grid of {' x '.join(map(str, shape))} cells exceeds "
+            f"{OCCUPANCY_MAX_CELLS}; use a coarser eps or a smaller cloud"
+        )
+    # a cell farther than eps + half_diag from every point is in neither
+    # count, and one more cell of reach absorbs the rounding of the index
+    reach = math.ceil((eps + half_diag) / cell) + 1
+    inside_limit, maybe_limit = eps - half_diag, eps + half_diag
+    # the k-th axis term broadcasts along the k-th grid axis
+    orient = [tuple(-1 if j == k else 1 for j in range(n)) for k in range(n)]
+    inside = np.zeros(shape, dtype=bool)
+    maybe = np.zeros(shape, dtype=bool)
+    for p, window in zip(pts, _cell_windows(origin, pts, cell, reach)):
+        # a product grid: the squared distance from p to every cell center is
+        # a broadcast sum of one 1-D term per axis, added in axis order
+        terms = [((a[w] - c) ** 2).reshape(o) for a, w, c, o in zip(axes, window, p, orient)]
+        # sqrt is monotone, so marking each point's cells is the test of the
+        # distance to the nearest point
+        d = np.sqrt(sum(terms[1:], terms[0]))
+        inside[window] |= d <= inside_limit
+        maybe[window] |= d < maybe_limit
     cell_vol = cell**n
-    inside = float(np.count_nonzero(d <= eps - half_diag) * cell_vol)
-    maybe = float(np.count_nonzero(d < eps + half_diag) * cell_vol)
-    return VolumeResult(0.5 * (inside + maybe), inside, maybe)
+    low = float(np.count_nonzero(inside) * cell_vol)
+    high = float(np.count_nonzero(maybe) * cell_vol)
+    return VolumeResult(0.5 * (low + high), low, high)
 
 
 def eps_neighborhood_volume(cloud: PointCloud, eps) -> VolumeResult:
@@ -61,7 +89,9 @@ def eps_neighborhood_volume(cloud: PointCloud, eps) -> VolumeResult:
     1-D clouds get exact rational volumes from the gap (tube) formula;
     open and closed neighborhoods agree in measure.  Clouds in dimension
     >= 2 get an occupancy-grid estimate with certified bounds on a grid of
-    cell side eps / OCCUPANCY_CELLS_PER_EPS.
+    cell side eps / OCCUPANCY_CELLS_PER_EPS; each point is measured only
+    against the cells near it, and a grid of more than OCCUPANCY_MAX_CELLS
+    cells raises SizeError.
     """
     if not eps > 0:
         raise DomainError("eps must be positive")

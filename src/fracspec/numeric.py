@@ -125,13 +125,21 @@ def _gauss_legendre():
     return np.polynomial.legendre.leggauss(QUADRATURE_ORDER)
 
 
-def _panels(lo: float, hi: float, panel_width: float):
-    """Gauss-Legendre nodes on panels of width <= panel_width over [lo, hi].
+def panel_count(lo: float, hi: float, panel_width):
+    """Panels of width <= panel_width over lo < hi: ceil((hi - lo) / width).
+
+    Elementwise over an array of widths, so callers can group many
+    integrals by the node set they share.
+    """
+    return np.ceil((hi - lo) / np.asarray(panel_width, dtype=float)).astype(int)
+
+
+def _panels(lo: float, hi: float, count: int):
+    """Gauss-Legendre nodes on count equal panels over [lo, hi].
 
     Returns the nodes (one row per panel), the reference weights and the
     panel half-widths; callers combine the weights in their own order.
     """
-    count = max(1, math.ceil((hi - lo) / panel_width))
     edges = np.linspace(lo, hi, count + 1)
     x, w = _gauss_legendre()
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -142,12 +150,14 @@ def _panels(lo: float, hi: float, panel_width: float):
 def integrate_panels(fn, lo: float, hi: float, *, panel_width: float) -> float:
     """Composite Gauss-Legendre quadrature of fn over [lo, hi].
 
-    panel_width caps each panel so oscillatory integrands stay resolved;
-    numpy's pairwise summation keeps the reduction order-independent.
+    panel_width caps each panel so oscillatory integrands stay resolved.
+    The reduction is numpy's pairwise summation over the (panels, nodes)
+    array: deterministic for a fixed node count, but not independent of
+    the order in which the terms are added.
     """
     if hi <= lo:
         return 0.0
-    pts, w, halves = _panels(lo, hi, panel_width)
+    pts, w, halves = _panels(lo, hi, panel_count(lo, hi, panel_width))
     vals = np.asarray(fn(pts.ravel()), dtype=float).reshape(pts.shape)
     return float(np.sum(vals * w[None, :] * halves[:, None]))
 
@@ -160,5 +170,5 @@ def quadrature_nodes(lo: float, hi: float, *, panel_width: float):
     """
     if hi <= lo:
         return np.empty(0), np.empty(0)
-    pts, w, halves = _panels(lo, hi, panel_width)
+    pts, w, halves = _panels(lo, hi, panel_count(lo, hi, panel_width))
     return pts.ravel(), (w[None, :] * halves[:, None]).ravel()

@@ -58,32 +58,43 @@ def test_chain_inequalities_pinned(monkeypatch):
     """Every count and volume bound of chain-inequalities, not just its tally.
 
     Each check is (n_double, n_eps, n_half, p_eps, vol.low, vol.high) with
-    exact volumes as Fractions and estimated ones as float.hex, taken
-    from the criterion's own calls in the order it makes them.
+    exact volumes as Fractions and estimated ones as float.hex.  They are
+    rebuilt from the criterion's own (args, result) pairs: eps and the
+    check order come from its packing and volume calls, and the three
+    covering counts are looked up at 2 eps, eps and eps/2 on the same cloud.
     """
-    calls = []
+    calls = {name: [] for name in ("covering_number", "packing_number", "eps_neighborhood_volume")}
 
-    def record(fn):
-        def wrapper(*args, **kwargs):
-            out = fn(*args, **kwargs)
-            calls.append(out)
+    def record(name, fn):
+        def wrapper(*args):
+            out = fn(*args)
+            calls[name].append((args, out))
             return out
 
         return wrapper
 
-    for name in ("covering_number", "packing_number", "eps_neighborhood_volume"):
-        monkeypatch.setattr(acceptance, name, record(getattr(acceptance, name)))
+    for name in calls:
+        monkeypatch.setattr(acceptance, name, record(name, getattr(acceptance, name)))
     result = acceptance.criterion_chain_inequalities()
     assert result.passed, result.detail
 
     def exact(v):
         return str(v) if isinstance(v, Fraction) else float(v).hex()
 
-    checks = [
-        (n_double, n_eps, n_half, p_eps, exact(vol.low), exact(vol.high))
-        for n_double, n_eps, n_half, p_eps, vol in zip(*[iter(calls)] * 5)
+    # the recorded args keep every cloud alive, so no id is reused
+    covers = {}
+    for (cloud, radius), count in calls["covering_number"]:
+        assert (id(cloud), radius) not in covers, "a cover was computed twice"
+        covers[id(cloud), radius] = count
+    # 100 clouds, each covered once at each of its 7 distinct radii
+    assert len(calls["covering_number"]) == 700
+    assert [args for args, _ in calls["packing_number"]] == [
+        args for args, _ in calls["eps_neighborhood_volume"]
     ]
-    assert len(checks) * 5 == len(calls)
+    checks = []
+    for ((cloud, eps), p_eps), (_, vol) in zip(calls["packing_number"], calls["eps_neighborhood_volume"]):
+        n_double, n_eps, n_half = (covers[id(cloud), r] for r in (2 * eps, eps, eps / 2))
+        checks.append((n_double, n_eps, n_half, p_eps, exact(vol.low), exact(vol.high)))
     assert len(checks) == result.values["checks"] == 500
     assert hashlib.sha256(repr(checks).encode()).hexdigest() == CHAIN_CHECKS_SHA256
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracspec.errors import DomainError
+from fracspec.errors import DomainError, SizeError
 from fracspec.geometry import volumes
 from fracspec.geometry.cloud import PointCloud
 from fracspec.geometry.intervals import IntervalUnion
@@ -91,7 +91,11 @@ NUMPY_SQRT = np.sqrt
 
 
 def meshgrid_occupancy(cloud, eps, cells_per_eps):
-    """Reference: every cell center materialized, distances summed per row."""
+    """Reference: every cell center materialized, distances summed per row.
+
+    Returns the volume and each point's squared distances to every cell
+    center, shaped as the grid in ij order.
+    """
     pts = cloud.as_array()
     n = cloud.n
     eps = float(eps)
@@ -103,27 +107,36 @@ def meshgrid_occupancy(cloud, eps, cells_per_eps):
     mesh = np.meshgrid(*axes, indexing="ij")
     centers = np.stack([m.ravel() for m in mesh], axis=1)
     d2 = np.full(len(centers), np.inf)
+    point_d2 = []
     for p in pts:
-        np.minimum(d2, ((centers - p) ** 2).sum(axis=1), out=d2)
-    d = np.sqrt(d2)
+        point_d2.append(((centers - p) ** 2).sum(axis=1).reshape(mesh[0].shape))
+        np.minimum(d2, point_d2[-1].ravel(), out=d2)
+    d = NUMPY_SQRT(d2)
     cell_vol = cell**n
     inside = float(np.count_nonzero(d <= eps - half_diag) * cell_vol)
     maybe = float(np.count_nonzero(d < eps + half_diag) * cell_vol)
-    return VolumeResult(0.5 * (inside + maybe), inside, maybe)
+    return VolumeResult(0.5 * (inside + maybe), inside, maybe), point_d2
 
 
 @pytest.mark.parametrize("cells_per_eps", [8, 32])
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("kind", ["float", "fraction"])
 def test_occupancy_matches_meshgrid_reference(monkeypatch, kind, n, cells_per_eps):
-    """The separable grid gives exactly the reference's distances and bounds."""
-    sqrt_args = []
+    """The windowed grid gives exactly the reference's distances and bounds."""
+    sqrt_args, windows = [], []
 
     def recording_sqrt(x):
         sqrt_args.append(x)
         return NUMPY_SQRT(x)
 
+    def recording_windows(*args):
+        made = cell_windows(*args)
+        windows.extend(made)
+        return made
+
+    cell_windows = volumes._cell_windows
     monkeypatch.setattr(np, "sqrt", recording_sqrt)
+    monkeypatch.setattr(volumes, "_cell_windows", recording_windows)
     monkeypatch.setattr(volumes, "OCCUPANCY_CELLS_PER_EPS", cells_per_eps)
     rng = np.random.default_rng(1000 * n + cells_per_eps)
     # points spread over [0, 1)^2, or [0, 1/4)^3 so the finest 3-D grid stays small
@@ -135,13 +148,50 @@ def test_occupancy_matches_meshgrid_reference(monkeypatch, kind, n, cells_per_ep
         else:
             pts = [tuple(Fraction(int(c), 1000) for c in row) for row in coords]
         cloud = PointCloud.from_points(pts)
+        sqrt_args.clear()
+        windows.clear()
         vol = eps_neighborhood_volume(cloud, eps)
-        ref = meshgrid_occupancy(cloud, eps, cells_per_eps)
+        ref, point_d2 = meshgrid_occupancy(cloud, eps, cells_per_eps)
         assert (vol.low, vol.high, vol.value) == (ref.low, ref.high, ref.value)
-        # the squared distances match bit for bit, cell by cell in ij order
-        d2, ref_d2 = sqrt_args[-2:]
-        assert np.array_equal(d2.ravel(), ref_d2)
+        # each point's squared distances match bit for bit, cell by cell,
+        # on the window of cells it is measured against
+        assert len(sqrt_args) == len(windows) == len(point_d2) == cloud.size
+        for d2, window, ref_d2 in zip(sqrt_args, windows, point_d2):
+            assert d2.shape == ref_d2[window].shape
+            assert np.array_equal(d2.view(np.uint64), ref_d2[window].view(np.uint64))
         assert vol.low < vol.high
+
+
+def grid_cells(cloud, eps):
+    """Cells of the reference grid over the cloud's padded bounding box."""
+    pts = cloud.as_array()
+    eps = float(eps)
+    cell = eps / volumes.OCCUPANCY_CELLS_PER_EPS
+    lo = pts.min(axis=0) - eps - cell
+    hi = pts.max(axis=0) + eps + cell
+    return math.prod(len(np.arange(lo[k] + cell / 2, hi[k], cell)) for k in range(cloud.n))
+
+
+def test_occupancy_grid_budget(monkeypatch):
+    """A grid over the cell budget is refused before it is allocated."""
+    allocated = []
+    zeros = np.zeros
+    monkeypatch.setattr(np, "zeros", lambda *a, **k: allocated.append(a) or zeros(*a, **k))
+    # a 3-D cloud spanning 4 units at eps 1/40: about 2.2e9 cells
+    wide = PointCloud.from_points([(0, 0, 0), (4, 4, 4)])
+    assert grid_cells(wide, Fraction(1, 40)) > 2 * 10**9
+    with pytest.raises(SizeError, match="occupancy grid"):
+        eps_neighborhood_volume(wide, Fraction(1, 40))
+    assert allocated == []
+    # the budget is inclusive: a grid of exactly that many cells is measured
+    cloud = PointCloud.from_points([(0, 0), (Fraction(1, 2), Fraction(1, 3))])
+    eps = Fraction(1, 10)
+    want = eps_neighborhood_volume(cloud, eps)
+    monkeypatch.setattr(volumes, "OCCUPANCY_MAX_CELLS", grid_cells(cloud, eps))
+    assert eps_neighborhood_volume(cloud, eps) == want
+    monkeypatch.setattr(volumes, "OCCUPANCY_MAX_CELLS", grid_cells(cloud, eps) - 1)
+    with pytest.raises(SizeError):
+        eps_neighborhood_volume(cloud, eps)
 
 
 def test_empty_union_flagged():
