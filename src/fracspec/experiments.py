@@ -35,6 +35,7 @@ from .fourier import (
     SpectralGrid,
     bessel_tail_profile,
     cantor_fourier_grid,
+    check_grid_budget,
     lq_annulus_diagnostics,
     mollifier_sum,
 )
@@ -254,8 +255,13 @@ def spectral_grid(
     """|transform| on a uniform grid over octaves j_lo..j_hi.
 
     Also returns the complex values and error bounds of that one
-    evaluation, for callers that sample them.
+    evaluation, for callers that sample them.  The grid is checked against
+    the transform's budget before it is allocated.
     """
+    # 2**1001 and 2**-1000 / per_octave stay finite, nonzero floats
+    if not -1000 <= j_lo <= j_hi <= 1000:
+        raise DomainError("octaves must satisfy -1000 <= j_lo <= j_hi <= 1000")
+    check_grid_budget(params.branches, depth, per_octave * 2 ** (j_hi + 1 - j_lo))
     spacing = 2.0**j_lo / per_octave
     top = 2.0 ** (j_hi + 1)
     xi = np.arange(spacing, top + spacing / 2, spacing)

@@ -11,7 +11,7 @@ from .annuli import (
 from .bump import (
     BumpFunction,
     DyadicProfile,
-    annulus_sup_squared,
+    annulus_sups_squared,
     bump_profile,
 )
 from .mollifier import (
@@ -21,7 +21,7 @@ from .mollifier import (
     bessel_tail_profile,
     mollifier_sum,
 )
-from .transforms import cantor_fourier_grid
+from .transforms import cantor_fourier_grid, check_grid_budget
 
 __all__ = [
     "MIN_OCTAVES",
@@ -34,10 +34,11 @@ __all__ = [
     "OctaveRow",
     "RadialProfile",
     "SpectralGrid",
-    "annulus_sup_squared",
+    "annulus_sups_squared",
     "bessel_tail_profile",
     "bump_profile",
     "cantor_fourier_grid",
+    "check_grid_budget",
     "lq_annulus_diagnostics",
     "mollifier_sum",
 ]

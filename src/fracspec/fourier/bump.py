@@ -7,15 +7,16 @@ peak between two samples can be missed.
 
 The transform at radius rho is a panelized Gauss-Legendre integral over
 [0, 1] whose panel count depends on rho only through
-ceil(1 / min(1/4, 12 / rho)), so every rho below 48 shares 4 panels.  The
-rho-independent part of the integrand (the nodes, the kernel constant
-times the profile, the weights and the panel half-widths) is built once
-per (bump, panel count) and cached, for counts up to CACHED_PANELS_MAX.  An array of radii is grouped by
-panel count and each group is evaluated as one (radii, panels, nodes)
-batch, so an octave's 64-radius dense scan is one call; the
-golden-section steps are groups of one.  The arithmetic is done in the
-same order as a per-radius quadrature, so every value is bit-identical
-to it.
+ceil(1 / min(1/4, 12 / rho)), so every rho below 48 shares 4 panels.
+The rho-independent part of the integrand (the nodes, the kernel
+constant times the profile, the weights and the panel half-widths) is
+built once per (bump, panel count) and cached, for counts up to
+CACHED_PANELS_MAX.  An array of radii is grouped by panel count and each
+group is evaluated as one (radii, panels, nodes) batch.  An octave's
+64-radius dense scan is one call, and the golden-section refinements of
+all octaves run in lockstep, one call per step.  The arithmetic is done
+in the same order as a per-radius quadrature, so every value is
+bit-identical to it.
 """
 
 from __future__ import annotations
@@ -156,48 +157,89 @@ def _radial_nodes(chi: BumpFunction, count: int):
     return r, weighted, w, halves
 
 
-def _golden_max(fn, lo: float, hi: float, samples: int = SUP_SAMPLES_PER_OCTAVE) -> float:
-    """Max of fn on [lo, hi]: dense scan, then golden-section refinement.
+def _golden_search(xs: np.ndarray, vals: list, tol: float):
+    """Golden-section refinement around the best sample of a dense scan.
 
-    fn takes the scan's samples as one array and each refinement point
-    as a float.
+    A generator: it yields each point where it needs fn, is sent fn's value
+    there, and returns the largest value seen once the bracket is narrower
+    than tol.
     """
-    xs = np.linspace(lo, hi, samples)
-    vals = fn(xs)
     k = int(np.argmax(vals))
     a = xs[max(0, k - 1)]
     b = xs[min(len(xs) - 1, k + 1)]
     inv_phi = (math.sqrt(5) - 1) / 2
     c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    best = max(float(vals[k]), fc, fd)
-    while (b - a) > SUP_RELATIVE_TOL * max(hi - lo, 1e-30):
+    fc = yield c
+    fd = yield d
+    best = max(vals[k], fc, fd)
+    while (b - a) > tol:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
-            fc = fn(c)
+            fc = yield c
         else:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
-            fd = fn(d)
+            fd = yield d
         best = max(best, fc, fd)
     return best
 
 
-def _squared(values):
-    """|values|**2 for one transform value or an array, as Python float
-    powers: x ** 2 and x * x differ in the last bit for some x, and the
-    refinement steps compare the squares."""
-    if np.ndim(values) == 0:
-        return float(values) ** 2
-    return np.array([v**2 for v in values.tolist()])
+def _golden_maxes(fn, intervals) -> list:
+    """Max of fn on each [lo, hi]: a dense scan, then golden-section
+    refinement to SUP_RELATIVE_TOL of the interval's width.
+
+    fn maps an array of points to a list of floats.  Each interval's scan
+    is one call; the refinements then run in lockstep, so every step is one
+    call on the next point of each search still running.  Each search keeps
+    its own bracket and stopping test, and fn's value at a point does not
+    depend on the other points of the call, so each max is the one a search
+    run alone would find.
+    """
+    searches = []
+    for lo, hi in intervals:
+        xs = np.linspace(lo, hi, SUP_SAMPLES_PER_OCTAVE)
+        searches.append(_golden_search(xs, fn(xs), SUP_RELATIVE_TOL * max(hi - lo, 1e-30)))
+    maxes = [0.0] * len(searches)
+    active = [(i, search, next(search)) for i, search in enumerate(searches)]
+    while active:
+        values = fn(np.array([point for _, _, point in active]))
+        still = []
+        for (i, search, _), value in zip(active, values):
+            try:
+                still.append((i, search, search.send(value)))
+            except StopIteration as done:
+                maxes[i] = done.value
+        active = still
+    return maxes
 
 
-@lru_cache(maxsize=2048)
-def annulus_sup_squared(dim: int, j: int) -> float:
-    """sup over 2**j <= |xi| <= 2**(j+1) of |transform|^2 for the standard bump."""
-    chi = BumpFunction.standard(dim)
-    return _golden_max(lambda rho: _squared(chi.fourier_radial(rho)), 2.0**j, 2.0 ** (j + 1))
+def _squares(values: np.ndarray) -> list:
+    """|values|**2 as Python float powers: x ** 2 and x * x differ in the
+    last bit for some x, and the refinement steps compare the squares."""
+    return [v**2 for v in values.tolist()]
+
+
+# (dim, j) -> annulus sup, filled by annulus_sups_squared
+_ANNULUS_SUPS: dict = {}
+
+
+def annulus_sups_squared(dim: int, js) -> tuple:
+    """sup over 2**j <= |xi| <= 2**(j+1) of |transform|^2 for the standard
+    bump, for each j in js.
+
+    Values are cached per (dim, j); the octaves not yet cached are refined
+    together, one transform call per golden-section step.
+    """
+    missing = [j for j in dict.fromkeys(js) if (dim, j) not in _ANNULUS_SUPS]
+    if missing:
+        chi = BumpFunction.standard(dim)
+        sups = _golden_maxes(
+            lambda rho: _squares(chi.fourier_radial(rho)),
+            [(2.0**j, 2.0 ** (j + 1)) for j in missing],
+        )
+        _ANNULUS_SUPS.update(((dim, j), sup) for j, sup in zip(missing, sups))
+    return tuple(_ANNULUS_SUPS[dim, j] for j in js)
 
 
 @dataclass(frozen=True)
@@ -222,5 +264,6 @@ def bump_profile(chi: BumpFunction, alpha: float, j_lo: int, j_hi: int) -> Dyadi
     if j_hi < j_lo:
         raise DomainError("j_hi must be >= j_lo")
     js = range(j_lo, j_hi + 1)
-    a = tuple(2.0 ** (j * (chi.dim - alpha)) * annulus_sup_squared(chi.dim, j) for j in js)
+    sups = annulus_sups_squared(chi.dim, js)
+    a = tuple(2.0 ** (j * (chi.dim - alpha)) * sup for j, sup in zip(js, sups))
     return DyadicProfile(dim=chi.dim, j_lo=j_lo, j_hi=j_hi, a=a)

@@ -17,7 +17,7 @@ from fracspec.errors import DomainError
 from fracspec.fourier import bump
 from fracspec.fourier.bump import (
     BumpFunction,
-    annulus_sup_squared,
+    annulus_sups_squared,
     bump_profile,
 )
 from fracspec.fourier.mollifier import bessel_tail_profile, mollifier_sum
@@ -88,8 +88,7 @@ def test_dyadic_partial_sums_stabilize():
 
 def test_annulus_sup_dominates_samples():
     chi = BumpFunction.standard(2)
-    for j in (-2, 0, 3):
-        sup = annulus_sup_squared(2, j)
+    for j, sup in zip((-2, 0, 3), annulus_sups_squared(2, (-2, 0, 3))):
         rhos = np.linspace(2.0**j, 2.0 ** (j + 1), 17)
         samples = chi.fourier_radial(rhos) ** 2
         assert sup >= samples.max() - 1e-12
@@ -208,12 +207,30 @@ def per_rho_golden_max(fn, lo, hi, samples=64):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_annulus_sups_match_per_rho_scan(dim):
+    """The octaves refined in lockstep find each max a per-octave search
+    with one transform call per radius finds; j = 7 mixes panel counts
+    into the lockstep calls."""
     chi = BumpFunction.standard(dim)
     fn = lambda rho: per_rho_transform(chi, rho) ** 2
-    js = range(-20, 5) if dim == 2 else (-20, -3, 0, 4)
-    for j in js:
+    js = range(-20, 5) if dim == 2 else (-20, -3, 0, 4, 7)
+    bump._ANNULUS_SUPS.clear()
+    sups = annulus_sups_squared(dim, js)
+    for j, sup in zip(js, sups):
         want = per_rho_golden_max(fn, 2.0**j, 2.0 ** (j + 1))
-        assert bits(annulus_sup_squared(dim, j)) == bits(want), j
+        assert bits(sup) == bits(want), j
+
+
+def test_annulus_refinements_share_transform_calls(monkeypatch):
+    """The 25 default octaves take one call per dense scan and one per
+    lockstep step (about 30), not one per golden-section point (about 800)."""
+    calls = []
+    transform = BumpFunction.fourier_radial
+    monkeypatch.setattr(
+        BumpFunction, "fourier_radial", lambda chi, rho: calls.append(rho) or transform(chi, rho)
+    )
+    bump._ANNULUS_SUPS.clear()
+    annulus_sups_squared(2, range(-20, 5))
+    assert 25 < len(calls) < 75
 
 
 def test_default_mollifier_sum_builds_one_node_set(monkeypatch):
@@ -226,7 +243,7 @@ def test_default_mollifier_sum_builds_one_node_set(monkeypatch):
         return panels(lo, hi, count)
 
     monkeypatch.setattr(bump, "_panels", counting)
-    annulus_sup_squared.cache_clear()
+    bump._ANNULUS_SUPS.clear()
     bump._radial_nodes.cache_clear()
     mollifier_sum(bessel_tail_profile(), BumpFunction.standard(2), 1.0, [2.0**-k for k in range(2, 9)])
     assert builds == [4]

@@ -10,6 +10,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fracspec.experiments
+import fracspec.fourier.transforms
+import fracspec.tauberian.span
 from fracspec.cli import main
 from fracspec.config import ExperimentConfig
 from fracspec.errors import ConfigError
@@ -394,6 +396,61 @@ def test_cli_dim_budget(tmp_path, capsys, monkeypatch, level_min, level_max, cod
     assert "Traceback" not in err
     assert message in err
     assert (tmp_path / "out" / "dim").exists() == (code == 0)
+
+
+# branches 2, depth 3, 16 samples over octaves 2..5: 16 * 2**4 frequencies,
+# so 256 * 3 * 2 = 1536 phases
+SMALL_FOURIER = "fourier.depth = 3\nfourier.j_max = 5\nfourier.samples_per_octave = 16\n"
+
+
+@pytest.mark.parametrize(
+    "text, budget, code, message",
+    [
+        ("fourier.j_max = 40", None, 1, "exceed the budget"),
+        ("fourier.samples_per_octave = 100000000000", None, 1, "exceed the budget"),
+        ("fourier.depth = 1000000000", None, 1, "exceed the budget"),
+        ("fourier.j_min = 1020\nfourier.j_max = 1025", None, 1, "-1000 <= j_lo"),
+        (SMALL_FOURIER, 1535, 1, "256 frequencies x 3 levels x 2 branches exceed"),
+        (SMALL_FOURIER, 1536, 0, ""),
+    ],
+)
+def test_cli_fourier_budget(tmp_path, capsys, monkeypatch, text, budget, code, message):
+    """fourier refuses a grid over the phase budget before it allocates
+    the frequencies, and the budget counts frequencies x depth x branches."""
+    if budget is not None:
+        monkeypatch.setattr(fracspec.fourier.transforms, "MAX_GRID_PHASES", budget)
+    called = []
+    real = fracspec.experiments.cantor_fourier_grid
+    monkeypatch.setattr(
+        fracspec.experiments,
+        "cantor_fourier_grid",
+        lambda *args: called.append(args) or real(*args),
+    )
+    path = tmp_path / "run.cfg"
+    path.write_text(text + "\n")
+    assert main(["fourier", "--config", str(path), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert message in err
+    assert len(called) == (code == 0)
+    assert (tmp_path / "out" / "fourier").exists() == (code == 0)
+
+
+@pytest.mark.parametrize(
+    "m, budget, code",
+    [(1000000, None, 1), (9, 64, 1), (8, 64, 0)],
+)
+def test_cli_span_budget(tmp_path, capsys, monkeypatch, m, budget, code):
+    """The span trials refuse a translate matrix over m**2 entries before
+    allocating it."""
+    if budget is not None:
+        monkeypatch.setattr(fracspec.tauberian.span, "MAX_TRANSLATE_ENTRIES", budget)
+    path = tmp_path / "run.cfg"
+    path.write_text(f"tauberian.m = {m}\ntauberian.trials = 2\n")
+    assert main(["tauberian", "--config", str(path), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert ("exceeds the budget" in err) == (code == 1)
 
 
 def test_cli_config_errors_exit_2(tmp_path):

@@ -12,10 +12,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import fracspec.fourier.transforms
 from fracspec.cantor.measures import natural_measure
 from fracspec.cantor.params import CantorParams, middle_thirds_params
-from fracspec.errors import DomainError
-from fracspec.fourier.transforms import BLOCK, cantor_fourier_grid
+from fracspec.cantor.sampling import sample_salem_offsets
+from fracspec.errors import DomainError, SizeError
+from fracspec.fourier.transforms import BLOCK, branch_sum, cantor_fourier_grid
 
 
 def transform_at(params, depth, xi):
@@ -79,9 +81,34 @@ def unblocked_transform(params, depth, xi):
 TAPERED = CantorParams.create(
     3, Fraction(1, 5), (Fraction(0), Fraction(3, 10), Fraction(61, 100)), eta_rule="tapered"
 )
+# the spectral benchmark's construction: 4 branches, ratio 1/16, offsets
+# drawn as `fracspec fourier` draws them at seed 1
+SALEM_4 = CantorParams.create(
+    4, Fraction(1, 16), sample_salem_offsets(4, Fraction(1, 16), np.random.default_rng(1)), seed=1
+)
 
 
-@pytest.mark.parametrize("params", [middle_thirds_params(), TAPERED], ids=["constant", "tapered"])
+def evenly_spaced(branches):
+    """Offsets k / N with ratio 1 / (N + 2): a valid construction for any N."""
+    return CantorParams.create(
+        branches, Fraction(1, branches + 2), [Fraction(k, branches) for k in range(branches)]
+    )
+
+
+# branch counts on each path of the pairwise order: sequential (2, 3), four
+# accumulators with and without leftover rows (4, 5, 8, 9), halving (70)
+GRID_PARAMS = {
+    "constant": middle_thirds_params(),
+    "tapered": TAPERED,
+    "salem4": SALEM_4,
+    "even5": evenly_spaced(5),
+    "even8": evenly_spaced(8),
+    "even9": evenly_spaced(9),
+    "even70": evenly_spaced(70),
+}
+
+
+@pytest.mark.parametrize("params", GRID_PARAMS.values(), ids=GRID_PARAMS.keys())
 @pytest.mark.parametrize(
     "shape",
     [(0,), (1,), (BLOCK - 1,), (BLOCK,), (BLOCK + 1,), (5 * BLOCK // 2,), (37, 301), ()],
@@ -96,6 +123,23 @@ def test_blocked_grid_matches_unblocked_reference(params, shape):
     assert np.array_equal(values.reshape(-1).view(float), ref_values.reshape(-1).view(float))
     assert np.shape(errors) == np.shape(ref_errors)
     assert np.array_equal(errors, ref_errors)
+
+
+@pytest.mark.parametrize("branches", range(1, 151))
+def test_branch_sum_matches_numpy_mean(branches):
+    """branch_sum / N is numpy's mean over a contiguous axis, bit for bit,
+    signed zeros included: one column holds only -0.0, others mix in +-0.0
+    and values of very different sizes, so the order of the adds shows."""
+    rng = np.random.default_rng(branches)
+    parts = rng.standard_normal((2, branches, 64)) * 10.0 ** rng.integers(-12, 12, (2, branches, 64))
+    parts[rng.random(parts.shape) < 0.2] = 0.0
+    parts[rng.random(parts.shape) < 0.2] = -0.0
+    parts[:, :, 0] = -0.0
+    rows = np.empty((branches, 64), dtype=complex)
+    rows.real, rows.imag = parts
+    got = branch_sum(rows) / branches
+    want = np.ascontiguousarray(rows.T).mean(axis=-1)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_truncation_bound_certifies_depth_gap():
@@ -139,3 +183,13 @@ def test_grid_depth_validation():
     with pytest.raises(DomainError):
         cantor_fourier_grid(middle_thirds_params(), 0, np.array([1.0]))
 
+
+def test_grid_phase_budget(monkeypatch):
+    """The budget counts frequencies x depth x branches and is inclusive."""
+    monkeypatch.setattr(fracspec.fourier.transforms, "MAX_GRID_PHASES", 10 * 3 * 2)
+    xi = np.linspace(1.0, 50.0, 10)
+    cantor_fourier_grid(middle_thirds_params(), 3, xi)
+    with pytest.raises(SizeError, match="10 frequencies x 4 levels x 2 branches"):
+        cantor_fourier_grid(middle_thirds_params(), 4, xi)
+    with pytest.raises(SizeError):
+        cantor_fourier_grid(middle_thirds_params(), 3, np.append(xi, 1.0))
