@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from .cantor import (
     CantorParams,
@@ -84,7 +85,7 @@ def _result(name, passed, detail, **values) -> CriterionResult:
 
 
 def criterion_chain_inequalities(sets: int = 100, seed: int = 1811) -> CriterionResult:
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     eps_values = [Fraction(2, 5), Fraction(1, 5), Fraction(1, 10), Fraction(1, 20), Fraction(1, 40)]
     # 2 eps, eps and eps/2 over the halving schedule: 7 distinct radii
     radii = sorted({r for eps in eps_values for r in (2 * eps, eps, eps / 2)}, reverse=True)
@@ -261,7 +262,7 @@ def criterion_salem_decay(
     wins = 0
     per_seed = []
     for seed in seeds:
-        rng = np.random.default_rng(seed)
+        rng = default_rng(seed)
         offsets = sample_salem_offsets(branches, ratio, rng)
         params = CantorParams.create(branches, ratio, offsets, seed=seed)
         grid, _, _ = spectral_grid(params, depth=8, j_lo=j_lo, j_hi=j_hi)
@@ -338,9 +339,9 @@ def criterion_span_oracle(trials: int = 100, seed: int = 907) -> CriterionResult
     sizes = (8, 16, 32)
     total = matches = 0
     for m in sizes:
-        children = np.random.SeedSequence(seed + m).spawn(trials)
+        children = SeedSequence(seed + m).spawn(trials)
         for child in children:
-            rng = np.random.default_rng(child)
+            rng = default_rng(child)
             f = GridFunction(rng.standard_normal(m) + 1j * rng.standard_normal(m))
             oracle = span_dimension_oracle(f)
             rank = circulant_rank(f)
@@ -396,7 +397,7 @@ def criterion_upper_density(points: int = 200, seed: int = 4217) -> CriterionRes
     depth = 12
     measure = natural_measure(params, depth)
     beta = math.log(2) / math.log(3)
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     idx = rng.choice(len(measure.atoms), size=points, replace=False)
     sweep = ScaleSweep(eps_max=Fraction(1, 9), ratio=Fraction(1, 3), count=9)
     lo_lim = 2.0**-beta - 0.05

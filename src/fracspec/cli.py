@@ -42,6 +42,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once, at import: the parser's first message lookup (gettext) imports
+# locale, and imports belong to set-up, not to the command they would delay.
+PARSER = build_parser()
+
+
 def _run_verify(suite: list[str] | None) -> int:
     results = run_suite(suite)
     for res in results:
@@ -66,8 +71,7 @@ def _run_experiment_command(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         if args.command == "verify":
             return _run_verify(args.suite)

@@ -17,6 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from .cantor import (
     CantorParams,
@@ -50,6 +51,7 @@ from .geometry.dimension import MIN_SCALES
 from .numeric import parse_rational
 from .tauberian import (
     GridFunction,
+    check_square_budget,
     circulant_rank,
     dft_zero_set,
     mask_spectrum_on_radii,
@@ -147,7 +149,7 @@ def _params_from_config(cfg: ExperimentConfig, opts: dict) -> CantorParams:
         elif cfg.seed is None:
             raise ConfigError("cantor.offsets missing and no seed given to draw them")
         else:
-            offsets = sample_salem_offsets(branches, ratio, np.random.default_rng(cfg.seed))
+            offsets = sample_salem_offsets(branches, ratio, default_rng(cfg.seed))
     return CantorParams.create(
         branches, ratio, offsets, eta_rule=opts["cantor.rule"], seed=cfg.seed
     )
@@ -349,10 +351,10 @@ def run_mollify(cfg: ExperimentConfig) -> ReportRecord:
 def _run_span_trials(cfg: ExperimentConfig, opts: dict, out: Path) -> ReportRecord:
     m, trials = opts["tauberian.m"], opts["tauberian.trials"]
     seed = cfg.seed if cfg.seed is not None else 0
-    children = np.random.SeedSequence(seed).spawn(trials)
+    children = SeedSequence(seed).spawn(trials)
 
     def one(child):
-        rng = np.random.default_rng(child)
+        rng = default_rng(child)
         values = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         f = GridFunction(values)
         oracle = span_dimension_oracle(f)
@@ -380,8 +382,9 @@ def _run_radial_scan(cfg: ExperimentConfig, opts: dict, out: Path) -> ReportReco
     radii = tuple(sorted(opts["tauberian.radii"]))
     if radii[-1] >= m / 2:
         raise ConfigError("tauberian.radii must sit below the grid Nyquist radius m/2")
+    check_square_budget(m, "radial scan grid")
     seed = cfg.seed if cfg.seed is not None else 0
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     base = GridFunction(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
     masked = mask_spectrum_on_radii(base, radii, band)
     zero_set = spherical_zero_radii(masked)

@@ -26,10 +26,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import j0
 
 from ..errors import DomainError
-from ..numeric import _panels, integrate_panels, panel_count, sphere_surface_area
+from ..numeric import _panels, integrate_panels, j0, panel_count, sphere_surface_area
 
 NORMALIZATION_TOL = 1e-10
 SUP_SAMPLES_PER_OCTAVE = 64

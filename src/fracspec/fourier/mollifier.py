@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ..errors import DomainError
-from ..numeric import quadrature_nodes, sphere_surface_area
+from ..numeric import _panels, panel_count, sphere_surface_area
 from .bump import BumpFunction, bump_profile
 
 SHELL_PANEL_WIDTH = 0.5
@@ -105,24 +105,35 @@ class MollifierSweep:
         return all(b <= a * (1 + BOUND_SLACK) for a, b in zip(self.sums, self.sums[1:]))
 
 
-def _shell_integrals(f: RadialProfile, lo: float, hi: float) -> tuple[float, float, float]:
-    """(integral of |f|^2, shell volume, integral of |f|^p), one node set.
+def _shell_tables(f: RadialProfile, lo: np.ndarray, hi: np.ndarray):
+    """(integral of |f|^2, shell volume, integral of |f|^p) over each shell
+    lo <= r <= hi, as three arrays shaped like lo.
 
-    All three are sums against the identical discrete measure
+    Each shell gets panels at most SHELL_PANEL_WIDTH wide, and all three
+    integrals are sums against the identical discrete measure
     W_i = surface * w_i * r_i**(dim-1), which is what makes the Holder
-    comparison exact at the discrete level.
+    comparison exact at the discrete level.  The shells are grouped by
+    panel count and each group is one (shells, nodes) batch; every value
+    is bit-identical to a quadrature of its shell alone.
     """
     if f.support_radius is not None:
-        hi = min(hi, f.support_radius)
-    if hi <= lo:
-        return 0.0, 0.0, 0.0
-    r, w = quadrature_nodes(lo, hi, panel_width=SHELL_PANEL_WIDTH)
-    big_w = sphere_surface_area(f.dim) * w * r ** (f.dim - 1)
-    vals = np.abs(f(r))
-    sq = float(np.sum(big_w * vals**2))
-    vol = float(np.sum(big_w))
-    lp = float(np.sum(big_w * vals**f.p))
-    return sq, vol, lp
+        hi = np.minimum(hi, f.support_radius)
+    tables = np.zeros((3,) + lo.shape)
+    nonempty = hi > lo
+    counts = panel_count(lo, hi, SHELL_PANEL_WIDTH)
+    surface = sphere_surface_area(f.dim)
+    for count in set(counts[nonempty].tolist()):
+        group = nonempty & (counts == count)
+        r, w, halves = _panels(lo[group], hi[group], count)
+        r = r.reshape(len(r), -1)
+        big_w = surface * (w * halves[..., None]).reshape(r.shape) * r ** (f.dim - 1)
+        vals = np.abs(f(r))
+        tables[:, group] = [
+            (big_w * vals**2).sum(axis=1),
+            big_w.sum(axis=1),
+            (big_w * vals**f.p).sum(axis=1),
+        ]
+    return tables
 
 
 def mollifier_sum(
@@ -151,12 +162,15 @@ def mollifier_sum(
     n = f.dim
     exponent = n - alpha
     rows = []
-    table = np.zeros((j_hi - j_lo + 1, len(eps)))
-    for ji, j in enumerate(range(j_lo, j_hi + 1)):
-        b_vals, bounds, vols, masses = [], [], [], []
-        for e in eps:
-            lo, hi = 2.0**j / e, 2.0 ** (j + 1) / e
-            sq, vol, lp = _shell_integrals(f, lo, hi)
+    js = range(j_lo, j_hi + 1)
+    table = np.zeros((len(js), len(eps)))
+    lo = np.array([[2.0**j / e for e in eps] for j in js])
+    hi = np.array([[2.0 ** (j + 1) / e for e in eps] for j in js])
+    sq_table, vol_table, lp_table = _shell_tables(f, lo, hi).tolist()
+    for ji, j in enumerate(js):
+        b_vals, bounds = [], []
+        vols, masses = vol_table[ji], lp_table[ji]
+        for e, sq, vol, lp in zip(eps, sq_table[ji], vols, masses):
             scale = (2.0**-j * e) ** exponent
             b = scale * sq
             if lp > 0 and vol > 0:
@@ -165,8 +179,6 @@ def mollifier_sum(
                 bound = 0.0
             b_vals.append(b)
             bounds.append(bound)
-            vols.append(vol)
-            masses.append(lp)
         table[ji] = b_vals
         peak = int(np.argmax(b_vals))
         tail = b_vals[peak:]

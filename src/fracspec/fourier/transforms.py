@@ -113,12 +113,18 @@ def cantor_fourier_grid(params: CantorParams, depth: int, xi) -> tuple[np.ndarra
     # rounding differs from the vector path, so a lone last frequency joins
     # the block before it; each value then matches the unblocked product.
     edges = [*range(0, max(flat.size - 1, 1), BLOCK), flat.size]
+    # one phase array for every level of every block: fresh (N, block)
+    # temporaries would be handed back to the system and faulted in again
+    # at each level
+    work = np.empty(branches * np.diff(edges).max(), dtype=complex)
     for start, stop in zip(edges, edges[1:]):
         xi_block = flat[start:stop]
         block = values[start:stop]
         arg = -1j * xi_block
+        phases = work[: branches * len(xi_block)].reshape(branches, -1)
         for shift in shifts:
-            block *= branch_sum(np.exp(shift * arg)) / branches
+            np.multiply(shift, arg, out=phases)
+            block *= branch_sum(np.exp(phases, out=phases)) / branches
         block *= np.exp(-0.5j * xi_block * scales[depth])
     errors = np.abs(xi_arr) * scales[depth]
     return values.reshape(xi_arr.shape), errors

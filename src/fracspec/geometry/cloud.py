@@ -90,8 +90,13 @@ class PointCloud:
     def size(self) -> int:
         return len(self.points)
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray([[float(c) for c in p] for p in self.points], dtype=float)
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The points as floats, one row per point: built once per cloud,
+        since volumes read it at every eps, and read-only."""
+        arr = np.asarray([[float(c) for c in p] for p in self.points], dtype=float)
+        arr.setflags(write=False)
+        return arr
 
     @cached_property
     def _lattice(self) -> tuple[tuple[tuple[int, ...], ...], int]:

@@ -45,7 +45,7 @@ def _cell_windows(origin: np.ndarray, pts: np.ndarray, cell: float, reach: int) 
 
 
 def _occupancy_volume(cloud: PointCloud, eps: float) -> VolumeResult:
-    pts = cloud.as_array()
+    pts = cloud.array
     n = cloud.n
     eps = float(eps)
     cell = eps / OCCUPANCY_CELLS_PER_EPS

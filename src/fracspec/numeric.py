@@ -9,6 +9,7 @@ from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 
 def as_fraction(x) -> Fraction:
@@ -122,7 +123,7 @@ QUADRATURE_ORDER = 32
 
 @lru_cache(maxsize=1)
 def _gauss_legendre():
-    return np.polynomial.legendre.leggauss(QUADRATURE_ORDER)
+    return leggauss(QUADRATURE_ORDER)
 
 
 def panel_count(lo: float, hi: float, panel_width):
@@ -134,17 +135,20 @@ def panel_count(lo: float, hi: float, panel_width):
     return np.ceil((hi - lo) / np.asarray(panel_width, dtype=float)).astype(int)
 
 
-def _panels(lo: float, hi: float, count: int):
+def _panels(lo, hi, count: int):
     """Gauss-Legendre nodes on count equal panels over [lo, hi].
 
     Returns the nodes (one row per panel), the reference weights and the
     panel half-widths; callers combine the weights in their own order.
+    lo and hi may also be arrays of intervals with lo < hi, which put their
+    shape in front of the nodes' and half-widths'; each interval's values
+    are bit for bit those of a call on it alone.
     """
-    edges = np.linspace(lo, hi, count + 1)
+    edges = np.linspace(lo, hi, count + 1, axis=-1)
     x, w = _gauss_legendre()
-    mids = 0.5 * (edges[:-1] + edges[1:])
+    mids = 0.5 * (edges[..., :-1] + edges[..., 1:])
     halves = 0.5 * np.diff(edges)
-    return mids[:, None] + halves[:, None] * x[None, :], w, halves
+    return mids[..., None] + halves[..., None] * x, w, halves
 
 
 def integrate_panels(fn, lo: float, hi: float, *, panel_width: float) -> float:
@@ -162,13 +166,84 @@ def integrate_panels(fn, lo: float, hi: float, *, panel_width: float) -> float:
     return float(np.sum(vals * w[None, :] * halves[:, None]))
 
 
-def quadrature_nodes(lo: float, hi: float, *, panel_width: float):
-    """Nodes and weights of the same panelized rule used by integrate_panels.
+# Cephes j0 (Moshier, Methods and Programs for Mathematical Functions, 1989):
+# a rational approximation on [0, 5] with the first two zeros factored out,
+# and a modulus-phase (Hankel) form above 5.  The coefficients are the
+# doubles scipy.special.j0 is compiled with, each written as the shortest
+# decimal that parses back to it.
+_J0_RP = (-4794432209.782018, 1956174919465.5657, -249248344360967.72, 9708622510473064.0)
+_J0_RQ = (
+    499.563147152651, 173785.4016763747, 48440965.83399621, 11185553704.535683,
+    2112775201154.892, 310518229857422.56, 3.1812195594320496e+16, 1.7108629408104315e+18,
+)
+_J0_PP = (
+    0.0007969367292973471, 0.08283523921074408, 1.239533716464143, 5.447250030587687,
+    8.74716500199817, 5.303240382353949, 1.0,
+)
+_J0_PQ = (
+    0.0009244088105588637, 0.08562884743544745, 1.2535274390105895, 5.470977403304171,
+    8.761908832370695, 5.306052882353947, 1.0,
+)
+_J0_QP = (
+    -0.011366383889846916, -1.2825271867050931, -19.553954425773597, -93.20601521237683,
+    -177.68116798048806, -147.07750515495118, -51.41053267665993, -6.050143506007285,
+)
+_J0_QQ = (
+    64.3178256118178, 856.4300259769806, 3882.4018360540163, 7240.467741956525,
+    5930.727011873169, 2062.0933166032783, 242.0057402402914,
+)
+_J0_DR1 = 5.783185962946784  # first zero of J0, squared
+_J0_DR2 = 30.471262343662087  # second zero, squared
+_SQ2OPI = 0.7978845608028654  # sqrt(2 / pi)
+_PIO4 = math.pi / 4
 
-    Exposed so that two integrals that must satisfy a pointwise inequality
-    (e.g. a discrete Holder bound) can be evaluated on identical nodes.
+
+def _polevl(x: np.ndarray, coef: tuple) -> np.ndarray:
+    # Horner from the leading coefficient, acc = acc * x + c, one rounding
+    # per multiply and per add (no fused multiply-add)
+    acc = x * coef[0]
+    acc += coef[1]
+    for c in coef[2:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _p1evl(x: np.ndarray, coef: tuple) -> np.ndarray:
+    # as _polevl, with a leading coefficient 1 that coef leaves out
+    acc = x + coef[0]
+    for c in coef[1:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def j0(x, out=None):
+    """The Bessel function J0, elementwise.
+
+    Cephes' evaluation, operation for operation, so each value is bit for
+    bit the one scipy.special.j0 gives.  out may be x itself.
     """
-    if hi <= lo:
-        return np.empty(0), np.empty(0)
-    pts, w, halves = _panels(lo, hi, panel_count(lo, hi, panel_width))
-    return pts.ravel(), (w[None, :] * halves[:, None]).ravel()
+    x = np.array(x, dtype=float)  # a copy, so out may alias the argument
+    np.abs(x, out=x)
+    if out is None:
+        out = np.empty_like(x)
+    near = x <= 5.0
+    z = x[near]
+    z *= z
+    out[near] = (z - _J0_DR1) * (z - _J0_DR2) * _polevl(z, _J0_RP) / _p1evl(z, _J0_RQ)
+    tiny = x < 1e-5
+    if tiny.any():
+        z = x[tiny]
+        out[tiny] = 1.0 - z * z / 4.0
+    far = ~near
+    if far.any():
+        x = x[far]
+        w = 5.0 / x
+        with np.errstate(over="ignore"):  # x * x is inf above 1e154, and q then 0
+            q = 25.0 / (x * x)
+        p = _polevl(q, _J0_PP) / _polevl(q, _J0_PQ)
+        q = _polevl(q, _J0_QP) / _p1evl(q, _J0_QQ)
+        xn = x - _PIO4
+        out[far] = (p * np.cos(xn) - w * q * np.sin(xn)) * _SQ2OPI / np.sqrt(x)
+    return out if out.ndim else out[()]

@@ -3,6 +3,7 @@
 from .grid import (
     GridFunction,
     ZeroSet,
+    check_square_budget,
     default_tol,
     dft,
     dft_zero_set,
@@ -45,6 +46,7 @@ __all__ = [
     "VerdictRow",
     "ZeroSet",
     "centered_frequencies",
+    "check_square_budget",
     "circulant_matrix",
     "circulant_rank",
     "default_tol",

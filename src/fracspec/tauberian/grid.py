@@ -5,10 +5,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import fft, fft2
 
-from ..errors import DomainError
+from ..errors import DomainError, SizeError
 
 DEFAULT_TOL_FACTOR = 1e-9
+# Entries of one m x m array, the 2-D lattice of a radial scan or the
+# translate matrix of a 1-D span check: m <= 2048, 64 MB complex.  The
+# spectral benchmark's translate matrices have m = 64.
+MAX_SQUARE_ENTRIES = 2**22
+
+
+def check_square_budget(m: int, what: str) -> None:
+    """Raise SizeError unless an m x m array fits in MAX_SQUARE_ENTRIES."""
+    if m * m > MAX_SQUARE_ENTRIES:
+        raise SizeError(f"{what} of {m}**2 entries exceeds the budget of {MAX_SQUARE_ENTRIES}")
 
 
 @dataclass(frozen=True)
@@ -41,8 +52,8 @@ class GridFunction:
 def dft(f: GridFunction) -> np.ndarray:
     """Unitary discrete transform (Parseval holds with constant 1)."""
     if f.n == 1:
-        return np.fft.fft(f.values, norm="ortho")
-    return np.fft.fft2(f.values, norm="ortho")
+        return fft(f.values, norm="ortho")
+    return fft2(f.values, norm="ortho")
 
 
 def default_tol(fhat: np.ndarray) -> float:

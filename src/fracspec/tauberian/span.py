@@ -10,12 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DomainError, SizeError
-from .grid import GridFunction, default_tol, dft
-
-# Entries of one translate matrix: m <= 2048, a 64 MB complex matrix whose
-# SVD takes seconds; the spectral benchmark uses m = 64.
-MAX_TRANSLATE_ENTRIES = 2**22
+from ..errors import DomainError
+from .grid import GridFunction, check_square_budget, default_tol, dft
 
 
 def _require_1d(f: GridFunction) -> None:
@@ -35,14 +31,11 @@ def span_dimension_oracle(f: GridFunction) -> int:
 def circulant_matrix(f: GridFunction) -> np.ndarray:
     """Row k is the k-step cyclic translate of f: entry (k, j) is f[j - k mod m].
 
-    A matrix of more than MAX_TRANSLATE_ENTRIES entries raises SizeError
-    before it is allocated.
+    A matrix of more than MAX_SQUARE_ENTRIES entries raises SizeError
+    before it is allocated; its SVD would take seconds at the budget.
     """
     _require_1d(f)
-    if f.m**2 > MAX_TRANSLATE_ENTRIES:
-        raise SizeError(
-            f"translate matrix of {f.m}**2 entries exceeds the budget of {MAX_TRANSLATE_ENTRIES}"
-        )
+    check_square_budget(f.m, "translate matrix")
     idx = np.arange(f.m)
     return f.values[(idx[None, :] - idx[:, None]) % f.m]
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import fftfreq, ifft2
 
 from ..errors import DomainError
 from .grid import GridFunction, default_tol, dft
@@ -26,7 +27,7 @@ class SphericalZeroSet:
 
 def centered_frequencies(m: int) -> np.ndarray:
     """Integer frequency coordinates with 0 centered (fftfreq * m)."""
-    return np.fft.fftfreq(m, d=1.0 / m)
+    return fftfreq(m, d=1.0 / m)
 
 
 def spherical_zero_radii(f: GridFunction) -> SphericalZeroSet:
@@ -80,4 +81,4 @@ def mask_spectrum_on_radii(
     for r in radii:
         mask |= np.abs(norms - float(r)) <= band
     fhat = np.where(mask, 0.0, fhat)
-    return GridFunction(np.fft.ifft2(fhat, norm="ortho"))
+    return GridFunction(ifft2(fhat, norm="ortho"))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import fracspec.experiments
 import fracspec.fourier.transforms
-import fracspec.tauberian.span
+import fracspec.tauberian.grid
 from fracspec.cli import main
 from fracspec.config import ExperimentConfig
 from fracspec.errors import ConfigError
@@ -444,13 +444,33 @@ def test_cli_span_budget(tmp_path, capsys, monkeypatch, m, budget, code):
     """The span trials refuse a translate matrix over m**2 entries before
     allocating it."""
     if budget is not None:
-        monkeypatch.setattr(fracspec.tauberian.span, "MAX_TRANSLATE_ENTRIES", budget)
+        monkeypatch.setattr(fracspec.tauberian.grid, "MAX_SQUARE_ENTRIES", budget)
     path = tmp_path / "run.cfg"
     path.write_text(f"tauberian.m = {m}\ntauberian.trials = 2\n")
     assert main(["tauberian", "--config", str(path), "--out", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert ("exceeds the budget" in err) == (code == 1)
+
+
+@pytest.mark.parametrize("m, budget, code", [(1000000, None, 1), (9, 64, 1), (8, 64, 0)])
+def test_cli_radial_scan_budget(tmp_path, capsys, monkeypatch, m, budget, code):
+    """The radial scan refuses an m x m grid over the same budget before it
+    draws a single value of it."""
+    if budget is not None:
+        monkeypatch.setattr(fracspec.tauberian.grid, "MAX_SQUARE_ENTRIES", budget)
+    drawn = []
+    real = fracspec.experiments.default_rng
+    monkeypatch.setattr(
+        fracspec.experiments, "default_rng", lambda seed: drawn.append(seed) or real(seed)
+    )
+    path = tmp_path / "run.cfg"
+    path.write_text(f"tauberian.kind = radial\ntauberian.m = {m}\ntauberian.radii = 2\n")
+    assert main(["tauberian", "--config", str(path), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: radial scan grid of") == (code == 1)
+    assert len(drawn) == (code == 0)
 
 
 def test_cli_config_errors_exit_2(tmp_path):

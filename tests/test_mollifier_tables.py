@@ -4,15 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from fracspec.errors import DomainError
 from fracspec.fourier.bump import BumpFunction
 from fracspec.fourier.mollifier import (
+    SHELL_PANEL_WIDTH,
     RadialProfile,
+    _shell_tables,
     bessel_tail_profile,
     mollifier_sum,
 )
+from fracspec.numeric import QUADRATURE_ORDER, sphere_surface_area
 
 
 def test_shell_entry_against_quad():
@@ -83,3 +87,51 @@ def test_mollifier_sum_validation():
     with pytest.raises(DomainError):
         RadialProfile(lambda r: r, 2, 1.5)
 
+
+
+def per_shell_integrals(f, lo, hi):
+    """Reference for one shell: its own node set, built from scalar
+    endpoints, and three plain sums."""
+    if f.support_radius is not None:
+        hi = min(hi, f.support_radius)
+    if hi <= lo:
+        return 0.0, 0.0, 0.0
+    edges = np.linspace(lo, hi, math.ceil((hi - lo) / SHELL_PANEL_WIDTH) + 1)
+    x, w = leggauss(QUADRATURE_ORDER)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    halves = 0.5 * np.diff(edges)
+    r = (mids[:, None] + halves[:, None] * x[None, :]).ravel()
+    weights = (w[None, :] * halves[:, None]).ravel()
+    big_w = sphere_surface_area(f.dim) * weights * r ** (f.dim - 1)
+    vals = np.abs(f(r))
+    return (
+        float(np.sum(big_w * vals**2)),
+        float(np.sum(big_w)),
+        float(np.sum(big_w * vals**f.p)),
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("truncate_at", [None, 2.5, 3.7])
+@pytest.mark.parametrize(
+    "eps_schedule",
+    [[2.0**-k for k in range(2, 9)], [0.3, 0.17, 0.11, 0.05, 0.013]],
+)
+def test_batched_shells_match_per_shell(dim, truncate_at, eps_schedule):
+    """Shells grouped by panel count give each shell's own integrals bit for
+    bit, on schedules whose octaves mix panel counts."""
+    f = bessel_tail_profile(dim=dim, p=3.0, truncate_at=truncate_at)
+    js = range(-8, 3)
+    lo = np.array([[2.0**j / e for e in eps_schedule] for j in js])
+    hi = np.array([[2.0 ** (j + 1) / e for e in eps_schedule] for j in js])
+    top = np.minimum(hi, truncate_at or math.inf)
+    mixed = [
+        {math.ceil((t - l) / SHELL_PANEL_WIDTH) for l, t in zip(*row) if t > l}
+        for row in zip(lo, top)
+    ]
+    assert any(len(counts) > 1 for counts in mixed)
+    got = _shell_tables(f, lo, hi)
+    want = np.array(
+        [[per_shell_integrals(f, l, h) for l, h in zip(*row)] for row in zip(lo, hi)]
+    )
+    assert np.array_equal(np.moveaxis(got, 0, -1).view(np.int64), want.view(np.int64))

@@ -96,7 +96,7 @@ def meshgrid_occupancy(cloud, eps, cells_per_eps):
     Returns the volume and each point's squared distances to every cell
     center, shaped as the grid in ij order.
     """
-    pts = cloud.as_array()
+    pts = cloud.array
     n = cloud.n
     eps = float(eps)
     cell = eps / cells_per_eps
@@ -164,7 +164,7 @@ def test_occupancy_matches_meshgrid_reference(monkeypatch, kind, n, cells_per_ep
 
 def grid_cells(cloud, eps):
     """Cells of the reference grid over the cloud's padded bounding box."""
-    pts = cloud.as_array()
+    pts = cloud.array
     eps = float(eps)
     cell = eps / volumes.OCCUPANCY_CELLS_PER_EPS
     lo = pts.min(axis=0) - eps - cell

@@ -291,3 +291,11 @@ def test_box_counts_are_minimum_covers_1d(extra):
         brute_min_cover(cloud.points, eps) for eps in sweep.scales()
     ]
     assert 0.0 <= box_dimension_estimate(rows).slope <= 1.0
+
+
+def test_float_array_is_built_once_and_read_only():
+    cloud = PointCloud.from_points([(Fraction(1, 3), 0.5), (2, Fraction(-7, 5)), (0, 0)])
+    arr = cloud.array
+    assert arr is cloud.array
+    assert not arr.flags.writeable
+    assert arr.tolist() == [[float(c) for c in p] for p in cloud.points]
