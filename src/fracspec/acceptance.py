@@ -35,7 +35,7 @@ from .fourier import (
     lq_annulus_diagnostics,
     mollifier_sum,
 )
-from .experiments import spectral_grid
+from .experiments import span_matches, span_trials, spectral_grid
 from .geometry import (
     PointCloud,
     ScaleSweep,
@@ -48,14 +48,10 @@ from .geometry import (
 )
 from .numeric import LogRatio, unit_ball_volume
 from .tauberian import (
-    GridFunction,
     RULE_MOTION_RADIAL,
     RULE_TRANSLATE_FULL,
     SphericalZeroSet,
     ZeroSet,
-    circulant_rank,
-    dft_zero_set,
-    span_dimension_oracle,
     verdict,
 )
 
@@ -337,17 +333,8 @@ def criterion_lp_tail_dichotomy() -> CriterionResult:
 
 def criterion_span_oracle(trials: int = 100, seed: int = 907) -> CriterionResult:
     sizes = (8, 16, 32)
-    total = matches = 0
-    for m in sizes:
-        children = SeedSequence(seed + m).spawn(trials)
-        for child in children:
-            rng = default_rng(child)
-            f = GridFunction(rng.standard_normal(m) + 1j * rng.standard_normal(m))
-            oracle = span_dimension_oracle(f)
-            rank = circulant_rank(f)
-            zeros = dft_zero_set(f).count
-            total += 1
-            matches += oracle == rank == m - zeros
+    total = trials * len(sizes)
+    matches = sum(span_matches(m, span_trials(m, SeedSequence(seed + m), trials)) for m in sizes)
     passed = matches == total
     return _result(
         "span-oracle",
@@ -399,13 +386,13 @@ def criterion_upper_density(points: int = 200, seed: int = 4217) -> CriterionRes
     beta = math.log(2) / math.log(3)
     rng = default_rng(seed)
     idx = rng.choice(len(measure.atoms), size=points, replace=False)
-    sweep = ScaleSweep(eps_max=Fraction(1, 9), ratio=Fraction(1, 3), count=9)
+    radii = [float(r) for r in ScaleSweep(eps_max=Fraction(1, 9), ratio=Fraction(1, 3), count=9)]
     lo_lim = 2.0**-beta - 0.05
     hi_lim = 1.05
     sup_min, sup_max = math.inf, -math.inf
     ok = 0
     for i in idx:
-        est = upper_density_estimate(measure, measure.atoms[int(i)], beta, sweep)
+        est = upper_density_estimate(measure, measure.atoms[int(i)], beta, radii)
         sup_min = min(sup_min, est.sup_ratio)
         sup_max = max(sup_max, est.sup_ratio)
         ok += lo_lim <= est.sup_ratio <= hi_lim

@@ -52,10 +52,8 @@ from .numeric import parse_rational
 from .tauberian import (
     GridFunction,
     check_square_budget,
-    circulant_rank,
-    dft_zero_set,
     mask_spectrum_on_radii,
-    span_dimension_oracle,
+    span_counts,
     spherical_zero_radii,
     verdict,
 )
@@ -348,27 +346,44 @@ def run_mollify(cfg: ExperimentConfig) -> ReportRecord:
     )
 
 
+# Complex entries of the rows drawn and counted at once (1 MB).
+SPAN_CHUNK_ENTRIES = 2**16
+
+
+def span_trials(m: int, root: SeedSequence, trials: int) -> np.ndarray:
+    """(3, trials) span_counts; row t is m complex normals from root's t-th
+    child.  Rows are spawned, drawn and counted a chunk at a time, after
+    the translate matrix budget is checked."""
+    check_square_budget(m, "translate matrix")
+    counts = np.empty((3, trials), dtype=np.intp)
+    draws = np.empty((min(max(1, SPAN_CHUNK_ENTRIES // m), trials), 2, m))
+    for lo in range(0, trials, len(draws)):
+        children = root.spawn(min(len(draws), trials - lo))
+        for i, child in enumerate(children):
+            rng = default_rng(child)
+            rng.standard_normal(out=draws[i, 0])
+            rng.standard_normal(out=draws[i, 1])
+        part = draws[: len(children)]
+        counts[:, lo : lo + len(children)] = span_counts(part[:, 0] + 1j * part[:, 1])
+    return counts
+
+
+def span_matches(m: int, counts: np.ndarray) -> int:
+    """Trials whose span_dim, circulant_rank and m - dft_zeros agree."""
+    span_dim, rank, zeros = counts
+    return int(np.count_nonzero((span_dim == rank) & (rank == m - zeros)))
+
+
 def _run_span_trials(cfg: ExperimentConfig, opts: dict, out: Path) -> ReportRecord:
     m, trials = opts["tauberian.m"], opts["tauberian.trials"]
     seed = cfg.seed if cfg.seed is not None else 0
-    children = SeedSequence(seed).spawn(trials)
-
-    def one(child):
-        rng = default_rng(child)
-        values = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        f = GridFunction(values)
-        oracle = span_dimension_oracle(f)
-        zeros = dft_zero_set(f)
-        rank = circulant_rank(f)
-        return oracle, rank, zeros.count
-
-    results = [one(child) for child in children]
+    counts = span_trials(m, SeedSequence(seed), trials)
     write_csv(
         out / "trials.csv",
         ("trial", "span_dim", "circulant_rank", "dft_zeros"),
-        [(i, o, r, z) for i, (o, r, z) in enumerate(results)],
+        zip(range(trials), *counts.tolist()),
     )
-    matches = sum(1 for o, r, z in results if o == r == m - z)
+    matches = span_matches(m, counts)
     return ReportRecord(
         cfg.experiment,
         cfg.digest(opts),

@@ -9,7 +9,6 @@ from .cloud import (
 from .density import (
     DensityEstimate,
     WeightedMeasure,
-    ball_mass,
     upper_density_estimate,
 )
 from .dimension import DimensionFit, box_dimension_estimate
@@ -34,7 +33,6 @@ __all__ = [
     "ScaleSweep",
     "VolumeResult",
     "WeightedMeasure",
-    "ball_mass",
     "box_dimension_estimate",
     "covering_number",
     "eps_neighborhood_volume",

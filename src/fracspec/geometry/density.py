@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DomainError
-from .sweeps import ScaleSweep
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,22 +43,18 @@ class WeightedMeasure:
         return cls(np.asarray(at, dtype=float), weights, n, float(np.sum(weights)))
 
 
-def ball_mass(measure: WeightedMeasure, x, r: float) -> float:
-    """Mass of the closed ball of radius r around x."""
-    if isinstance(x, (int, float)):
-        x = (x,)
-    d2 = ((measure.atoms - np.asarray(x, dtype=float)) ** 2).sum(axis=1)
-    return float(measure.weights[d2 <= r * r].sum())
-
-
 @dataclass(frozen=True)
 class DensityEstimate:
     sup_ratio: float
     rows: tuple  # (r, mass, ratio)
 
 
-def upper_density_estimate(measure: WeightedMeasure, x, alpha: float, sweep: ScaleSweep) -> DensityEstimate:
-    """sup over the sweep of (2r)**(-alpha) * mass(closed ball B_r(x))."""
+def upper_density_estimate(measure: WeightedMeasure, x, alpha: float, radii) -> DensityEstimate:
+    """sup over the radii of (2r)**(-alpha) * mass(closed ball B_r(x)).
+
+    radii is any iterable of numbers, a ScaleSweep included; the squared
+    distances from x to the atoms are computed once for all radii.
+    """
     if measure.total <= 0:
         raise DomainError("measure must have positive total mass")
     if not (0 <= alpha <= measure.n):
@@ -68,12 +63,11 @@ def upper_density_estimate(measure: WeightedMeasure, x, alpha: float, sweep: Sca
         raise DomainError(f"alpha must lie in [0, {measure.n}]")
     if isinstance(x, (int, float)):
         x = (x,)
+    d2 = ((measure.atoms - np.asarray(x, dtype=float)) ** 2).sum(axis=1)
     rows = []
-    for r in sweep.scales():
+    for r in radii:
         rf = float(r)
-        m = ball_mass(measure, x, rf)
-        ratio = m * (2.0 * rf) ** (-alpha)
-        rows.append((rf, m, ratio))
+        m = float(measure.weights[d2 <= rf * rf].sum())
+        rows.append((rf, m, m * (2.0 * rf) ** (-alpha)))
     sup = max(row[2] for row in rows)
     return DensityEstimate(sup, tuple(rows))
-

@@ -4,15 +4,10 @@ from .grid import (
     GridFunction,
     ZeroSet,
     check_square_budget,
-    default_tol,
     dft,
-    dft_zero_set,
+    vanishing,
 )
-from .span import (
-    circulant_matrix,
-    circulant_rank,
-    span_dimension_oracle,
-)
+from .span import span_counts
 from .spherical import (
     SphericalZeroSet,
     centered_frequencies,
@@ -47,15 +42,12 @@ __all__ = [
     "ZeroSet",
     "centered_frequencies",
     "check_square_budget",
-    "circulant_matrix",
-    "circulant_rank",
-    "default_tol",
     "dft",
-    "dft_zero_set",
     "mask_spectrum_on_radii",
     "motion_p_lower",
-    "span_dimension_oracle",
+    "span_counts",
     "spherical_zero_radii",
     "translate_p_lower",
+    "vanishing",
     "verdict",
 ]

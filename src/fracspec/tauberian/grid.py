@@ -56,14 +56,23 @@ def dft(f: GridFunction) -> np.ndarray:
     return fft2(f.values, norm="ortho")
 
 
-def default_tol(fhat: np.ndarray) -> float:
-    peak = float(np.abs(fhat).max())
-    return DEFAULT_TOL_FACTOR * peak if peak > 0 else 0.0
+def vanishing(fhat: np.ndarray, axis=None) -> tuple[np.ndarray, np.ndarray]:
+    """(mask, tol): which transform coefficients vanish, and the tol used.
+
+    tol is DEFAULT_TOL_FACTOR times the peak modulus (scale-free), over
+    the whole array, or per row along axis.  A coefficient vanishes iff
+    |fhat| < tol or |fhat| == 0: the second clause decides the zero
+    function and a tiny one whose tol underflows to 0.
+    """
+    mags = np.abs(fhat)
+    tol = DEFAULT_TOL_FACTOR * mags.max(axis=axis)
+    cut = tol if axis is None else np.expand_dims(tol, axis)
+    return (mags < cut) | (mags == 0), tol
 
 
 @dataclass(frozen=True)
 class ZeroSet:
-    """Frequency indices where the transform modulus falls below tol."""
+    """Frequency indices where the transform vanishes (see vanishing)."""
 
     indices: tuple
     tol: float
@@ -77,25 +86,3 @@ class ZeroSet:
     @property
     def count(self) -> int:
         return len(self.indices)
-
-
-def dft_zero_set(f: GridFunction) -> ZeroSet:
-    """Thresholded zero set of the transform.
-
-    tol is default_tol, 1e-9 times the peak modulus (scale-free).  The
-    zero convention is strict inequality |fhat| < tol, so the identically
-    zero function needs special handling: everything is a zero.
-    """
-    fhat = dft(f)
-    mags = np.abs(fhat)
-    tol = default_tol(fhat)
-    if mags.max() == 0:
-        idx = np.argwhere(np.ones_like(mags, dtype=bool))
-    else:
-        idx = np.argwhere(mags < tol)
-    if f.n == 1:
-        indices = tuple(int(i[0]) for i in idx)
-    else:
-        indices = tuple((int(i), int(j)) for i, j in idx)
-    return ZeroSet(indices=indices, tol=float(tol), m=f.m, n=f.n)
-

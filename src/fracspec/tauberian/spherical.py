@@ -8,12 +8,12 @@ import numpy as np
 from numpy.fft import fftfreq, ifft2
 
 from ..errors import DomainError
-from .grid import GridFunction, default_tol, dft
+from .grid import GridFunction, dft, vanishing
 
 
 @dataclass(frozen=True)
 class SphericalZeroSet:
-    """Radii whose whole lattice shell has transform modulus below tol."""
+    """Radii whose whole lattice shell vanishes (see grid.vanishing)."""
 
     radii: tuple
     tol: float
@@ -33,10 +33,10 @@ def centered_frequencies(m: int) -> np.ndarray:
 def spherical_zero_radii(f: GridFunction) -> SphericalZeroSet:
     """Scan shells r - 1/2 <= |k| < r + 1/2 at radii r = 1, 2, 3, ...
 
-    up to the largest lattice radius r_max, with tol = default_tol.  The
-    shell width is the lattice spacing, 1 in frequency units, so every
-    scanned shell holds a lattice point and a zero always rests on
-    evidence.  Proof: let K be the largest |coordinate|.  The axis points
+    up to the largest lattice radius r_max; a radius is a zero when every
+    coefficient on its shell vanishes (grid.vanishing).  The shell width
+    is the lattice spacing, 1 in frequency units, so every scanned shell
+    holds a lattice point and a zero always rests on evidence.  Proof: let K be the largest |coordinate|.  The axis points
     (k, 0), k = 0..K, have norms 0, 1, ..., K, and along (K, 0), (K, 1),
     ..., (K, K) the norm rises from K to the corner norm r_max = K sqrt(2)
     by steps of at most 1 (triangle inequality).  A rising sequence whose
@@ -45,18 +45,17 @@ def spherical_zero_radii(f: GridFunction) -> SphericalZeroSet:
     """
     if f.n != 2:
         raise DomainError("spherical scans need a 2-D grid")
-    fhat = dft(f)
-    tol = default_tol(fhat)
+    zero, tol = vanishing(dft(f))
+    zero = zero.ravel()
     freqs = centered_frequencies(f.m)
     kx, ky = np.meshgrid(freqs, freqs, indexing="ij")
     norms = np.sqrt(kx**2 + ky**2).ravel()
-    mags = np.abs(fhat).ravel()
     r_max = float(norms.max())
     radii = []
     r = 1.0
     while r <= r_max:
         mask = (norms >= r - 0.5) & (norms < r + 0.5)
-        if float(mags[mask].max()) < tol:
+        if zero[mask].all():
             radii.append(r)
         r += 1.0
     return SphericalZeroSet(radii=tuple(radii), tol=float(tol))

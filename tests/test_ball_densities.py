@@ -8,14 +8,26 @@ import pytest
 from fracspec.cantor.measures import natural_measure
 from fracspec.cantor.params import middle_thirds_params
 from fracspec.errors import DomainError
-from fracspec.geometry.density import (
-    WeightedMeasure,
-    ball_mass,
-    upper_density_estimate,
-)
+import numpy as np
+
+from fracspec.geometry.density import WeightedMeasure, upper_density_estimate
 from fracspec.geometry.sweeps import ScaleSweep
 
 BETA = math.log(2) / math.log(3)
+
+
+def ball_mass(measure, x, r):
+    """Mass of the closed ball of radius r around x, one radius per call:
+    the oracle for the masses upper_density_estimate sums per radius."""
+    if isinstance(x, (int, float)):
+        x = (x,)
+    d2 = ((measure.atoms - np.asarray(x, dtype=float)) ** 2).sum(axis=1)
+    return float(measure.weights[d2 <= r * r].sum())
+
+
+def masses(measure, x, radii):
+    """The masses upper_density_estimate reports (alpha 0: ratio = mass)."""
+    return [mass for _, mass, _ in upper_density_estimate(measure, x, 0.0, radii).rows]
 
 
 def test_weighted_measure_validation():
@@ -33,9 +45,27 @@ def test_weighted_measure_validation():
 def test_ball_mass_closed_boundary():
     mu = WeightedMeasure.from_atoms([0.0, 1.0], [0.5, 0.5])
     # atom exactly on the boundary counts: the ball is closed
-    assert ball_mass(mu, 0.0, 1.0) == 1.0
-    assert ball_mass(mu, 0.0, 0.999) == 0.5
-    assert ball_mass(mu, (0.5,), 0.5) == 1.0
+    assert masses(mu, 0.0, [1.0, 0.999]) == [1.0, 0.5]
+    assert masses(mu, (0.5,), [0.5]) == [1.0]
+    assert ball_mass(mu, 0.0, 1.0) == 1.0 and ball_mass(mu, 0.0, 0.999) == 0.5
+
+
+def test_rows_match_per_radius_oracle():
+    """Distances computed once give each radius's mass and ratio bit for
+    bit as one ball_mass call per radius did, over the criterion's 9
+    radii floated once or taken from the sweep."""
+    mu = natural_measure(middle_thirds_params(), 8)
+    sweep = ScaleSweep(Fraction(1, 9), Fraction(1, 3), 9)
+    radii = [float(r) for r in sweep]
+    for x in (mu.atoms[0], mu.atoms[77], (0.5,), 0.3):
+        est = upper_density_estimate(mu, x, BETA, radii)
+        assert est == upper_density_estimate(mu, x, BETA, sweep)
+        want = []
+        for r in radii:
+            mass = ball_mass(mu, x, r)
+            want.append((r, mass, mass * (2.0 * r) ** (-BETA)))
+        assert est.rows == tuple(want)
+        assert est.sup_ratio == max(row[2] for row in want)
 
 
 def test_ternary_upper_density_hits_two_to_minus_beta():

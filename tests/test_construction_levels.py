@@ -15,7 +15,7 @@ from fracspec.cantor.measures import natural_measure
 from fracspec.cantor.params import CantorParams, middle_thirds_params
 from fracspec.cantor.sampling import sample_salem_offsets
 from fracspec.errors import DomainError, SizeError
-from fracspec.geometry.density import ball_mass
+from fracspec.geometry.density import upper_density_estimate
 from fracspec.geometry.intervals import IntervalUnion
 
 
@@ -190,8 +190,9 @@ def test_natural_measure_totals_and_interval_mass():
     assert mu.weights.tolist() == [float(Fraction(1, 32))] * 32
     assert mu.total == 1.0
     # each level-1 child, [0, 1/3] and [2/3, 1], carries exactly half the mass
-    assert ball_mass(mu, 1 / 6, 1 / 6) == 0.5
-    assert ball_mass(mu, 5 / 6, 1 / 6) == 0.5
+    for center in (1 / 6, 5 / 6):
+        rows = upper_density_estimate(mu, center, 0.0, [1 / 6]).rows
+        assert rows[0][1] == 0.5
 
 
 def test_params_json_round_trip(tmp_path):

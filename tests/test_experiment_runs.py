@@ -438,19 +438,25 @@ def test_cli_fourier_budget(tmp_path, capsys, monkeypatch, text, budget, code, m
 
 @pytest.mark.parametrize(
     "m, budget, code",
-    [(1000000, None, 1), (9, 64, 1), (8, 64, 0)],
+    [(1000000, None, 1), (2049, None, 1), (9, 64, 1), (8, 64, 0)],
 )
 def test_cli_span_budget(tmp_path, capsys, monkeypatch, m, budget, code):
     """The span trials refuse a translate matrix over m**2 entries before
-    allocating it."""
+    drawing a trial."""
     if budget is not None:
         monkeypatch.setattr(fracspec.tauberian.grid, "MAX_SQUARE_ENTRIES", budget)
+    drawn = []
+    real = fracspec.experiments.default_rng
+    monkeypatch.setattr(
+        fracspec.experiments, "default_rng", lambda seed: drawn.append(seed) or real(seed)
+    )
     path = tmp_path / "run.cfg"
     path.write_text(f"tauberian.m = {m}\ntauberian.trials = 2\n")
     assert main(["tauberian", "--config", str(path), "--out", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert ("exceeds the budget" in err) == (code == 1)
+    assert len(drawn) == (0 if code else 2)
 
 
 @pytest.mark.parametrize("m, budget, code", [(1000000, None, 1), (9, 64, 1), (8, 64, 0)])

@@ -64,6 +64,15 @@ def test_scan_validation():
         mask_spectrum_on_radii(f1, (1.0,), 1.0)
 
 
+@pytest.mark.parametrize("value", [0.0, 1e-320])
+def test_vanishing_shells_with_zero_tol(value):
+    """The zero function, and a subnormal constant whose tol underflows to
+    0, vanish off the origin: every scanned radius is a zero."""
+    zs = spherical_zero_radii(GridFunction(np.full((8, 8), value)))
+    assert zs.tol == 0.0
+    assert zs.radii == (1.0, 2.0, 3.0, 4.0, 5.0)
+
+
 def test_zero_set_dataclass_validation():
     with pytest.raises(DomainError):
         SphericalZeroSet((0.0,), 1e-9)

@@ -3,19 +3,23 @@
 Route one counts nonvanishing transform coefficients (the span oracle),
 route two takes the numerical rank of the full translate matrix, and the
 test-local route three counts coefficients from the raw DFT definition
-without going through numpy's FFT.
+without going through numpy's FFT.  The program runs routes one and two
+on stacks of trials (`span_counts`); the per-trial functions below are
+the oracle the stack is compared with, bit for bit.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.random import SeedSequence
 
-from fracspec.errors import DomainError
-from fracspec.tauberian.grid import GridFunction, dft, dft_zero_set
-from fracspec.tauberian.span import (
-    circulant_matrix,
-    circulant_rank,
-    span_dimension_oracle,
-)
+import fracspec.experiments as experiments
+import fracspec.tauberian.span as span
+from fracspec.errors import DomainError, SizeError
+from fracspec.experiments import span_trials
+from fracspec.tauberian.grid import DEFAULT_TOL_FACTOR, GridFunction, dft
+from fracspec.tauberian.span import span_counts, translate_matrices
 
 
 def naive_dft_nonzero_count(values, tol):
@@ -31,43 +35,17 @@ def naive_dft_nonzero_count(values, tol):
     return count
 
 
-def test_three_routes_agree_on_seeded_grids():
-    rng = np.random.default_rng(2024)
-    for _ in range(20):
-        f = GridFunction(rng.normal(size=16) + 1j * rng.normal(size=16))
-        tol = 1e-9 * float(np.abs(dft(f)).max())
-        oracle = span_dimension_oracle(f)
-        rank = circulant_rank(f)
-        naive = naive_dft_nonzero_count(f.values, tol)
-        assert oracle == rank == naive
-        assert oracle == f.m - dft_zero_set(f).count
+def oracle_tol(f):
+    """The per-trial tol: 1e-9 times the peak modulus, 0 for the zero
+    function."""
+    peak = float(np.abs(dft(f)).max())
+    return DEFAULT_TOL_FACTOR * peak if peak > 0 else 0.0
 
 
-def test_difference_of_adjacent_deltas():
-    # e_0 - e_1 kills exactly the k = 0 coefficient
-    values = np.zeros(8)
-    values[0], values[1] = 1.0, -1.0
-    f = GridFunction(values)
-    assert span_dimension_oracle(f) == 7
-    assert circulant_rank(f) == 7
-    zs = dft_zero_set(f)
-    assert zs.indices == (0,)
-
-
-def test_comb_spans_half():
-    # 1 on even residues of Z_8: transform is supported on {0, 4}
-    values = np.array([1.0, 0, 1.0, 0, 1.0, 0, 1.0, 0])
-    f = GridFunction(values)
-    assert span_dimension_oracle(f) == 2
-    assert circulant_rank(f) == 2
-
-
-def test_circulant_matrix_structure():
-    values = np.array([1.0, 2.0, 3.0, 4.0])
-    mat = circulant_matrix(GridFunction(values))
-    assert mat.shape == (4, 4)
-    assert np.array_equal(mat[0], values)
-    assert np.array_equal(mat[1], np.array([4.0, 1.0, 2.0, 3.0]))
+def oracle_zero_count(f):
+    """Coefficients below tol; every coefficient of the zero function."""
+    mags = np.abs(dft(f))
+    return f.m if mags.max() == 0 else int(np.count_nonzero(mags < oracle_tol(f)))
 
 
 def roll_circulant(values):
@@ -75,19 +53,182 @@ def roll_circulant(values):
     return np.stack([np.roll(values, k) for k in range(len(values))])
 
 
+def oracle_rank(f):
+    """Rank of one translate matrix, with the cutoff sqrt(m) tol."""
+    return int(np.linalg.matrix_rank(roll_circulant(f.values), tol=np.sqrt(f.m) * oracle_tol(f)))
+
+
+def oracle_counts(rows):
+    """(span_dim, circulant_rank, dft_zeros) one trial at a time."""
+    fs = [GridFunction(row) for row in rows]
+    zeros = [oracle_zero_count(f) for f in fs]
+    return (
+        np.array([f.m - z for f, z in zip(fs, zeros)]),
+        np.array([oracle_rank(f) for f in fs]),
+        np.array(zeros),
+    )
+
+
+def counts_of(values):
+    return span_counts(np.asarray(values)[None, :])
+
+
+def test_three_routes_agree_on_seeded_grids():
+    rng = np.random.default_rng(2024)
+    rows = rng.normal(size=(20, 16)) + 1j * rng.normal(size=(20, 16))
+    span_dim, rank, zeros = span_counts(rows)
+    for row, o, r, z in zip(rows, span_dim, rank, zeros):
+        tol = 1e-9 * float(np.abs(dft(GridFunction(row))).max())
+        assert o == r == naive_dft_nonzero_count(row, tol) == 16 - z
+
+
+def test_difference_of_adjacent_deltas():
+    # e_0 - e_1 kills exactly the k = 0 coefficient
+    values = np.zeros(8)
+    values[0], values[1] = 1.0, -1.0
+    assert [c.tolist() for c in counts_of(values)] == [[7], [7], [1]]
+
+
+def test_comb_spans_half():
+    # 1 on even residues of Z_8: transform is supported on {0, 4}
+    values = np.array([1.0, 0, 1.0, 0, 1.0, 0, 1.0, 0])
+    assert [c.tolist() for c in counts_of(values)] == [[2], [2], [6]]
+
+
+def test_zero_function_spans_nothing():
+    # tol is 0; every coefficient vanishes because it is exactly 0
+    assert [c.tolist() for c in counts_of(np.zeros(8))] == [[0], [0], [8]]
+
+
+def test_subnormal_constant_spans_one():
+    # 1e-9 times the peak underflows to tol = 0; the exact zeros still vanish
+    values = np.full(8, 1e-320)
+    assert DEFAULT_TOL_FACTOR * float(np.abs(dft(GridFunction(values))).max()) == 0.0
+    assert [c.tolist() for c in counts_of(values)] == [[1], [1], [7]]
+
+
+def test_circulant_matrix_structure():
+    values = np.array([1.0, 2.0, 3.0, 4.0])
+    mat = translate_matrices(values[None, :])[0]
+    assert mat.shape == (4, 4)
+    assert np.array_equal(mat[0], values)
+    assert np.array_equal(mat[1], np.array([4.0, 1.0, 2.0, 3.0]))
+    assert not mat.flags.writeable
+
+
 @pytest.mark.parametrize("m", [2, 3, 64, 65])
 def test_circulant_matrix_matches_roll_reference(m):
     rng = np.random.default_rng(m)
-    f = GridFunction(rng.standard_normal(m) + 1j * rng.standard_normal(m))
-    mat = circulant_matrix(f)
-    ref = roll_circulant(f.values)
-    assert mat.dtype == ref.dtype
-    assert np.array_equal(mat, ref)
+    rows = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
+    stack = translate_matrices(rows)
+    for mat, row in zip(stack, rows):
+        ref = roll_circulant(row)
+        assert mat.dtype == ref.dtype
+        assert np.array_equal(mat, ref)
 
 
 def test_span_requires_1d():
-    f2 = GridFunction(np.ones((4, 4)))
     with pytest.raises(DomainError):
-        span_dimension_oracle(f2)
+        span_counts(np.ones((4, 4, 4)))
     with pytest.raises(DomainError):
-        circulant_rank(f2)
+        span_counts(np.ones(8))
+    with pytest.raises(DomainError):
+        span_counts(np.ones((3, 1)))
+    with pytest.raises(DomainError):
+        span_counts(np.array([[1.0, np.nan]]))
+
+
+def test_span_budget_refused_before_transform(monkeypatch):
+    monkeypatch.setattr(span, "fft", lambda *args, **kwargs: pytest.fail("transformed"))
+    with pytest.raises(SizeError):
+        span_counts(np.ones((1, 2049)))
+
+
+def seeded_rows(m, trials, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((trials, m)) + 1j * rng.standard_normal((trials, m))
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 8, 64, 65, 97])
+def test_stack_transform_and_singular_values_are_per_trial_bits(m):
+    """One FFT along the rows and one stacked SVD give each trial's
+    moduli and singular values bit for bit."""
+    rows = seeded_rows(m, 5, 100 + m)
+    mags = np.abs(np.fft.fft(rows, axis=-1, norm="ortho"))
+    svals = np.linalg.svd(translate_matrices(rows), compute_uv=False)
+    for row, mag, sval in zip(rows, mags, svals):
+        f = GridFunction(row)
+        assert np.array_equal(mag.view(np.uint64), np.abs(dft(f)).view(np.uint64))
+        ref = np.linalg.svd(roll_circulant(row), compute_uv=False)
+        assert np.array_equal(sval.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 8, 64, 65, 97])
+def test_stack_counts_match_per_trial_oracle(m):
+    """Random trials, the comb, the zero function and a tiny trial, whose
+    own tol is far below the others', in one stack."""
+    rows = seeded_rows(m, 6, 7 * m)
+    rows[2] = np.where(np.arange(m) % 2 == 0, 1.0, 0.0)
+    rows[4] = 0.0
+    rows[5] *= 1e-12
+    got = span_counts(rows)
+    for g, w in zip(got, oracle_counts(rows)):
+        assert g.dtype == np.intp
+        assert g.tolist() == w.tolist()
+
+
+def per_child_rows(m, root, trials):
+    """One draw per trial from its own child, as the trials were drawn
+    before they were drawn in chunks."""
+    rows = []
+    for child in root.spawn(trials):
+        rng = np.random.default_rng(child)
+        rows.append(rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    return np.array(rows)
+
+
+CHUNK = 3
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 8, 64, 65, 97])
+@pytest.mark.parametrize("trials", [1, CHUNK - 1, CHUNK, CHUNK + 1])
+def test_chunked_trials_match_per_trial_oracle(monkeypatch, m, trials):
+    """Drawn in chunks of 3 rows, row t is bit for bit the draw from the
+    t-th child, and the counts equal the per-trial oracle's."""
+    monkeypatch.setattr(experiments, "SPAN_CHUNK_ENTRIES", CHUNK * m)
+    seen = []
+    monkeypatch.setattr(
+        experiments, "span_counts", lambda rows: seen.append(rows.copy()) or span_counts(rows)
+    )
+    got = span_trials(m, SeedSequence(m), trials)
+    assert [len(rows) for rows in seen] == [CHUNK] * (trials // CHUNK) + [trials % CHUNK] * (
+        trials % CHUNK > 0
+    )
+    rows = per_child_rows(m, SeedSequence(m), trials)
+    assert np.array_equal(np.concatenate(seen).view(np.uint64), rows.view(np.uint64))
+    assert got.shape == (3, trials)
+    assert got.tolist() == [c.tolist() for c in oracle_counts(rows)]
+
+
+def test_span_trials_refuse_the_budget_before_drawing(monkeypatch):
+    monkeypatch.setattr(experiments, "default_rng", lambda *args: pytest.fail("drew"))
+    with pytest.raises(SizeError):
+        span_trials(2049, SeedSequence(0), 3)
+
+
+def traced_peak(m, trials):
+    tracemalloc.start()
+    try:
+        span_trials(m, SeedSequence(3), trials)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_span_trials_memory_does_not_grow_with_trials(monkeypatch):
+    """Peak traced memory at 4 chunks of trials stays within 10 % of the
+    peak at one chunk."""
+    m, chunk = 32, 64
+    monkeypatch.setattr(experiments, "SPAN_CHUNK_ENTRIES", chunk * m)
+    one, four = traced_peak(m, chunk), traced_peak(m, 4 * chunk)
+    assert four <= 1.1 * one, (one, four)
