@@ -50,9 +50,8 @@ from .numeric import LogRatio, unit_ball_volume
 from .tauberian import (
     RULE_MOTION_RADIAL,
     RULE_TRANSLATE_FULL,
-    SphericalZeroSet,
-    ZeroSet,
-    verdict,
+    radial_verdict,
+    translate_verdict,
 )
 
 REL_SLACK = 1e-12
@@ -328,18 +327,18 @@ def criterion_lp_tail_dichotomy() -> CriterionResult:
 
 
 # ---------------------------------------------------------------------------
-# 9. span dimension: oracle, DFT count, and circulant rank agree
+# 9. span dimension: the circulant rank equals the DFT support count
 
 
 def criterion_span_oracle(trials: int = 100, seed: int = 907) -> CriterionResult:
     sizes = (8, 16, 32)
     total = trials * len(sizes)
-    matches = sum(span_matches(m, span_trials(m, SeedSequence(seed + m), trials)) for m in sizes)
+    matches = sum(span_matches(span_trials(m, SeedSequence(seed + m), trials)) for m in sizes)
     passed = matches == total
     return _result(
         "span-oracle",
         passed,
-        f"{matches}/{total} trials agree across oracle, DFT count, circulant rank",
+        f"{matches}/{total} trials: circulant rank equals the DFT support count",
         matches=matches,
         total=total,
     )
@@ -352,20 +351,18 @@ def criterion_span_oracle(trials: int = 100, seed: int = 907) -> CriterionResult
 def criterion_verdict_formulas() -> CriterionResult:
     issues = []
 
-    radial = SphericalZeroSet(radii=(1.0,), tol=1e-9)
-    report = verdict(radial, 0.0, 2)
+    report = radial_verdict((1.0,), 0.0, 2)
     row = next(r for r in report.rows if r.rule == RULE_MOTION_RADIAL)
     if not (abs(row.p_lo - 4.0 / 3.0) <= 1e-12 and row.p_hi == 2.0):
         issues.append(f"beta=0 radial endpoint ({row.p_lo}, {row.p_hi}) != (4/3, 2)")
 
-    full = ZeroSet(indices=((1, 1),), tol=1e-9, m=8, n=2)
     alpha_hat = 2 * math.log(2) / math.log(3)
-    report = verdict(full, alpha_hat, 2)
+    report = translate_verdict(alpha_hat, 2)
     row = next(r for r in report.rows if r.rule == RULE_TRANSLATE_FULL)
     if abs(row.p_lo - 4.0 / 2.7381) > 1e-3:
         issues.append(f"alpha=1.2619 endpoint {row.p_lo} not within 1e-3 of 4/2.7381")
 
-    report = verdict(full, 0.0, 2)
+    report = translate_verdict(0.0, 2)
     row = next(r for r in report.rows if r.rule == RULE_TRANSLATE_FULL)
     if not (row.p_lo == 1.0 and math.isinf(row.p_hi)):
         issues.append(f"alpha=0 endpoint ({row.p_lo}, {row.p_hi}) != (1, inf)")

@@ -98,9 +98,12 @@ class CantorParams:
 
 
 def similarity_dimension(branches: int, ratio: Fraction) -> float:
-    """The beta with branches * ratio**beta == 1."""
-    beta = math.log(branches) / math.log(1 / float(ratio))
-    check = branches * float(ratio) ** beta
+    """The beta with branches * ratio**beta == 1, solved in floats."""
+    eta = float(ratio)
+    if eta == 0:
+        raise DomainError("ratio underflows to 0 as a float: its dimension has no float solve")
+    beta = math.log(branches) / math.log(1 / eta)
+    check = branches * eta**beta
     if not math.isclose(check, 1.0, rel_tol=DIMENSION_RTOL):
         raise DomainError(f"dimension solve drifted: N*eta^beta = {check!r}")
     return beta

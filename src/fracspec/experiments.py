@@ -3,9 +3,10 @@
 Each runner takes an ExperimentConfig, computes with the library
 modules, writes its artifacts under `<out>/<experiment>/`, and returns
 a ReportRecord.  Artifact bytes are deterministic for a fixed config
-and seed: floats are always formatted with '.17g', rows are emitted in
-a fixed order, and newlines are '\n' regardless of platform.  Wall
-time is reported but is not part of the deterministic identity.
+and seed: floats are always formatted with '.17g' and rows are emitted
+in a fixed order.  Lines end in '\n', except in level.csv, whose rows
+csv.writer ends in '\r\n'.  Wall time is reported but is not part of
+the deterministic identity.
 """
 
 from __future__ import annotations
@@ -50,12 +51,11 @@ from .geometry import (
 from .geometry.dimension import MIN_SCALES
 from .numeric import parse_rational
 from .tauberian import (
-    GridFunction,
     check_square_budget,
     mask_spectrum_on_radii,
+    radial_verdict,
     span_counts,
     spherical_zero_radii,
-    verdict,
 )
 
 
@@ -368,10 +368,12 @@ def span_trials(m: int, root: SeedSequence, trials: int) -> np.ndarray:
     return counts
 
 
-def span_matches(m: int, counts: np.ndarray) -> int:
-    """Trials whose span_dim, circulant_rank and m - dft_zeros agree."""
-    span_dim, rank, zeros = counts
-    return int(np.count_nonzero((span_dim == rank) & (rank == m - zeros)))
+def span_matches(counts: np.ndarray) -> int:
+    """Trials whose circulant rank equals the span dimension, the count of
+    nonvanishing transform coefficients (span_dim is m - dft_zeros by
+    definition, so this is the one equality the trials check)."""
+    span_dim, rank, _ = counts
+    return int(np.count_nonzero(span_dim == rank))
 
 
 def _run_span_trials(cfg: ExperimentConfig, opts: dict, out: Path) -> ReportRecord:
@@ -383,7 +385,7 @@ def _run_span_trials(cfg: ExperimentConfig, opts: dict, out: Path) -> ReportReco
         ("trial", "span_dim", "circulant_rank", "dft_zeros"),
         zip(range(trials), *counts.tolist()),
     )
-    matches = span_matches(m, counts)
+    matches = span_matches(counts)
     return ReportRecord(
         cfg.experiment,
         cfg.digest(opts),
@@ -400,19 +402,18 @@ def _run_radial_scan(cfg: ExperimentConfig, opts: dict, out: Path) -> ReportReco
     check_square_budget(m, "radial scan grid")
     seed = cfg.seed if cfg.seed is not None else 0
     rng = default_rng(seed)
-    base = GridFunction(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
-    masked = mask_spectrum_on_radii(base, radii, band)
-    zero_set = spherical_zero_radii(masked)
-    write_csv(out / "radii.csv", ("radius",), [(fmt(r),) for r in zero_set.radii])
+    base = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    zero_radii = spherical_zero_radii(mask_spectrum_on_radii(base, radii, band))
+    write_csv(out / "radii.csv", ("radius",), [(fmt(r),) for r in zero_radii])
     recovered = []
     for target in radii:
-        hits = [r for r in zero_set.radii if abs(r - target) <= band]
+        hits = [r for r in zero_radii if abs(r - target) <= band]
         recovered.append(bool(hits))
     dim_est = 0.0
-    if len(zero_set.radii) >= 2:
-        cloud = PointCloud.from_points([(r,) for r in zero_set.radii])
-        lo = min(np.diff(zero_set.radii)) / 2
-        hi = (zero_set.radii[-1] - zero_set.radii[0]) / 4
+    if len(zero_radii) >= 2:
+        cloud = PointCloud.from_points([(r,) for r in zero_radii])
+        lo = min(np.diff(zero_radii)) / 2
+        hi = (zero_radii[-1] - zero_radii[0]) / 4
         if hi > lo > 0:
             count = 6
             sweep = ScaleSweep(
@@ -426,14 +427,14 @@ def _run_radial_scan(cfg: ExperimentConfig, opts: dict, out: Path) -> ReportReco
                 [(eps, covering_number(cloud, eps)) for eps in sweep.scales()]
             )
             dim_est = fit.slope
-    report = verdict(zero_set, dim_est, 2)
+    report = radial_verdict(zero_radii, dim_est, 2)
     (out / "verdict.json").write_text(json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
     return ReportRecord(
         cfg.experiment,
         cfg.digest(opts),
         metrics={
             "m": m,
-            "detected_radii": len(zero_set.radii),
+            "detected_radii": len(zero_radii),
             "target_radii": len(radii),
             "dim_estimate": dim_est,
         },

@@ -1,19 +1,8 @@
 """Finite-torus translation-span experiments and density verdict tables."""
 
-from .grid import (
-    GridFunction,
-    ZeroSet,
-    check_square_budget,
-    dft,
-    vanishing,
-)
+from .grid import check_square_budget, vanishing
 from .span import span_counts
-from .spherical import (
-    SphericalZeroSet,
-    centered_frequencies,
-    mask_spectrum_on_radii,
-    spherical_zero_radii,
-)
+from .spherical import mask_spectrum_on_radii, spherical_zero_radii
 from .verdict import (
     RULE_MOTION_RADIAL,
     RULE_TRANSLATE_CONJUGATE,
@@ -24,8 +13,9 @@ from .verdict import (
     DensityVerdict,
     VerdictRow,
     motion_p_lower,
+    radial_verdict,
     translate_p_lower,
-    verdict,
+    translate_verdict,
 )
 
 __all__ = [
@@ -36,18 +26,14 @@ __all__ = [
     "STATUS_NONE",
     "STATUS_PRIOR",
     "DensityVerdict",
-    "GridFunction",
-    "SphericalZeroSet",
     "VerdictRow",
-    "ZeroSet",
-    "centered_frequencies",
     "check_square_budget",
-    "dft",
     "mask_spectrum_on_radii",
     "motion_p_lower",
+    "radial_verdict",
     "span_counts",
     "spherical_zero_radii",
     "translate_p_lower",
+    "translate_verdict",
     "vanishing",
-    "verdict",
 ]

@@ -4,7 +4,10 @@ Nothing here proves density in any continuous space.  The rows report
 what the density results guarantee GIVEN a dimension estimate for the
 transform's zero set, pushed through the interval-endpoint formulas.
 Rows restating previously known results are labeled status
-"prior-result" and are informational only.
+"prior-result" and are informational only.  radial_verdict applies the
+rigid-motion theorem to a radial zero set, p_lo = 2n/(n+1-beta), and
+translate_verdict the translation theorem to a full zero set in R^n,
+p_lo = 2n/(2n-alpha).
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 from ..errors import DomainError
-from .grid import ZeroSet
-from .spherical import SphericalZeroSet
 
 RULE_MOTION_RADIAL = "motion-span-radial"
 RULE_TRANSLATE_FULL = "translate-span-full"
@@ -123,72 +124,54 @@ def _prior_rows(n: int, zero_set_empty: bool) -> list[VerdictRow]:
     return [r for r in rows if math.isfinite(r.p_lo)]
 
 
-def verdict(zero_data, dim_estimate: float, n: int) -> DensityVerdict:
-    """Build the verdict table for a measured zero set.
-
-    zero_data selects the applicable rules: a SphericalZeroSet engages
-    the rigid-motion rule (plus prior-result reference rows); a full
-    ZeroSet engages the translation rules.  dim_estimate is the packing
-    dimension estimate for the zero set.
-    """
+def _checked(dim_estimate: float, n: int) -> float:
+    """The estimate as a float, after checking it and the dimension n."""
     if n < 1:
         raise DomainError("ambient dimension must be >= 1")
     dim = float(dim_estimate)
     if dim < 0:
         raise DomainError("dimension estimate must be nonnegative")
-    rows: list[VerdictRow] = []
-    if isinstance(zero_data, SphericalZeroSet):
-        if n < 2:
-            raise DomainError("radial verdicts need ambient dimension >= 2")
-        kind = "radial"
-        if dim >= 1:
-            rows.append(
-                VerdictRow(RULE_MOTION_RADIAL, STATUS_NONE, math.nan, math.nan,
-                           "p_lo = 2n/(n+1-beta)", (NO_CONCLUSION_NOTE,))
-            )
-        else:
-            rows.append(
-                VerdictRow(
-                    RULE_MOTION_RADIAL,
-                    STATUS_DENSE,
-                    motion_p_lower(n, dim),
-                    2.0,
-                    "p_lo = 2n/(n+1-beta)",
-                )
-            )
-        rows.extend(_prior_rows(n, zero_set_empty=not zero_data.radii))
-    elif isinstance(zero_data, ZeroSet):
-        kind = "full"
-        if dim >= n:
-            rows.append(
-                VerdictRow(RULE_TRANSLATE_FULL, STATUS_NONE, math.nan, math.nan,
-                           "p_lo = 2n/(2n-alpha)", (NO_CONCLUSION_NOTE,))
-            )
-        else:
-            rows.append(
-                VerdictRow(
-                    RULE_TRANSLATE_FULL,
-                    STATUS_DENSE,
-                    translate_p_lower(n, dim),
-                    math.inf,
-                    "p_lo = 2n/(2n-alpha)",
-                )
-            )
-            rows.append(
-                VerdictRow(
-                    RULE_TRANSLATE_CONJUGATE,
-                    STATUS_DENSE,
-                    translate_p_lower(n, dim),
-                    math.inf,
-                    "alpha <= 2n/q with 1/p + 1/q = 1",
-                    ("conjugate-exponent restatement of the same endpoint",),
-                )
-            )
+    return dim
+
+
+def radial_verdict(radii, beta: float, n: int) -> DensityVerdict:
+    """The rigid-motion table for a radial zero set (plus prior-result
+    reference rows): radii are its zero radii, beta the packing dimension
+    estimate of the set of zero radii."""
+    dim = _checked(beta, n)
+    if n < 2:
+        raise DomainError("radial verdicts need ambient dimension >= 2")
+    if dim >= 1:
+        row = VerdictRow(RULE_MOTION_RADIAL, STATUS_NONE, math.nan, math.nan,
+                         "p_lo = 2n/(n+1-beta)", (NO_CONCLUSION_NOTE,))
     else:
-        raise DomainError(f"unsupported zero data {type(zero_data).__name__}")
-    return DensityVerdict(
-        ambient_dim=n,
-        zero_kind=kind,
-        dim_estimate=dim,
-        rows=tuple(rows),
-    )
+        row = VerdictRow(RULE_MOTION_RADIAL, STATUS_DENSE, motion_p_lower(n, dim), 2.0,
+                         "p_lo = 2n/(n+1-beta)")
+    rows = (row, *_prior_rows(n, zero_set_empty=not radii))
+    return DensityVerdict(ambient_dim=n, zero_kind="radial", dim_estimate=dim, rows=rows)
+
+
+def translate_verdict(alpha: float, n: int) -> DensityVerdict:
+    """The translation table for a full zero set in R^n: alpha is the
+    packing dimension estimate of the zero set."""
+    dim = _checked(alpha, n)
+    if dim >= n:
+        rows = (
+            VerdictRow(RULE_TRANSLATE_FULL, STATUS_NONE, math.nan, math.nan,
+                       "p_lo = 2n/(2n-alpha)", (NO_CONCLUSION_NOTE,)),
+        )
+    else:
+        p_lo = translate_p_lower(n, dim)
+        rows = (
+            VerdictRow(RULE_TRANSLATE_FULL, STATUS_DENSE, p_lo, math.inf,
+                       "p_lo = 2n/(2n-alpha)"),
+            VerdictRow(
+                RULE_TRANSLATE_CONJUGATE,
+                STATUS_DENSE,
+                p_lo,
+                math.inf,
+                "alpha <= 2n/q with 1/p + 1/q = 1",
+                ("conjugate-exponent restatement of the same endpoint",),
+            ),
+        )
+    return DensityVerdict(ambient_dim=n, zero_kind="full", dim_estimate=dim, rows=rows)

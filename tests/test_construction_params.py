@@ -30,6 +30,16 @@ def test_similarity_dimension_solves_moran():
     assert abs(3 * 0.2**beta - 1.0) < 1e-12
 
 
+def test_similarity_dimension_of_tiny_ratios():
+    """A ratio whose float underflows to 0 is refused; a normal or
+    subnormal one keeps the formula's value bit for bit."""
+    with pytest.raises(DomainError, match="underflows to 0"):
+        similarity_dimension(2, Fraction(1, 10**400))
+    for ratio in (Fraction(1, 3), Fraction(2, 7), Fraction(1, 10**300), Fraction(1, 2**1023)):
+        want = math.log(2) / math.log(1 / float(ratio))
+        assert similarity_dimension(2, ratio) == want
+
+
 def test_offsets_must_fit_and_separate():
     # gap exactly equal to eta is rejected: children would touch
     report = validate_params(2, Fraction(1, 3), [Fraction(0), Fraction(1, 3)])

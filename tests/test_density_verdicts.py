@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from fracspec.errors import DomainError
-from fracspec.tauberian.grid import ZeroSet
-from fracspec.tauberian.spherical import SphericalZeroSet
 from fracspec.tauberian.verdict import (
     NO_CONCLUSION_NOTE,
     RULE_MOTION_RADIAL,
@@ -17,17 +15,10 @@ from fracspec.tauberian.verdict import (
     STATUS_NONE,
     STATUS_PRIOR,
     motion_p_lower,
+    radial_verdict,
     translate_p_lower,
-    verdict,
+    translate_verdict,
 )
-
-
-def radial_zero_set():
-    return SphericalZeroSet((1.0,), 1e-9)
-
-
-def full_zero_set():
-    return ZeroSet(((1, 1),), 1e-9, 8, 2)
 
 
 def test_endpoint_formulas():
@@ -53,7 +44,7 @@ def test_formulas_monotone_in_dimension():
 
 
 def test_radial_verdict_table():
-    v = verdict(radial_zero_set(), 0.0, 2)
+    v = radial_verdict((1.0,), 0.0, 2)
     assert v.zero_kind == "radial"
     motion = [r for r in v.rows if r.rule == RULE_MOTION_RADIAL]
     assert len(motion) == 1
@@ -68,7 +59,7 @@ def test_radial_verdict_table():
 
 
 def test_radial_no_conclusion_at_full_dimension():
-    v = verdict(radial_zero_set(), 1.0, 2)
+    v = radial_verdict((1.0,), 1.0, 2)
     row = next(r for r in v.rows if r.rule == RULE_MOTION_RADIAL)
     assert row.status == STATUS_NONE
     assert NO_CONCLUSION_NOTE in row.notes
@@ -76,7 +67,7 @@ def test_radial_no_conclusion_at_full_dimension():
 
 
 def test_translate_verdict_table():
-    v = verdict(full_zero_set(), 1.0, 2)
+    v = translate_verdict(1.0, 2)
     assert v.zero_kind == "full"
     rules = {r.rule for r in v.rows}
     assert rules == {RULE_TRANSLATE_FULL, RULE_TRANSLATE_CONJUGATE}
@@ -90,27 +81,26 @@ def test_translate_verdict_table():
 
 
 def test_translate_no_conclusion_at_ambient():
-    v = verdict(full_zero_set(), 2.0, 2)
+    v = translate_verdict(2.0, 2)
     row = v.rows[0]
     assert row.status == STATUS_NONE
 
 
 def test_verdict_validation():
     with pytest.raises(DomainError):
-        verdict(radial_zero_set(), 0.5, 1)
+        radial_verdict((1.0,), 0.5, 1)
     with pytest.raises(DomainError):
-        verdict(full_zero_set(), -0.1, 2)
+        translate_verdict(-0.1, 2)
     with pytest.raises(DomainError):
-        verdict("bogus", 0.5, 2)
+        radial_verdict((1.0,), 0.5, 0)
     with pytest.raises(DomainError):
-        verdict(radial_zero_set(), 0.5, 0)
+        translate_verdict(0.5, 0)
 
 
 def test_prior_rows_empty_flagging():
-    empty = SphericalZeroSet((), 1e-9)
-    v = verdict(empty, 0.0, 2)
+    v = radial_verdict((), 0.0, 2)
     l1 = next(r for r in v.rows if r.rule == "prior-l1")
     assert any("empty" in n for n in l1.notes)
-    nonempty = verdict(radial_zero_set(), 0.0, 2)
+    nonempty = radial_verdict((1.0,), 0.0, 2)
     l1b = next(r for r in nonempty.rows if r.rule == "prior-l1")
     assert any("nonempty" in n for n in l1b.notes)

@@ -571,6 +571,40 @@ def test_cli_malformed_values_never_escape(tmp_path, capsys, base, data):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_artifact_line_endings(tmp_path):
+    """Every artifact's lines end in '\\n', except level.csv's, which
+    csv.writer ends in '\\r\\n'."""
+    paths = []
+    for base in sorted(FUZZ_BASES):
+        experiment, text, _ = FUZZ_BASES[base]
+        _, _, out = run(tmp_path, experiment, text + "\n", out_name=base)
+        paths += sorted(out.iterdir())
+    assert "level.csv" in {path.name for path in paths}
+    for path in paths:
+        data = path.read_bytes()
+        if path.name == "level.csv":
+            assert data.count(b"\n") == data.count(b"\r\n") > 1, path
+            assert data.endswith(b"\r\n"), path
+        else:
+            assert b"\r" not in data and data.endswith(b"\n"), path
+
+
+@pytest.mark.parametrize("experiment", ["construct", "dim", "fourier"])
+@pytest.mark.parametrize("seed", [(), ("--seed", "1")])
+def test_cli_ratio_underflow_exits_1(tmp_path, capsys, experiment, seed):
+    """A ratio whose float underflows to 0 ends in one error line, as an
+    out-of-range ratio does, not in a traceback."""
+    path = tmp_path / "run.cfg"
+    path.write_text(f"cantor.ratio = 1/{10**400}\ncantor.offsets = 0, 1/2\n")
+    code = main([experiment, "--config", str(path), "--out", str(tmp_path / "out"), *seed])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.splitlines() == [
+        "error: ratio underflows to 0 as a float: its dimension has no float solve"
+    ]
+
+
 def test_cli_rejects_jobs_flag(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("level.depth = 2\n")

@@ -4,52 +4,100 @@ import numpy as np
 import pytest
 
 from fracspec.errors import DomainError
-from fracspec.tauberian.grid import GridFunction
+from fracspec.tauberian.grid import vanishing
 from fracspec.tauberian.spherical import (
-    SphericalZeroSet,
-    centered_frequencies,
+    _lattice_norms,
     mask_spectrum_on_radii,
     spherical_zero_radii,
 )
 
 
+def per_shell_zero_radii(values):
+    """The scan as it was first written: one shell mask per radius
+    r = 1, 2, ... up to the largest lattice radius, and r is a zero when
+    every coefficient with r - 1/2 <= |k| < r + 1/2 vanishes."""
+    zero, _ = vanishing(np.fft.fft2(np.asarray(values, dtype=complex), norm="ortho"))
+    zero = zero.ravel()
+    m = len(values)
+    freqs = np.fft.fftfreq(m, d=1.0 / m)
+    kx, ky = np.meshgrid(freqs, freqs, indexing="ij")
+    norms = np.sqrt(kx**2 + ky**2).ravel()
+    r_max = float(norms.max())
+    radii = []
+    r = 1.0
+    while r <= r_max:
+        mask = (norms >= r - 0.5) & (norms < r + 0.5)
+        if zero[mask].all():
+            radii.append(r)
+        r += 1.0
+    return tuple(radii)
+
+
 def test_centered_frequencies():
-    freqs = centered_frequencies(8)
-    assert freqs.tolist() == [0.0, 1.0, 2.0, 3.0, -4.0, -3.0, -2.0, -1.0]
+    """Index i of each axis stands for frequency i, or i - m past m/2."""
+    _, norms = _lattice_norms(np.zeros((8, 8)))
+    assert norms[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 3.0, 2.0, 1.0]
+    assert norms[0].tolist() == norms[:, 0].tolist()
+    assert norms[3, 4] == np.hypot(3.0, 4.0)
+
+
+def oracle_grids():
+    """Per size m = 2..119: the zero function, a subnormal constant and a
+    random grid masked near a few random radii with a random band."""
+    rng = np.random.default_rng(2016)
+    for m in range(2, 120):
+        yield np.zeros((m, m))
+        yield np.full((m, m), 1e-320)
+        values = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        radii = rng.uniform(0.5, m / 2, size=rng.integers(1, 5))
+        yield mask_spectrum_on_radii(values, radii, rng.uniform(0.2, 1.5))
+
+
+def test_scan_matches_per_shell_oracle():
+    """The bincount scan returns the per-shell loop's tuple on 354 grids,
+    as sorted positive floats."""
+    grids = list(oracle_grids())
+    assert len(grids) == 354
+    for values in grids:
+        got = spherical_zero_radii(values)
+        assert got == per_shell_zero_radii(values), len(values)
+        assert all(type(r) is float and r > 0 for r in got)
+        assert list(got) == sorted(got)
 
 
 def test_round_trip_masked_radii_recovered():
     """Zero the spectrum near chosen radii, then rediscover exactly them."""
     rng = np.random.default_rng(41)
     m = 64
-    f = GridFunction(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+    values = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
     targets = (5.0, 11.0, 19.0)
-    masked = mask_spectrum_on_radii(f, targets, band=1.2)
-    zs = spherical_zero_radii(masked)
+    radii = spherical_zero_radii(mask_spectrum_on_radii(values, targets, band=1.2))
     # every target shows up; neighbors half a lattice step away may too,
     # since the mask band 1.2 swallows them
     for t in targets:
-        assert t in zs.radii
-    for r in zs.radii:
+        assert t in radii
+    for r in radii:
         assert min(abs(r - t) for t in targets) <= 1.2
-    assert zs.tol > 0
 
 
 def test_unmasked_noise_has_no_zero_radii():
     rng = np.random.default_rng(17)
     m = 32
-    f = GridFunction(rng.normal(size=(m, m)))
-    zs = spherical_zero_radii(f)
-    assert zs.radii == ()
+    assert spherical_zero_radii(rng.normal(size=(m, m))) == ()
 
 
 def test_every_scanned_shell_holds_a_lattice_point():
     """The proof in spherical_zero_radii's docstring, checked with the
-    scan's own norms and float comparisons on every grid size below 200."""
+    scan's own norms and float comparisons on every grid size below 200,
+    and the shell index the scan counts with: floor(|k| + 1/2) = r puts
+    each lattice point on the shell r - 1/2 <= |k| < r + 1/2.  The
+    windows [r - 1/2, r + 1/2) are exact in floats and partition the
+    reals, so no point lies on any other shell."""
     for m in range(2, 200):
-        freqs = centered_frequencies(m)
-        kx, ky = np.meshgrid(freqs, freqs, indexing="ij")
-        norms = np.sort(np.sqrt(kx**2 + ky**2).ravel())
+        _, norms = _lattice_norms(np.zeros((m, m)))
+        shell = np.floor(norms + 0.5).astype(np.intp)
+        assert np.all((norms >= shell - 0.5) & (norms < shell + 0.5)), m
+        norms = np.sort(norms.ravel())
         r = np.arange(1.0, np.floor(norms[-1]) + 1.0)
         lo = np.searchsorted(norms, r - 0.5, side="left")
         hi = np.searchsorted(norms, r + 0.5, side="left")
@@ -57,38 +105,28 @@ def test_every_scanned_shell_holds_a_lattice_point():
 
 
 def test_scan_validation():
-    f1 = GridFunction(np.ones(8))
-    with pytest.raises(DomainError):
-        spherical_zero_radii(f1)
-    with pytest.raises(DomainError):
-        mask_spectrum_on_radii(f1, (1.0,), 1.0)
+    for values in (np.ones(8), np.ones((2, 3)), np.ones((1, 1))):
+        with pytest.raises(DomainError):
+            spherical_zero_radii(values)
+        with pytest.raises(DomainError):
+            mask_spectrum_on_radii(values, (1.0,), 1.0)
 
 
 @pytest.mark.parametrize("value", [0.0, 1e-320])
 def test_vanishing_shells_with_zero_tol(value):
     """The zero function, and a subnormal constant whose tol underflows to
     0, vanish off the origin: every scanned radius is a zero."""
-    zs = spherical_zero_radii(GridFunction(np.full((8, 8), value)))
-    assert zs.tol == 0.0
-    assert zs.radii == (1.0, 2.0, 3.0, 4.0, 5.0)
-
-
-def test_zero_set_dataclass_validation():
-    with pytest.raises(DomainError):
-        SphericalZeroSet((0.0,), 1e-9)
-    with pytest.raises(DomainError):
-        SphericalZeroSet((2.0, 1.0), 1e-9)
-    ok = SphericalZeroSet((1.0, 2.0), 1e-9)
-    assert ok.radii == (1.0, 2.0)
+    values = np.full((8, 8), value)
+    assert vanishing(np.fft.fft2(values, norm="ortho"))[1] == 0.0
+    assert spherical_zero_radii(values) == (1.0, 2.0, 3.0, 4.0, 5.0)
 
 
 def test_mask_keeps_unmasked_energy():
     rng = np.random.default_rng(4)
     m = 32
-    f = GridFunction(rng.normal(size=(m, m)))
-    masked = mask_spectrum_on_radii(f, (6.0,), band=1.0)
+    values = rng.normal(size=(m, m))
+    masked = mask_spectrum_on_radii(values, (6.0,), band=1.0)
     # masking only removes energy
-    assert np.sum(np.abs(masked.values) ** 2) < np.sum(np.abs(f.values) ** 2)
+    assert np.sum(np.abs(masked) ** 2) < np.sum(np.abs(values) ** 2)
     # and the removed band is really silent
-    zs = spherical_zero_radii(masked)
-    assert 6.0 in zs.radii
+    assert 6.0 in spherical_zero_radii(masked)
