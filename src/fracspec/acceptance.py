@@ -22,7 +22,7 @@ from numpy.random import SeedSequence, default_rng
 
 from .cantor import (
     CantorParams,
-    build_level,
+    level_tube,
     middle_thirds_params,
     natural_measure,
     product_minkowski_bounds,
@@ -148,12 +148,10 @@ def criterion_box_dimension() -> CriterionResult:
 
 
 def criterion_minkowski_ratio(alpha=None) -> CriterionResult:
-    params = middle_thirds_params()
-    level = build_level(params, 12)
     if alpha is None:
         alpha = LogRatio(2, 3)
     sweep = minkowski_ratio_sweep(
-        level.intervals,
+        level_tube(middle_thirds_params(), 12),
         alpha,
         ScaleSweep(eps_max=Fraction(1, 9), ratio=Fraction(1, 3), count=11),
     )
@@ -177,10 +175,8 @@ def criterion_minkowski_ratio(alpha=None) -> CriterionResult:
 
 
 def criterion_product_bound() -> CriterionResult:
-    params = middle_thirds_params()
-    base = build_level(params, 8).intervals
     bounds = product_minkowski_bounds(
-        base,
+        level_tube(middle_thirds_params(), 8),
         2,
         LogRatio(4, 3),
         ScaleSweep(eps_max=Fraction(1, 9), ratio=Fraction(1, 3), count=7),

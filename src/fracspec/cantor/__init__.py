@@ -1,7 +1,7 @@
 """Branching interval constructions, their levels, measures, and product bounds."""
 
 from .io import write_level_csv, write_params
-from .levels import CantorLevel, build_level, check_level_budget
+from .levels import CantorLevel, build_level, check_level_budget, level_tube
 from .measures import natural_measure
 from .params import (
     CantorParams,
@@ -22,6 +22,7 @@ __all__ = [
     "ValidationReport",
     "build_level",
     "check_level_budget",
+    "level_tube",
     "middle_thirds_params",
     "natural_measure",
     "product_minkowski_bounds",

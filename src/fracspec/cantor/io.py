@@ -7,7 +7,6 @@ files record the exact rationals rather than rounded floats.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from fractions import Fraction
@@ -36,11 +35,16 @@ def write_params(params: CantorParams, path) -> None:
 
 
 def write_level_csv(level: CantorLevel, path) -> None:
-    """One row per interval, each rational in lowest terms."""
+    """One row per interval, each rational in lowest terms, in the bytes
+    csv.writer would write: unquoted fields, rows ending in '\\r\\n'.
+    The rows are streamed, never held as one string."""
     den = level.intervals.denominator
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LEVEL_FIELDS)
-        for i, (start, length) in enumerate(level.intervals.intervals):
-            gs, gl = math.gcd(start, den), math.gcd(length, den)
-            writer.writerow([i, start // gs, den // gs, length // gl, den // gl])
+        fh.write(",".join(LEVEL_FIELDS) + "\r\n")
+        fh.writelines(_level_rows(level.intervals.intervals, den))
+
+
+def _level_rows(spans, den: int):
+    for i, (start, length) in enumerate(spans):
+        gs, gl = math.gcd(start, den), math.gcd(length, den)
+        yield f"{i},{start // gs},{den // gs},{length // gl},{den // gl}\r\n"

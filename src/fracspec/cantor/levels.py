@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from ..errors import DomainError, SizeError
-from ..geometry.intervals import IntervalUnion
+from ..geometry.intervals import IntervalUnion, Tube
 from ..numeric import to_lattice
 from .params import CantorParams
 
@@ -37,6 +38,15 @@ def check_level_budget(params: CantorParams, depth: int) -> None:
         )
 
 
+def _lattice_moves(params: CantorParams, depth: int) -> tuple[int, list[int], int]:
+    """L_depth and every a_k * L_(j-1), j = 1..depth in order, as integer
+    numerators over the lcm of their denominators, and that lcm."""
+    lengths = params.level_lengths(depth)
+    moves = [a * length for length in lengths[:-1] for a in params.offsets]
+    (length, *moves), den = to_lattice([lengths[-1], *moves])
+    return length, moves, den
+
+
 def build_level(params: CantorParams, depth: int) -> CantorLevel:
     """Run the recursion down to `depth` in integers over one denominator.
 
@@ -47,9 +57,7 @@ def build_level(params: CantorParams, depth: int) -> CantorLevel:
     and the recursion adds ints; no Fraction is made per interval.
     """
     check_level_budget(params, depth)
-    lengths = params.level_lengths(depth)
-    moves = [a * length for length in lengths[:-1] for a in params.offsets]
-    (length, *moves), den = to_lattice([lengths[-1], *moves])
+    length, moves, den = _lattice_moves(params, depth)
     k = len(params.offsets)
     starts = [0]
     for j in range(0, len(moves), k):
@@ -61,3 +69,28 @@ def build_level(params: CantorParams, depth: int) -> CantorLevel:
     # sorted parents and ascending offsets give sorted children, and offset
     # gaps above eta keep them disjoint; IntervalUnion raises if they are not
     return CantorLevel(IntervalUnion(tuple((s, length) for s in starts), den))
+
+
+def level_tube(params: CantorParams, depth: int) -> Tube:
+    """The tube data of level `depth` from its gap spectrum, in the same
+    integers as build_level; no interval is built.
+
+    With the offsets a_1 < ... < a_N, the level-depth descendants of a
+    level-j interval starting at 0 span [lo_j, hi_j], where
+    lo_j = sum over i > j of a_1 L_(i-1) and
+    hi_j = L_depth + sum over i > j of a_N L_(i-1);
+    they fall short of the parent's ends when a_1 > 0 or a_N + eta < 1.
+    So each of the N**(j-1) level-(j-1) intervals leaves the gaps
+    (a_(k+1) - a_k) L_(j-1) + lo_j - hi_j between its children, and the
+    level has total length N**depth L_depth (Lapidus-Pomerance 1993).
+    """
+    length, moves, den = _lattice_moves(params, depth)
+    k = len(params.offsets)
+    lo, hi = 0, length
+    gaps = Counter()
+    for j in range(depth, 0, -1):
+        row = moves[(j - 1) * k : j * k]
+        for a, b in zip(row, row[1:]):
+            gaps[b - a + lo - hi] += k ** (j - 1)
+        lo, hi = lo + row[0], hi + row[-1]
+    return Tube(k**depth * length, tuple(sorted(gaps.items())), den)

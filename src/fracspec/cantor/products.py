@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ..errors import DomainError
-from ..geometry.intervals import IntervalUnion
+from ..geometry.intervals import Tube
 from ..geometry.sweeps import ScaleSweep
 from ..geometry.volumes import _ratio_factor
 from ..numeric import as_fraction
@@ -57,15 +57,14 @@ class ProductMinkowskiBounds:
 
 
 def product_minkowski_bounds(
-    base: IntervalUnion, power: int, alpha, sweep: ScaleSweep
+    base: Tube, power: int, alpha, sweep: ScaleSweep
 ) -> ProductMinkowskiBounds:
-    """Bound the scale-normalized neighborhood volume of base**power.
+    """Bound the scale-normalized neighborhood volume of the power-th
+    Cartesian power of the set whose tube data `base` holds.
 
     Never enumerates cubes: both bounds come from exact 1-D neighborhood
     measures raised to the power, so deep levels stay cheap.
     """
-    if base.count == 0:
-        raise DomainError("base union is empty")
     n = power
     a = float(alpha)
     if not (0 <= a <= n):
@@ -74,8 +73,8 @@ def product_minkowski_bounds(
     out = ProductMinkowskiBounds()
     for eps in sweep.scales():
         e = as_fraction(eps)
-        vol_hi = base.neighborhood_measure(e) ** n
-        vol_lo = base.neighborhood_measure(e * shrink) ** n
+        vol_hi = base.volume(e) ** n
+        vol_lo = base.volume(e * shrink) ** n
         factor = _ratio_factor(alpha, eps, n)
         if isinstance(factor, Fraction):
             # the exact products decide the floats

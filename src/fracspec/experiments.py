@@ -5,8 +5,8 @@ modules, writes its artifacts under `<out>/<experiment>/`, and returns
 a ReportRecord.  Artifact bytes are deterministic for a fixed config
 and seed: floats are always formatted with '.17g' and rows are emitted
 in a fixed order.  Lines end in '\n', except in level.csv, whose rows
-csv.writer ends in '\r\n'.  Wall time is reported but is not part of
-the deterministic identity.
+end in '\r\n' as csv.writer's do.  Wall time is reported but is not
+part of the deterministic identity.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .cantor import (
     CantorParams,
     build_level,
     check_level_budget,
+    level_tube,
     sample_salem_offsets,
     write_level_csv,
     write_params,
@@ -169,7 +170,7 @@ def run_construct(cfg: ExperimentConfig) -> ReportRecord:
     write_level_csv(level, out / "level.csv")
     union = level.intervals
     first_start = union.intervals[0][0] / union.denominator
-    gaps = union.gap_counts
+    tube = level_tube(params, depth)
     return ReportRecord(
         experiment=cfg.experiment,
         digest=cfg.digest(opts),
@@ -177,7 +178,7 @@ def run_construct(cfg: ExperimentConfig) -> ReportRecord:
             "depth": depth,
             "intervals": level.member_count,
             "total_length": float(union.measure),
-            "min_gap": gaps[0][0] / union.denominator if gaps else 0.0,
+            "min_gap": tube.gaps[0][0] / tube.denominator if tube.gaps else 0.0,
             "dimension": float(params.dimension),
             "first_start": first_start,
         },
@@ -221,7 +222,10 @@ def run_minkowski(cfg: ExperimentConfig) -> ReportRecord:
         raise ConfigError("need 1 <= minkowski.m_min <= minkowski.m_max <= level.depth")
     limit = opts["minkowski.limit"]
     params = _params_from_config(cfg, opts)
-    level = build_level(params, depth)
+    # the volumes come from the closed-form gap spectrum, so no level is
+    # built; a depth build_level would refuse is still refused
+    check_level_budget(params, depth)
+    tube = level_tube(params, depth)
     try:
         alpha = params.dimension_log_ratio()
     except DomainError:  # eta is not 1/q: no exact exponent
@@ -229,7 +233,7 @@ def run_minkowski(cfg: ExperimentConfig) -> ReportRecord:
     sweep_spec = ScaleSweep(
         eps_max=params.ratio**m_lo, ratio=params.ratio, count=m_hi - m_lo + 1
     )
-    sweep = minkowski_ratio_sweep(level.intervals, alpha, sweep_spec)
+    sweep = minkowski_ratio_sweep(tube, alpha, sweep_spec)
     out = _out_dir(cfg)
     write_csv(
         out / "ratios.csv",

@@ -157,6 +157,9 @@ def mollifier_sum(
     eps = [float(e) for e in eps_schedule]
     if not eps or any(not e > 0 for e in eps):
         raise DomainError("eps schedule must be positive")
+    # 2.0**(j + 1), 2.0**-j and their dim-th powers stay finite floats
+    if f.dim * max(-j_lo, j_hi + 1) > 1000:
+        raise DomainError("octaves must satisfy dim * max(-j_lo, j_hi + 1) <= 1000")
     profile = bump_profile(chi, alpha, j_lo, j_hi)
     notes = []
     n = f.dim

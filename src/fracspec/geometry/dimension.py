@@ -33,7 +33,12 @@ def box_dimension_estimate(rows) -> DimensionFit:
         raise DomainError(f"need at least {MIN_SCALES} scales, got {len(rows)}")
     if any(count < 1 for _, count in rows):
         raise DomainError("counts must be positive")
-    x = np.log(1.0 / np.asarray([float(scale) for scale, _ in rows]))
+    # a scale that floats to 0, or whose reciprocal overflows, has no
+    # finite log; the fit would fail on it with a LinAlgError
+    with np.errstate(all="ignore"):
+        x = np.log(1.0 / np.asarray([float(scale) for scale, _ in rows]))
+    if not np.isfinite(x).all():
+        raise DomainError("a scale has no finite log(1/eps) as a float")
     y = np.log(np.asarray([count for _, count in rows], dtype=float))
     degenerate = bool(np.all(y == y[0]))
     slope, intercept = np.polyfit(x, y, 1)

@@ -12,7 +12,7 @@ import numpy as np
 from ..errors import DomainError, SizeError
 from ..numeric import LogRatio
 from .cloud import PointCloud
-from .intervals import IntervalUnion, tube_measure
+from .intervals import Tube
 from .sweeps import ScaleSweep
 
 OCCUPANCY_CELLS_PER_EPS = 8  # grid cell side is eps / 8
@@ -98,7 +98,7 @@ def eps_neighborhood_volume(cloud: PointCloud, eps) -> VolumeResult:
     if not isinstance(cloud, PointCloud):
         raise DomainError(f"unsupported input type {type(cloud).__name__}")
     if cloud.n == 1:
-        v = tube_measure(0, cloud.gap_counts, cloud.denominator, eps)
+        v = Tube(0, cloud.gap_counts, cloud.denominator).volume(eps)
         return VolumeResult(v, v, v)
     return _occupancy_volume(cloud, eps)
 
@@ -134,8 +134,9 @@ def _ratio_factor(alpha, eps, n: int):
     return float(eps) ** (float(alpha) - n)
 
 
-def minkowski_ratio_sweep(union: IntervalUnion, alpha, sweep: ScaleSweep) -> MinkowskiSweep:
-    """Sweep eps**(alpha - 1) * |union(eps)| over a scale schedule.
+def minkowski_ratio_sweep(tube: Tube, alpha, sweep: ScaleSweep) -> MinkowskiSweep:
+    """Sweep eps**(alpha - 1) * |E(eps)| over a scale schedule, for the
+    set E whose tube data `tube` holds.
 
     For bounded sets of packing dimension alpha this ratio stays bounded
     as eps shrinks.  The neighborhood measure is exact, so ratio_exact
@@ -146,7 +147,7 @@ def minkowski_ratio_sweep(union: IntervalUnion, alpha, sweep: ScaleSweep) -> Min
         raise DomainError("alpha must lie in [0, 1]")
     result = MinkowskiSweep()
     for eps in sweep.scales():
-        vol = union.neighborhood_measure(eps)
+        vol = tube.volume(eps)
         factor = _ratio_factor(alpha, eps, 1)
         if isinstance(factor, Fraction):
             exact = factor * vol

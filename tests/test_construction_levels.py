@@ -10,13 +10,14 @@ import pytest
 
 from fracspec.cantor.io import write_level_csv, write_params
 from fracspec.cantor import levels
-from fracspec.cantor.levels import MAX_INTERVALS, build_level
+from fracspec.cantor.levels import MAX_INTERVALS, build_level, level_tube
 from fracspec.cantor.measures import natural_measure
 from fracspec.cantor.params import CantorParams, middle_thirds_params
 from fracspec.cantor.sampling import sample_salem_offsets
 from fracspec.errors import DomainError, SizeError
 from fracspec.geometry.density import upper_density_estimate
 from fracspec.geometry.intervals import IntervalUnion
+from tube_oracle import union_tube
 
 
 def spans(union):
@@ -149,7 +150,7 @@ def test_build_level_matches_fraction_recursion(params):
         assert union.measure == len(oracle) * lengths[depth]
         gaps = Counter(s1 - (s0 + l0) for (s0, l0), (s1, _) in zip(oracle, oracle[1:]))
         den = union.denominator
-        assert union.gap_counts == tuple(sorted((g * den, m) for g, m in gaps.items()))
+        assert union_tube(union).gaps == tuple(sorted((g * den, m) for g, m in gaps.items()))
         twice = 2 * union.denominator
         midpoints = tuple(Fraction(2 * s + l, twice) for s, l in union.intervals)
         assert midpoints == tuple(s + l / 2 for s, l in oracle)
@@ -166,6 +167,53 @@ def test_closed_form_rows_match_built_levels(params, depth):
         level = build_level(params, m)
         assert {l for _, l in spans(level.intervals)} == {lengths[m]}
         assert level.intervals.count == params.branches**m
+
+
+def random_construction(rng):
+    """Small rational parameters: N in 2..4, eta = p/q with N eta < 1, and
+    offsets a_1 = w_0 room, a_(k+1) = a_k + eta + w_k room, whose integer
+    weights w_0 and w_N may be 0 (descendants reach the parent's end) or
+    not (they fall short of it)."""
+    n = int(rng.integers(2, 5))
+    q = int(rng.integers(n + 1, 4 * n + 2))
+    eta = Fraction(int(rng.integers(1, max(2, q // n))), q)  # N eta < 1
+    room = 1 - n * eta
+    inner = (int(x) for x in rng.integers(1, 6, n - 1))
+    w = [int(rng.integers(0, 4)), *inner, int(rng.integers(0, 4))]
+    offsets = [w[0] * room / sum(w)]
+    for k in range(1, n):
+        offsets.append(offsets[-1] + eta + w[k] * room / sum(w))
+    rule = ("constant", "tapered")[int(rng.integers(0, 2))]
+    return CantorParams.create(n, eta, offsets, eta_rule=rule)
+
+
+def tube_value(tube):
+    """A tube's length and gap multiset as Fractions, free of its denominator."""
+    den = tube.denominator
+    return Fraction(tube.length, den), tuple((Fraction(g, den), m) for g, m in tube.gaps)
+
+
+def test_level_tube_matches_built_levels():
+    """The closed-form gap spectrum against the gaps of the built level,
+    on 200 seeded random constructions, constant and tapered, at depths
+    0..6: length, gap multiset and volume agree as exact Fractions."""
+    rng = np.random.default_rng(2024)
+    seen = Counter()
+    for _ in range(200):
+        params = random_construction(rng)
+        depth = int(rng.integers(0, 7))
+        built = union_tube(build_level(params, depth).intervals)
+        tube = level_tube(params, depth)
+        assert tube_value(tube) == tube_value(built), (params, depth)
+        for _ in range(5):
+            eps = Fraction(int(rng.integers(0, 1000)), int(rng.integers(1, 10**6)))
+            assert tube.volume(eps) == built.volume(eps), (params, depth, eps)
+        a_1, a_n = params.offsets[0], params.offsets[-1]
+        seen["short"] += a_1 > 0 and a_n + params.ratio < 1 and depth > 1
+        seen[params.eta_rule] += 1
+        seen["depth 0"] += depth == 0
+    # every kind of case was drawn
+    assert min(seen.values()) >= 10, seen
 
 
 def test_unvalidated_offsets_raise():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,8 +11,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fracspec.experiments
+import fracspec.fourier.mollifier
 import fracspec.fourier.transforms
 import fracspec.tauberian.grid
+from fracspec.acceptance import run_suite
 from fracspec.cli import main
 from fracspec.config import ExperimentConfig
 from fracspec.errors import ConfigError
@@ -603,6 +606,78 @@ def test_cli_ratio_underflow_exits_1(tmp_path, capsys, experiment, seed):
     assert err.splitlines() == [
         "error: ratio underflows to 0 as a float: its dimension has no float solve"
     ]
+
+
+def test_cli_dim_scale_without_finite_log_exits_1(tmp_path, capsys):
+    """Level lengths 10**(-300 m) float to 0 from m = 2 on, so their logs
+    are not finite: one error line before the fit, not a LinAlgError."""
+    path = tmp_path / "run.cfg"
+    path.write_text(f"cantor.ratio = 1/{10**300}\ncantor.offsets = 0, 1/2\n")
+    assert main(["dim", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == ["error: a scale has no finite log(1/eps) as a float"]
+
+
+@pytest.mark.parametrize("text", ["mollify.j_min = -100000", "mollify.j_max = 500"])
+def test_cli_mollify_octaves_out_of_range_exit_1(tmp_path, capsys, monkeypatch, text):
+    """Octaves whose powers of two overflow are refused before any table."""
+
+    def tabulated(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(fracspec.fourier.mollifier, "bump_profile", tabulated)
+    path = tmp_path / "run.cfg"
+    path.write_text(text + "\n")
+    assert main(["mollify", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [
+        "error: octaves must satisfy dim * max(-j_lo, j_hi + 1) <= 1000"
+    ]
+
+
+def refuse_to_build_levels(monkeypatch):
+    """Make every fracspec module's build_level raise."""
+
+    def build_level(*args):
+        raise AssertionError("a level was built")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fracspec") and hasattr(module, "build_level"):
+            monkeypatch.setattr(module, "build_level", build_level)
+
+
+def test_exact_volume_paths_build_no_level(tmp_path, capsys, monkeypatch):
+    """minkowski, minkowski-ratio and product-bound read the closed-form
+    gap spectrum: each runs, with its usual result, while build_level
+    raises."""
+    path = tmp_path / "run.cfg"
+    path.write_text("level.depth = 12\n")
+    want = run(tmp_path, "minkowski", "level.depth = 12\n", out_name="want")[2]
+    refuse_to_build_levels(monkeypatch)
+    assert main(["minkowski", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    got = tmp_path / "out" / "minkowski" / "ratios.csv"
+    assert got.read_bytes() == (want / "ratios.csv").read_bytes()
+    results = run_suite(["minkowski-ratio", "product-bound"])
+    assert [(r.name, r.passed) for r in results] == [
+        ("minkowski-ratio", True),
+        ("product-bound", True),
+    ], [r.detail for r in results]
+
+
+def test_cli_minkowski_budget(tmp_path, capsys, monkeypatch):
+    """minkowski builds no level but refuses the depths build_level would:
+    two branches fit 2**20 intervals at depth 20, not at depth 21."""
+    refuse_to_build_levels(monkeypatch)
+    path = tmp_path / "run.cfg"
+    path.write_text("level.depth = 21\n")
+    assert main(["minkowski", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: 2**21 intervals exceed the budget of 1048576"]
+    assert not (tmp_path / "out" / "minkowski").exists()
+    path.write_text("level.depth = 20\nminkowski.m_min = 19\n")
+    assert main(["minkowski", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_cli_rejects_jobs_flag(tmp_path):

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracspec.errors import DomainError
-from fracspec.geometry.intervals import IntervalUnion
+from fracspec.geometry.intervals import IntervalUnion, Tube
+from tube_oracle import union_tube
 
 
 def spans(union):
@@ -39,15 +40,16 @@ def test_measure_and_midpoints():
 
 def test_fatten_exact():
     iu = IntervalUnion.from_pairs([(0, Fraction(1, 3)), (Fraction(2, 3), Fraction(1, 3))])
+    tube = union_tube(iu)
     # one gap of 1/3, a numerator over the denominator 3
-    assert iu.denominator == 3 and iu.gap_counts == ((1, 1),)
+    assert tube == Tube(2, ((1, 1),), 3)
     # each piece grows by 2/9; the middle gap 1/3 > 2/9 keeps them apart
-    assert iu.neighborhood_measure(Fraction(1, 9)) == Fraction(10, 9)
+    assert tube.volume(Fraction(1, 9)) == Fraction(10, 9)
     # at eps = 1/6 the gap closes exactly: [-1/6, 7/6]
-    assert iu.neighborhood_measure(Fraction(1, 6)) == Fraction(4, 3)
-    assert iu.neighborhood_measure(0) == iu.measure == Fraction(2, 3)
+    assert tube.volume(Fraction(1, 6)) == Fraction(4, 3)
+    assert tube.volume(0) == iu.measure == Fraction(2, 3)
     with pytest.raises(DomainError):
-        iu.neighborhood_measure(-1)
+        tube.volume(-1)
 
 
 def test_contains_endpoints_closed():
@@ -99,13 +101,14 @@ def test_normalization_invariants(pairs):
 
 
 @settings(max_examples=100, deadline=None)
-@given(pairs=st.lists(pair, max_size=8), k=st.integers(min_value=0, max_value=16))
+@given(pairs=st.lists(pair, min_size=1, max_size=8), k=st.integers(min_value=0, max_value=16))
 def test_neighborhood_measure_matches_merged_union(pairs, k):
-    """The gap formula against merging the grown pieces, the enumerating oracle."""
+    """The tube formula against merging the grown pieces, the enumerating
+    oracle; the empty union has no tube."""
     iu = IntervalUnion.from_pairs(pairs)
     eps = Fraction(k, 8)
     grown = IntervalUnion.from_pairs((s - eps, l + 2 * eps) for s, l in spans(iu))
-    assert iu.neighborhood_measure(eps) == grown.measure
+    assert union_tube(iu).volume(eps) == grown.measure
 
 
 def fraction_merge(pairs):
@@ -135,7 +138,10 @@ def test_lattice_union_matches_fraction_merge(pairs, eps):
     merged = fraction_merge(pairs)
     assert spans(iu) == tuple(merged)
     assert iu.measure == sum((l for _, l in merged), Fraction(0))
+    if not merged:
+        return  # the empty union has no tube
+    tube = union_tube(iu)
     gaps = Counter(s1 - (s0 + l0) for (s0, l0), (s1, _) in zip(merged, merged[1:]))
-    assert iu.gap_counts == tuple(sorted((g * iu.denominator, m) for g, m in gaps.items()))
+    assert tube.gaps == tuple(sorted((g * iu.denominator, m) for g, m in gaps.items()))
     grown = fraction_merge([(s - eps, l + 2 * eps) for s, l in merged])
-    assert iu.neighborhood_measure(eps) == sum((l for _, l in grown), Fraction(0))
+    assert tube.volume(eps) == sum((l for _, l in grown), Fraction(0))

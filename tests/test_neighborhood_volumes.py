@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracspec.cantor.levels import level_tube
+from fracspec.cantor.params import middle_thirds_params
 from fracspec.errors import DomainError, SizeError
 from fracspec.geometry import volumes
 from fracspec.geometry.cloud import PointCloud
-from fracspec.geometry.intervals import IntervalUnion
+from fracspec.geometry.intervals import IntervalUnion, Tube
 from fracspec.geometry.sweeps import ScaleSweep
 from fracspec.geometry.volumes import (
     VolumeResult,
@@ -19,11 +21,13 @@ from fracspec.geometry.volumes import (
     minkowski_ratio_sweep,
 )
 from fracspec.numeric import LogRatio
+from tube_oracle import union_tube
 
 
 def test_interval_union_volume_exact():
     k1 = IntervalUnion.from_pairs([(0, Fraction(1, 3)), (Fraction(2, 3), Fraction(1, 3))])
-    assert k1.neighborhood_measure(Fraction(1, 9)) == Fraction(10, 9)
+    assert union_tube(k1).volume(Fraction(1, 9)) == Fraction(10, 9)
+    assert level_tube(middle_thirds_params(), 1).volume(Fraction(1, 9)) == Fraction(10, 9)
 
 
 def test_cloud_volume_1d_exact():
@@ -194,10 +198,6 @@ def test_occupancy_grid_budget(monkeypatch):
         eps_neighborhood_volume(cloud, eps)
 
 
-def test_empty_union_flagged():
-    assert IntervalUnion((), 1).neighborhood_measure(Fraction(1, 2)) == 0
-
-
 def test_volume_input_validation():
     with pytest.raises(DomainError, match="eps must be positive"):
         eps_neighborhood_volume(PointCloud.from_points([0]), 0)
@@ -206,13 +206,13 @@ def test_volume_input_validation():
             eps_neighborhood_volume(unsupported, Fraction(1, 2))
 
 
-def build_ternary_union(depth):
+def ternary_tube(depth):
     starts = [Fraction(0)]
     length = Fraction(1)
     for _ in range(depth):
         starts = [s + a * length for s in starts for a in (Fraction(0), Fraction(2, 3))]
         length /= 3
-    return IntervalUnion.from_pairs((s, length) for s in starts)
+    return union_tube(IntervalUnion.from_pairs((s, length) for s in starts))
 
 
 def test_ternary_ratio_exact_five_halves():
@@ -222,10 +222,10 @@ def test_ternary_ratio_exact_five_halves():
     sibling pair, leaving [-1/9, 4/9] and [5/9, 10/9], total 10/9, and
     (1/9)**(beta-1) = (1/9)**beta * 9 = 9/4, so the ratio is 10/4.
     """
-    union = build_ternary_union(10)
+    tube = ternary_tube(10)
     beta = LogRatio(2, 3)
     sweep = ScaleSweep(Fraction(1, 9), Fraction(1, 3), 5)
-    result = minkowski_ratio_sweep(union, beta, sweep)
+    result = minkowski_ratio_sweep(tube, beta, sweep)
     first = result.rows[0]
     assert first.ratio_exact == Fraction(5, 2)
     assert all(r.ratio_exact is not None for r in result.rows)
@@ -234,18 +234,17 @@ def test_ternary_ratio_exact_five_halves():
 
 
 def test_ratio_sweep_alpha_range():
-    union = build_ternary_union(4)
+    tube = ternary_tube(4)
     sweep = ScaleSweep(Fraction(1, 9), Fraction(1, 3), 4)
     with pytest.raises(DomainError):
-        minkowski_ratio_sweep(union, 1.5, sweep)
+        minkowski_ratio_sweep(tube, 1.5, sweep)
     with pytest.raises(DomainError):
-        minkowski_ratio_sweep(union, -0.1, sweep)
+        minkowski_ratio_sweep(tube, -0.1, sweep)
 
 
 def test_full_interval_ratio_constant():
     # alpha = 1 on [0, 1]: ratio = (1 + 2 eps) -> stays within [1, 3] for eps <= 1
-    union = IntervalUnion.from_pairs([(0, 1)])
     sweep = ScaleSweep(Fraction(1, 2), Fraction(1, 2), 6)
-    result = minkowski_ratio_sweep(union, 1.0, sweep)
+    result = minkowski_ratio_sweep(Tube(1, (), 1), 1.0, sweep)
     for row, eps in zip(result.rows, sweep.scales()):
         assert math.isclose(row.ratio, float(1 + 2 * eps), rel_tol=1e-12)

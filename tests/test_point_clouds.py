@@ -25,6 +25,7 @@ from fracspec.geometry.cloud import (
 from fracspec.geometry.dimension import box_dimension_estimate
 from fracspec.geometry.intervals import IntervalUnion
 from fracspec.geometry.sweeps import ScaleSweep
+from tube_oracle import union_tube
 
 
 def dist2(p, q):
@@ -200,24 +201,25 @@ def test_chain_inequalities_hold_2d(pts, eps_num):
     order=st.permutations([Fraction(k, 8) for k in range(1, 17)]),
 )
 def test_cached_tables_carry_no_eps(pairs, pts, order):
-    """One union and one exact 2-D cloud queried at every eps in shuffled
-    order agree with fresh objects and with the enumerating oracles."""
+    """One union's tube and one exact 2-D cloud queried at every eps in
+    shuffled order agree with the enumerating oracles, and the cloud with
+    a fresh object."""
     iu = IntervalUnion.from_pairs((Fraction(a, 4), Fraction(b, 4)) for a, b in pairs)
+    tube = union_tube(iu)
     cloud = PointCloud.from_points(pts)
     for eps in order:
         den = iu.denominator
         grown = IntervalUnion.from_pairs(
             (Fraction(s, den) - eps, Fraction(l, den) + 2 * eps) for s, l in iu.intervals
         )
-        fresh_iu = IntervalUnion(iu.intervals, den)
-        assert iu.neighborhood_measure(eps) == fresh_iu.neighborhood_measure(eps) == grown.measure
+        assert tube.volume(eps) == grown.measure
         fresh = PointCloud.from_points(pts)
         cover = covering_number(cloud, eps)
         assert cover == covering_number(fresh, eps) == brute_min_cover(cloud.points, eps)
         pack = packing_number(cloud, eps)
         assert pack == packing_number(fresh, eps) == brute_max_packing(cloud.points, eps)
-    # the queries above ran on the kept tables, which hold ints only
-    assert "gap_counts" in iu.__dict__ and "_dist2_table" in cloud.__dict__
+    # the queries above ran on the kept table, which holds ints only
+    assert "_dist2_table" in cloud.__dict__
     assert all(type(d2) is int for row in cloud._dist2_table for d2 in row)
 
 

@@ -4,21 +4,26 @@ from fractions import Fraction
 
 import pytest
 
-from fracspec.cantor.levels import build_level
+from fracspec.cantor.levels import build_level, level_tube
 from fracspec.cantor.params import middle_thirds_params
 from fracspec.cantor.products import product_minkowski_bounds
 from fracspec.errors import DomainError
-from fracspec.geometry.intervals import IntervalUnion
+from fracspec.geometry.intervals import Tube
 from fracspec.geometry.sweeps import ScaleSweep
 from fracspec.numeric import LogRatio
+from tube_oracle import union_tube
 
 
 def test_cube_budget():
-    # bounds never enumerate cubes: 4096**2 = 16.7M of them at depth 12
-    level = build_level(middle_thirds_params(), 12)
+    # bounds never enumerate cubes: 4096**2 = 16.7M of them at depth 12,
+    # and the closed-form base gives the built level's bounds
     sweep = ScaleSweep(Fraction(1, 9), Fraction(1, 3), 4)
-    bounds = product_minkowski_bounds(level.intervals, 2, LogRatio(4, 3), sweep)
+    bounds = product_minkowski_bounds(
+        level_tube(middle_thirds_params(), 12), 2, LogRatio(4, 3), sweep
+    )
     assert len(bounds.rows) == 4
+    built = union_tube(build_level(middle_thirds_params(), 12).intervals)
+    assert bounds == product_minkowski_bounds(built, 2, LogRatio(4, 3), sweep)
 
 
 def test_square_volume_sandwich_frozen():
@@ -28,10 +33,9 @@ def test_square_volume_sandwich_frozen():
     exact coordinate fattenings and are pinned here to guard regressions:
     sup of the upper ratios 25/4, inf of the lower ratios about 4.87.
     """
-    level = build_level(middle_thirds_params(), 8)
     alpha = LogRatio(4, 3)  # 2 * log 2 / log 3
     sweep = ScaleSweep(Fraction(1, 9), Fraction(1, 3), 7)
-    bounds = product_minkowski_bounds(level.intervals, 2, alpha, sweep)
+    bounds = product_minkowski_bounds(level_tube(middle_thirds_params(), 8), 2, alpha, sweep)
     assert bounds.within(1.0, 9.0)
     # 6.25 is the float of 25/4 exactly
     assert bounds.rows[0].ratio_high == 6.25
@@ -42,19 +46,17 @@ def test_square_volume_sandwich_frozen():
 
 
 def test_product_bounds_validation():
-    base = IntervalUnion.from_pairs([(0, 1)])
+    base = Tube(1, (), 1)  # [0, 1]
     sweep = ScaleSweep(Fraction(1, 2), Fraction(1, 2), 4)
-    with pytest.raises(DomainError):
-        product_minkowski_bounds(IntervalUnion((), 1), 2, 1.0, sweep)
-    with pytest.raises(DomainError):
-        product_minkowski_bounds(base, 2, 2.5, sweep)
+    for alpha in (2.5, -0.5):
+        with pytest.raises(DomainError):
+            product_minkowski_bounds(base, 2, alpha, sweep)
 
 
 def test_unit_square_sandwich_brackets_truth():
     # [0,1]**2 at alpha = 2: ratio_low <= (1 + 2 eps)**2 <= ratio_high
-    base = IntervalUnion.from_pairs([(0, 1)])
     sweep = ScaleSweep(Fraction(1, 4), Fraction(1, 2), 5)
-    bounds = product_minkowski_bounds(base, 2, 2.0, sweep)
+    bounds = product_minkowski_bounds(Tube(1, (), 1), 2, 2.0, sweep)
     for row, eps in zip(bounds.rows, sweep.scales()):
         truth = float((1 + 2 * eps) ** 2)
         assert row.ratio_low <= truth + 1e-12
