@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -29,10 +29,10 @@ from .cantor import (
     sample_salem_offsets,
 )
 from .fourier import (
-    BumpFunction,
     bessel_tail_profile,
     cantor_fourier_grid,
     lq_annulus_diagnostics,
+    lq_radial_diagnostics,
     mollifier_sum,
 )
 from .experiments import span_matches, span_trials, spectral_grid
@@ -62,7 +62,6 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
-    values: dict = field(default_factory=dict)
     wall_time_s: float = 0.0
 
     def line(self) -> str:
@@ -71,8 +70,8 @@ class CriterionResult:
         return f"{mark} {self.name}{timing}: {self.detail}"
 
 
-def _result(name, passed, detail, **values) -> CriterionResult:
-    return CriterionResult(name=name, passed=bool(passed), detail=detail, values=values)
+def _result(name, passed, detail) -> CriterionResult:
+    return CriterionResult(name=name, passed=bool(passed), detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +118,6 @@ def criterion_chain_inequalities(sets: int = 100, seed: int = 1811) -> Criterion
         "chain-inequalities",
         passed,
         f"chain {chain_ok}/{checks}, volume sandwich {volume_ok}/{checks}",
-        chain_ok=chain_ok,
-        volume_ok=volume_ok,
-        checks=checks,
     )
 
 
@@ -138,8 +134,6 @@ def criterion_box_dimension() -> CriterionResult:
         "box-dimension",
         err <= 0.02,
         f"slope {fit.slope:.6f}, expected {expected:.6f}, error {err:.2e} (tol 0.02)",
-        slope=fit.slope,
-        error=err,
     )
 
 
@@ -165,8 +159,6 @@ def criterion_minkowski_ratio(alpha=None) -> CriterionResult:
         passed,
         f"ratios in [1,3]: {in_range}, exact rows: {all_exact}, "
         f"ratio at eps=1/9 is {first} (want 5/2)",
-        sup_ratio=sweep.sup_ratio,
-        first_ratio=None if first is None else float(first),
     )
 
 
@@ -187,8 +179,6 @@ def criterion_product_bound() -> CriterionResult:
         passed,
         f"ratio bounds within [1,9]: {passed} "
         f"(inf {bounds.inf_ratio_low:.4f}, sup {bounds.sup_ratio_high:.4f})",
-        inf_low=bounds.inf_ratio_low,
-        sup_high=bounds.sup_ratio_high,
     )
 
 
@@ -219,8 +209,6 @@ def criterion_cantor_nondecay(depth: int = 40) -> CriterionResult:
         passed,
         f"|F(3^k pi)| spread {max_dev:.2e} (tol 1e-6), "
         f"scale identity residual {identity_dev:.2e} (tol 1e-10), F(0)={at_zero:.12f}",
-        power_spread=max_dev,
-        identity_residual=identity_dev,
     )
 
 
@@ -256,9 +244,10 @@ def criterion_salem_decay(
         rng = default_rng(seed)
         offsets = sample_salem_offsets(branches, ratio, rng)
         params = CantorParams.create(branches, ratio, offsets, seed=seed)
-        grid, _, _ = spectral_grid(params, depth=8, j_lo=j_lo, j_hi=j_hi)
-        hi_q = lq_annulus_diagnostics(grid, q_summable, j_lo, j_hi)
-        lo_q = lq_annulus_diagnostics(grid, q_divergent, j_lo, j_hi)
+        # the error bounds go at once, before the next seed's grid is built
+        xi, spacing, values = spectral_grid(params, depth=8, j_lo=j_lo, j_hi=j_hi)[:3]
+        hi_q = lq_annulus_diagnostics(xi, values, spacing, q_summable, j_lo, j_hi)
+        lo_q = lq_annulus_diagnostics(xi, values, spacing, q_divergent, j_lo, j_hi)
         ok = hi_q.verdict == "summable-like" and lo_q.verdict == "divergent-like"
         wins += ok
         per_seed.append(f"seed {seed}: q={q_summable:g} {hi_q.verdict}, "
@@ -268,7 +257,6 @@ def criterion_salem_decay(
         "salem-decay",
         passed,
         f"{wins}/{len(seeds)} seeds show the dichotomy (need >= 3); " + "; ".join(per_seed),
-        wins=wins,
     )
 
 
@@ -278,9 +266,8 @@ def criterion_salem_decay(
 
 def criterion_mollifier_sum(alpha: float = 1.0) -> CriterionResult:
     f = bessel_tail_profile(dim=2, p=4.0, truncate_at=1.0)
-    chi = BumpFunction.standard(2)
     eps_schedule = [2.0**-e for e in range(2, 9)]
-    sweep = mollifier_sum(f, chi, alpha, eps_schedule)
+    sweep = mollifier_sum(f, alpha, eps_schedule)
     decreasing = sweep.sums_nonincreasing()
     final_ratio = sweep.final_over_initial
     ratio_ok = final_ratio <= 0.1
@@ -292,8 +279,6 @@ def criterion_mollifier_sum(alpha: float = 1.0) -> CriterionResult:
         passed,
         f"sums nonincreasing: {decreasing}, final/initial {final_ratio:.4f} (tol 0.1), "
         f"fixed-j tails monotone: {tails_ok}, Holder bound holds: {bound_ok}",
-        final_over_initial=final_ratio,
-        sums=[float(s) for s in sweep.sums],
     )
 
 
@@ -303,8 +288,8 @@ def criterion_mollifier_sum(alpha: float = 1.0) -> CriterionResult:
 
 def criterion_lp_tail_dichotomy() -> CriterionResult:
     f = bessel_tail_profile(dim=2, p=4.0, truncate_at=None)
-    diag_hi = lq_annulus_diagnostics(f, 5.0, 4, 10, dim=2)
-    diag_crit = lq_annulus_diagnostics(f, 4.0, 4, 10, dim=2)
+    diag_hi = lq_radial_diagnostics(f, 5.0, 4, 10, dim=2)
+    diag_crit = lq_radial_diagnostics(f, 4.0, 4, 10, dim=2)
     hi_ratios = [r.ratio for r in diag_hi.rows if r.ratio is not None]
     crit_ratios = [r.ratio for r in diag_crit.rows if r.ratio is not None]
     hi_ok = all(r < 0.85 for r in hi_ratios)
@@ -316,9 +301,6 @@ def criterion_lp_tail_dichotomy() -> CriterionResult:
         f"p=5 ratios < 0.85: {hi_ok} (max {max(hi_ratios):.4f}); "
         f"p=4 ratios in [0.9,1.1]: {crit_ok} "
         f"(range [{min(crit_ratios):.4f}, {max(crit_ratios):.4f}])",
-        hi_max=max(hi_ratios),
-        crit_min=min(crit_ratios),
-        crit_max=max(crit_ratios),
     )
 
 
@@ -335,8 +317,6 @@ def criterion_span_oracle(trials: int = 100, seed: int = 907) -> CriterionResult
         "span-oracle",
         passed,
         f"{matches}/{total} trials: circulant rank equals the DFT support count",
-        matches=matches,
-        total=total,
     )
 
 
@@ -395,8 +375,6 @@ def criterion_upper_density(points: int = 200, seed: int = 4217) -> CriterionRes
         passed,
         f"{ok}/{points} points in [{lo_lim:.4f}, {hi_lim}] "
         f"(observed range [{sup_min:.4f}, {sup_max:.4f}])",
-        sup_min=sup_min,
-        sup_max=sup_max,
     )
 
 

@@ -34,8 +34,6 @@ from .config import REQUIRED, ExperimentConfig, at_least, choice, list_of, parse
 from .errors import ConfigError, DomainError
 from .fourier import (
     MIN_OCTAVES,
-    BumpFunction,
-    SpectralGrid,
     bessel_tail_profile,
     cantor_fourier_grid,
     check_grid_budget,
@@ -255,12 +253,13 @@ def run_minkowski(cfg: ExperimentConfig) -> ReportRecord:
 
 def spectral_grid(
     params: CantorParams, depth: int, j_lo: int, j_hi: int, per_octave: int = 512
-) -> tuple[SpectralGrid, np.ndarray, np.ndarray]:
-    """|transform| on a uniform grid over octaves j_lo..j_hi.
+) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """(xi, spacing, values, errors): the transform and its error bounds on
+    the frequencies xi = spacing, 2 * spacing, ... up to 2**(j_hi + 1),
+    with spacing = 2**j_lo / per_octave.
 
-    Also returns the complex values and error bounds of that one
-    evaluation, for callers that sample them.  The grid is checked against
-    the transform's budget before it is allocated.
+    The grid is checked against the transform's budget before it is
+    allocated.
     """
     # 2**1001 and 2**-1000 / per_octave stay finite, nonzero floats
     if not -1000 <= j_lo <= j_hi <= 1000:
@@ -270,7 +269,7 @@ def spectral_grid(
     top = 2.0 ** (j_hi + 1)
     xi = np.arange(spacing, top + spacing / 2, spacing)
     values, errors = cantor_fourier_grid(params, depth, xi)
-    return SpectralGrid(xi=xi, values=np.abs(values), spacing=spacing), values, errors
+    return xi, spacing, values, errors
 
 
 def run_fourier(cfg: ExperimentConfig) -> ReportRecord:
@@ -281,12 +280,12 @@ def run_fourier(cfg: ExperimentConfig) -> ReportRecord:
         raise ConfigError(f"fourier.j_min..fourier.j_max must span at least {MIN_OCTAVES} octaves")
     per_octave, qs = opts["fourier.samples_per_octave"], opts["fourier.q_list"]
     params = _params_from_config(cfg, opts)
-    grid, values, errors = spectral_grid(params, depth, j_lo, j_hi, per_octave)
-    stride = max(1, grid.xi.size // 2048)
-    # copy the sample out so the full complex array can go now
-    sample = list(zip(grid.xi[::stride], values[::stride], errors[::stride]))
-    del values, errors
-    diags = [lq_annulus_diagnostics(grid, q, j_lo, j_hi) for q in qs]
+    xi, spacing, values, errors = spectral_grid(params, depth, j_lo, j_hi, per_octave)
+    stride = max(1, xi.size // 2048)
+    # copy the sample out so the error bounds can go now
+    sample = list(zip(xi[::stride], values[::stride], errors[::stride]))
+    del errors
+    diags = [lq_annulus_diagnostics(xi, values, spacing, q, j_lo, j_hi) for q in qs]
     out = _out_dir(cfg)
     rows = []
     for q, diag in zip(qs, diags):
@@ -314,10 +313,12 @@ def run_mollify(cfg: ExperimentConfig) -> ReportRecord:
     if e_hi < e_lo:
         raise ConfigError("mollify.eps_exp_max must be >= mollify.eps_exp_min")
     j_lo, j_hi = opts["mollify.j_min"], opts["mollify.j_max"]
+    # eps = 2**-e is a finite positive float exactly for -1023 <= e <= 1074
+    if not (-1023 <= e_lo and e_hi <= 1074):
+        raise DomainError("eps exponents must satisfy -1023 <= e <= 1074")
     f = bessel_tail_profile(dim=dim, p=p, truncate_at=opts["mollify.truncate"])
-    chi = BumpFunction.standard(dim)
     eps_schedule = [2.0**-e for e in range(e_lo, e_hi + 1)]
-    sweep = mollifier_sum(f, chi, alpha, eps_schedule, j_lo=j_lo, j_hi=j_hi)
+    sweep = mollifier_sum(f, alpha, eps_schedule, j_lo=j_lo, j_hi=j_hi)
     out = _out_dir(cfg)
     rows = []
     for e_idx, eps in enumerate(sweep.eps):

@@ -5,15 +5,10 @@ from .annuli import (
     RATIO_THRESHOLD,
     OctaveDiagnostics,
     OctaveRow,
-    SpectralGrid,
     lq_annulus_diagnostics,
+    lq_radial_diagnostics,
 )
-from .bump import (
-    BumpFunction,
-    DyadicProfile,
-    annulus_sups_squared,
-    bump_profile,
-)
+from .bump import BumpFunction, annulus_sups_squared
 from .mollifier import (
     MollifierRow,
     MollifierSweep,
@@ -27,18 +22,16 @@ __all__ = [
     "MIN_OCTAVES",
     "RATIO_THRESHOLD",
     "BumpFunction",
-    "DyadicProfile",
     "MollifierRow",
     "MollifierSweep",
     "OctaveDiagnostics",
     "OctaveRow",
     "RadialProfile",
-    "SpectralGrid",
     "annulus_sups_squared",
     "bessel_tail_profile",
-    "bump_profile",
     "cantor_fourier_grid",
     "check_grid_budget",
     "lq_annulus_diagnostics",
+    "lq_radial_diagnostics",
     "mollifier_sum",
 ]

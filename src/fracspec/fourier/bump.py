@@ -27,8 +27,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..errors import DomainError
-from ..numeric import _panels, integrate_panels, j0, panel_count, sphere_surface_area
+from ..errors import DomainError, SizeError
+from ..numeric import (
+    QUADRATURE_ORDER,
+    _panels,
+    integrate_panels,
+    j0,
+    panel_count,
+    sphere_surface_area,
+)
 
 NORMALIZATION_TOL = 1e-10
 SUP_SAMPLES_PER_OCTAVE = 64
@@ -36,6 +43,10 @@ SUP_RELATIVE_TOL = 1e-8
 # node sets of more panels (rho above 3072) are built per call and not
 # kept, so the node cache stays near 2 MB
 CACHED_PANELS_MAX = 256
+# Quadrature nodes one transform call of an annulus scan may take (64
+# radii x panels x 32 nodes).  The default octaves, j up to 4, take 2**13;
+# j up to 14 fits.
+MAX_SCAN_NODES = 2**23
 
 def _raw_profile(r: np.ndarray) -> np.ndarray:
     r = np.asarray(r, dtype=float)
@@ -228,10 +239,20 @@ def annulus_sups_squared(dim: int, js) -> tuple:
     bump, for each j in js.
 
     Values are cached per (dim, j); the octaves not yet cached are refined
-    together, one transform call per golden-section step.
+    together, one transform call per golden-section step.  The largest
+    call is the dense scan of the top octave: if its quadrature nodes
+    exceed MAX_SCAN_NODES, SizeError is raised before any is evaluated.
     """
     missing = [j for j in dict.fromkeys(js) if (dim, j) not in _ANNULUS_SUPS]
     if missing:
+        # fourier_radial's panel count at the top radius, as a Python int
+        top = max(2.0 ** (max(missing) + 1), 48.0)
+        nodes = SUP_SAMPLES_PER_OCTAVE * math.ceil(1.0 / (12.0 / top)) * QUADRATURE_ORDER
+        if nodes > MAX_SCAN_NODES:
+            raise SizeError(
+                f"{nodes} transform quadrature nodes in one annulus scan exceed "
+                f"the budget of {MAX_SCAN_NODES}"
+            )
         chi = BumpFunction.standard(dim)
         sups = _golden_maxes(
             lambda rho: _squares(chi.fourier_radial(rho)),
@@ -239,30 +260,3 @@ def annulus_sups_squared(dim: int, js) -> tuple:
         )
         _ANNULUS_SUPS.update(((dim, j), sup) for j, sup in zip(missing, sups))
     return tuple(_ANNULUS_SUPS[dim, j] for j in js)
-
-
-@dataclass(frozen=True)
-class DyadicProfile:
-    """a_j = 2**(j(dim - alpha)) * (annulus sup of |transform|^2)."""
-
-    dim: int
-    j_lo: int
-    j_hi: int
-    a: tuple
-
-    def a_at(self, j: int) -> float:
-        if not (self.j_lo <= j <= self.j_hi):
-            raise DomainError(f"j = {j} outside [{self.j_lo}, {self.j_hi}]")
-        return self.a[j - self.j_lo]
-
-
-def bump_profile(chi: BumpFunction, alpha: float, j_lo: int, j_hi: int) -> DyadicProfile:
-    """Tabulate the dyadic weights a_j for the given exponent."""
-    if not (0 <= alpha < chi.dim):
-        raise DomainError(f"alpha must lie in [0, {chi.dim})")
-    if j_hi < j_lo:
-        raise DomainError("j_hi must be >= j_lo")
-    js = range(j_lo, j_hi + 1)
-    sups = annulus_sups_squared(chi.dim, js)
-    a = tuple(2.0 ** (j * (chi.dim - alpha)) * sup for j, sup in zip(js, sups))
-    return DyadicProfile(dim=chi.dim, j_lo=j_lo, j_hi=j_hi, a=a)

@@ -19,12 +19,16 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..errors import DomainError
-from ..numeric import _panels, panel_count, sphere_surface_area
-from .bump import BumpFunction, bump_profile
+from ..errors import DomainError, SizeError
+from ..numeric import QUADRATURE_ORDER, _panels, sphere_surface_area
+from .bump import annulus_sups_squared
 
 SHELL_PANEL_WIDTH = 0.5
 BOUND_SLACK = 1e-9
+# Quadrature nodes one sweep may place over its nonempty shells.  The
+# default sweep places 3360; an untruncated one to eps = 2**-10 places
+# about 2**22 in 0.8 s, and to eps = 2**-14 it would place 2**26 (1 GB).
+MAX_SHELL_NODES = 2**22
 
 
 @dataclass(frozen=True)
@@ -72,21 +76,16 @@ def bessel_tail_profile(dim: int = 2, p: float = 4.0, truncate_at: Optional[floa
 
 @dataclass(frozen=True)
 class MollifierRow:
-    """One octave j of the sweep, tabulated across the eps schedule."""
+    """One octave j of the sweep: the bump's weight a_j and b across the
+    eps schedule."""
 
     j: int
     a: float
     b: tuple
-    holder_bounds: tuple
-    shell_volumes: tuple
-    shell_lp_masses: tuple
-    tail_nonincreasing: bool
 
 
 @dataclass(frozen=True)
 class MollifierSweep:
-    dim: int
-    p: float
     eps: tuple
     rows: tuple
     sums: tuple  # per eps: sum over j of a_j * b_j
@@ -114,13 +113,22 @@ def _shell_tables(f: RadialProfile, lo: np.ndarray, hi: np.ndarray):
     W_i = surface * w_i * r_i**(dim-1), which is what makes the Holder
     comparison exact at the discrete level.  The shells are grouped by
     panel count and each group is one (shells, nodes) batch; every value
-    is bit-identical to a quadrature of its shell alone.
+    is bit-identical to a quadrature of its shell alone.  More than
+    MAX_SHELL_NODES nodes over the nonempty shells raise SizeError before
+    any is placed.
     """
     if f.support_radius is not None:
         hi = np.minimum(hi, f.support_radius)
     tables = np.zeros((3,) + lo.shape)
     nonempty = hi > lo
-    counts = panel_count(lo, hi, SHELL_PANEL_WIDTH)
+    # counted as floats: a far shell's panels need not fit an int
+    panels = np.where(nonempty, np.ceil((hi - lo) / SHELL_PANEL_WIDTH), 0.0)
+    nodes = panels.sum() * QUADRATURE_ORDER
+    if not nodes <= MAX_SHELL_NODES:
+        raise SizeError(
+            f"{nodes:.4g} shell quadrature nodes exceed the budget of {MAX_SHELL_NODES}"
+        )
+    counts = panels.astype(int)
     surface = sphere_surface_area(f.dim)
     for count in set(counts[nonempty].tolist()):
         group = nonempty & (counts == count)
@@ -138,90 +146,67 @@ def _shell_tables(f: RadialProfile, lo: np.ndarray, hi: np.ndarray):
 
 def mollifier_sum(
     f: RadialProfile,
-    chi: BumpFunction,
     alpha: float,
     eps_schedule: Sequence,
     j_lo: int = -20,
     j_hi: int = 4,
 ) -> MollifierSweep:
-    """Tabulate b over (j, eps), weight by the bump's a_j, and sum per eps.
+    """Tabulate b over (j, eps), weight by the standard bump's a_j, and sum
+    per eps.
 
-    The schedule is used in the order given (decreasing eps is the
-    intended direction).  Missing L^2 mass on the sampled range is a
-    note, never an error: the machinery only consumes shell integrals.
+    a_j = 2**(j(dim - alpha)) * (sup over the octave j annulus of the bump's
+    |transform|^2).  The schedule is used in the order given (decreasing
+    eps is the intended direction).  Missing L^2 mass on the sampled range
+    is a note, never an error: the machinery only consumes shell integrals.
     """
-    if chi.dim != f.dim:
-        raise DomainError("bump and profile dimensions disagree")
-    if not (0 < alpha < f.dim):
-        raise DomainError(f"alpha must lie in (0, {f.dim})")
+    n = f.dim
+    if not (0 < alpha < n):
+        raise DomainError(f"alpha must lie in (0, {n})")
     eps = [float(e) for e in eps_schedule]
     if not eps or any(not e > 0 for e in eps):
         raise DomainError("eps schedule must be positive")
     # 2.0**(j + 1), 2.0**-j and their dim-th powers stay finite floats
-    if f.dim * max(-j_lo, j_hi + 1) > 1000:
+    if n * max(-j_lo, j_hi + 1) > 1000:
         raise DomainError("octaves must satisfy dim * max(-j_lo, j_hi + 1) <= 1000")
-    profile = bump_profile(chi, alpha, j_lo, j_hi)
-    notes = []
-    n = f.dim
-    exponent = n - alpha
-    rows = []
+    if j_hi < j_lo:
+        raise DomainError("j_hi must be >= j_lo")
     js = range(j_lo, j_hi + 1)
-    table = np.zeros((len(js), len(eps)))
     lo = np.array([[2.0**j / e for e in eps] for j in js])
     hi = np.array([[2.0 ** (j + 1) / e for e in eps] for j in js])
+    if not (np.isfinite(hi).all() and (lo > 0).all()):
+        raise DomainError("every shell edge 2**j / eps must be a finite positive float")
+    exponent = n - alpha
+    a = [2.0 ** (j * exponent) * sup for j, sup in zip(js, annulus_sups_squared(n, js))]
     sq_table, vol_table, lp_table = _shell_tables(f, lo, hi).tolist()
+    table = np.zeros((len(js), len(eps)))
+    rows, notes = [], []
+    holder_constant = 0.0
+    uniform_ok = tails_ok = True
     for ji, j in enumerate(js):
-        b_vals, bounds = [], []
-        vols, masses = vol_table[ji], lp_table[ji]
-        for e, sq, vol, lp in zip(eps, sq_table[ji], vols, masses):
+        b_vals = []
+        for e, sq, vol, lp in zip(eps, sq_table[ji], vol_table[ji], lp_table[ji]):
             scale = (2.0**-j * e) ** exponent
             b = scale * sq
-            if lp > 0 and vol > 0:
-                bound = scale * vol ** (1 - 2 / f.p) * lp ** (2 / f.p)
+            if lp > 0:  # then the shell is nonempty, so vol > 0
+                holder = scale * vol ** (1 - 2 / f.p)
+                holder_constant = max(holder_constant, holder)
+                bound = holder * lp ** (2 / f.p)
             else:
                 bound = 0.0
+            uniform_ok = uniform_ok and b <= bound * (1 + BOUND_SLACK) + 1e-300
             b_vals.append(b)
-            bounds.append(bound)
         table[ji] = b_vals
-        peak = int(np.argmax(b_vals))
-        tail = b_vals[peak:]
-        nonincreasing = all(
+        tail = b_vals[int(np.argmax(b_vals)) :]
+        tails_ok = tails_ok and all(
             later <= earlier * (1 + BOUND_SLACK) for earlier, later in zip(tail, tail[1:])
         )
-        rows.append(
-            MollifierRow(
-                j=j,
-                a=profile.a_at(j),
-                b=tuple(b_vals),
-                holder_bounds=tuple(bounds),
-                shell_volumes=tuple(vols),
-                shell_lp_masses=tuple(masses),
-                tail_nonincreasing=nonincreasing,
-            )
-        )
+        rows.append(MollifierRow(j, a[ji], tuple(b_vals)))
         if not all(math.isfinite(v) for v in b_vals):
             notes.append(f"non-finite shell integral at j = {j}")
-    a_vec = np.asarray(profile.a)
-    sums = tuple(float(s) for s in a_vec @ table)
-    holder_constant = 0.0
-    for row in rows:
-        for e_idx in range(len(eps)):
-            if row.shell_lp_masses[e_idx] > 0:
-                scale = (2.0 ** -row.j * eps[e_idx]) ** exponent
-                holder_constant = max(
-                    holder_constant, scale * row.shell_volumes[e_idx] ** (1 - 2 / f.p)
-                )
+    sums = tuple(float(s) for s in np.asarray(a) @ table)
     if f.support_radius is None:
         notes.append("unbounded support: L^p mass reported per shell only")
-    uniform_ok = all(
-        b <= bound * (1 + BOUND_SLACK) + 1e-300
-        for row in rows
-        for b, bound in zip(row.b, row.holder_bounds)
-    )
-    tails_ok = all(row.tail_nonincreasing for row in rows)
     return MollifierSweep(
-        dim=n,
-        p=f.p,
         eps=tuple(eps),
         rows=tuple(rows),
         sums=sums,

@@ -1,4 +1,4 @@
-"""The standard bump, its transform, and the dyadic weight profile.
+"""The standard bump, its transform, and the dyadic weights a_j.
 
 scipy.integrate.quad is the independent quadrature oracle here; the
 package's own panel rule must agree with it to quad's reported accuracy.
@@ -13,13 +13,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import j0
 
-from fracspec.errors import DomainError
+from fracspec.errors import DomainError, SizeError
 from fracspec.fourier import bump
-from fracspec.fourier.bump import (
-    BumpFunction,
-    annulus_sups_squared,
-    bump_profile,
-)
+from fracspec.fourier.bump import BumpFunction, annulus_sups_squared
 from fracspec.fourier.mollifier import bessel_tail_profile, mollifier_sum
 from fracspec.numeric import unit_ball_volume
 
@@ -65,25 +61,29 @@ def test_mollifier_preserves_mass():
     assert abs(val - 1.0) < 1e-8
 
 
+def dyadic_weights(alpha, j_lo, j_hi):
+    """The a_j of a planar sweep over octaves j_lo..j_hi, by octave."""
+    sweep = mollifier_sum(bessel_tail_profile(dim=2), alpha, [0.25], j_lo=j_lo, j_hi=j_hi)
+    assert [row.j for row in sweep.rows] == list(range(j_lo, j_hi + 1))
+    return [row.a for row in sweep.rows]
+
+
 def test_dyadic_weights_low_octave_asymptote():
     """As j -> -infinity the annulus sup approaches |transform(0)|**2, so
     a_j approaches 2**(j(dim - alpha)) * (2 pi)**-dim."""
-    chi = BumpFunction.standard(2)
-    profile = bump_profile(chi, 1.0, -24, -20)
-    for j, a in zip(range(-24, -19), profile.a):
+    for j, a in zip(range(-24, -19), dyadic_weights(1.0, -24, -20)):
         predicted = 2.0**j * (2 * math.pi) ** -2.0
         assert abs(a / predicted - 1.0) < 1e-10
 
 
 def test_dyadic_partial_sums_stabilize():
-    chi = BumpFunction.standard(2)
-    profile = bump_profile(chi, 0.5, -10, 14)
-    assert all(a > 0 for a in profile.a)
+    weights = dyadic_weights(0.5, -10, 14)
+    assert all(a > 0 for a in weights)
     # smooth bump transform decays fast: the tail must go quiet
-    assert all(a < 1e-8 for a in profile.a[-4:])
-    assert profile.a_at(profile.j_lo) == profile.a[0]
-    with pytest.raises(DomainError):
-        profile.a_at(profile.j_hi + 1)
+    assert all(a < 1e-8 for a in weights[-4:])
+    # each weight is the octave's sup scaled by 2**(j(dim - alpha))
+    sups = annulus_sups_squared(2, range(-10, 15))
+    assert weights == [2.0 ** (j * 1.5) * sup for j, sup in zip(range(-10, 15), sups)]
 
 
 def test_annulus_sup_dominates_samples():
@@ -95,11 +95,11 @@ def test_annulus_sup_dominates_samples():
 
 
 def test_profile_validation():
-    chi = BumpFunction.standard(2)
+    f = bessel_tail_profile(dim=2)
     with pytest.raises(DomainError):
-        bump_profile(chi, 2.0, -4, 4)
+        mollifier_sum(f, 2.0, [0.25], j_lo=-4, j_hi=4)
     with pytest.raises(DomainError):
-        bump_profile(chi, 1.0, 4, -4)
+        mollifier_sum(f, 1.0, [0.25], j_lo=4, j_hi=-4)
     with pytest.raises(DomainError):
         BumpFunction.standard(0)
 
@@ -233,6 +233,34 @@ def test_annulus_refinements_share_transform_calls(monkeypatch):
     assert 25 < len(calls) < 75
 
 
+def test_annulus_scan_budget(monkeypatch):
+    """The top octave's dense scan, 64 radii x panels x 32 nodes, is refused
+    over MAX_SCAN_NODES before any transform is evaluated; at the budget
+    the scan runs."""
+    transform = BumpFunction.fourier_radial
+
+    def refuse(chi, rho):
+        raise AssertionError("a transform was evaluated")
+
+    monkeypatch.setattr(bump, "_ANNULUS_SUPS", {})
+    monkeypatch.setattr(BumpFunction, "fourier_radial", refuse)
+    # the largest octave mollifier_sum admits in the plane: its count of
+    # about 2**496 panels must not overflow
+    with pytest.raises(SizeError):
+        annulus_sups_squared(2, [499])
+    # j = 4 tops out at rho 32, which shares rho 48's 4 panels
+    monkeypatch.setattr(bump, "MAX_SCAN_NODES", 64 * 4 * 32 - 1)
+    with pytest.raises(SizeError):
+        annulus_sups_squared(2, range(-2, 5))
+    # j = 5 tops out at rho 64: 6 panels
+    monkeypatch.setattr(bump, "MAX_SCAN_NODES", 64 * 6 * 32 - 1)
+    with pytest.raises(SizeError):
+        annulus_sups_squared(2, [5])
+    monkeypatch.setattr(BumpFunction, "fourier_radial", transform)
+    monkeypatch.setattr(bump, "MAX_SCAN_NODES", 64 * 4 * 32)
+    assert len(annulus_sups_squared(2, range(-2, 5))) == 7
+
+
 def test_default_mollifier_sum_builds_one_node_set(monkeypatch):
     """Every rho the default sweep reaches lies below 48: one panel count."""
     builds = []
@@ -245,7 +273,7 @@ def test_default_mollifier_sum_builds_one_node_set(monkeypatch):
     monkeypatch.setattr(bump, "_panels", counting)
     bump._ANNULUS_SUPS.clear()
     bump._radial_nodes.cache_clear()
-    mollifier_sum(bessel_tail_profile(), BumpFunction.standard(2), 1.0, [2.0**-k for k in range(2, 9)])
+    mollifier_sum(bessel_tail_profile(), 1.0, [2.0**-k for k in range(2, 9)])
     assert builds == [4]
 
 

@@ -6,11 +6,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from octave_oracle import mask_masses
 
 import fracspec.experiments
+import fracspec.fourier.bump
 import fracspec.fourier.mollifier
 import fracspec.fourier.transforms
 import fracspec.tauberian.grid
@@ -306,6 +309,31 @@ PINNED_SPECTRAL = {
         {"tauberian/trials.csv": "ea13fba921de5f16dad68f23aadbc9d7dfb3f11283d354dbd4f603fe2b0f39f3"},
     ),
 }
+
+
+@pytest.mark.parametrize("name", ["salem-4", "tapered-3"])
+def test_octave_slices_match_mask_pinned(tmp_path, monkeypatch, name):
+    """On the pinned fourier configs, every octave mass of the slice route
+    equals the boolean-mask oracle's bit for bit, and the bytes stay pinned."""
+    experiment, text, seed, pinned = PINNED_SPECTRAL[name]
+    real = fracspec.experiments.lq_annulus_diagnostics
+    checked = []
+
+    def both(xi, values, spacing, q, j0, j1):
+        diag = real(xi, values, spacing, q, j0, j1)
+        got = np.array([row.integral for row in diag.rows])
+        want = np.array(mask_masses(xi, values, spacing, q, j0, j1))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        checked.append(q)
+        return diag
+
+    monkeypatch.setattr(fracspec.experiments, "lq_annulus_diagnostics", both)
+    run(tmp_path, experiment, text, seed=seed)
+    assert checked == [3.0, 6.0]
+    digests = {
+        rel: hashlib.sha256((tmp_path / "out" / rel).read_bytes()).hexdigest() for rel in pinned
+    }
+    assert digests == pinned
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_SPECTRAL))
@@ -619,14 +647,20 @@ def test_cli_dim_scale_without_finite_log_exits_1(tmp_path, capsys):
     assert err.splitlines() == ["error: a scale has no finite log(1/eps) as a float"]
 
 
-@pytest.mark.parametrize("text", ["mollify.j_min = -100000", "mollify.j_max = 500"])
-def test_cli_mollify_octaves_out_of_range_exit_1(tmp_path, capsys, monkeypatch, text):
-    """Octaves whose powers of two overflow are refused before any table."""
+def refuse_to_tabulate(monkeypatch):
+    """Make mollify's bump weights and shell tables raise."""
 
     def tabulated(*args):
         raise AssertionError("a table was built")
 
-    monkeypatch.setattr(fracspec.fourier.mollifier, "bump_profile", tabulated)
+    monkeypatch.setattr(fracspec.fourier.mollifier, "annulus_sups_squared", tabulated)
+    monkeypatch.setattr(fracspec.fourier.mollifier, "_shell_tables", tabulated)
+
+
+@pytest.mark.parametrize("text", ["mollify.j_min = -100000", "mollify.j_max = 500"])
+def test_cli_mollify_octaves_out_of_range_exit_1(tmp_path, capsys, monkeypatch, text):
+    """Octaves whose powers of two overflow are refused before any table."""
+    refuse_to_tabulate(monkeypatch)
     path = tmp_path / "run.cfg"
     path.write_text(text + "\n")
     assert main(["mollify", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
@@ -635,6 +669,74 @@ def test_cli_mollify_octaves_out_of_range_exit_1(tmp_path, capsys, monkeypatch, 
     assert err.splitlines() == [
         "error: octaves must satisfy dim * max(-j_lo, j_hi + 1) <= 1000"
     ]
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("mollify.eps_exp_min = -2000", "eps exponents must satisfy -1023 <= e <= 1074"),
+        ("mollify.eps_exp_min = -1100", "eps exponents must satisfy -1023 <= e <= 1074"),
+        ("mollify.eps_exp_max = 1075", "eps exponents must satisfy -1023 <= e <= 1074"),
+        ("mollify.eps_exp_max = 1000000000", "eps exponents must satisfy -1023 <= e <= 1074"),
+        # eps = 2**-1060 is positive, but 2**(4 + 1) / eps overflows
+        ("mollify.eps_exp_max = 1060", "every shell edge 2**j / eps must be a finite positive float"),
+        # 2**-60 / 2**1023 underflows to 0
+        (
+            "mollify.eps_exp_min = -1023\nmollify.j_min = -60",
+            "every shell edge 2**j / eps must be a finite positive float",
+        ),
+    ],
+)
+def test_cli_mollify_eps_out_of_range_exit_1(tmp_path, capsys, monkeypatch, text, message):
+    """An eps = 2**-e or shell edge 2**j / eps that is not a finite positive
+    float is refused before any table, with one error line."""
+    refuse_to_tabulate(monkeypatch)
+    path = tmp_path / "run.cfg"
+    path.write_text(text + "\n")
+    assert main(["mollify", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "text,budget,message",
+    [
+        ("mollify.truncate = none\nmollify.eps_exp_max = 14", None, "shell quadrature nodes"),
+        ("mollify.truncate = none\nmollify.eps_exp_max = 60", None, "shell quadrature nodes"),
+        ("mollify.j_max = 18", None, "annulus scan"),
+        ("", ("MAX_SHELL_NODES", 3359), "shell quadrature nodes"),
+        ("", ("MAX_SCAN_NODES", 8191), "annulus scan"),
+    ],
+)
+def test_cli_mollify_work_budgets(tmp_path, capsys, monkeypatch, text, budget, message):
+    """Shell nodes and annulus-scan nodes over their budgets exit 1 before
+    any node is placed; the default sweep places 3360 shell nodes, and its
+    top scan 8192 transform nodes."""
+
+    def placed(*args):
+        raise AssertionError("quadrature nodes were placed")
+
+    monkeypatch.setattr(fracspec.fourier.mollifier, "_panels", placed)
+    monkeypatch.setattr(fracspec.fourier.bump, "_panels", placed)
+    monkeypatch.setattr(fracspec.fourier.bump, "_ANNULUS_SUPS", {})
+    if budget is not None:
+        name, value = budget
+        module = fracspec.fourier.mollifier if name == "MAX_SHELL_NODES" else fracspec.fourier.bump
+        monkeypatch.setattr(module, name, value)
+    if message == "shell quadrature nodes":
+        # let the bump's weights be computed; only the shells must not be
+        monkeypatch.setattr(
+            fracspec.fourier.mollifier, "annulus_sups_squared", lambda dim, js: (1.0,) * len(js)
+        )
+    path = tmp_path / "run.cfg"
+    path.write_text(text + "\n")
+    assert main(["mollify", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and message in err and "exceed the budget" in err
+    assert not (tmp_path / "out" / "mollify").exists()
 
 
 def refuse_to_build_levels(monkeypatch):
