@@ -25,7 +25,6 @@ from .cantor import (
     level_tube,
     middle_thirds_params,
     natural_measure,
-    product_minkowski_bounds,
     sample_salem_offsets,
 )
 from .fourier import (
@@ -38,12 +37,12 @@ from .fourier import (
 from .experiments import span_matches, span_trials, spectral_grid
 from .geometry import (
     PointCloud,
-    ScaleSweep,
     box_dimension_estimate,
     covering_number,
     eps_neighborhood_volume,
-    minkowski_ratio_sweep,
+    geometric_scales,
     packing_number,
+    tube_ratios,
     upper_density_estimate,
 )
 from .numeric import LogRatio, unit_ball_volume
@@ -99,19 +98,19 @@ def criterion_chain_inequalities(sets: int = 100, seed: int = 1811) -> Criterion
             p_eps = packing_number(cloud, eps)
             if n_double <= p_eps <= n_half:
                 chain_ok += 1
-            vol = eps_neighborhood_volume(cloud, eps)
+            vol_low, vol_high = eps_neighborhood_volume(cloud, eps)
             omega = unit_ball_volume(n)
             if n == 1:
-                # everything here is an exact Fraction
+                # everything here is an exact Fraction, and vol_low == vol_high
                 low = 2 * p_eps * eps
                 high = 2 * n_eps * (2 * eps)
-                if low <= vol.value <= high:
+                if low <= vol_low <= high:
                     volume_ok += 1
             else:
                 low = omega * p_eps * float(eps) ** n
                 high = omega * n_eps * (2 * float(eps)) ** n
                 slack = 1 + REL_SLACK
-                if low <= float(vol.high) * slack and float(vol.low) <= high * slack:
+                if low <= float(vol_high) * slack and float(vol_low) <= high * slack:
                     volume_ok += 1
     passed = chain_ok == checks and volume_ok == checks
     return _result(
@@ -144,14 +143,15 @@ def criterion_box_dimension() -> CriterionResult:
 def criterion_minkowski_ratio(alpha=None) -> CriterionResult:
     if alpha is None:
         alpha = LogRatio(2, 3)
-    sweep = minkowski_ratio_sweep(
+    rows = tube_ratios(
         level_tube(middle_thirds_params(), 12),
         alpha,
-        ScaleSweep(eps_max=Fraction(1, 9), ratio=Fraction(1, 3), count=11),
+        geometric_scales(Fraction(1, 9), Fraction(1, 3), 11),
     )
-    in_range = all(1.0 <= r.ratio <= 3.0 for r in sweep.rows)
-    all_exact = all(r.ratio_exact is not None for r in sweep.rows)
-    first = sweep.rows[0].ratio_exact
+    ratios = [ratio for _, ratio, _ in rows]
+    in_range = all(1.0 <= float(r) <= 3.0 for r in ratios)
+    all_exact = all(isinstance(r, Fraction) for r in ratios)
+    first = ratios[0] if isinstance(ratios[0], Fraction) else None
     first_ok = first == Fraction(5, 2)
     passed = in_range and all_exact and first_ok
     return _result(
@@ -167,18 +167,19 @@ def criterion_minkowski_ratio(alpha=None) -> CriterionResult:
 
 
 def criterion_product_bound() -> CriterionResult:
-    bounds = product_minkowski_bounds(
+    rows = tube_ratios(
         level_tube(middle_thirds_params(), 8),
-        2,
         LogRatio(4, 3),
-        ScaleSweep(eps_max=Fraction(1, 9), ratio=Fraction(1, 3), count=7),
+        geometric_scales(Fraction(1, 9), Fraction(1, 3), 7),
+        power=2,
     )
-    passed = bounds.within(1.0, 9.0)
+    lows = [float(low) for _, low, _ in rows]
+    highs = [float(high) for _, _, high in rows]
+    passed = all(1.0 <= low and high <= 9.0 for low, high in zip(lows, highs))
     return _result(
         "product-bound",
         passed,
-        f"ratio bounds within [1,9]: {passed} "
-        f"(inf {bounds.inf_ratio_low:.4f}, sup {bounds.sup_ratio_high:.4f})",
+        f"ratio bounds within [1,9]: {passed} (inf {min(lows):.4f}, sup {max(highs):.4f})",
     )
 
 
@@ -359,16 +360,17 @@ def criterion_upper_density(points: int = 200, seed: int = 4217) -> CriterionRes
     beta = math.log(2) / math.log(3)
     rng = default_rng(seed)
     idx = rng.choice(len(measure.atoms), size=points, replace=False)
-    radii = [float(r) for r in ScaleSweep(eps_max=Fraction(1, 9), ratio=Fraction(1, 3), count=9)]
+    radii = [float(r) for r in geometric_scales(Fraction(1, 9), Fraction(1, 3), 9)]
     lo_lim = 2.0**-beta - 0.05
     hi_lim = 1.05
     sup_min, sup_max = math.inf, -math.inf
     ok = 0
     for i in idx:
-        est = upper_density_estimate(measure, measure.atoms[int(i)], beta, radii)
-        sup_min = min(sup_min, est.sup_ratio)
-        sup_max = max(sup_max, est.sup_ratio)
-        ok += lo_lim <= est.sup_ratio <= hi_lim
+        rows = upper_density_estimate(measure, measure.atoms[int(i)], beta, radii)
+        sup = max(ratio for _, _, ratio in rows)
+        sup_min = min(sup_min, sup)
+        sup_max = max(sup_max, sup)
+        ok += lo_lim <= sup <= hi_lim
     passed = ok == points
     return _result(
         "upper-density",

@@ -1,4 +1,4 @@
-"""Branching interval constructions, their levels, measures, and product bounds."""
+"""Branching interval constructions, their levels, measures, and offset draws."""
 
 from .io import write_level_csv, write_params
 from .levels import CantorLevel, build_level, check_level_budget, level_tube
@@ -11,21 +11,18 @@ from .params import (
     tapered_eta,
     validate_params,
 )
-from .products import ProductMinkowskiBounds, product_minkowski_bounds
 from .sampling import REJECTION_BUDGET, sample_salem_offsets
 
 __all__ = [
     "REJECTION_BUDGET",
     "CantorLevel",
     "CantorParams",
-    "ProductMinkowskiBounds",
     "ValidationReport",
     "build_level",
     "check_level_budget",
     "level_tube",
     "middle_thirds_params",
     "natural_measure",
-    "product_minkowski_bounds",
     "sample_salem_offsets",
     "similarity_dimension",
     "tapered_eta",

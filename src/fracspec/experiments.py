@@ -42,10 +42,10 @@ from .fourier import (
 )
 from .geometry import (
     PointCloud,
-    ScaleSweep,
     box_dimension_estimate,
     covering_number,
-    minkowski_ratio_sweep,
+    geometric_scales,
+    tube_ratios,
 )
 from .geometry.dimension import MIN_SCALES
 from .numeric import parse_rational
@@ -228,26 +228,27 @@ def run_minkowski(cfg: ExperimentConfig) -> ReportRecord:
         alpha = params.dimension_log_ratio()
     except DomainError:  # eta is not 1/q: no exact exponent
         alpha = float(params.dimension)
-    sweep_spec = ScaleSweep(
-        eps_max=params.ratio**m_lo, ratio=params.ratio, count=m_hi - m_lo + 1
-    )
-    sweep = minkowski_ratio_sweep(tube, alpha, sweep_spec)
+    scales = geometric_scales(params.ratio**m_lo, params.ratio, m_hi - m_lo + 1)
+    # at power 1 the bounds agree: one ratio per scale
+    rows = tube_ratios(tube, alpha, scales)
+    ratios = [float(ratio) for _, ratio, _ in rows]
     out = _out_dir(cfg)
     write_csv(
         out / "ratios.csv",
         ("eps", "value", "bound_low", "bound_high"),
-        [(fmt(r.eps), fmt(r.ratio), fmt(r.ratio), fmt(r.ratio)) for r in sweep.rows],
+        [(fmt(eps), fmt(r), fmt(r), fmt(r)) for (eps, _, _), r in zip(rows, ratios)],
     )
+    sup_ratio = max(ratios)
     return ReportRecord(
         experiment=cfg.experiment,
         digest=cfg.digest(opts),
         metrics={
-            "sup_ratio": sweep.sup_ratio,
-            "rows": len(sweep.rows),
-            "exact_rows": sum(1 for r in sweep.rows if r.ratio_exact is not None),
+            "sup_ratio": sup_ratio,
+            "rows": len(rows),
+            "exact_rows": sum(isinstance(ratio, Fraction) for _, ratio, _ in rows),
             "limit": limit,
         },
-        flags={"bounded": sweep.bounded_by(limit)},
+        flags={"bounded": sup_ratio <= limit},
     )
 
 
@@ -421,16 +422,12 @@ def _run_radial_scan(cfg: ExperimentConfig, opts: dict, out: Path) -> ReportReco
         hi = (zero_radii[-1] - zero_radii[0]) / 4
         if hi > lo > 0:
             count = 6
-            sweep = ScaleSweep(
-                eps_max=Fraction(hi).limit_denominator(10**6),
-                ratio=Fraction(
-                    np.exp(np.log(lo / hi) / (count - 1))
-                ).limit_denominator(10**6),
-                count=count,
+            scales = geometric_scales(
+                Fraction(hi).limit_denominator(10**6),
+                Fraction(np.exp(np.log(lo / hi) / (count - 1))).limit_denominator(10**6),
+                count,
             )
-            fit = box_dimension_estimate(
-                [(eps, covering_number(cloud, eps)) for eps in sweep.scales()]
-            )
+            fit = box_dimension_estimate([(eps, covering_number(cloud, eps)) for eps in scales])
             dim_est = fit.slope
     report = radial_verdict(zero_radii, dim_est, 2)
     (out / "verdict.json").write_text(json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")

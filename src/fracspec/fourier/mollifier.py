@@ -115,7 +115,8 @@ def _shell_tables(f: RadialProfile, lo: np.ndarray, hi: np.ndarray):
     panel count and each group is one (shells, nodes) batch; every value
     is bit-identical to a quadrature of its shell alone.  More than
     MAX_SHELL_NODES nodes over the nonempty shells raise SizeError before
-    any is placed.
+    any is placed, and an |f|^p integral that is not a finite float
+    raises DomainError.
     """
     if f.support_radius is not None:
         hi = np.minimum(hi, f.support_radius)
@@ -136,11 +137,12 @@ def _shell_tables(f: RadialProfile, lo: np.ndarray, hi: np.ndarray):
         r = r.reshape(len(r), -1)
         big_w = surface * (w * halves[..., None]).reshape(r.shape) * r ** (f.dim - 1)
         vals = np.abs(f(r))
-        tables[:, group] = [
-            (big_w * vals**2).sum(axis=1),
-            big_w.sum(axis=1),
-            (big_w * vals**f.p).sum(axis=1),
-        ]
+        # a large p may overflow |f|**p: refused below, without a warning
+        with np.errstate(over="ignore"):
+            lp = (big_w * vals**f.p).sum(axis=1)
+        if not np.isfinite(lp).all():
+            raise DomainError(f"a shell integral of |f|**{f.p:g} is not a finite float")
+        tables[:, group] = [(big_w * vals**2).sum(axis=1), big_w.sum(axis=1), lp]
     return tables
 
 
@@ -206,6 +208,15 @@ def mollifier_sum(
     sums = tuple(float(s) for s in np.asarray(a) @ table)
     if f.support_radius is None:
         notes.append("unbounded support: L^p mass reported per shell only")
+    else:
+        # the shells grow outward with j, so none meets the support once the
+        # innermost edge 2**j_lo / eps lies beyond it; such a sum reads 0
+        beyond = [e for e, edge in zip(eps, lo[0]) if edge >= f.support_radius]
+        if beyond:
+            notes.append(
+                f"no shell of j = {j_lo}..{j_hi} meets the support at eps = "
+                + ", ".join(map(str, beyond))
+            )
     return MollifierSweep(
         eps=tuple(eps),
         rows=tuple(rows),

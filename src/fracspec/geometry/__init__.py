@@ -6,37 +6,23 @@ from .cloud import (
     covering_number,
     packing_number,
 )
-from .density import (
-    DensityEstimate,
-    WeightedMeasure,
-    upper_density_estimate,
-)
+from .density import WeightedMeasure, upper_density_estimate
 from .dimension import DimensionFit, box_dimension_estimate
 from .intervals import IntervalUnion
-from .sweeps import ScaleSweep
-from .volumes import (
-    MinkowskiRow,
-    MinkowskiSweep,
-    VolumeResult,
-    eps_neighborhood_volume,
-    minkowski_ratio_sweep,
-)
+from .sweeps import geometric_scales
+from .volumes import eps_neighborhood_volume, tube_ratios
 
 __all__ = [
     "EXACT_CAP",
-    "DensityEstimate",
     "DimensionFit",
     "IntervalUnion",
-    "MinkowskiRow",
-    "MinkowskiSweep",
     "PointCloud",
-    "ScaleSweep",
-    "VolumeResult",
     "WeightedMeasure",
     "box_dimension_estimate",
     "covering_number",
     "eps_neighborhood_volume",
-    "minkowski_ratio_sweep",
+    "geometric_scales",
     "packing_number",
+    "tube_ratios",
     "upper_density_estimate",
 ]

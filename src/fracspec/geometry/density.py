@@ -20,7 +20,6 @@ class WeightedMeasure:
     atoms: np.ndarray
     weights: np.ndarray
     n: int
-    total: float
 
     @classmethod
     def from_atoms(cls, atoms, weights) -> "WeightedMeasure":
@@ -39,24 +38,17 @@ class WeightedMeasure:
         n = len(at[0])
         if any(len(p) != n for p in at):
             raise DomainError("atoms must share a dimension")
-        weights = np.asarray(w, dtype=float)
-        return cls(np.asarray(at, dtype=float), weights, n, float(np.sum(weights)))
+        return cls(np.asarray(at, dtype=float), np.asarray(w, dtype=float), n)
 
 
-@dataclass(frozen=True)
-class DensityEstimate:
-    sup_ratio: float
-    rows: tuple  # (r, mass, ratio)
+def upper_density_estimate(measure: WeightedMeasure, x, alpha: float, radii) -> tuple:
+    """(r, mass, ratio) rows, ratio = (2r)**(-alpha) * mass(closed ball
+    B_r(x)), one per radius; their largest ratio estimates the upper
+    density at x.
 
-
-def upper_density_estimate(measure: WeightedMeasure, x, alpha: float, radii) -> DensityEstimate:
-    """sup over the radii of (2r)**(-alpha) * mass(closed ball B_r(x)).
-
-    radii is any iterable of numbers, a ScaleSweep included; the squared
-    distances from x to the atoms are computed once for all radii.
+    radii is any iterable of numbers; the squared distances from x to the
+    atoms are computed once for all radii.
     """
-    if measure.total <= 0:
-        raise DomainError("measure must have positive total mass")
     if not (0 <= alpha <= measure.n):
         # alpha == n is allowed: full-dimensional reference measures are
         # a legitimate calibration input
@@ -69,5 +61,4 @@ def upper_density_estimate(measure: WeightedMeasure, x, alpha: float, radii) -> 
         rf = float(r)
         m = float(measure.weights[d2 <= rf * rf].sum())
         rows.append((rf, m, m * (2.0 * rf) ** (-alpha)))
-    sup = max(row[2] for row in rows)
-    return DensityEstimate(sup, tuple(rows))
+    return tuple(rows)

@@ -2,38 +2,24 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import DomainError
 
 
-@dataclass(frozen=True)
-class ScaleSweep:
+def geometric_scales(eps_max, ratio, count: int) -> tuple:
     """The schedule eps_max * ratio**k for k = 0 .. count-1.
 
-    Arithmetic stays in whatever number type the inputs carry, so Fraction
-    inputs give exact rational scales.
+    Each scale is the previous one times ratio, in whatever number type
+    the inputs carry, so Fraction inputs give exact rational scales.
     """
-
-    eps_max: object
-    ratio: object
-    count: int
-
-    def __post_init__(self):
-        if not self.eps_max > 0:
-            raise DomainError("eps_max must be positive")
-        if not (0 < self.ratio < 1):
-            raise DomainError("ratio must lie strictly between 0 and 1")
-        if self.count < 1:
-            raise DomainError("count must be at least 1")
-
-    def scales(self) -> tuple:
-        out = []
-        eps = self.eps_max
-        for _ in range(self.count):
-            out.append(eps)
-            eps = eps * self.ratio
-        return tuple(out)
-
-    def __iter__(self):
-        return iter(self.scales())
+    if not eps_max > 0:
+        raise DomainError("eps_max must be positive")
+    if not (0 < ratio < 1):
+        raise DomainError("ratio must lie strictly between 0 and 1")
+    if count < 1:
+        raise DomainError("count must be at least 1")
+    out = []
+    eps = eps_max
+    for _ in range(count):
+        out.append(eps)
+        eps = eps * ratio
+    return tuple(out)

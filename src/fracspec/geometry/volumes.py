@@ -1,39 +1,21 @@
-"""Epsilon-neighborhood volumes and scale-normalized volume ratios."""
+"""Epsilon-neighborhood volumes and scale-normalized tube volume ratios."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
 
 import numpy as np
 
 from ..errors import DomainError, SizeError
-from ..numeric import LogRatio
+from ..numeric import LogRatio, as_fraction
 from .cloud import PointCloud
 from .intervals import Tube
-from .sweeps import ScaleSweep
 
 OCCUPANCY_CELLS_PER_EPS = 8  # grid cell side is eps / 8
 # cells of the occupancy grid over the cloud's padded bounding box; a
 # larger grid raises SizeError before it is allocated
 OCCUPANCY_MAX_CELLS = 2**24
-
-
-@dataclass(frozen=True)
-class VolumeResult:
-    """Volume of an eps-neighborhood, with certified two-sided bounds.
-
-    For 1-D clouds the volume is exact and low == value == high.  For the
-    occupancy-grid estimate, low counts cells certified inside and high
-    counts cells that might touch, so low <= true volume <= high up to
-    float rounding in the distance tests.
-    """
-
-    value: Union[Fraction, float]
-    low: Union[Fraction, float]
-    high: Union[Fraction, float]
 
 
 def _cell_windows(origin: np.ndarray, pts: np.ndarray, cell: float, reach: int) -> list:
@@ -44,7 +26,7 @@ def _cell_windows(origin: np.ndarray, pts: np.ndarray, cell: float, reach: int) 
     return [tuple(slice(max(0, i - reach), i + reach + 1) for i in row) for row in nearest]
 
 
-def _occupancy_volume(cloud: PointCloud, eps: float) -> VolumeResult:
+def _occupancy_volume(cloud: PointCloud, eps: float) -> tuple[float, float]:
     pts = cloud.array
     n = cloud.n
     eps = float(eps)
@@ -80,48 +62,28 @@ def _occupancy_volume(cloud: PointCloud, eps: float) -> VolumeResult:
     cell_vol = cell**n
     low = float(np.count_nonzero(inside) * cell_vol)
     high = float(np.count_nonzero(maybe) * cell_vol)
-    return VolumeResult(0.5 * (low + high), low, high)
+    return low, high
 
 
-def eps_neighborhood_volume(cloud: PointCloud, eps) -> VolumeResult:
-    """Lebesgue volume of the open eps-neighborhood of a point cloud.
+def eps_neighborhood_volume(cloud: PointCloud, eps) -> tuple:
+    """(low, high) bounds on the Lebesgue volume of the open
+    eps-neighborhood of a point cloud.
 
-    1-D clouds get exact rational volumes from the gap (tube) formula;
-    open and closed neighborhoods agree in measure.  Clouds in dimension
-    >= 2 get an occupancy-grid estimate with certified bounds on a grid of
-    cell side eps / OCCUPANCY_CELLS_PER_EPS; each point is measured only
-    against the cells near it, and a grid of more than OCCUPANCY_MAX_CELLS
-    cells raises SizeError.
+    1-D clouds get the exact rational volume from the gap (tube) formula,
+    as low == high; open and closed neighborhoods agree in measure.
+    Clouds in dimension >= 2 get an occupancy-grid estimate on a grid of
+    cell side eps / OCCUPANCY_CELLS_PER_EPS: low counts the cells
+    certified inside and high the cells that might touch, so low <= true
+    volume <= high up to float rounding in the distance tests.  Each
+    point is measured only against the cells near it, and a grid of more
+    than OCCUPANCY_MAX_CELLS cells raises SizeError.
     """
     if not eps > 0:
         raise DomainError("eps must be positive")
-    if not isinstance(cloud, PointCloud):
-        raise DomainError(f"unsupported input type {type(cloud).__name__}")
     if cloud.n == 1:
         v = Tube(0, cloud.gap_counts, cloud.denominator).volume(eps)
-        return VolumeResult(v, v, v)
+        return v, v
     return _occupancy_volume(cloud, eps)
-
-
-@dataclass(frozen=True)
-class MinkowskiRow:
-    eps: object
-    ratio: float
-    ratio_exact: Fraction | None
-
-
-@dataclass
-class MinkowskiSweep:
-    """Scale-by-scale values of eps**(alpha - 1) * |union(eps)|."""
-
-    rows: list[MinkowskiRow] = field(default_factory=list)
-
-    @property
-    def sup_ratio(self) -> float:
-        return max(r.ratio for r in self.rows)
-
-    def bounded_by(self, limit: float) -> bool:
-        return self.sup_ratio <= limit
 
 
 def _ratio_factor(alpha, eps, n: int):
@@ -134,26 +96,53 @@ def _ratio_factor(alpha, eps, n: int):
     return float(eps) ** (float(alpha) - n)
 
 
-def minkowski_ratio_sweep(tube: Tube, alpha, sweep: ScaleSweep) -> MinkowskiSweep:
-    """Sweep eps**(alpha - 1) * |E(eps)| over a scale schedule, for the
-    set E whose tube data `tube` holds.
+def _scaled(factor, volume):
+    """factor * volume: exact for a Fraction factor, while a float factor
+    multiplies the float of the exact volume."""
+    return factor * volume if isinstance(factor, Fraction) else factor * float(volume)
 
-    For bounded sets of packing dimension alpha this ratio stays bounded
-    as eps shrinks.  The neighborhood measure is exact, so ratio_exact
-    holds the exact ratio whenever eps**(alpha - 1) is rational (alpha a
-    LogRatio and eps a matching power), and None otherwise.
+
+# floor(2**40 / sqrt(n)) / 2**40 as an exact rational <= 1/sqrt(n)
+_SQRT_SHIFT = 40
+
+
+def _inv_sqrt_lower(n: int) -> Fraction:
+    return Fraction(math.isqrt((1 << (2 * _SQRT_SHIFT)) // n), 1 << _SQRT_SHIFT)
+
+
+def tube_ratios(tube: Tube, alpha, scales, power: int = 1) -> tuple:
+    """(eps, low, high) rows bounding eps**(alpha - n) * |E_eps| over the
+    scales, for E the n-th Cartesian power (n = power) of the set whose
+    tube data `tube` holds.
+
+    The eps-neighborhood of E is sandwiched between products of
+    coordinate neighborhoods B_r of the base set:
+
+        B_{eps/sqrt(n)}**n  <=  E_eps  <=  B_eps**n
+
+    (a point within eps of E is within eps of the base in every
+    coordinate; per-coordinate slack eps/sqrt(n) keeps the joint distance
+    below eps).  eps/sqrt(n) is rounded down to a rational, so the lower
+    volume stays an exact underestimate; at n = 1 it is eps itself, and
+    low == high.  Both bounds are exact 1-D volumes
+    raised to the power, so no cube is enumerated.  The rows hold
+    Fractions where eps**(alpha - n) is rational (alpha a LogRatio and
+    eps a matching power) and floats elsewhere.  For sets of packing
+    dimension alpha the ratios stay bounded as eps shrinks.
     """
-    if not (0 <= float(alpha) <= 1):
-        raise DomainError("alpha must lie in [0, 1]")
-    result = MinkowskiSweep()
-    for eps in sweep.scales():
+    n = power
+    if not (0 <= float(alpha) <= n):
+        raise DomainError(f"alpha must lie in [0, {n}]")
+    shrink = _inv_sqrt_lower(n)
+    rows = []
+    for eps in scales:
+        factor = _ratio_factor(alpha, eps, n)
         vol = tube.volume(eps)
-        factor = _ratio_factor(alpha, eps, 1)
-        if isinstance(factor, Fraction):
-            exact = factor * vol
-            ratio = float(exact)
+        if n == 1:
+            # the shrink is exactly 1: one volume is both bounds
+            ratio = _scaled(factor, vol)
+            rows.append((eps, ratio, ratio))
         else:
-            exact = None
-            ratio = factor * float(vol)
-        result.rows.append(MinkowskiRow(eps, ratio, exact))
-    return result
+            low = tube.volume(as_fraction(eps) * shrink) ** n
+            rows.append((eps, _scaled(factor, low), _scaled(factor, vol**n)))
+    return tuple(rows)

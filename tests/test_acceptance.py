@@ -57,7 +57,7 @@ CHAIN_CHECKS_SHA256 = "d29e305effaffc74e60285de6cd5a334f1d44724e333e270ecda27ef4
 def test_chain_inequalities_pinned(monkeypatch):
     """Every count and volume bound of chain-inequalities, not just its tally.
 
-    Each check is (n_double, n_eps, n_half, p_eps, vol.low, vol.high) with
+    Each check is (n_double, n_eps, n_half, p_eps, vol_low, vol_high) with
     exact volumes as Fractions and estimated ones as float.hex.  They are
     rebuilt from the criterion's own (args, result) pairs: eps and the
     check order come from its packing and volume calls, and the three
@@ -92,9 +92,11 @@ def test_chain_inequalities_pinned(monkeypatch):
         args for args, _ in calls["eps_neighborhood_volume"]
     ]
     checks = []
-    for ((cloud, eps), p_eps), (_, vol) in zip(calls["packing_number"], calls["eps_neighborhood_volume"]):
+    for ((cloud, eps), p_eps), (_, (vol_low, vol_high)) in zip(
+        calls["packing_number"], calls["eps_neighborhood_volume"]
+    ):
         n_double, n_eps, n_half = (covers[id(cloud), r] for r in (2 * eps, eps, eps / 2))
-        checks.append((n_double, n_eps, n_half, p_eps, exact(vol.low), exact(vol.high)))
+        checks.append((n_double, n_eps, n_half, p_eps, exact(vol_low), exact(vol_high)))
     assert len(checks) == 500
     assert result.detail == "chain 500/500, volume sandwich 500/500"
     assert hashlib.sha256(repr(checks).encode()).hexdigest() == CHAIN_CHECKS_SHA256

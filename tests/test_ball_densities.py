@@ -11,7 +11,7 @@ from fracspec.errors import DomainError
 import numpy as np
 
 from fracspec.geometry.density import WeightedMeasure, upper_density_estimate
-from fracspec.geometry.sweeps import ScaleSweep
+from fracspec.geometry.sweeps import geometric_scales
 
 BETA = math.log(2) / math.log(3)
 
@@ -27,7 +27,7 @@ def ball_mass(measure, x, r):
 
 def masses(measure, x, radii):
     """The masses upper_density_estimate reports (alpha 0: ratio = mass)."""
-    return [mass for _, mass, _ in upper_density_estimate(measure, x, 0.0, radii).rows]
+    return [mass for _, mass, _ in upper_density_estimate(measure, x, 0.0, radii)]
 
 
 def test_weighted_measure_validation():
@@ -38,7 +38,7 @@ def test_weighted_measure_validation():
     with pytest.raises(DomainError):
         WeightedMeasure.from_atoms([0.0, 1.0], [1.0])
     mu = WeightedMeasure.from_atoms([0.0, 1.0], [0.25, 0.75])
-    assert mu.total == 1.0 and mu.n == 1
+    assert mu.n == 1
     assert mu.atoms.shape == (2, 1) and mu.weights.tolist() == [0.25, 0.75]
 
 
@@ -53,19 +53,18 @@ def test_ball_mass_closed_boundary():
 def test_rows_match_per_radius_oracle():
     """Distances computed once give each radius's mass and ratio bit for
     bit as one ball_mass call per radius did, over the criterion's 9
-    radii floated once or taken from the sweep."""
+    radii floated once or taken from the schedule."""
     mu = natural_measure(middle_thirds_params(), 8)
-    sweep = ScaleSweep(Fraction(1, 9), Fraction(1, 3), 9)
-    radii = [float(r) for r in sweep]
+    scales = geometric_scales(Fraction(1, 9), Fraction(1, 3), 9)
+    radii = [float(r) for r in scales]
     for x in (mu.atoms[0], mu.atoms[77], (0.5,), 0.3):
-        est = upper_density_estimate(mu, x, BETA, radii)
-        assert est == upper_density_estimate(mu, x, BETA, sweep)
+        rows = upper_density_estimate(mu, x, BETA, radii)
+        assert rows == upper_density_estimate(mu, x, BETA, scales)
         want = []
         for r in radii:
             mass = ball_mass(mu, x, r)
             want.append((r, mass, mass * (2.0 * r) ** (-BETA)))
-        assert est.rows == tuple(want)
-        assert est.sup_ratio == max(row[2] for row in want)
+        assert rows == tuple(want)
 
 
 def test_ternary_upper_density_hits_two_to_minus_beta():
@@ -74,11 +73,10 @@ def test_ternary_upper_density_hits_two_to_minus_beta():
     params = middle_thirds_params()
     mu = natural_measure(params, 10)
     x = mu.atoms[0]
-    sweep = ScaleSweep(Fraction(1, 9), Fraction(1, 3), 6)
-    est = upper_density_estimate(mu, x, BETA, sweep)
+    rows = upper_density_estimate(mu, x, BETA, geometric_scales(Fraction(1, 9), Fraction(1, 3), 6))
     expected = 2.0 ** (-BETA)
-    assert abs(est.sup_ratio - expected) < 1e-12
-    for _, _, ratio in est.rows:
+    assert len(rows) == 6
+    for _, _, ratio in rows:
         assert abs(ratio - expected) < 1e-12
 
 
@@ -88,16 +86,15 @@ def test_uniform_grid_density_at_full_dimension():
     mu = WeightedMeasure.from_atoms(
         [(k + 0.5) / n for k in range(n)], [1.0 / n] * n
     )
-    sweep = ScaleSweep(Fraction(1, 8), Fraction(1, 2), 5)
-    est = upper_density_estimate(mu, (0.5,), 1.0, sweep)
-    assert abs(est.sup_ratio - 1.0) < 0.01
+    rows = upper_density_estimate(mu, (0.5,), 1.0, geometric_scales(Fraction(1, 8), Fraction(1, 2), 5))
+    assert abs(max(ratio for _, _, ratio in rows) - 1.0) < 0.01
 
 
 def test_density_input_validation():
     mu = WeightedMeasure.from_atoms([0.0], [1.0])
-    sweep = ScaleSweep(Fraction(1, 2), Fraction(1, 2), 4)
+    radii = geometric_scales(Fraction(1, 2), Fraction(1, 2), 4)
     with pytest.raises(DomainError):
-        upper_density_estimate(mu, 0.0, 1.5, sweep)
+        upper_density_estimate(mu, 0.0, 1.5, radii)
     with pytest.raises(DomainError):
-        upper_density_estimate(mu, 0.0, -0.2, sweep)
+        upper_density_estimate(mu, 0.0, -0.2, radii)
 

@@ -11,14 +11,14 @@ from fracspec.cantor.params import middle_thirds_params
 from fracspec.errors import DomainError
 from fracspec.geometry.cloud import PointCloud, covering_number
 from fracspec.geometry.dimension import MIN_SCALES, box_dimension_estimate
-from fracspec.geometry.sweeps import ScaleSweep
+from fracspec.geometry.sweeps import geometric_scales
 
 LOG2_OVER_LOG3 = math.log(2) / math.log(3)
 
 
-def covering_rows(cloud, sweep):
+def covering_rows(cloud, scales):
     """(eps, covering_number) rows, as the radial scan builds them."""
-    return [(eps, covering_number(cloud, eps)) for eps in sweep.scales()]
+    return [(eps, covering_number(cloud, eps)) for eps in scales]
 
 
 def test_structural_counts_give_exact_slope():
@@ -32,15 +32,13 @@ def test_structural_counts_give_exact_slope():
 
 def test_dense_interval_sample_slope_near_one():
     cloud = PointCloud.from_points([Fraction(k, 4096) for k in range(4097)])
-    sweep = ScaleSweep(Fraction(1, 8), Fraction(1, 2), 6)
-    fit = box_dimension_estimate(covering_rows(cloud, sweep))
+    fit = box_dimension_estimate(covering_rows(cloud, geometric_scales(Fraction(1, 8), Fraction(1, 2), 6)))
     assert abs(fit.slope - 1.0) < 0.02
 
 
 def test_single_point_is_degenerate():
     cloud = PointCloud.from_points([Fraction(1, 2)])
-    sweep = ScaleSweep(Fraction(1, 2), Fraction(1, 2), 5)
-    fit = box_dimension_estimate(covering_rows(cloud, sweep))
+    fit = box_dimension_estimate(covering_rows(cloud, geometric_scales(Fraction(1, 2), Fraction(1, 2), 5)))
     assert fit.degenerate
     assert fit.slope == 0.0
 
@@ -57,15 +55,15 @@ def test_slope_clamped_to_ambient():
         assert box_dimension_estimate(rows).slope == clamped
     # a cloud's covering counts stay in range
     pts = [Fraction(0), Fraction(1, 100), Fraction(99, 100), Fraction(1)]
-    sweep = ScaleSweep(Fraction(2), Fraction(1, 200), 4)
-    fit = box_dimension_estimate(covering_rows(PointCloud.from_points(pts), sweep))
+    scales = geometric_scales(Fraction(2), Fraction(1, 200), 4)
+    fit = box_dimension_estimate(covering_rows(PointCloud.from_points(pts), scales))
     assert 0.0 <= fit.slope <= 1.0
 
 
 def test_needs_enough_scales():
     cloud = PointCloud.from_points([0, 1])
     with pytest.raises(DomainError):
-        box_dimension_estimate(covering_rows(cloud, ScaleSweep(1, Fraction(1, 2), 3)))
+        box_dimension_estimate(covering_rows(cloud, geometric_scales(1, Fraction(1, 2), 3)))
     with pytest.raises(DomainError):
         box_dimension_estimate([(Fraction(1, 2**m), 0) for m in range(MIN_SCALES)])
     with pytest.raises(DomainError):
@@ -87,8 +85,7 @@ def test_cloud_route_agrees_with_structural_route():
         pts.append(Fraction(s, den))
         pts.append(Fraction(s + l, den))
     cloud = PointCloud.from_points(pts)
-    sweep = ScaleSweep(Fraction(1, 27), Fraction(1, 3), 4)
-    rows = covering_rows(cloud, sweep)
+    rows = covering_rows(cloud, geometric_scales(Fraction(1, 27), Fraction(1, 3), 4))
     assert [c for _, c in rows] == [8, 16, 32, 64]
     fit = box_dimension_estimate(rows)
     assert abs(fit.slope - LOG2_OVER_LOG3) < 1e-12

@@ -13,8 +13,8 @@ from fracspec.cantor import levels
 from fracspec.cantor.levels import MAX_INTERVALS, build_level, level_tube
 from fracspec.cantor.measures import natural_measure
 from fracspec.cantor.params import CantorParams, middle_thirds_params
-from fracspec.cantor.sampling import sample_salem_offsets
-from fracspec.errors import DomainError, SizeError
+from fracspec.cantor.sampling import REJECTION_BUDGET, sample_salem_offsets
+from fracspec.errors import DomainError, RejectionBudgetError, SizeError
 from fracspec.geometry.density import upper_density_estimate
 from fracspec.geometry.intervals import IntervalUnion
 from tube_oracle import union_tube
@@ -236,10 +236,10 @@ def test_natural_measure_totals_and_interval_mass():
     midpoints = [Fraction(2 * s + l, twice) for s, l in level.intervals.intervals]
     assert mu.atoms[:, 0].tolist() == [float(m) for m in midpoints]
     assert mu.weights.tolist() == [float(Fraction(1, 32))] * 32
-    assert mu.total == 1.0
+    assert mu.weights.sum() == 1.0
     # each level-1 child, [0, 1/3] and [2/3, 1], carries exactly half the mass
     for center in (1 / 6, 5 / 6):
-        rows = upper_density_estimate(mu, center, 0.0, [1 / 6]).rows
+        rows = upper_density_estimate(mu, center, 0.0, [1 / 6])
         assert rows[0][1] == 0.5
 
 
@@ -310,6 +310,24 @@ def test_offset_sampling_feasibility():
         sample_salem_offsets(3, Fraction(2, 5), rng)
     with pytest.raises(DomainError):
         sample_salem_offsets(2, Fraction(3, 4), rng)
+
+
+def test_offset_sampling_budget_counts_uniforms():
+    """A million branches get REJECTION_BUDGET // branches = 4 proposals,
+    each 10**6 uniforms whose smallest gap falls far below eta, and then
+    the budget is spent; a proposal wider than the budget draws nothing."""
+    rng = np.random.default_rng(1)
+    assert REJECTION_BUDGET // 10**6 == 4
+    with pytest.raises(RejectionBudgetError, match="in 4 proposals of 1000000 uniforms"):
+        sample_salem_offsets(10**6, Fraction(1, 2 * 10**6), rng)
+    # the four proposals took 4 * 10**6 uniforms from the stream
+    expected = np.random.default_rng(1)
+    for _ in range(4):
+        expected.uniform(size=10**6)
+    assert rng.uniform() == expected.uniform()
+    with pytest.raises(SizeError, match="exceeds the rejection budget"):
+        sample_salem_offsets(REJECTION_BUDGET + 1, Fraction(1, 10**8), rng)
+    assert rng.uniform() == expected.uniform()
 
 
 def test_random_params_reproducible():

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from octave_oracle import mask_masses
 
+import fracspec.cantor.sampling
 import fracspec.experiments
 import fracspec.fourier.bump
 import fracspec.fourier.mollifier
@@ -233,6 +234,18 @@ PINNED_ARTIFACTS = {
             "construct/params.json": "0a561979cb06c37a6b1fff8428829ad1fa0fe8fa7a50c3c2b035170934ec4e18",
             "dim/counts.csv": "a556a1bd3c9584ab1e0a94efe63caf9f8c0d1a635d2fdffd1a0a6c069bd3ca59",
             "minkowski/ratios.csv": "ee83f1ac5fdf506a8533d817093eb15b9c798be61a1ed7c27c43eec752b0d751",
+        },
+    ),
+    # eta = 2/7 is not 1/q: the dimension has no LogRatio, so minkowski
+    # scales by float(eps) ** (alpha - 1), the float path of the ratios
+    "ratio-2-7": (
+        "cantor.ratio = 2/7\ncantor.offsets = 0, 5/7\n",
+        8,
+        {
+            "construct/level.csv": "48233b2a4a76b89f56943723868b80a7cdcb1e03d69c52d717fd1b2f8b379f9e",
+            "construct/params.json": "44780eae984f88ac6af016a208430ad24c3588635c731444caebf6c0fac36b79",
+            "dim/counts.csv": "bad4beae401915382274c04c40f51e92a72c6580d46c957e59a30ce04bb6f3e4",
+            "minkowski/ratios.csv": "1354aa90f6455654764c9876376a3359b0a2c4d4199659f68b0be5d3350869e7",
         },
     ),
 }
@@ -737,6 +750,75 @@ def test_cli_mollify_work_budgets(tmp_path, capsys, monkeypatch, text, budget, m
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and message in err and "exceed the budget" in err
     assert not (tmp_path / "out" / "mollify").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("text", ["mollify.p = 1000", "mollify.p = 1000\nmollify.truncate = none"])
+def test_cli_mollify_lp_overflow_exits_1(tmp_path, capsys, text):
+    """|f|**p overflowing a float is refused, not read as an infinite
+    Holder bound that every b satisfies."""
+    path = tmp_path / "run.cfg"
+    path.write_text(text + "\n")
+    assert main(["mollify", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: a shell integral of |f|**1000 is not a finite float"]
+    assert not (tmp_path / "out" / "mollify").exists()
+
+
+def test_mollify_notes_eps_beyond_the_support(tmp_path):
+    """From eps = 2**-20 on, the shells 2**j / eps of j = -20..4 all lie
+    beyond the support r < 1, so those sums read 0, and one note names
+    those eps."""
+    _, record, out = run(tmp_path, "mollify", "mollify.eps_exp_max = 22\n")
+    summary = json.loads((out / "summary.json").read_text())
+    beyond = [2.0**-e for e in (20, 21, 22)]
+    assert summary["notes"] == [
+        "no shell of j = -20..4 meets the support at eps = " + ", ".join(map(str, beyond))
+    ]
+    assert summary["sums"][-3:] == ["0", "0", "0"] and summary["sums"][-4] != "0"
+    # the window's innermost edge 2**-3 / eps first reaches 1 at eps = 2**-3
+    _, _, out = run(tmp_path, "mollify", "mollify.j_min = -3\n", out_name="narrow")
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["notes"] == [
+        "no shell of j = -3..4 meets the support at eps = "
+        + ", ".join(str(2.0**-e) for e in range(3, 9))
+    ]
+    assert summary["sums"][0] != "0" and set(summary["sums"][1:]) == {"0"}
+
+
+def test_cli_rejection_budget_exits_1(tmp_path, capsys, monkeypatch):
+    """The rejection sampler counts uniforms, proposals x branches: a spent
+    budget and a proposal wider than the budget each exit 1 with one
+    error line, the latter before any uniform is drawn."""
+    draws = []
+
+    class RecordingRng:
+        def __init__(self, seed):
+            self.rng = np.random.default_rng(seed)
+
+        def uniform(self, low, high, size):
+            draws.append(size)
+            return self.rng.uniform(low, high, size=size)
+
+    monkeypatch.setattr(fracspec.experiments, "default_rng", RecordingRng)
+    monkeypatch.setattr(fracspec.cantor.sampling, "REJECTION_BUDGET", 45)
+    path = tmp_path / "run.cfg"
+    path.write_text("cantor.branches = 10\ncantor.ratio = 9/100\nseed = 1\n")
+    assert main(["construct", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: no admissible draw in 4 proposals of 10 uniforms (budget 45 uniforms, ratio=9/100)"
+    ]
+    assert draws == [10] * 4
+    draws.clear()
+    monkeypatch.setattr(fracspec.cantor.sampling, "REJECTION_BUDGET", 9)
+    assert main(["construct", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: one proposal of 10 uniforms exceeds the rejection budget of 9 uniforms"
+    ]
+    assert draws == []
+    assert not (tmp_path / "out" / "construct").exists()
 
 
 def refuse_to_build_levels(monkeypatch):

@@ -14,12 +14,8 @@ from fracspec.errors import DomainError, SizeError
 from fracspec.geometry import volumes
 from fracspec.geometry.cloud import PointCloud
 from fracspec.geometry.intervals import IntervalUnion, Tube
-from fracspec.geometry.sweeps import ScaleSweep
-from fracspec.geometry.volumes import (
-    VolumeResult,
-    eps_neighborhood_volume,
-    minkowski_ratio_sweep,
-)
+from fracspec.geometry.sweeps import geometric_scales
+from fracspec.geometry.volumes import eps_neighborhood_volume, tube_ratios
 from fracspec.numeric import LogRatio
 from tube_oracle import union_tube
 
@@ -32,12 +28,10 @@ def test_interval_union_volume_exact():
 
 def test_cloud_volume_1d_exact():
     cloud = PointCloud.from_points([Fraction(0), Fraction(1, 2), Fraction(1)])
-    vol = eps_neighborhood_volume(cloud, Fraction(1, 8))
     # three disjoint intervals of length 1/4
-    assert vol.value == vol.low == vol.high == Fraction(3, 4)
+    assert eps_neighborhood_volume(cloud, Fraction(1, 8)) == (Fraction(3, 4), Fraction(3, 4))
     # neighbors merge once 2*eps reaches the 1/2 spacing
-    vol2 = eps_neighborhood_volume(cloud, Fraction(1, 4))
-    assert vol2.value == Fraction(3, 2)
+    assert eps_neighborhood_volume(cloud, Fraction(1, 4)) == (Fraction(3, 2), Fraction(3, 2))
 
 
 quarter = st.integers(min_value=-20, max_value=20)
@@ -55,9 +49,9 @@ quarter = st.integers(min_value=-20, max_value=20)
 def test_cloud_volume_1d_matches_merged_union(xs, k):
     """The gap formula against merging the pieces [x - eps, x + eps]."""
     eps = Fraction(k, 8)
-    vol = eps_neighborhood_volume(PointCloud.from_points(xs), eps)
+    low, high = eps_neighborhood_volume(PointCloud.from_points(xs), eps)
     pieces = IntervalUnion.from_pairs((Fraction(x) - eps, 2 * eps) for x in xs)
-    assert vol.value == vol.low == vol.high == pieces.measure
+    assert low == high == pieces.measure
 
 
 def test_cloud_gap_counts_kept_across_scales():
@@ -70,7 +64,7 @@ def test_cloud_gap_counts_kept_across_scales():
     for k in (5, 1, 3):
         eps = Fraction(k, 8)
         fresh = eps_neighborhood_volume(PointCloud.from_points(xs), eps)
-        assert eps_neighborhood_volume(cloud, eps).value == fresh.value
+        assert eps_neighborhood_volume(cloud, eps) == fresh
     assert "gap_counts" in cloud.__dict__
     with pytest.raises(DomainError):
         PointCloud.from_points([(0, 0), (1, 1)]).gap_counts
@@ -79,16 +73,16 @@ def test_cloud_gap_counts_kept_across_scales():
 def test_occupancy_bounds_bracket_disk_area(monkeypatch):
     cloud = PointCloud.from_points([(0.0, 0.0)])
     eps = 0.5
-    vol = eps_neighborhood_volume(cloud, eps)
+    low, high = eps_neighborhood_volume(cloud, eps)
     true_area = math.pi * eps * eps
-    assert vol.low < true_area < vol.high
+    assert low < true_area < high
     # default cell eps/8 keeps the bracket within ~25 percent
-    assert vol.high - vol.low < 0.5 * true_area
+    assert high - low < 0.5 * true_area
     # finer cells tighten the bracket
     monkeypatch.setattr(volumes, "OCCUPANCY_CELLS_PER_EPS", 32)
-    fine = eps_neighborhood_volume(cloud, eps)
-    assert fine.high - fine.low < vol.high - vol.low
-    assert fine.low <= true_area <= fine.high
+    fine_low, fine_high = eps_neighborhood_volume(cloud, eps)
+    assert fine_high - fine_low < high - low
+    assert fine_low <= true_area <= fine_high
 
 
 NUMPY_SQRT = np.sqrt
@@ -97,8 +91,8 @@ NUMPY_SQRT = np.sqrt
 def meshgrid_occupancy(cloud, eps, cells_per_eps):
     """Reference: every cell center materialized, distances summed per row.
 
-    Returns the volume and each point's squared distances to every cell
-    center, shaped as the grid in ij order.
+    Returns the (low, high) volume bounds and each point's squared
+    distances to every cell center, shaped as the grid in ij order.
     """
     pts = cloud.array
     n = cloud.n
@@ -119,7 +113,7 @@ def meshgrid_occupancy(cloud, eps, cells_per_eps):
     cell_vol = cell**n
     inside = float(np.count_nonzero(d <= eps - half_diag) * cell_vol)
     maybe = float(np.count_nonzero(d < eps + half_diag) * cell_vol)
-    return VolumeResult(0.5 * (inside + maybe), inside, maybe), point_d2
+    return (inside, maybe), point_d2
 
 
 @pytest.mark.parametrize("cells_per_eps", [8, 32])
@@ -154,16 +148,16 @@ def test_occupancy_matches_meshgrid_reference(monkeypatch, kind, n, cells_per_ep
         cloud = PointCloud.from_points(pts)
         sqrt_args.clear()
         windows.clear()
-        vol = eps_neighborhood_volume(cloud, eps)
+        low, high = eps_neighborhood_volume(cloud, eps)
         ref, point_d2 = meshgrid_occupancy(cloud, eps, cells_per_eps)
-        assert (vol.low, vol.high, vol.value) == (ref.low, ref.high, ref.value)
+        assert (low, high) == ref
         # each point's squared distances match bit for bit, cell by cell,
         # on the window of cells it is measured against
         assert len(sqrt_args) == len(windows) == len(point_d2) == cloud.size
         for d2, window, ref_d2 in zip(sqrt_args, windows, point_d2):
             assert d2.shape == ref_d2[window].shape
             assert np.array_equal(d2.view(np.uint64), ref_d2[window].view(np.uint64))
-        assert vol.low < vol.high
+        assert low < high
 
 
 def grid_cells(cloud, eps):
@@ -199,11 +193,10 @@ def test_occupancy_grid_budget(monkeypatch):
 
 
 def test_volume_input_validation():
-    with pytest.raises(DomainError, match="eps must be positive"):
-        eps_neighborhood_volume(PointCloud.from_points([0]), 0)
-    for unsupported in (IntervalUnion((), 1), [(0, 1)]):
-        with pytest.raises(DomainError, match="unsupported input type"):
-            eps_neighborhood_volume(unsupported, Fraction(1, 2))
+    for cloud in (PointCloud.from_points([0]), PointCloud.from_points([(0, 0)])):
+        for eps in (0, -1, Fraction(-1, 2)):
+            with pytest.raises(DomainError, match="eps must be positive"):
+                eps_neighborhood_volume(cloud, eps)
 
 
 def ternary_tube(depth):
@@ -224,27 +217,58 @@ def test_ternary_ratio_exact_five_halves():
     """
     tube = ternary_tube(10)
     beta = LogRatio(2, 3)
-    sweep = ScaleSweep(Fraction(1, 9), Fraction(1, 3), 5)
-    result = minkowski_ratio_sweep(tube, beta, sweep)
-    first = result.rows[0]
-    assert first.ratio_exact == Fraction(5, 2)
-    assert all(r.ratio_exact is not None for r in result.rows)
-    assert all(Fraction(1) <= r.ratio_exact <= Fraction(3) for r in result.rows)
-    assert result.bounded_by(3.0)
+    scales = geometric_scales(Fraction(1, 9), Fraction(1, 3), 5)
+    rows = tube_ratios(tube, beta, scales)
+    assert [eps for eps, _, _ in rows] == list(scales)
+    # at power 1 the two bounds are one exact ratio
+    assert all(low is high for _, low, high in rows)
+    assert rows[0][1] == Fraction(5, 2)
+    assert all(isinstance(r, Fraction) for _, r, _ in rows)
+    assert all(Fraction(1) <= r <= Fraction(3) for _, r, _ in rows)
+    # eps**(beta - 1) = 2**-m * 3**m at eps = 3**-m
+    for m, (eps, r, _) in enumerate(rows, 2):
+        assert r == Fraction(3, 2) ** m * tube.volume(eps)
+
+
+def test_float_alpha_rows_are_floats():
+    """A float alpha, or an eps that is no power of the LogRatio's base,
+    gives float rows: eps**(alpha - 1) times the float of the exact
+    volume."""
+    tube = ternary_tube(6)
+    scales = geometric_scales(Fraction(1, 9), Fraction(1, 3), 4)
+    for alpha, eps_list in ((0.6, scales), (LogRatio(2, 3), (Fraction(1, 10), 0.01))):
+        for (eps, low, high), e in zip(tube_ratios(tube, alpha, eps_list), eps_list):
+            assert eps == e and low is high
+            assert low == float(e) ** (float(alpha) - 1) * float(tube.volume(e))
 
 
 def test_ratio_sweep_alpha_range():
     tube = ternary_tube(4)
-    sweep = ScaleSweep(Fraction(1, 9), Fraction(1, 3), 4)
-    with pytest.raises(DomainError):
-        minkowski_ratio_sweep(tube, 1.5, sweep)
-    with pytest.raises(DomainError):
-        minkowski_ratio_sweep(tube, -0.1, sweep)
+    scales = geometric_scales(Fraction(1, 9), Fraction(1, 3), 4)
+    for alpha in (1.5, -0.1):
+        with pytest.raises(DomainError, match=r"alpha must lie in \[0, 1\]"):
+            tube_ratios(tube, alpha, scales)
 
 
 def test_full_interval_ratio_constant():
     # alpha = 1 on [0, 1]: ratio = (1 + 2 eps) -> stays within [1, 3] for eps <= 1
-    sweep = ScaleSweep(Fraction(1, 2), Fraction(1, 2), 6)
-    result = minkowski_ratio_sweep(Tube(1, (), 1), 1.0, sweep)
-    for row, eps in zip(result.rows, sweep.scales()):
-        assert math.isclose(row.ratio, float(1 + 2 * eps), rel_tol=1e-12)
+    scales = geometric_scales(Fraction(1, 2), Fraction(1, 2), 6)
+    for (_, ratio, _), eps in zip(tube_ratios(Tube(1, (), 1), 1.0, scales), scales):
+        assert math.isclose(ratio, float(1 + 2 * eps), rel_tol=1e-12)
+
+
+def test_geometric_scales():
+    """Each scale is the previous one times the ratio, in the inputs' type."""
+    scales = geometric_scales(Fraction(1, 9), Fraction(1, 3), 4)
+    assert scales == (Fraction(1, 9), Fraction(1, 27), Fraction(1, 81), Fraction(1, 243))
+    floats = geometric_scales(0.5, 0.1, 3)
+    assert floats == (0.5, 0.5 * 0.1, 0.5 * 0.1 * 0.1)
+    assert geometric_scales(1, Fraction(1, 2), 1) == (1,)
+    for args, message in (
+        ((0, Fraction(1, 2), 3), "eps_max must be positive"),
+        ((1, 1, 3), "ratio must lie strictly between 0 and 1"),
+        ((1, 0, 3), "ratio must lie strictly between 0 and 1"),
+        ((1, Fraction(1, 2), 0), "count must be at least 1"),
+    ):
+        with pytest.raises(DomainError, match=message):
+            geometric_scales(*args)

@@ -24,7 +24,7 @@ from fracspec.geometry.cloud import (
 )
 from fracspec.geometry.dimension import box_dimension_estimate
 from fracspec.geometry.intervals import IntervalUnion
-from fracspec.geometry.sweeps import ScaleSweep
+from fracspec.geometry.sweeps import geometric_scales
 from tube_oracle import union_tube
 
 
@@ -286,12 +286,10 @@ RADII_18_22 = [Fraction(r) for r in range(18, 23)]
 def test_box_counts_are_minimum_covers_1d(extra):
     """The box-dimension rows read the fewest eps-balls that cover the cloud."""
     cloud = PointCloud.from_points(RADII_18_22 + [Fraction(x) for x in extra])
-    sweep = ScaleSweep(Fraction(4), Fraction(1, 2), 5)
-    rows = [(eps, covering_number(cloud, eps)) for eps in sweep.scales()]
-    assert Fraction(1) in sweep.scales()
-    assert [count for _, count in rows] == [
-        brute_min_cover(cloud.points, eps) for eps in sweep.scales()
-    ]
+    scales = geometric_scales(Fraction(4), Fraction(1, 2), 5)
+    rows = [(eps, covering_number(cloud, eps)) for eps in scales]
+    assert Fraction(1) in scales
+    assert [count for _, count in rows] == [brute_min_cover(cloud.points, eps) for eps in scales]
     assert 0.0 <= box_dimension_estimate(rows).slope <= 1.0
 
 
