@@ -245,8 +245,7 @@ def criterion_salem_decay(
         rng = default_rng(seed)
         offsets = sample_salem_offsets(branches, ratio, rng)
         params = CantorParams.create(branches, ratio, offsets, seed=seed)
-        # the error bounds go at once, before the next seed's grid is built
-        xi, spacing, values = spectral_grid(params, depth=8, j_lo=j_lo, j_hi=j_hi)[:3]
+        xi, spacing, values, _ = spectral_grid(params, depth=8, j_lo=j_lo, j_hi=j_hi)
         hi_q = lq_annulus_diagnostics(xi, values, spacing, q_summable, j_lo, j_hi)
         lo_q = lq_annulus_diagnostics(xi, values, spacing, q_divergent, j_lo, j_hi)
         ok = hi_q.verdict == "summable-like" and lo_q.verdict == "divergent-like"

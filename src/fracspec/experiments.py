@@ -31,7 +31,7 @@ from .cantor import (
 )
 from .cantor.params import ETA_RULES
 from .config import REQUIRED, ExperimentConfig, at_least, choice, list_of, parse_real
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, SizeError
 from .fourier import (
     MIN_OCTAVES,
     bessel_tail_profile,
@@ -254,10 +254,11 @@ def run_minkowski(cfg: ExperimentConfig) -> ReportRecord:
 
 def spectral_grid(
     params: CantorParams, depth: int, j_lo: int, j_hi: int, per_octave: int = 512
-) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-    """(xi, spacing, values, errors): the transform and its error bounds on
-    the frequencies xi = spacing, 2 * spacing, ... up to 2**(j_hi + 1),
-    with spacing = 2**j_lo / per_octave.
+) -> tuple[np.ndarray, float, np.ndarray, float]:
+    """(xi, spacing, values, length): the transform on the frequencies
+    xi = spacing, 2 * spacing, ... up to 2**(j_hi + 1), with
+    spacing = 2**j_lo / per_octave, and the level length whose product
+    with abs(xi) bounds its truncation error.
 
     The grid is checked against the transform's budget before it is
     allocated.
@@ -269,8 +270,8 @@ def spectral_grid(
     spacing = 2.0**j_lo / per_octave
     top = 2.0 ** (j_hi + 1)
     xi = np.arange(spacing, top + spacing / 2, spacing)
-    values, errors = cantor_fourier_grid(params, depth, xi)
-    return xi, spacing, values, errors
+    values, length = cantor_fourier_grid(params, depth, xi)
+    return xi, spacing, values, length
 
 
 def run_fourier(cfg: ExperimentConfig) -> ReportRecord:
@@ -281,11 +282,9 @@ def run_fourier(cfg: ExperimentConfig) -> ReportRecord:
         raise ConfigError(f"fourier.j_min..fourier.j_max must span at least {MIN_OCTAVES} octaves")
     per_octave, qs = opts["fourier.samples_per_octave"], opts["fourier.q_list"]
     params = _params_from_config(cfg, opts)
-    xi, spacing, values, errors = spectral_grid(params, depth, j_lo, j_hi, per_octave)
+    xi, spacing, values, length = spectral_grid(params, depth, j_lo, j_hi, per_octave)
     stride = max(1, xi.size // 2048)
-    # copy the sample out so the error bounds can go now
-    sample = list(zip(xi[::stride], values[::stride], errors[::stride]))
-    del errors
+    sample = list(zip(xi[::stride], values[::stride], np.abs(xi[::stride]) * length))
     diags = [lq_annulus_diagnostics(xi, values, spacing, q, j_lo, j_hi) for q in qs]
     out = _out_dir(cfg)
     rows = []
@@ -354,13 +353,18 @@ def run_mollify(cfg: ExperimentConfig) -> ReportRecord:
 
 # Complex entries of the rows drawn and counted at once (1 MB).
 SPAN_CHUNK_ENTRIES = 2**16
+# trials x m**3, the SVD work of the span trials: one trial at m 2048
+# (about 8.7 s on a 2-core x86-64) fits, and so do 1000 at m 64 (2**28).
+MAX_SPAN_WORK = 2**33
 
 
 def span_trials(m: int, root: SeedSequence, trials: int) -> np.ndarray:
     """(3, trials) span_counts; row t is m complex normals from root's t-th
     child.  Rows are spawned, drawn and counted a chunk at a time, after
-    the translate matrix budget is checked."""
+    the translate matrix and work budgets are checked."""
     check_square_budget(m, "translate matrix")
+    if trials * m**3 > MAX_SPAN_WORK:
+        raise SizeError(f"{trials} trials x {m}**3 exceed the span work budget of {MAX_SPAN_WORK}")
     counts = np.empty((3, trials), dtype=np.intp)
     draws = np.empty((min(max(1, SPAN_CHUNK_ENTRIES // m), trials), 2, m))
     for lo in range(0, trials, len(draws)):

@@ -10,17 +10,28 @@ alias, the product cannot.
 
 The grid evaluation walks the flattened frequencies in blocks of BLOCK
 and runs every level on a block before moving on.  A level holds its
-phases as an (N, block) array, one row per branch, and averages them
-with branch_sum, which adds the rows in the order numpy's mean over a
-contiguous complex axis of length N uses: the identity 0 plus a
-pairwise sum (sequential below 4 terms, four interleaved accumulators
-up to 64, halving above).  The order is kept because the pinned
-artifact hashes hold the bytes the first implementation, one
-`.mean(axis=-1)` per level on an (F, N) array, wrote; floating-point
-addition is not associative, so any other order moves the last bits.
-Adding N whole rows this way costs a few vector adds, where numpy's
-reduction over a length-N last axis restarts its loop for every
-frequency.
+phase arguments -xi a_k L_{j-1} as a real (N, block) array, one row per
+branch, and averages cos and sin of them with branch_sum, which adds
+the rows in the order numpy's mean over a contiguous axis of length N
+uses: the identity 0 plus a pairwise sum (sequential below 4 terms,
+four interleaved accumulators up to 64, halving above).  The order is
+kept because the pinned artifact hashes hold the bytes the first
+implementation, one `.mean(axis=-1)` per level of np.exp on an (F, N)
+complex array, wrote; floating-point addition is not associative, so
+any other order moves the last bits.  Adding N whole rows this way
+costs a few vector adds, where numpy's reduction over a length-N last
+axis restarts its loop for every frequency.
+
+The real cos and sin rows give that implementation's bits.  Its
+phases -1j * xi * a_k L_{j-1} have a real part of +0 or -0, and glibc's
+cexp returns exactly (cos y, sin y) for such an argument, from the same
+libm that numpy's float64 cos and sin call (the test suite checks
+this).  The two routes' sin arguments differ at most in the sign of a
+zero; a signed zero term changes a sum only when every term is zero,
+and branch_sum's added identity 0 makes such a sum +0 either way.
+Complex addition is componentwise, so summing the cos rows and the sin
+rows in the same pairwise order gives the complex sum's two parts, and
+cos and sin cost about 30 % less than the complex exp.
 
 Convention note: measures are transformed without the (2pi)**(-n/2)
 prefactor that function transforms carry elsewhere in the package, so
@@ -36,13 +47,14 @@ from ..cantor.params import CantorParams
 
 
 # Frequencies per block of cantor_fourier_grid, small enough that the
-# (N, BLOCK) complex temporaries stay in cache.  On 524,288 frequencies
+# (N, BLOCK) temporaries stay in cache.  On 524,288 frequencies
 # with N = 4 (2-core x86-64), blocks of 2048..16384 ran within 5 % of
 # each other, and 1024 and 65536 were slower.
 BLOCK = 4096
-# Complex exponentials one grid evaluation may take: frequencies x depth x
-# branches.  The spectral benchmark's grid (524,288 frequencies, depth 12,
-# 4 branches) takes 2**24.6 of them in about 0.3 s.
+# Branch phases one grid evaluation may take: frequencies x depth x
+# branches, each a cos and a sin.  The spectral benchmark's grid (524,288
+# frequencies, depth 12, 4 branches) takes 2**24.6 of them in about 0.45 s
+# of CPU time (2-core Intel Xeon, numpy 2.4.6).
 MAX_GRID_PHASES = 2**26
 
 
@@ -91,18 +103,23 @@ def branch_sum(rows: np.ndarray) -> np.ndarray:
     return _pairwise_sum(rows) + 0.0
 
 
-def cantor_fourier_grid(params: CantorParams, depth: int, xi) -> tuple[np.ndarray, np.ndarray]:
+def cantor_fourier_grid(params: CantorParams, depth: int, xi) -> tuple[np.ndarray, float]:
     """Transform of the level-`depth` measure on an array of frequencies.
 
-    Returns (values, error_bounds), both shaped like xi.  An error bound
-    dominates the distance to the un-truncated limit: the level-depth mass
-    sits in intervals of length L_depth, so the phase error is at most
-    |xi| * L_depth.  A grid over MAX_GRID_PHASES raises SizeError.
+    Returns (values, length): values shaped like xi, and the level length
+    L_depth.  The level-depth mass sits in intervals of length L_depth, so
+    abs(xi) * length bounds the distance to the un-truncated limit at xi.
+    Frequencies must be finite; a grid over MAX_GRID_PHASES raises
+    SizeError.
     """
     if depth < 1:
         raise DomainError("depth must be >= 1")
     xi_arr = np.asarray(xi, dtype=float)
     check_grid_budget(params.branches, depth, xi_arr.size)
+    # the extremes are finite exactly when every frequency is (min and max
+    # propagate NaN), and they take no array of the grid's size
+    if xi_arr.size and not (np.isfinite(xi_arr.min()) and np.isfinite(xi_arr.max())):
+        raise DomainError("frequencies must be finite")
     scales = [float(length) for length in params.level_lengths(depth)]
     offsets = np.array([float(a) for a in params.offsets])
     shifts = [(offsets * scales[j - 1])[:, None] for j in range(1, depth + 1)]
@@ -113,18 +130,24 @@ def cantor_fourier_grid(params: CantorParams, depth: int, xi) -> tuple[np.ndarra
     # rounding differs from the vector path, so a lone last frequency joins
     # the block before it; each value then matches the unblocked product.
     edges = [*range(0, max(flat.size - 1, 1), BLOCK), flat.size]
-    # one phase array for every level of every block: fresh (N, block)
+    # work arrays for every level of every block: fresh (N, block)
     # temporaries would be handed back to the system and faulted in again
-    # at each level
-    work = np.empty(branches * np.diff(edges).max(), dtype=complex)
+    # at each level.  The two real ones take the bytes of one complex array.
+    width = np.diff(edges).max()
+    args = np.empty(branches * width)
+    cosines = np.empty(branches * width)
+    factors = np.empty(width, dtype=complex)
     for start, stop in zip(edges, edges[1:]):
         xi_block = flat[start:stop]
         block = values[start:stop]
-        arg = -1j * xi_block
-        phases = work[: branches * len(xi_block)].reshape(branches, -1)
+        minus_xi = -xi_block
+        t = args[: branches * len(xi_block)].reshape(branches, -1)
+        c = cosines[: t.size].reshape(t.shape)
+        factor = factors[: len(xi_block)]
         for shift in shifts:
-            np.multiply(shift, arg, out=phases)
-            block *= branch_sum(np.exp(phases, out=phases)) / branches
+            np.multiply(shift, minus_xi, out=t)
+            factor.real = branch_sum(np.cos(t, out=c))
+            factor.imag = branch_sum(np.sin(t, out=t))
+            block *= factor / branches
         block *= np.exp(-0.5j * xi_block * scales[depth])
-    errors = np.abs(xi_arr) * scales[depth]
-    return values.reshape(xi_arr.shape), errors
+    return values.reshape(xi_arr.shape), scales[depth]

@@ -296,7 +296,19 @@ def test_level_csv_pinned(tmp_path, name):
 # SHA-256 of the spectral-path artifacts as the per-level (F, N) transform
 # loop and the np.roll circulant wrote them.  Depth 6 with j_max = 6 gives
 # 16,384 frequencies, so the blocked transform crosses several blocks.
+# salem-4-deep is the spectral benchmark's fourier config (524,288
+# frequencies, depth 12), whose deep levels take phases below 2**-27; its
+# hashes are those the benchmark's reference holds.
 PINNED_SPECTRAL = {
+    "salem-4-deep": (
+        "fourier",
+        "cantor.branches = 4\ncantor.ratio = 1/16\nfourier.depth = 12\nfourier.j_max = 11\n",
+        1,
+        {
+            "fourier/octaves.csv": "6ab16d7f630dcaf9c496ebfb4a4d35f2de4f9bd2cb6695a51808bf356051135b",
+            "fourier/spectrum.csv": "706117ede0c15e1972b4a9e4de9c4b34ca69a960765719e9038002b0e0330bb4",
+        },
+    ),
     "salem-4": (
         "fourier",
         "cantor.branches = 4\ncantor.ratio = 1/16\nfourier.depth = 6\nfourier.j_max = 6\n",
@@ -501,6 +513,47 @@ def test_cli_span_budget(tmp_path, capsys, monkeypatch, m, budget, code):
     assert "Traceback" not in err
     assert ("exceeds the budget" in err) == (code == 1)
     assert len(drawn) == (0 if code else 2)
+
+
+@pytest.mark.parametrize(
+    "text, budget, code",
+    [
+        ("tauberian.m = 64\ntauberian.trials = 100000000", None, 1),
+        ("tauberian.m = 4\ntauberian.trials = 3", 191, 1),
+        ("tauberian.m = 4\ntauberian.trials = 3", 192, 0),
+    ],
+)
+def test_cli_span_work_budget(tmp_path, capsys, monkeypatch, text, budget, code):
+    """The span trials refuse trials x m**3 over MAX_SPAN_WORK with one
+    error line, before any child seed is spawned or row drawn."""
+    if budget is not None:
+        monkeypatch.setattr(fracspec.experiments, "MAX_SPAN_WORK", budget)
+    spawned, drawn = [], []
+
+    class RecordingSeedSequence(np.random.SeedSequence):
+        def spawn(self, n):
+            spawned.append(n)
+            return super().spawn(n)
+
+    real = fracspec.experiments.default_rng
+    monkeypatch.setattr(fracspec.experiments, "SeedSequence", RecordingSeedSequence)
+    monkeypatch.setattr(
+        fracspec.experiments, "default_rng", lambda seed: drawn.append(seed) or real(seed)
+    )
+    path = tmp_path / "run.cfg"
+    path.write_text(text + "\n")
+    assert main(["tauberian", "--config", str(path), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    if code:
+        trials, m = (line.split(" = ")[1] for line in text.splitlines()[::-1])
+        assert err.splitlines() == [
+            f"error: {trials} trials x {m}**3 exceed the span work budget of "
+            f"{budget or 2**33}"
+        ]
+        assert spawned == drawn == []
+    else:
+        assert err == ""
+        assert spawned == [3] and len(drawn) == 3
 
 
 @pytest.mark.parametrize("m, budget, code", [(1000000, None, 1), (9, 64, 1), (8, 64, 0)])

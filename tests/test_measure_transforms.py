@@ -56,16 +56,17 @@ def test_mass_normalization_and_modulus():
     params = middle_thirds_params()
     assert transform_at(params, 8, 0.0) == pytest.approx(1.0, abs=1e-14)
     xi = np.linspace(-60, 60, 401)
-    values, errors = cantor_fourier_grid(params, 8, xi)
+    values, length = cantor_fourier_grid(params, 8, xi)
     assert np.all(np.abs(values) <= 1.0 + 1e-12)
-    assert np.all(errors >= 0)
+    assert length == float(Fraction(1, 3) ** 8)
     # conjugate symmetry: the measure is real
     back, _ = cantor_fourier_grid(params, 8, -xi)
     assert np.max(np.abs(np.conj(values) - back)) < 1e-14
 
 
 def unblocked_transform(params, depth, xi):
-    """The transform as it was first computed: one (F, N) exp per level."""
+    """The transform as it was first computed: one (F, N) complex exp per
+    level, and the level length."""
     xi_arr = np.asarray(xi, dtype=float)
     scales = [float(length) for length in params.level_lengths(depth)]
     offsets = np.array([float(a) for a in params.offsets])
@@ -74,8 +75,7 @@ def unblocked_transform(params, depth, xi):
         phases = np.exp(-1j * xi_arr[..., None] * (offsets * scales[j - 1]))
         values *= phases.mean(axis=-1)
     values *= np.exp(-0.5j * xi_arr * scales[depth])
-    errors = np.abs(xi_arr) * scales[depth]
-    return values, errors
+    return values, scales[depth]
 
 
 TAPERED = CantorParams.create(
@@ -114,15 +114,54 @@ GRID_PARAMS = {
     [(0,), (1,), (BLOCK - 1,), (BLOCK,), (BLOCK + 1,), (5 * BLOCK // 2,), (37, 301), ()],
 )
 def test_blocked_grid_matches_unblocked_reference(params, shape):
-    """Blocking over xi changes no bit of the values or the error bounds."""
+    """Blocking over xi and taking real cos/sin rows in place of the complex
+    exp change no bit of the values, signed zeros included, nor the length."""
     rng = np.random.default_rng(sum(shape) + 1)
     xi = rng.uniform(-3000.0, 3000.0, size=shape)
-    values, errors = cantor_fourier_grid(params, 9, xi)
-    ref_values, ref_errors = unblocked_transform(params, 9, xi)
+    if xi.size >= 3:
+        xi.reshape(-1)[1:3] = 0.0, -0.0
+    values, length = cantor_fourier_grid(params, 9, xi)
+    ref_values, ref_length = unblocked_transform(params, 9, xi)
     assert values.shape == ref_values.shape == np.shape(xi)
-    assert np.array_equal(values.reshape(-1).view(float), ref_values.reshape(-1).view(float))
-    assert np.shape(errors) == np.shape(ref_errors)
-    assert np.array_equal(errors, ref_errors)
+    assert np.array_equal(
+        values.reshape(-1).view(np.uint64), ref_values.reshape(-1).view(np.uint64)
+    )
+    assert length == ref_length
+
+
+def test_deep_levels_match_unblocked_reference():
+    """The benchmark's construction at its depth 12, on k/128 across the
+    first block edge: from level 10 on every phase is below 2**-27, where
+    cos rounds to 1 and sin to its argument, and the bits still agree."""
+    xi = np.concatenate([[0.0, -0.0], np.arange(1, BLOCK + 300) / 128])
+    values, _ = cantor_fourier_grid(SALEM_4, 12, xi)
+    ref_values, _ = unblocked_transform(SALEM_4, 12, xi)
+    assert np.array_equal(values.view(np.uint64), ref_values.view(np.uint64))
+    assert float(SALEM_4.level_lengths(9)[9]) * xi.max() < 2.0**-27
+
+
+def test_exp_of_imaginary_phase_is_cos_sin():
+    """The one assumption of the cos/sin route: numpy's complex exp of
+    (+-0, y) is (cos y, sin y) bit for bit, for y of every size."""
+    rng = np.random.default_rng(20)
+    tiny = [0.0, 5e-324, 2.0**-1022, 1e-300, 2.0**-28, 2.0**-27, 2.0**-26]
+    y = np.concatenate(
+        [
+            tiny,
+            np.negative(tiny),
+            rng.uniform(-10.0, 10.0, 20000),
+            rng.uniform(-3000.0, 3000.0, 20000),
+            rng.standard_normal(20000) * 10.0 ** rng.integers(-12, 23, 20000),
+            [1e22, -1e22, np.pi * 2**60],
+        ]
+    )
+    assert np.signbit(y[len(tiny)])
+    for real in (0.0, -0.0):
+        z = np.empty(y.shape, dtype=complex)
+        z.real, z.imag = real, y
+        got = np.exp(z)
+        assert np.array_equal(got.real.view(np.uint64), np.cos(y).view(np.uint64))
+        assert np.array_equal(got.imag.view(np.uint64), np.sin(y).view(np.uint64))
 
 
 @pytest.mark.parametrize("branches", range(1, 151))
@@ -146,9 +185,9 @@ def test_truncation_bound_certifies_depth_gap():
     """|F_J - F_(J+5)| must stay within the level-J error bound."""
     params = middle_thirds_params()
     xi = np.linspace(0.5, 200.0, 57)
-    shallow, err = cantor_fourier_grid(params, 6, xi)
+    shallow, length = cantor_fourier_grid(params, 6, xi)
     deep, _ = cantor_fourier_grid(params, 11, xi)
-    assert np.all(np.abs(shallow - deep) <= err + 1e-15)
+    assert np.all(np.abs(shallow - deep) <= np.abs(xi) * length + 1e-15)
 
 
 def test_self_similarity_identity():
@@ -182,6 +221,20 @@ def test_nondecay_along_ternary_frequencies():
 def test_grid_depth_validation():
     with pytest.raises(DomainError):
         cantor_fourier_grid(middle_thirds_params(), 0, np.array([1.0]))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -math.nan])
+@pytest.mark.parametrize("at", [0, BLOCK + 5])
+def test_grid_rejects_non_finite_frequencies(bad, at):
+    """A NaN or infinite frequency raises, wherever it sits, so every
+    accepted frequency has a finite phase."""
+    xi = np.linspace(-50.0, 50.0, 2 * BLOCK)
+    xi[at] = bad
+    with pytest.raises(DomainError, match="frequencies must be finite"):
+        cantor_fourier_grid(middle_thirds_params(), 4, xi)
+    with pytest.raises(DomainError, match="frequencies must be finite"):
+        cantor_fourier_grid(middle_thirds_params(), 4, bad)
+    assert cantor_fourier_grid(middle_thirds_params(), 4, np.array([]))[0].size == 0
 
 
 def test_grid_phase_budget(monkeypatch):
