@@ -5,7 +5,8 @@ The package splits into five layers:
 * ``geometry``: covering/packing counts, neighborhood volumes, box
   dimension, ball-mass densities, all exact where the inputs allow;
 * ``cantor``: parametrized Cantor-type interval constructions, their
-  natural measures, product volume bounds, and random offset draws;
+  levels and closed-form tube data, natural measures, and random offset
+  draws;
 * ``fourier``: transforms of those measures, octave diagnostics, bump
   mollifiers, and weighted shell sums;
 * ``tauberian``: cyclic-grid span/rank certificates, spherical zero
@@ -22,12 +23,7 @@ import os
 # user set is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .errors import (
-    ConfigError,
-    DomainError,
-    RejectionBudgetError,
-    SizeError,
-)
+from .errors import ConfigError, DomainError, SizeError
 from .numeric import LogRatio, as_fraction, parse_rational
 
 __version__ = "0.1.0"
@@ -36,7 +32,6 @@ __all__ = [
     "ConfigError",
     "DomainError",
     "LogRatio",
-    "RejectionBudgetError",
     "SizeError",
     "as_fraction",
     "parse_rational",

@@ -5,9 +5,11 @@ run on fixed seeds and fixed tolerances.  `run_suite()` executes them
 in order and reports one CriterionResult per name; the CLI prints one
 pass/fail line each and exits nonzero if any fail.
 
-A few criteria take keyword overrides (a wrong exponent, a different
-octave range).  Those exist so tests can inject faults and watch the
-criterion fail; the registry always runs the defaults.
+Three criteria take one keyword override each: `alpha` on
+minkowski-ratio (a wrong exponent), `depth` on cantor-nondecay (a
+truncated transform) and `alpha` on mollifier-sum (a wrong weight).
+Those exist so tests can inject faults and watch the criterion fail;
+the registry always runs the defaults.
 """
 
 from __future__ import annotations
@@ -77,14 +79,14 @@ def _result(name, passed, detail) -> CriterionResult:
 # 1. covering / packing chain and the volume sandwich
 
 
-def criterion_chain_inequalities(sets: int = 100, seed: int = 1811) -> CriterionResult:
-    rng = default_rng(seed)
+def criterion_chain_inequalities() -> CriterionResult:
+    rng = default_rng(1811)
     eps_values = [Fraction(2, 5), Fraction(1, 5), Fraction(1, 10), Fraction(1, 20), Fraction(1, 40)]
     # 2 eps, eps and eps/2 over the halving schedule: 7 distinct radii
     radii = sorted({r for eps in eps_values for r in (2 * eps, eps, eps / 2)}, reverse=True)
     chain_ok = volume_ok = 0
     checks = 0
-    for i in range(sets):
+    for i in range(100):
         n = 1 if i % 2 == 0 else 2
         size = int(rng.integers(2, 16))
         coords = rng.integers(0, 10**6, size=(size, n))
@@ -217,13 +219,7 @@ def criterion_cantor_nondecay(depth: int = 40) -> CriterionResult:
 # 6. random construction: decay dichotomy across L^q exponents
 
 
-def criterion_salem_decay(
-    seeds=(1, 2, 3, 4, 5),
-    j_lo: int = 4,
-    j_hi: int = 7,
-    q_summable: float = 6.0,
-    q_divergent: float = 3.0,
-) -> CriterionResult:
+def criterion_salem_decay() -> CriterionResult:
     """Decay dichotomy for the random 4-branch, ratio-1/16 construction.
 
     The default window is one full base-16 frequency block [16, 256],
@@ -239,6 +235,8 @@ def criterion_salem_decay(
     3-of-5 level and is kept as an honest record rather than weakened.
     """
     branches, ratio = 4, Fraction(1, 16)
+    seeds, j_lo, j_hi = (1, 2, 3, 4, 5), 4, 7
+    q_summable, q_divergent = 6.0, 3.0
     wins = 0
     per_seed = []
     for seed in seeds:
@@ -308,10 +306,10 @@ def criterion_lp_tail_dichotomy() -> CriterionResult:
 # 9. span dimension: the circulant rank equals the DFT support count
 
 
-def criterion_span_oracle(trials: int = 100, seed: int = 907) -> CriterionResult:
-    sizes = (8, 16, 32)
+def criterion_span_oracle() -> CriterionResult:
+    sizes, trials = (8, 16, 32), 100
     total = trials * len(sizes)
-    matches = sum(span_matches(span_trials(m, SeedSequence(seed + m), trials)) for m in sizes)
+    matches = sum(span_matches(span_trials(m, SeedSequence(907 + m), trials)) for m in sizes)
     passed = matches == total
     return _result(
         "span-oracle",
@@ -352,12 +350,11 @@ def criterion_verdict_formulas() -> CriterionResult:
 # 11. upper density of the natural middle-thirds measure
 
 
-def criterion_upper_density(points: int = 200, seed: int = 4217) -> CriterionResult:
-    params = middle_thirds_params()
-    depth = 12
-    measure = natural_measure(params, depth)
+def criterion_upper_density() -> CriterionResult:
+    points = 200
+    measure = natural_measure(middle_thirds_params(), 12)
     beta = math.log(2) / math.log(3)
-    rng = default_rng(seed)
+    rng = default_rng(4217)
     idx = rng.choice(len(measure.atoms), size=points, replace=False)
     radii = [float(r) for r in geometric_scales(Fraction(1, 9), Fraction(1, 3), 9)]
     lo_lim = 2.0**-beta - 0.05

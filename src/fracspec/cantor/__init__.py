@@ -5,7 +5,6 @@ from .levels import CantorLevel, build_level, check_level_budget, level_tube
 from .measures import natural_measure
 from .params import (
     CantorParams,
-    ValidationReport,
     middle_thirds_params,
     similarity_dimension,
     tapered_eta,
@@ -17,7 +16,6 @@ __all__ = [
     "REJECTION_BUDGET",
     "CantorLevel",
     "CantorParams",
-    "ValidationReport",
     "build_level",
     "check_level_budget",
     "level_tube",

@@ -37,14 +37,17 @@ def write_params(params: CantorParams, path) -> None:
 def write_level_csv(level: CantorLevel, path) -> None:
     """One row per interval, each rational in lowest terms, in the bytes
     csv.writer would write: unquoted fields, rows ending in '\\r\\n'.
-    The rows are streamed, never held as one string."""
-    den = level.intervals.denominator
+    The one length is reduced once, and the rows are streamed, never
+    held as one string."""
+    starts, length, den = level
+    g = math.gcd(length, den)
+    tail = f",{length // g},{den // g}\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(LEVEL_FIELDS) + "\r\n")
-        fh.writelines(_level_rows(level.intervals.intervals, den))
+        fh.writelines(_level_rows(starts, den, tail))
 
 
-def _level_rows(spans, den: int):
-    for i, (start, length) in enumerate(spans):
-        gs, gl = math.gcd(start, den), math.gcd(length, den)
-        yield f"{i},{start // gs},{den // gs},{length // gl},{den // gl}\r\n"
+def _level_rows(starts, den: int, tail: str):
+    for i, start in enumerate(starts):
+        g = math.gcd(start, den)
+        yield f"{i},{start // g},{den // g}{tail}"

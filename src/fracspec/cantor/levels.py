@@ -4,25 +4,28 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import DomainError, SizeError
-from ..geometry.intervals import IntervalUnion, Tube
+from ..geometry.intervals import Tube
 from ..numeric import to_lattice
-from .params import CantorParams
+from .params import CantorParams, validate_params
 
 MAX_INTERVALS = 2**20
 
 
-@dataclass(frozen=True)
-class CantorLevel:
-    """Level-depth stage of the recursion: branches**depth closed intervals."""
+class CantorLevel(NamedTuple):
+    """Level-depth stage of the recursion: branches**depth closed intervals
+    [s / denominator, (s + length) / denominator], one per sorted integer
+    start s, all of the one length, in lowest terms."""
 
-    intervals: IntervalUnion
+    starts: list[int]
+    length: int
+    denominator: int
 
     @property
     def member_count(self) -> int:
-        return self.intervals.count
+        return len(self.starts)
 
 
 def check_level_budget(params: CantorParams, depth: int) -> None:
@@ -55,20 +58,22 @@ def build_level(params: CantorParams, depth: int) -> CantorLevel:
     interval has length L_depth.  The denominator is the lcm of those of
     L_depth and of every a_k * L_(j-1), so each move is an integer step
     and the recursion adds ints; no Fraction is made per interval.
+    Sorted parents and ascending offsets give sorted children, and offset
+    gaps above eta keep them disjoint, so the parameters are validated
+    here as well: one made without CantorParams.create is refused.
     """
     check_level_budget(params, depth)
+    validate_params(params.branches, params.ratio, params.offsets, params.eta_rule)
     length, moves, den = _lattice_moves(params, depth)
     k = len(params.offsets)
     starts = [0]
     for j in range(0, len(moves), k):
         starts = [s + a for s in starts for a in moves[j : j + k]]
-    # the union keeps lowest terms, which this lcm need not be
+    # the level keeps lowest terms, which this lcm need not be
     g = math.gcd(den, length, *starts)
     if g > 1:
         den, length, starts = den // g, length // g, [s // g for s in starts]
-    # sorted parents and ascending offsets give sorted children, and offset
-    # gaps above eta keep them disjoint; IntervalUnion raises if they are not
-    return CantorLevel(IntervalUnion(tuple((s, length) for s in starts), den))
+    return CantorLevel(starts, length, den)
 
 
 def level_tube(params: CantorParams, depth: int) -> Tube:

@@ -13,13 +13,13 @@ def natural_measure(params: CantorParams, depth: int) -> WeightedMeasure:
     """Level-depth atomic stand-in for the limit measure, as floats.
 
     One atom at each level-depth interval midpoint, each of weight
-    float(branches**-depth).  The midpoint of the span (s, l) over den is
-    (2s + l) / (2 den); int true division rounds it correctly, as
+    float(branches**-depth).  The midpoint of [s, s + length] over den is
+    (2s + length) / (2 den); int true division rounds it correctly, as
     float(Fraction) does, without reducing a Fraction per interval.
     """
-    level = build_level(params, depth)
+    starts, length, den = build_level(params, depth)
     weight = float(Fraction(1, params.branches**depth))
-    twice = 2 * level.intervals.denominator
+    twice = 2 * den
     return WeightedMeasure.from_atoms(
-        [(2 * s + l) / twice for s, l in level.intervals.intervals], [weight] * level.member_count
+        [(2 * s + length) / twice for s in starts], [weight] * len(starts)
     )

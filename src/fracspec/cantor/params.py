@@ -30,16 +30,6 @@ def tapered_eta(eta: Fraction, j: int) -> Fraction:
 
 
 @dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple
-
-    def require(self) -> None:
-        if not self.ok:
-            raise DomainError("; ".join(self.violations))
-
-
-@dataclass(frozen=True)
 class CantorParams:
     """Validated parameters for a branching construction.
 
@@ -67,7 +57,7 @@ class CantorParams:
     ) -> "CantorParams":
         ratio = as_fraction(ratio)
         offsets = tuple(as_fraction(a) for a in offsets)
-        validate_params(branches, ratio, offsets, eta_rule).require()
+        validate_params(branches, ratio, offsets, eta_rule)
         dim = similarity_dimension(branches, ratio)
         return cls(branches, ratio, offsets, dim, eta_rule, seed)
 
@@ -109,14 +99,12 @@ def similarity_dimension(branches: int, ratio: Fraction) -> float:
     return beta
 
 
-def validate_params(
-    branches: int, ratio, offsets: Sequence, eta_rule: str = "constant"
-) -> ValidationReport:
-    """Collect all violations instead of stopping at the first."""
-    problems = []
+def validate_params(branches: int, ratio, offsets: Sequence, eta_rule: str = "constant") -> None:
+    """Raise one DomainError naming every violation, joined by "; ",
+    instead of stopping at the first."""
     if not isinstance(branches, int) or branches < 2:
-        problems.append(f"branches must be an integer >= 2, got {branches!r}")
-        return ValidationReport(False, tuple(problems))
+        raise DomainError(f"branches must be an integer >= 2, got {branches!r}")
+    problems = []
     ratio = as_fraction(ratio)
     offsets = tuple(as_fraction(a) for a in offsets)
     if not (0 < ratio < 1):
@@ -139,7 +127,8 @@ def validate_params(
                 )
     if eta_rule not in ETA_RULES:
         problems.append(f"eta_rule must be one of {ETA_RULES}, got {eta_rule!r}")
-    return ValidationReport(not problems, tuple(problems))
+    if problems:
+        raise DomainError("; ".join(problems))
 
 
 def middle_thirds_params() -> CantorParams:

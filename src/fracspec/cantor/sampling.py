@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..errors import DomainError, RejectionBudgetError, SizeError
+from ..errors import DomainError, SizeError
 from ..numeric import as_fraction
 
 # Uniforms one draw may take over all its proposals (proposals x
@@ -25,7 +25,7 @@ def sample_salem_offsets(branches: int, ratio, rng: np.random.Generator) -> tupl
     (branches - 1) * ratio < 1 - ratio, i.e. room for the mandatory gaps.
     At most REJECTION_BUDGET uniforms are drawn over all proposals: a
     proposal wider than that raises SizeError before the first draw, and
-    a budget spent without an accepted draw raises RejectionBudgetError.
+    so does a budget spent without an accepted draw.
     """
     ratio = as_fraction(ratio)
     if not (0 < ratio < 1) or branches * ratio >= 1:
@@ -47,7 +47,7 @@ def sample_salem_offsets(branches: int, ratio, rng: np.random.Generator) -> tupl
         draw = np.sort(rng.uniform(0.0, top, size=branches))
         if np.all(np.diff(draw) > gap):
             return tuple(Fraction(x) for x in draw)
-    raise RejectionBudgetError(
+    raise SizeError(
         f"no admissible draw in {proposals} proposals of {branches} uniforms "
         f"(budget {REJECTION_BUDGET} uniforms, ratio={ratio})"
     )

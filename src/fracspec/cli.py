@@ -13,7 +13,7 @@ import sys
 from . import __version__
 from .acceptance import CRITERIA, run_suite
 from .config import EXPERIMENT_IDS, ExperimentConfig
-from .errors import ConfigError, DomainError, RejectionBudgetError, SizeError
+from .errors import ConfigError, DomainError, SizeError
 from .experiments import run_experiment
 
 
@@ -79,7 +79,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, SizeError, RejectionBudgetError) as exc:
+    except (DomainError, SizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,9 +9,5 @@ class SizeError(ValueError):
     """An input exceeds a configured size, depth, or cost budget."""
 
 
-class RejectionBudgetError(RuntimeError):
-    """A rejection sampler exhausted its draw budget without accepting."""
-
-
 class ConfigError(ValueError):
     """An experiment configuration file is malformed or incomplete."""

@@ -166,21 +166,20 @@ def run_construct(cfg: ExperimentConfig) -> ReportRecord:
     out = _out_dir(cfg)
     write_params(params, out / "params.json")
     write_level_csv(level, out / "level.csv")
-    union = level.intervals
-    first_start = union.intervals[0][0] / union.denominator
+    count = level.member_count
     tube = level_tube(params, depth)
     return ReportRecord(
         experiment=cfg.experiment,
         digest=cfg.digest(opts),
         metrics={
             "depth": depth,
-            "intervals": level.member_count,
-            "total_length": float(union.measure),
+            "intervals": count,
+            "total_length": float(Fraction(count * level.length, level.denominator)),
             "min_gap": tube.gaps[0][0] / tube.denominator if tube.gaps else 0.0,
             "dimension": float(params.dimension),
-            "first_start": first_start,
+            "first_start": level.starts[0] / level.denominator,
         },
-        flags={"count_matches_branching": level.member_count == params.branches**depth},
+        flags={"count_matches_branching": count == params.branches**depth},
     )
 
 

@@ -8,14 +8,12 @@ from .cloud import (
 )
 from .density import WeightedMeasure, upper_density_estimate
 from .dimension import DimensionFit, box_dimension_estimate
-from .intervals import IntervalUnion
 from .sweeps import geometric_scales
 from .volumes import eps_neighborhood_volume, tube_ratios
 
 __all__ = [
     "EXACT_CAP",
     "DimensionFit",
-    "IntervalUnion",
     "PointCloud",
     "WeightedMeasure",
     "box_dimension_estimate",

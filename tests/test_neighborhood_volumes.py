@@ -13,15 +13,16 @@ from fracspec.cantor.params import middle_thirds_params
 from fracspec.errors import DomainError, SizeError
 from fracspec.geometry import volumes
 from fracspec.geometry.cloud import PointCloud
-from fracspec.geometry.intervals import IntervalUnion, Tube
+from fracspec.geometry.intervals import Tube
 from fracspec.geometry.sweeps import geometric_scales
 from fracspec.geometry.volumes import eps_neighborhood_volume, tube_ratios
 from fracspec.numeric import LogRatio
+from interval_oracle import from_pairs
 from tube_oracle import union_tube
 
 
 def test_interval_union_volume_exact():
-    k1 = IntervalUnion.from_pairs([(0, Fraction(1, 3)), (Fraction(2, 3), Fraction(1, 3))])
+    k1 = from_pairs([(0, Fraction(1, 3)), (Fraction(2, 3), Fraction(1, 3))])
     assert union_tube(k1).volume(Fraction(1, 9)) == Fraction(10, 9)
     assert level_tube(middle_thirds_params(), 1).volume(Fraction(1, 9)) == Fraction(10, 9)
 
@@ -50,7 +51,7 @@ def test_cloud_volume_1d_matches_merged_union(xs, k):
     """The gap formula against merging the pieces [x - eps, x + eps]."""
     eps = Fraction(k, 8)
     low, high = eps_neighborhood_volume(PointCloud.from_points(xs), eps)
-    pieces = IntervalUnion.from_pairs((Fraction(x) - eps, 2 * eps) for x in xs)
+    pieces = from_pairs((Fraction(x) - eps, 2 * eps) for x in xs)
     assert low == high == pieces.measure
 
 
@@ -205,7 +206,7 @@ def ternary_tube(depth):
     for _ in range(depth):
         starts = [s + a * length for s in starts for a in (Fraction(0), Fraction(2, 3))]
         length /= 3
-    return union_tube(IntervalUnion.from_pairs((s, length) for s in starts))
+    return union_tube(from_pairs((s, length) for s in starts))
 
 
 def test_ternary_ratio_exact_five_halves():

@@ -23,8 +23,8 @@ from fracspec.geometry.cloud import (
     packing_number,
 )
 from fracspec.geometry.dimension import box_dimension_estimate
-from fracspec.geometry.intervals import IntervalUnion
 from fracspec.geometry.sweeps import geometric_scales
+from interval_oracle import from_pairs
 from tube_oracle import union_tube
 
 
@@ -204,12 +204,12 @@ def test_cached_tables_carry_no_eps(pairs, pts, order):
     """One union's tube and one exact 2-D cloud queried at every eps in
     shuffled order agree with the enumerating oracles, and the cloud with
     a fresh object."""
-    iu = IntervalUnion.from_pairs((Fraction(a, 4), Fraction(b, 4)) for a, b in pairs)
+    iu = from_pairs((Fraction(a, 4), Fraction(b, 4)) for a, b in pairs)
     tube = union_tube(iu)
     cloud = PointCloud.from_points(pts)
     for eps in order:
         den = iu.denominator
-        grown = IntervalUnion.from_pairs(
+        grown = from_pairs(
             (Fraction(s, den) - eps, Fraction(l, den) + 2 * eps) for s, l in iu.intervals
         )
         assert tube.volume(eps) == grown.measure

@@ -12,6 +12,7 @@ from fracspec.geometry.intervals import Tube
 from fracspec.geometry.sweeps import geometric_scales
 from fracspec.geometry.volumes import tube_ratios
 from fracspec.numeric import LogRatio
+from interval_oracle import level_union
 from tube_oracle import union_tube
 
 
@@ -21,7 +22,7 @@ def test_cube_budget():
     scales = geometric_scales(Fraction(1, 9), Fraction(1, 3), 4)
     rows = tube_ratios(level_tube(middle_thirds_params(), 12), LogRatio(4, 3), scales, power=2)
     assert len(rows) == 4
-    built = union_tube(build_level(middle_thirds_params(), 12).intervals)
+    built = union_tube(level_union(build_level(middle_thirds_params(), 12)))
     assert rows == tube_ratios(built, LogRatio(4, 3), scales, power=2)
 
 
