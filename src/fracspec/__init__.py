@@ -18,9 +18,9 @@ The package splits into five layers:
 import os
 
 # One OpenBLAS thread: the largest BLAS call is the SVD of one translate
-# matrix (m <= 2048), and a worker thread started with numpy spins for
-# about 0.05 CPU-s after the import.  Set before numpy loads; a value the
-# user set is kept.
+# matrix, h x h with h = m/2 for even m (m <= 2048), and a worker thread
+# started with numpy spins for about 0.05 CPU-s after the import.  Set
+# before numpy loads; a value the user set is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import ConfigError, DomainError, SizeError

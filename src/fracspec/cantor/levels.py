@@ -88,7 +88,10 @@ def level_tube(params: CantorParams, depth: int) -> Tube:
     So each of the N**(j-1) level-(j-1) intervals leaves the gaps
     (a_(k+1) - a_k) L_(j-1) + lo_j - hi_j between its children, and the
     level has total length N**depth L_depth (Lapidus-Pomerance 1993).
+    Gaps above eta keep these gaps positive, so the parameters are
+    validated as in build_level.
     """
+    validate_params(params.branches, params.ratio, params.offsets, params.eta_rule)
     length, moves, den = _lattice_moves(params, depth)
     k = len(params.offsets)
     lo, hi = 0, length

@@ -353,7 +353,8 @@ def run_mollify(cfg: ExperimentConfig) -> ReportRecord:
 # Complex entries of the rows drawn and counted at once (1 MB).
 SPAN_CHUNK_ENTRIES = 2**16
 # trials x m**3, the SVD work of the span trials: one trial at m 2048
-# (about 8.7 s on a 2-core x86-64) fits, and so do 1000 at m 64 (2**28).
+# (about 1.8 s on a 2-core x86-64, as two 1024 x 1024 blocks) fits, and
+# so do 1000 at m 64 (2**28).
 MAX_SPAN_WORK = 2**33
 
 

@@ -220,12 +220,15 @@ def test_level_tube_matches_built_levels():
 
 def test_unvalidated_offsets_raise():
     # CantorParams built without create skips validation; build_level
-    # still refuses overlapping or out-of-order children
+    # and level_tube still refuse overlapping or out-of-order children
     overlap = CantorParams(2, Fraction(1, 2), (Fraction(0), Fraction(1, 4)), 1.0)
     descending = CantorParams(2, Fraction(1, 3), (Fraction(2, 3), Fraction(0)), 0.63)
     for params in (overlap, descending):
         with pytest.raises(DomainError):
             build_level(params, 1)
+        for depth in (1, 2):
+            with pytest.raises(DomainError):
+                level_tube(params, depth)
 
 
 def test_natural_measure_totals_and_interval_mass():

@@ -4,8 +4,11 @@ Route one counts nonvanishing transform coefficients (the span oracle),
 route two takes the numerical rank of the full translate matrix, and the
 test-local route three counts coefficients from the raw DFT definition
 without going through numpy's FFT.  The program runs routes one and two
-on stacks of trials (`span_counts`); the per-trial functions below are
-the oracle the stack is compared with, bit for bit.
+on stacks of trials (`span_counts`), ranking an even-m matrix as two
+half-size blocks; the per-trial functions below are the oracle the
+stack's counts are compared with.  The stacked FFT and the stacked SVD of
+full matrices match the per-trial ones bit for bit, and the blocks'
+singular values match the full matrix's to rounding.
 """
 
 import tracemalloc
@@ -19,7 +22,7 @@ import fracspec.tauberian.span as span
 from fracspec.errors import DomainError, SizeError
 from fracspec.experiments import span_trials
 from fracspec.tauberian.grid import DEFAULT_TOL_FACTOR
-from fracspec.tauberian.span import span_counts, translate_matrices
+from fracspec.tauberian.span import rank_blocks, span_counts, translate_matrices
 
 
 def naive_dft_nonzero_count(values, tol):
@@ -56,6 +59,15 @@ def oracle_zero_count(row):
 def roll_circulant(values):
     """The translate matrix as it was first built: one np.roll per row."""
     return np.stack([np.roll(values, k) for k in range(len(values))])
+
+
+def roll_skew_circulant(values):
+    """The skew-circulant from its definition: row k is the row rolled by
+    k, with the k entries that wrapped around negated."""
+    mat = roll_circulant(values)
+    for k in range(len(values)):
+        mat[k, :k] *= -1
+    return mat
 
 
 def oracle_rank(row):
@@ -129,6 +141,74 @@ def test_circulant_matrix_matches_roll_reference(m):
         ref = roll_circulant(row)
         assert mat.dtype == ref.dtype
         assert np.array_equal(mat, ref)
+
+
+@pytest.mark.parametrize("m", [2, 3, 8, 65])
+def test_skew_matrix_matches_roll_reference(m):
+    rows = seeded_rows(m, 3, 300 + m)
+    stack = translate_matrices(rows, -1)
+    assert not stack.flags.writeable
+    for mat, row in zip(stack, rows):
+        assert np.array_equal(mat, roll_skew_circulant(row))
+
+
+@pytest.mark.parametrize("m", [2, 8, 64])
+def test_fold_singular_values_are_the_circulants(m):
+    """The circulant of lo + hi and the skew-circulant of lo - hi have
+    together the full translate matrix's singular values, unscaled."""
+    rows = seeded_rows(m, 4, 200 + m)
+    lo, hi = rows[:, : m // 2], rows[:, m // 2 :]
+    blocks = rank_blocks(rows)
+    assert [sign for _, sign in blocks] == [1, -1]
+    assert np.array_equal(blocks[0][0], lo + hi)
+    assert np.array_equal(blocks[1][0], lo - hi)
+    halves = [np.linalg.svd(translate_matrices(b, sign), compute_uv=False) for b, sign in blocks]
+    for t, row in enumerate(rows):
+        full = np.sort(np.linalg.svd(roll_circulant(row), compute_uv=False))
+        folded = np.sort(np.concatenate([svals[t] for svals in halves]))
+        assert np.abs(folded - full).max() <= 1e-12 * full[-1]
+
+
+@pytest.mark.parametrize("m", [3, 65, 97])
+def test_odd_m_ranks_the_unfolded_matrix(m):
+    rows = seeded_rows(m, 2, m)
+    [(block, sign)] = rank_blocks(rows)
+    assert block is rows and sign == 1
+
+
+def planted_zero_rows(m, ks, trials, seed):
+    """Rows whose unitary transform is random off ks and zero on ks."""
+    fhat = seeded_rows(m, trials, seed)
+    fhat[:, sorted(ks)] = 0
+    return np.fft.ifft(fhat, axis=-1)
+
+
+def zero_sets(m):
+    odd = {k for k in range(1, m, 2) if k % 3 != 2}
+    even = {k for k in range(0, m, 2) if k % 3 != 2}
+    return {"odd": odd, "even": even, "both": odd | even}
+
+
+@pytest.mark.parametrize("m", [2, 3, 8, 64, 65, 97])
+@pytest.mark.parametrize("which", ["odd", "even", "both"])
+def test_planted_zeros_match_oracle_rank(m, which):
+    """Zeros at odd k are the roots of x^h + 1 and leave the skew block,
+    zeros at even k the circulant block; either way the summed rank is
+    the count of nonzero coefficients and the oracle's."""
+    ks = zero_sets(m)[which]
+    rows = planted_zero_rows(m, ks, 4, 400 + m)
+    span_dim, rank, zeros = span_counts(rows)
+    assert rank.tolist() == [oracle_rank(row) for row in rows] == [m - len(ks)] * 4
+    assert span_dim.tolist() == rank.tolist() and zeros.tolist() == [len(ks)] * 4
+    if m % 2 == 0:
+        h = m // 2
+        cut = np.sqrt(m) * np.array([oracle_tol(row) for row in rows])
+        per_block = [
+            np.linalg.matrix_rank(translate_matrices(b, sign), tol=cut) for b, sign in rank_blocks(rows)
+        ]
+        odd = sum(k % 2 for k in ks)
+        assert per_block[0].tolist() == [h - (len(ks) - odd)] * 4
+        assert per_block[1].tolist() == [h - odd] * 4
 
 
 def test_span_requires_1d():
@@ -226,6 +306,12 @@ def traced_peak(m, trials):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_span_trials_hold_no_dense_matrix_stack():
+    """1000 trials at m 64 peak at about 5 MB; a dense (T, 32, 32) copy of
+    either half-size block would add 16 MB."""
+    assert traced_peak(64, 1000) <= 6 * 2**20
 
 
 def test_span_trials_memory_does_not_grow_with_trials(monkeypatch):
