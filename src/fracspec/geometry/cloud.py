@@ -24,30 +24,29 @@ above rather than guessing.
 
 Every count is exact.  A cloud holds its coordinates as integer
 numerators over one common denominator den, the lcm of the exact
-coordinate denominators; floats convert losslessly, so float clouds are
-compared exactly too.  eps = p/q is compared after scaling: a lattice
-distance d is within eps when d * q <= p * den, which for an integer d
-is d <= floor(p * den / q), and squared distances are compared the same
-way against floor((p * den / q)**2).  So the searches run on Python
-ints, and Fraction appears only at the edge: clouds take ints, floats
-and Fractions, and eps is any positive rational or float.  The searches
-return counts only; no center set is kept.  In one dimension the counts
-use left-to-right sweeps (optimal by the standard exchange argument) and
-have no size cap; in higher dimensions they come from a branch-and-bound
-search over at most EXACT_CAP points, and a larger cloud raises
-SizeError before any work.  The lattice and the pairwise squared
-distances the search reads do not depend on eps: they are computed once
-per cloud, on the first count, and each eps then costs one threshold
-pass over them.
+coordinate denominators (floats convert losslessly, so float clouds are
+exact too), and eps = p/q is compared after scaling: a lattice distance
+d is within eps when d * q <= p * den, that is d <= (p * den) // q, or
+d**2 <= (p * den)**2 // q**2.  So the searches run on Python ints, and
+Fraction appears only at the edge; they return counts only.  In one
+dimension they are left-to-right sweeps (optimal by the standard
+exchange argument) with no size cap; in higher dimensions a
+branch-and-bound search over at most EXACT_CAP points, and a larger
+cloud raises SizeError before any work.  The squared distances do not
+depend on eps: each point's row is sorted once per cloud, on the first
+count, and each eps then costs one bisect per row.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
+from operator import or_
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -56,10 +55,6 @@ from ..errors import DomainError, SizeError
 from ..numeric import as_fraction, to_lattice
 
 EXACT_CAP = 15
-
-
-def _dist2(p, q):
-    return sum((a - b) * (a - b) for a, b in zip(p, q))
 
 
 @dataclass(frozen=True)
@@ -83,8 +78,17 @@ class PointCloud:
             raise DomainError("points must share a positive dimension")
         if any(isinstance(c, float) and not math.isfinite(c) for p in norm for c in p):
             raise DomainError("point coordinates must be finite")
-        uniq = sorted(set(norm))
-        return cls(tuple(uniq), n)
+        # _lattice: the points as integer numerators over den, the lcm of
+        # the exact coordinate denominators; dedupe and sort on them,
+        # keeping the first of equal points
+        nums, den = to_lattice(c for p in norm for c in p)
+        first = {}
+        for i, p in enumerate(norm):
+            first.setdefault(tuple(nums[i * n : i * n + n]), p)
+        keys = sorted(first)
+        cloud = cls(tuple(map(first.get, keys)), n)
+        cloud.__dict__["_lattice"] = tuple(keys), den
+        return cloud
 
     @property
     def size(self) -> int:
@@ -97,14 +101,6 @@ class PointCloud:
         arr = np.asarray([[float(c) for c in p] for p in self.points], dtype=float)
         arr.setflags(write=False)
         return arr
-
-    @cached_property
-    def _lattice(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """The points as integer numerators over their common denominator,
-        the lcm of the exact coordinate denominators, and that denominator."""
-        nums, den = to_lattice(c for p in self.points for c in p)
-        n = self.n
-        return tuple(tuple(nums[i : i + n]) for i in range(0, len(nums), n)), den
 
     @property
     def denominator(self) -> int:
@@ -123,13 +119,15 @@ class PointCloud:
 
     @cached_property
     def _dist2_table(self) -> tuple:
-        """Squared lattice distances between all pairs of points, row by row.
-
-        Built by the first count in dimension >= 2 and kept, since the
-        distances do not depend on eps.
-        """
+        """Per point, its sorted squared lattice distances to all points
+        and the prefix bitmasks of the points up to each; built by the
+        first count in dimension >= 2 and kept, as they carry no eps."""
         pts = self._lattice[0]
-        return tuple(tuple(_dist2(p, q) for q in pts) for p in pts)
+        rows = []
+        for p in pts:
+            d2 = sorted((sum((a - b) ** 2 for a, b in zip(p, q)), j) for j, q in enumerate(pts))
+            rows.append(([d for d, _ in d2], list(accumulate((1 << j for _, j in d2), or_))))
+        return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -173,16 +171,16 @@ def _exact_pack_1d(xs: Sequence[int], gap: int) -> int:
 def _cover_masks(cloud: PointCloud, reach2: int) -> list[int]:
     """Per point, the bitmask of the points whose squared lattice distance
     to it is at most reach2."""
-    return [sum(1 << j for j, d2 in enumerate(row) if d2 <= reach2) for row in cloud._dist2_table]
+    return [masks[bisect_right(d2, reach2) - 1] for d2, masks in cloud._dist2_table]
 
 
 def _exact_cover_nd(cloud: PointCloud, reach2: int) -> int:
     masks = _cover_masks(cloud, reach2)
-    npts = cloud.size
-    full = (1 << npts) - 1
-
+    # distance is symmetric: the centers covering point j are masks[j]
+    opts = [[c for c in range(len(masks)) if m >> c & 1] for m in masks]
+    full = (1 << len(masks)) - 1
     best_count = _incumbent_cover(masks, full)
-    max_gain = max(m.bit_count() for m in masks)
+    max_gain = max(map(len, opts))
 
     def rec(uncovered: int, used: int):
         nonlocal best_count
@@ -193,16 +191,7 @@ def _exact_cover_nd(cloud: PointCloud, reach2: int) -> int:
         if used + need >= best_count:
             return
         # branch on the uncovered point with the fewest usable centers
-        target_opts = None
-        u = uncovered
-        while u:
-            j = (u & -u).bit_length() - 1
-            u &= u - 1
-            opts = [c for c in range(npts) if masks[c] >> j & 1]
-            if target_opts is None or len(opts) < len(target_opts):
-                target_opts = opts
-                if len(opts) == 1:
-                    break
+        target_opts = min((opts[j] for j in range(len(opts)) if uncovered >> j & 1), key=len)
         for c in sorted(target_opts, key=lambda c: -(masks[c] & uncovered).bit_count()):
             rec(uncovered & ~masks[c], used + 1)
 
@@ -215,9 +204,9 @@ def _incumbent_cover(masks: list[int], full: int) -> int:
     covers the most uncovered points until none is left."""
     uncovered, count = full, 0
     while uncovered:
-        c = max(range(len(masks)), key=lambda k: ((masks[k] & uncovered).bit_count(), -k))
+        gains = [(m & uncovered).bit_count() for m in masks]
         count += 1
-        uncovered &= ~masks[c]
+        uncovered &= ~masks[gains.index(max(gains))]
     return count
 
 
@@ -247,10 +236,12 @@ def _exact_pack_nd(cloud: PointCloud, reach2: int) -> int:
 # public operations
 
 
-def _check_eps(eps) -> Fraction:
-    if not eps > 0 or eps == math.inf:
+def _check_eps(eps, cloud: PointCloud) -> tuple[int, int]:
+    # only a float can be inf or nan
+    if isinstance(eps, float) and not math.isfinite(eps) or not eps > 0:
         raise DomainError("eps must be positive and finite")
-    return as_fraction(eps)
+    eps = as_fraction(eps)
+    return eps.numerator * cloud.denominator, eps.denominator
 
 
 def _check_cap(cloud: PointCloud, what: str) -> None:
@@ -262,12 +253,12 @@ def _check_cap(cloud: PointCloud, what: str) -> None:
 
 def covering_number(cloud: PointCloud, eps) -> int:
     """Fewest closed eps-balls centered at cloud points that cover the cloud."""
-    eps = _check_eps(eps)
+    p, q = _check_eps(eps, cloud)
     if cloud.n == 1:
-        xs = [p[0] for p in cloud._lattice[0]]
-        return _exact_cover_1d(xs, math.floor(eps * cloud.denominator))
+        xs = [x for x, in cloud._lattice[0]]
+        return _exact_cover_1d(xs, p // q)
     _check_cap(cloud, "covering")
-    return _exact_cover_nd(cloud, math.floor((eps * cloud.denominator) ** 2))
+    return _exact_cover_nd(cloud, p * p // (q * q))
 
 
 def packing_number(cloud: PointCloud, eps) -> int:
@@ -276,9 +267,9 @@ def packing_number(cloud: PointCloud, eps) -> int:
     Equivalently the maximum number of disjoint open eps-balls centered
     at cloud points.
     """
-    eps = _check_eps(eps)
+    p, q = _check_eps(eps, cloud)
     if cloud.n == 1:
-        xs = [p[0] for p in cloud._lattice[0]]
-        return _exact_pack_1d(xs, math.floor(2 * eps * cloud.denominator))
+        xs = [x for x, in cloud._lattice[0]]
+        return _exact_pack_1d(xs, 2 * p // q)
     _check_cap(cloud, "packing")
-    return _exact_pack_nd(cloud, math.floor((2 * eps * cloud.denominator) ** 2))
+    return _exact_pack_nd(cloud, 4 * p * p // (q * q))

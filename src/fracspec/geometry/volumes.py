@@ -18,14 +18,6 @@ OCCUPANCY_CELLS_PER_EPS = 8  # grid cell side is eps / 8
 OCCUPANCY_MAX_CELLS = 2**24
 
 
-def _cell_windows(origin: np.ndarray, pts: np.ndarray, cell: float, reach: int) -> list:
-    """Per point, index slices (one per axis) of the grid cells within
-    reach cells of the cell whose center is nearest to it; origin is the
-    center of cell (0, ..., 0)."""
-    nearest = np.rint((pts - origin) / cell).astype(int).tolist()
-    return [tuple(slice(max(0, i - reach), i + reach + 1) for i in row) for row in nearest]
-
-
 def _occupancy_volume(cloud: PointCloud, eps: float) -> tuple[float, float]:
     pts = cloud.array
     n = cloud.n
@@ -35,8 +27,8 @@ def _occupancy_volume(cloud: PointCloud, eps: float) -> tuple[float, float]:
     lo = pts.min(axis=0) - eps - cell
     hi = pts.max(axis=0) + eps + cell
     origin = lo + cell / 2
-    axes = [np.arange(origin[k], hi[k], cell) for k in range(n)]
-    shape = [len(a) for a in axes]
+    # np.arange's length rule, so the budget is checked before any allocation
+    shape = [math.ceil((hi[k] - origin[k]) / cell) for k in range(n)]
     if math.prod(shape) > OCCUPANCY_MAX_CELLS:
         raise SizeError(
             f"occupancy grid of {' x '.join(map(str, shape))} cells exceeds "
@@ -45,24 +37,33 @@ def _occupancy_volume(cloud: PointCloud, eps: float) -> tuple[float, float]:
     # a cell farther than eps + half_diag from every point is in neither
     # count, and one more cell of reach absorbs the rounding of the index
     reach = math.ceil((eps + half_diag) / cell) + 1
-    inside_limit, maybe_limit = eps - half_diag, eps + half_diag
-    # the k-th axis term broadcasts along the k-th grid axis
-    orient = [tuple(-1 if j == k else 1 for j in range(n)) for k in range(n)]
-    inside = np.zeros(shape, dtype=bool)
-    maybe = np.zeros(shape, dtype=bool)
-    for p, window in zip(pts, _cell_windows(origin, pts, cell, reach)):
-        # a product grid: the squared distance from p to every cell center is
-        # a broadcast sum of one 1-D term per axis, added in axis order
-        terms = [((a[w] - c) ** 2).reshape(o) for a, w, c, o in zip(axes, window, p, orient)]
-        # sqrt is monotone, so marking each point's cells is the test of the
-        # distance to the nearest point
-        d = np.sqrt(sum(terms[1:], terms[0]))
-        inside[window] |= d <= inside_limit
-        maybe[window] |= d < maybe_limit
-    cell_vol = cell**n
-    low = float(np.count_nonzero(inside) * cell_vol)
-    high = float(np.count_nonzero(maybe) * cell_vol)
-    return low, high
+    offsets = np.arange(-reach, reach + 1)
+    # the cell centers per axis, padded by reach cells at infinity
+    axes = [np.full(m + 2 * reach, np.inf) for m in shape]
+    for k, a in enumerate(axes):
+        a[reach:-reach] = np.arange(origin[k], hi[k], cell)
+    inside = np.zeros(math.prod(shape), dtype=bool)
+    maybe = np.zeros(inside.shape, dtype=bool)
+    # each point is measured on the cells within reach of its nearest cell
+    # center, all windows stacked, up to 2**20 cells at a time
+    step = max(1, 2**20 // len(offsets) ** n)
+    for s in range(0, len(pts), step):
+        part = pts[s : s + step]
+        nearest = np.rint((part - origin) / cell).astype(int)
+        d2 = flat = 0
+        for k in range(n):
+            # a product grid: the squared distances are a broadcast sum of
+            # one term per axis, added in axis order
+            i = nearest[:, k, None] + offsets
+            orient = (len(part),) + tuple(-1 if j == k else 1 for j in range(n))
+            d2 = d2 + ((axes[k][i + reach] - part[:, k, None]) ** 2).reshape(orient)
+            flat = flat * shape[k] + i.reshape(orient)
+        # sqrt is monotone, so marking each point's cells is the test of
+        # the distance to the nearest point
+        d = np.sqrt(d2)
+        inside[flat[d <= eps - half_diag]] = True
+        maybe[flat[d < eps + half_diag]] = True
+    return float(np.count_nonzero(inside) * cell**n), float(np.count_nonzero(maybe) * cell**n)
 
 
 def eps_neighborhood_volume(cloud: PointCloud, eps) -> tuple:
@@ -74,9 +75,9 @@ def eps_neighborhood_volume(cloud: PointCloud, eps) -> tuple:
     Clouds in dimension >= 2 get an occupancy-grid estimate on a grid of
     cell side eps / OCCUPANCY_CELLS_PER_EPS: low counts the cells
     certified inside and high the cells that might touch, so low <= true
-    volume <= high up to float rounding in the distance tests.  Each
-    point is measured only against the cells near it, and a grid of more
-    than OCCUPANCY_MAX_CELLS cells raises SizeError.
+    volume <= high up to float rounding in the distance tests.  Every
+    point's window of nearby cells is measured in one stacked array, and
+    a grid of more than OCCUPANCY_MAX_CELLS cells raises SizeError.
     """
     if not eps > 0:
         raise DomainError("eps must be positive")

@@ -117,25 +117,33 @@ def meshgrid_occupancy(cloud, eps, cells_per_eps):
     return (inside, maybe), point_d2
 
 
+def window_reference(cloud, eps, cells_per_eps, reach, ref_d2):
+    """Each point's squared distances to the cells within reach of the cell
+    whose center is nearest to it, read off the reference's full grids,
+    with inf for the cells off the grid."""
+    pts = cloud.array
+    cell = float(eps) / cells_per_eps
+    origin = pts.min(axis=0) - float(eps) - cell + cell / 2
+    windows = []
+    for p, grid in zip(pts, ref_d2):
+        nearest = np.rint((p - origin) / cell).astype(int)
+        padded = np.pad(grid, reach, constant_values=np.inf)
+        windows.append(padded[tuple(slice(i, i + 2 * reach + 1) for i in nearest)])
+    return np.stack(windows)
+
+
 @pytest.mark.parametrize("cells_per_eps", [8, 32])
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("kind", ["float", "fraction"])
 def test_occupancy_matches_meshgrid_reference(monkeypatch, kind, n, cells_per_eps):
     """The windowed grid gives exactly the reference's distances and bounds."""
-    sqrt_args, windows = [], []
+    sqrt_args = []
 
     def recording_sqrt(x):
         sqrt_args.append(x)
         return NUMPY_SQRT(x)
 
-    def recording_windows(*args):
-        made = cell_windows(*args)
-        windows.extend(made)
-        return made
-
-    cell_windows = volumes._cell_windows
     monkeypatch.setattr(np, "sqrt", recording_sqrt)
-    monkeypatch.setattr(volumes, "_cell_windows", recording_windows)
     monkeypatch.setattr(volumes, "OCCUPANCY_CELLS_PER_EPS", cells_per_eps)
     rng = np.random.default_rng(1000 * n + cells_per_eps)
     # points spread over [0, 1)^2, or [0, 1/4)^3 so the finest 3-D grid stays small
@@ -148,16 +156,19 @@ def test_occupancy_matches_meshgrid_reference(monkeypatch, kind, n, cells_per_ep
             pts = [tuple(Fraction(int(c), 1000) for c in row) for row in coords]
         cloud = PointCloud.from_points(pts)
         sqrt_args.clear()
-        windows.clear()
         low, high = eps_neighborhood_volume(cloud, eps)
         ref, point_d2 = meshgrid_occupancy(cloud, eps, cells_per_eps)
         assert (low, high) == ref
-        # each point's squared distances match bit for bit, cell by cell,
-        # on the window of cells it is measured against
-        assert len(sqrt_args) == len(windows) == len(point_d2) == cloud.size
-        for d2, window, ref_d2 in zip(sqrt_args, windows, point_d2):
-            assert d2.shape == ref_d2[window].shape
-            assert np.array_equal(d2.view(np.uint64), ref_d2[window].view(np.uint64))
+        # the stacked squared distances, one window per point (in batches
+        # of 2**20 cells at the finest 3-D grid), match the reference bit
+        # for bit, cell by cell, and the cells off the grid at the edge of
+        # the extreme points' windows are inf
+        d2 = np.concatenate(sqrt_args)
+        reach = (d2.shape[1] - 1) // 2
+        assert d2.shape == (cloud.size,) + (2 * reach + 1,) * n
+        want = window_reference(cloud, eps, cells_per_eps, reach, point_d2)
+        assert np.array_equal(d2.view(np.uint64), want.view(np.uint64))
+        assert np.isinf(d2).any() and np.isfinite(d2).any()
         assert low < high
 
 
@@ -172,16 +183,23 @@ def grid_cells(cloud, eps):
 
 
 def test_occupancy_grid_budget(monkeypatch):
-    """A grid over the cell budget is refused before it is allocated."""
+    """A grid over the cell budget is refused before it or any of its
+    axes is allocated."""
     allocated = []
-    zeros = np.zeros
-    monkeypatch.setattr(np, "zeros", lambda *a, **k: allocated.append(a) or zeros(*a, **k))
+    for name in ("zeros", "arange"):
+        make = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, make=make, **k: allocated.append(a) or make(*a, **k))
     # a 3-D cloud spanning 4 units at eps 1/40: about 2.2e9 cells
     wide = PointCloud.from_points([(0, 0, 0), (4, 4, 4)])
-    assert grid_cells(wide, Fraction(1, 40)) > 2 * 10**9
     with pytest.raises(SizeError, match="occupancy grid"):
         eps_neighborhood_volume(wide, Fraction(1, 40))
+    # one axis of 8e9 cells (59.6 GiB as an arange) is refused as well
+    far = PointCloud.from_points([(0, 0), (10**9, 0)])
+    with pytest.raises(SizeError, match="occupancy grid of 8000000018 x 18 cells"):
+        eps_neighborhood_volume(far, 1)
     assert allocated == []
+    monkeypatch.undo()
+    assert grid_cells(wide, Fraction(1, 40)) > 2 * 10**9
     # the budget is inclusive: a grid of exactly that many cells is measured
     cloud = PointCloud.from_points([(0, 0), (Fraction(1, 2), Fraction(1, 3))])
     eps = Fraction(1, 10)

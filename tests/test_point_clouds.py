@@ -7,6 +7,7 @@ by these oracles and are asserted exactly.
 
 import functools
 import itertools
+import math
 import operator
 from fractions import Fraction
 
@@ -16,9 +17,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracspec.errors import DomainError, SizeError
+from fracspec.geometry import cloud as cloud_module
 from fracspec.geometry.cloud import (
     EXACT_CAP,
     PointCloud,
+    _cover_masks,
     covering_number,
     packing_number,
 )
@@ -85,6 +88,10 @@ def test_cloud_normalization():
     cloud = PointCloud.from_points([3, 1, 1, 2])
     assert cloud.points == ((1,), (2,), (3,))
     assert cloud.n == 1 and cloud.size == 3
+    # of equal points the first one given is kept
+    for first in (1, 1.0, Fraction(1)):
+        ones = PointCloud.from_points([first, 1, 1.0, Fraction(1)])
+        assert ones.points == ((1,),) and type(ones.points[0][0]) is type(first)
     with pytest.raises(DomainError):
         PointCloud.from_points([])
     with pytest.raises(DomainError):
@@ -220,7 +227,7 @@ def test_cached_tables_carry_no_eps(pairs, pts, order):
         assert pack == packing_number(fresh, eps) == brute_max_packing(cloud.points, eps)
     # the queries above ran on the kept table, which holds ints only
     assert "_dist2_table" in cloud.__dict__
-    assert all(type(d2) is int for row in cloud._dist2_table for d2 in row)
+    assert all(type(v) is int for row in cloud._dist2_table for part in row for v in part)
 
 
 mixed_coords = st.one_of(
@@ -299,3 +306,94 @@ def test_float_array_is_built_once_and_read_only():
     assert arr is cloud.array
     assert not arr.flags.writeable
     assert arr.tolist() == [[float(c) for c in p] for p in cloud.points]
+
+
+def integer_grid(n, side):
+    return list(itertools.product(range(side), repeat=n))
+
+
+@pytest.mark.parametrize("n, side", [(2, 3), (2, 4), (3, 2)])
+def test_tie_heavy_grids_match_brute_force(n, side):
+    """Integer grids, where many pairs tie, at every radius that is a
+    pairwise distance (the closed and strict boundaries) and just off it."""
+    pts = integer_grid(n, side)[:EXACT_CAP]
+    cloud = PointCloud.from_points(pts)
+    lattice, den = cloud._lattice
+    assert den == 1 and lattice == tuple(sorted(pts))
+    table = [[dist2(p, q) for q in lattice] for p in lattice]
+    for d2 in sorted({d for row in table for d in row} - {0}):
+        # the lattice distances sqrt(d2) are exact radii only when d2 is a
+        # square, so the rational radii bracket them
+        root = math.isqrt(d2)
+        radii = {Fraction(root), Fraction(root) + Fraction(1, 1000), Fraction(root, 2)}
+        if root * root != d2:
+            radii.add(Fraction(root + 1))
+        for eps in sorted(radii):
+            assert covering_number(cloud, eps) == brute_min_cover(lattice, eps)
+            assert packing_number(cloud, eps) == brute_max_packing(lattice, eps)
+        # the masks at each squared distance, against d2 <= reach2
+        for reach2 in (d2 - 1, d2, d2 + 1):
+            want = [sum(1 << j for j, d in enumerate(row) if d <= reach2) for row in table]
+            assert _cover_masks(cloud, reach2) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pts=st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)).flatmap(
+            lambda t: st.tuples(
+                st.sampled_from([t[0], float(t[0]) / 2, Fraction(t[0], 2)]),
+                st.sampled_from([t[1], float(t[1]), Fraction(t[1], 4)]),
+            )
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_lattice_dedupe_keeps_first_representative(pts):
+    """from_points dedupes on the exact values, keeps the first of equal
+    points and sorts as the exact tuples sort."""
+    cloud = PointCloud.from_points(pts)
+    first = {}
+    for p in pts:
+        first.setdefault(tuple(map(Fraction, p)), p)
+    assert cloud.points == tuple(first[k] for k in sorted(first))
+    assert [tuple(map(type, p)) for p in cloud.points] == [
+        tuple(map(type, first[k])) for k in sorted(first)
+    ]
+    lattice, den = cloud._lattice
+    assert [tuple(Fraction(c, den) for c in p) for p in lattice] == sorted(first)
+
+
+@pytest.mark.parametrize(
+    "eps",
+    [Fraction(1, 3), Fraction(5, 2), 1, 3, 0.1, 0.5, 2.5, 1e-3, Fraction(5, 1000)],
+)
+def test_integer_thresholds(monkeypatch, eps):
+    """The integer reach of every count is floor(eps * den) and its square
+    floor((eps * den)**2), at exact lattice distances too (eps 5/2 on
+    the 2-D cloud, 1/3 on the 1-D one)."""
+    seen = []
+    for name in ("_exact_cover_1d", "_exact_pack_1d", "_exact_cover_nd", "_exact_pack_nd"):
+        monkeypatch.setattr(cloud_module, name, lambda _, reach: seen.append(reach))
+    for pts in ([0, Fraction(1, 3), 0.5, Fraction(4, 3)], [(0, 0), (Fraction(3, 2), 2), (0.25, 4)]):
+        cloud = PointCloud.from_points(pts)
+        den = cloud.denominator
+        e = Fraction(eps)
+        seen.clear()
+        covering_number(cloud, eps)
+        packing_number(cloud, eps)
+        if cloud.n == 1:
+            want = [math.floor(e * den), math.floor(2 * e * den)]
+        else:
+            want = [math.floor((e * den) ** 2), math.floor((2 * e * den) ** 2)]
+        assert seen == want
+        assert all(type(reach) is int for reach in seen)
+
+
+@pytest.mark.parametrize("bad", [0, -1, Fraction(-1, 2), -0.5, float("inf"), float("nan")])
+def test_check_eps_message(bad):
+    for cloud in (PointCloud.from_points([0, 1]), PointCloud.from_points([(0, 0), (1, 1)])):
+        for count in (covering_number, packing_number):
+            with pytest.raises(DomainError, match="eps must be positive and finite"):
+                count(cloud, bad)
