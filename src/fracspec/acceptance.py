@@ -81,9 +81,10 @@ def _result(name, passed, detail) -> CriterionResult:
 
 def criterion_chain_inequalities() -> CriterionResult:
     rng = default_rng(1811)
-    eps_values = [Fraction(2, 5), Fraction(1, 5), Fraction(1, 10), Fraction(1, 20), Fraction(1, 40)]
-    # 2 eps, eps and eps/2 over the halving schedule: 7 distinct radii
-    radii = sorted({r for eps in eps_values for r in (2 * eps, eps, eps / 2)}, reverse=True)
+    # halving radii 4/5 .. 1/80: eps_values[k] = radii[k + 1], so 2 eps is
+    # radii[k] and eps/2 is radii[k + 2]
+    radii = geometric_scales(Fraction(4, 5), Fraction(1, 2), 7)
+    eps_values = radii[1:-1]
     chain_ok = volume_ok = 0
     checks = 0
     for i in range(100):
@@ -93,19 +94,19 @@ def criterion_chain_inequalities() -> CriterionResult:
         cloud = PointCloud.from_points(
             [tuple(Fraction(int(c), 10**6) for c in row) for row in coords]
         )
-        covers = {r: covering_number(cloud, r) for r in radii}
-        for eps in eps_values:
+        covers = [covering_number(cloud, r) for r in radii]
+        omega = unit_ball_volume(n)
+        for k, eps in enumerate(eps_values):
             checks += 1
-            n_double, n_eps, n_half = covers[2 * eps], covers[eps], covers[eps / 2]
+            n_double, n_eps, n_half = covers[k : k + 3]
             p_eps = packing_number(cloud, eps)
             if n_double <= p_eps <= n_half:
                 chain_ok += 1
             vol_low, vol_high = eps_neighborhood_volume(cloud, eps)
-            omega = unit_ball_volume(n)
             if n == 1:
                 # everything here is an exact Fraction, and vol_low == vol_high
                 low = 2 * p_eps * eps
-                high = 2 * n_eps * (2 * eps)
+                high = 2 * n_eps * radii[k]
                 if low <= vol_low <= high:
                     volume_ok += 1
             else:

@@ -421,7 +421,7 @@ def _run_radial_scan(cfg: ExperimentConfig, opts: dict, out: Path) -> ReportReco
         recovered.append(bool(hits))
     dim_est = 0.0
     if len(zero_radii) >= 2:
-        cloud = PointCloud.from_points([(r,) for r in zero_radii])
+        cloud = PointCloud.from_points(zero_radii)
         lo = min(np.diff(zero_radii)) / 2
         hi = (zero_radii[-1] - zero_radii[0]) / 4
         if hi > lo > 0:

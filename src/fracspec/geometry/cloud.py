@@ -22,8 +22,8 @@ every count reported here is the centers-in-set version, and callers who
 need two-sided control evaluate the chain at doubled / halved radii as
 above rather than guessing.
 
-Every count is exact.  A cloud holds its coordinates as integer
-numerators over one common denominator den, the lcm of the exact
+Every count is exact.  A cloud is its sorted, distinct lattice points:
+integer numerators over one common denominator den, the lcm of the exact
 coordinate denominators (floats convert losslessly, so float clouds are
 exact too), and eps = p/q is compared after scaling: a lattice distance
 d is within eps when d * q <= p * den, that is d <= (p * den) // q, or
@@ -59,10 +59,11 @@ EXACT_CAP = 15
 
 @dataclass(frozen=True)
 class PointCloud:
-    """A finite, deduplicated point set, sorted lexicographically."""
+    """A finite point set as its sorted, distinct lattice points: integer
+    n-tuples of numerators over one denominator."""
 
-    points: tuple
-    n: int
+    lattice: tuple
+    denominator: int
 
     @classmethod
     def from_points(cls, pts: Iterable) -> "PointCloud":
@@ -78,33 +79,23 @@ class PointCloud:
             raise DomainError("points must share a positive dimension")
         if any(isinstance(c, float) and not math.isfinite(c) for p in norm for c in p):
             raise DomainError("point coordinates must be finite")
-        # _lattice: the points as integer numerators over den, the lcm of
-        # the exact coordinate denominators; dedupe and sort on them,
-        # keeping the first of equal points
         nums, den = to_lattice(c for p in norm for c in p)
-        first = {}
-        for i, p in enumerate(norm):
-            first.setdefault(tuple(nums[i * n : i * n + n]), p)
-        keys = sorted(first)
-        cloud = cls(tuple(map(first.get, keys)), n)
-        cloud.__dict__["_lattice"] = tuple(keys), den
-        return cloud
+        lattice = sorted({tuple(nums[i : i + n]) for i in range(0, len(nums), n)})
+        return cls(tuple(lattice), den)
 
     @property
-    def size(self) -> int:
-        return len(self.points)
+    def n(self) -> int:
+        return len(self.lattice[0])
 
     @cached_property
     def array(self) -> np.ndarray:
         """The points as floats, one row per point: built once per cloud,
-        since volumes read it at every eps, and read-only."""
-        arr = np.asarray([[float(c) for c in p] for p in self.points], dtype=float)
+        since volumes read it at every eps, and read-only.  Int true
+        division rounds once, as float() of the exact coordinate does."""
+        den = self.denominator
+        arr = np.asarray([[c / den for c in p] for p in self.lattice], dtype=float)
         arr.setflags(write=False)
         return arr
-
-    @property
-    def denominator(self) -> int:
-        return self._lattice[1]
 
     @cached_property
     def gap_counts(self) -> tuple[tuple[int, int], ...]:
@@ -113,8 +104,8 @@ class PointCloud:
         length an integer numerator over the cloud's denominator."""
         if self.n != 1:
             raise DomainError("gaps are defined for 1-D clouds")
-        # the points are sorted and deduplicated
-        xs = [p[0] for p in self._lattice[0]]
+        # the points are sorted and distinct
+        xs = [x for x, in self.lattice]
         return tuple(sorted(Counter(b - a for a, b in zip(xs, xs[1:])).items()))
 
     @cached_property
@@ -122,7 +113,7 @@ class PointCloud:
         """Per point, its sorted squared lattice distances to all points
         and the prefix bitmasks of the points up to each; built by the
         first count in dimension >= 2 and kept, as they carry no eps."""
-        pts = self._lattice[0]
+        pts = self.lattice
         rows = []
         for p in pts:
             d2 = sorted((sum((a - b) ** 2 for a, b in zip(p, q)), j) for j, q in enumerate(pts))
@@ -229,7 +220,7 @@ def _exact_pack_nd(cloud: PointCloud, reach2: int) -> int:
         memo[cand] = res
         return res
 
-    return rec((1 << cloud.size) - 1)
+    return rec((1 << len(cloud.lattice)) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -245,17 +236,16 @@ def _check_eps(eps, cloud: PointCloud) -> tuple[int, int]:
 
 
 def _check_cap(cloud: PointCloud, what: str) -> None:
-    if cloud.size > EXACT_CAP:
-        raise SizeError(
-            f"exact {what} caps at {EXACT_CAP} points in dimension >= 2; got {cloud.size}"
-        )
+    size = len(cloud.lattice)
+    if size > EXACT_CAP:
+        raise SizeError(f"exact {what} caps at {EXACT_CAP} points in dimension >= 2; got {size}")
 
 
 def covering_number(cloud: PointCloud, eps) -> int:
     """Fewest closed eps-balls centered at cloud points that cover the cloud."""
     p, q = _check_eps(eps, cloud)
     if cloud.n == 1:
-        xs = [x for x, in cloud._lattice[0]]
+        xs = [x for x, in cloud.lattice]
         return _exact_cover_1d(xs, p // q)
     _check_cap(cloud, "covering")
     return _exact_cover_nd(cloud, p * p // (q * q))
@@ -269,7 +259,7 @@ def packing_number(cloud: PointCloud, eps) -> int:
     """
     p, q = _check_eps(eps, cloud)
     if cloud.n == 1:
-        xs = [x for x, in cloud._lattice[0]]
+        xs = [x for x, in cloud.lattice]
         return _exact_pack_1d(xs, 2 * p // q)
     _check_cap(cloud, "packing")
     return _exact_pack_nd(cloud, 4 * p * p // (q * q))

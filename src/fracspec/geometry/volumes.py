@@ -9,7 +9,7 @@ import numpy as np
 
 from ..errors import DomainError, SizeError
 from ..numeric import LogRatio, as_fraction
-from .cloud import PointCloud
+from .cloud import PointCloud, _check_eps
 from .intervals import Tube
 
 OCCUPANCY_CELLS_PER_EPS = 8  # grid cell side is eps / 8
@@ -79,8 +79,7 @@ def eps_neighborhood_volume(cloud: PointCloud, eps) -> tuple:
     point's window of nearby cells is measured in one stacked array, and
     a grid of more than OCCUPANCY_MAX_CELLS cells raises SizeError.
     """
-    if not eps > 0:
-        raise DomainError("eps must be positive")
+    _check_eps(eps, cloud)
     if cloud.n == 1:
         v = Tube(0, cloud.gap_counts, cloud.denominator).volume(eps)
         return v, v

@@ -25,25 +25,32 @@ def ball_mass(measure, x, r):
     return float(measure.weights[d2 <= r * r].sum())
 
 
+def measure_of(atoms, weights):
+    """A measure from per-atom lists, one row per atom."""
+    return WeightedMeasure(
+        np.asarray(atoms, dtype=float).reshape(len(weights), -1), np.asarray(weights, dtype=float)
+    )
+
+
 def masses(measure, x, radii):
     """The masses upper_density_estimate reports (alpha 0: ratio = mass)."""
     return [mass for _, mass, _ in upper_density_estimate(measure, x, 0.0, radii)]
 
 
-def test_weighted_measure_validation():
-    with pytest.raises(DomainError):
-        WeightedMeasure.from_atoms([], [])
-    with pytest.raises(DomainError):
-        WeightedMeasure.from_atoms([0.0], [0.0])
-    with pytest.raises(DomainError):
-        WeightedMeasure.from_atoms([0.0, 1.0], [1.0])
-    mu = WeightedMeasure.from_atoms([0.0, 1.0], [0.25, 0.75])
-    assert mu.n == 1
-    assert mu.atoms.shape == (2, 1) and mu.weights.tolist() == [0.25, 0.75]
+def test_measure_is_its_two_arrays():
+    """A measure is the named pair (atoms, weights), and the alpha bound
+    is the dimension of the atoms."""
+    atoms = np.array([[0.0, 0.0], [1.0, 1.0]])
+    mu = WeightedMeasure(atoms, np.array([0.25, 0.75]))
+    assert mu._fields == ("atoms", "weights") and mu.atoms is atoms
+    assert masses(mu, (0.0, 0.0), [1.0, 2.0]) == [0.25, 1.0]
+    assert upper_density_estimate(mu, (0.0, 0.0), 2.0, [0.5]) == ((0.5, 0.25, 0.25),)
+    with pytest.raises(DomainError, match=r"alpha must lie in \[0, 2\]"):
+        upper_density_estimate(mu, (0.0, 0.0), 2.5, [1.0])
 
 
 def test_ball_mass_closed_boundary():
-    mu = WeightedMeasure.from_atoms([0.0, 1.0], [0.5, 0.5])
+    mu = measure_of([0.0, 1.0], [0.5, 0.5])
     # atom exactly on the boundary counts: the ball is closed
     assert masses(mu, 0.0, [1.0, 0.999]) == [1.0, 0.5]
     assert masses(mu, (0.5,), [0.5]) == [1.0]
@@ -83,15 +90,13 @@ def test_ternary_upper_density_hits_two_to_minus_beta():
 def test_uniform_grid_density_at_full_dimension():
     # near-Lebesgue reference: (2r)**-1 * mass(B_r) ~ 1 for interior x
     n = 4096
-    mu = WeightedMeasure.from_atoms(
-        [(k + 0.5) / n for k in range(n)], [1.0 / n] * n
-    )
+    mu = measure_of([(k + 0.5) / n for k in range(n)], [1.0 / n] * n)
     rows = upper_density_estimate(mu, (0.5,), 1.0, geometric_scales(Fraction(1, 8), Fraction(1, 2), 5))
     assert abs(max(ratio for _, _, ratio in rows) - 1.0) < 0.01
 
 
 def test_density_input_validation():
-    mu = WeightedMeasure.from_atoms([0.0], [1.0])
+    mu = measure_of([0.0], [1.0])
     radii = geometric_scales(Fraction(1, 2), Fraction(1, 2), 4)
     with pytest.raises(DomainError):
         upper_density_estimate(mu, 0.0, 1.5, radii)

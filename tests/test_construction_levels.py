@@ -235,7 +235,7 @@ def test_natural_measure_totals_and_interval_mass():
     params = middle_thirds_params()
     level = build_level(params, 5)
     mu = natural_measure(params, 5)
-    assert mu.n == 1
+    assert mu.atoms.shape == (32, 1) and mu.weights.shape == (32,)
     # the float of each exact midpoint, rounded once by Fraction
     twice = 2 * level.denominator
     midpoints = [Fraction(2 * s + level.length, twice) for s in level.starts]

@@ -165,7 +165,7 @@ def test_occupancy_matches_meshgrid_reference(monkeypatch, kind, n, cells_per_ep
         # the extreme points' windows are inf
         d2 = np.concatenate(sqrt_args)
         reach = (d2.shape[1] - 1) // 2
-        assert d2.shape == (cloud.size,) + (2 * reach + 1,) * n
+        assert d2.shape == (len(cloud.lattice),) + (2 * reach + 1,) * n
         want = window_reference(cloud, eps, cells_per_eps, reach, point_d2)
         assert np.array_equal(d2.view(np.uint64), want.view(np.uint64))
         assert np.isinf(d2).any() and np.isfinite(d2).any()

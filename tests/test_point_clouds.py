@@ -27,6 +27,7 @@ from fracspec.geometry.cloud import (
 )
 from fracspec.geometry.dimension import box_dimension_estimate
 from fracspec.geometry.sweeps import geometric_scales
+from fracspec.geometry.volumes import eps_neighborhood_volume
 from interval_oracle import from_pairs
 from tube_oracle import union_tube
 
@@ -86,12 +87,11 @@ def ternary_level_endpoints(depth):
 
 def test_cloud_normalization():
     cloud = PointCloud.from_points([3, 1, 1, 2])
-    assert cloud.points == ((1,), (2,), (3,))
-    assert cloud.n == 1 and cloud.size == 3
-    # of equal points the first one given is kept
+    assert cloud == PointCloud(((1,), (2,), (3,)), 1)
+    assert cloud.n == 1
+    # equal points are one lattice point, whatever their types
     for first in (1, 1.0, Fraction(1)):
-        ones = PointCloud.from_points([first, 1, 1.0, Fraction(1)])
-        assert ones.points == ((1,),) and type(ones.points[0][0]) is type(first)
+        assert PointCloud.from_points([first, 1, 1.0, Fraction(1)]) == PointCloud(((1,),), 1)
     with pytest.raises(DomainError):
         PointCloud.from_points([])
     with pytest.raises(DomainError):
@@ -180,8 +180,9 @@ def test_chain_inequalities_hold_1d(xs, eps_num):
     pe = packing_number(cloud, eps)
     nhalf = covering_number(cloud, eps / 2)
     assert n2e <= pe <= nhalf
-    assert pe == brute_max_packing(cloud.points, eps)
-    assert n2e == brute_min_cover(cloud.points, 2 * eps)
+    pts = [(x,) for x in xs]
+    assert pe == brute_max_packing(pts, eps)
+    assert n2e == brute_min_cover(pts, 2 * eps)
 
 
 @settings(max_examples=30, deadline=None)
@@ -222,9 +223,9 @@ def test_cached_tables_carry_no_eps(pairs, pts, order):
         assert tube.volume(eps) == grown.measure
         fresh = PointCloud.from_points(pts)
         cover = covering_number(cloud, eps)
-        assert cover == covering_number(fresh, eps) == brute_min_cover(cloud.points, eps)
+        assert cover == covering_number(fresh, eps) == brute_min_cover(pts, eps)
         pack = packing_number(cloud, eps)
-        assert pack == packing_number(fresh, eps) == brute_max_packing(cloud.points, eps)
+        assert pack == packing_number(fresh, eps) == brute_max_packing(pts, eps)
     # the queries above ran on the kept table, which holds ints only
     assert "_dist2_table" in cloud.__dict__
     assert all(type(v) is int for row in cloud._dist2_table for part in row for v in part)
@@ -264,7 +265,7 @@ def test_mixed_clouds_match_brute_force(pts, eps):
     """Float and mixed-denominator Fraction clouds against the enumerating
     oracles run on the exact Fraction values of the points and of eps."""
     cloud = PointCloud.from_points(pts)
-    exact = [tuple(map(Fraction, p)) for p in cloud.points]
+    exact = [tuple(map(Fraction, p)) for p in pts]
     e = Fraction(eps)
     assert covering_number(cloud, eps) == brute_min_cover(exact, e)
     assert packing_number(cloud, eps) == brute_max_packing(exact, e)
@@ -274,7 +275,7 @@ def test_exact_cap_builds_no_pairwise_table():
     """A cloud above the cap is refused before its O(size**2) table exists."""
     rng = np.random.default_rng(7)
     cloud = PointCloud.from_points([tuple(map(float, p)) for p in rng.random((2000, 2))])
-    assert cloud.size > EXACT_CAP
+    assert len(cloud.lattice) > EXACT_CAP
     with pytest.raises(SizeError):
         covering_number(cloud, 0.2)
     with pytest.raises(SizeError):
@@ -292,20 +293,36 @@ RADII_18_22 = [Fraction(r) for r in range(18, 23)]
 @example(extra=[])
 def test_box_counts_are_minimum_covers_1d(extra):
     """The box-dimension rows read the fewest eps-balls that cover the cloud."""
-    cloud = PointCloud.from_points(RADII_18_22 + [Fraction(x) for x in extra])
+    xs = RADII_18_22 + [Fraction(x) for x in extra]
+    cloud = PointCloud.from_points(xs)
     scales = geometric_scales(Fraction(4), Fraction(1, 2), 5)
     rows = [(eps, covering_number(cloud, eps)) for eps in scales]
     assert Fraction(1) in scales
-    assert [count for _, count in rows] == [brute_min_cover(cloud.points, eps) for eps in scales]
+    pts = [(x,) for x in xs]
+    assert [count for _, count in rows] == [brute_min_cover(pts, eps) for eps in scales]
     assert 0.0 <= box_dimension_estimate(rows).slope <= 1.0
 
 
 def test_float_array_is_built_once_and_read_only():
-    cloud = PointCloud.from_points([(Fraction(1, 3), 0.5), (2, Fraction(-7, 5)), (0, 0)])
+    """The float rows are float() of each exact coordinate, bit for bit,
+    for inputs that must round: thirds and sevenths, ints above 2**53,
+    and floats put over one denominator with them."""
+    pts = [
+        (Fraction(1, 3), 0.5),
+        (2, Fraction(-7, 5)),
+        (0, 0),
+        (2**53 + 1, 0.1),
+        (Fraction(2**60 + 1, 3), -(2**70) - 3),
+        (1e-300, Fraction(-2, 7)),
+    ]
+    cloud = PointCloud.from_points(pts)
     arr = cloud.array
     assert arr is cloud.array
     assert not arr.flags.writeable
-    assert arr.tolist() == [[float(c) for c in p] for p in cloud.points]
+    ordered = sorted(pts, key=lambda p: tuple(map(Fraction, p)))
+    assert arr.tobytes() == np.array([[float(c) for c in p] for p in ordered]).tobytes()
+    # -0.0 is the lattice point 0, so it reads +0.0
+    assert PointCloud.from_points([-0.0]).array.tobytes() == np.zeros((1, 1)).tobytes()
 
 
 def integer_grid(n, side):
@@ -318,7 +335,7 @@ def test_tie_heavy_grids_match_brute_force(n, side):
     pairwise distance (the closed and strict boundaries) and just off it."""
     pts = integer_grid(n, side)[:EXACT_CAP]
     cloud = PointCloud.from_points(pts)
-    lattice, den = cloud._lattice
+    lattice, den = cloud.lattice, cloud.denominator
     assert den == 1 and lattice == tuple(sorted(pts))
     table = [[dist2(p, q) for q in lattice] for p in lattice]
     for d2 in sorted({d for row in table for d in row} - {0}):
@@ -350,19 +367,36 @@ def test_tie_heavy_grids_match_brute_force(n, side):
         max_size=12,
     )
 )
-def test_lattice_dedupe_keeps_first_representative(pts):
-    """from_points dedupes on the exact values, keeps the first of equal
-    points and sorts as the exact tuples sort."""
+def test_lattice_is_the_sorted_distinct_points(pts):
+    """from_points dedupes on the exact values and sorts as the exact
+    tuples sort, over the lcm of the coordinate denominators."""
     cloud = PointCloud.from_points(pts)
-    first = {}
-    for p in pts:
-        first.setdefault(tuple(map(Fraction, p)), p)
-    assert cloud.points == tuple(first[k] for k in sorted(first))
-    assert [tuple(map(type, p)) for p in cloud.points] == [
-        tuple(map(type, first[k])) for k in sorted(first)
-    ]
-    lattice, den = cloud._lattice
-    assert [tuple(Fraction(c, den) for c in p) for p in lattice] == sorted(first)
+    exact = sorted({tuple(map(Fraction, p)) for p in pts})
+    den = cloud.denominator
+    assert den == math.lcm(*(c.denominator for p in exact for c in p))
+    assert [tuple(Fraction(c, den) for c in p) for p in cloud.lattice] == exact
+    assert all(type(c) is int for p in cloud.lattice for c in p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pts=st.one_of(
+        st.lists(mixed_coords.map(lambda c: (c,)), min_size=1, max_size=7),
+        st.lists(st.tuples(mixed_coords, mixed_coords), min_size=1, max_size=6),
+    ),
+    eps=st.sampled_from([Fraction(1, 7), Fraction(1, 3), 0.25, Fraction(3, 2)]),
+)
+def test_direct_cloud_matches_from_points(pts, eps):
+    """A cloud built as PointCloud(lattice, den) from the sorted distinct
+    exact points gives the covers, packings and volumes of from_points."""
+    exact = sorted({tuple(map(Fraction, p)) for p in pts})
+    den = math.lcm(*(c.denominator for p in exact for c in p))
+    direct = PointCloud(tuple(tuple(int(c * den) for c in p) for p in exact), den)
+    cloud = PointCloud.from_points(pts)
+    assert direct == cloud
+    assert covering_number(direct, eps) == covering_number(cloud, eps)
+    assert packing_number(direct, eps) == packing_number(cloud, eps)
+    assert eps_neighborhood_volume(direct, eps) == eps_neighborhood_volume(cloud, eps)
 
 
 @pytest.mark.parametrize(
@@ -394,6 +428,6 @@ def test_integer_thresholds(monkeypatch, eps):
 @pytest.mark.parametrize("bad", [0, -1, Fraction(-1, 2), -0.5, float("inf"), float("nan")])
 def test_check_eps_message(bad):
     for cloud in (PointCloud.from_points([0, 1]), PointCloud.from_points([(0, 0), (1, 1)])):
-        for count in (covering_number, packing_number):
+        for measure in (covering_number, packing_number, eps_neighborhood_volume):
             with pytest.raises(DomainError, match="eps must be positive and finite"):
-                count(cloud, bad)
+                measure(cloud, bad)

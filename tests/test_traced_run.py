@@ -26,3 +26,17 @@ def test_traced_construct_counts_level_intervals(tmp_path, monkeypatch, capsys):
     assert code == 0, capsys.readouterr().err
     assert recorder.counts["cantor.build_level"] == {"calls": 1, "intervals": 64}
     assert fracspec.experiments.build_level is fracspec.cantor.build_level
+
+
+def test_traced_upper_density_counts_measure_atoms(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Recorder
+
+    recorder = Recorder()
+    recorder.install()
+    try:
+        code = main(["verify", "--suite", "upper-density"])
+    finally:
+        recorder.uninstall()
+    assert code == 0, capsys.readouterr().out
+    assert recorder.counts["cantor.natural_measure"] == {"calls": 1, "atoms": 4096}
