@@ -32,11 +32,11 @@ from .cantor import (
 from .fourier import (
     bessel_tail_profile,
     cantor_fourier_grid,
-    lq_annulus_diagnostics,
+    lq_grid_diagnostics,
     lq_radial_diagnostics,
     mollifier_sum,
 )
-from .experiments import span_matches, span_trials, spectral_grid
+from .experiments import span_matches, span_trials
 from .geometry import (
     PointCloud,
     box_dimension_estimate,
@@ -75,7 +75,6 @@ def _result(name, passed, detail) -> CriterionResult:
     return CriterionResult(name=name, passed=bool(passed), detail=detail)
 
 
-# ---------------------------------------------------------------------------
 # 1. covering / packing chain and the volume sandwich
 
 
@@ -123,7 +122,6 @@ def criterion_chain_inequalities() -> CriterionResult:
     )
 
 
-# ---------------------------------------------------------------------------
 # 2. box-counting dimension of the middle-thirds set
 
 
@@ -139,7 +137,6 @@ def criterion_box_dimension() -> CriterionResult:
     )
 
 
-# ---------------------------------------------------------------------------
 # 3. scale-normalized neighborhood volume of the middle-thirds set
 
 
@@ -165,7 +162,6 @@ def criterion_minkowski_ratio(alpha=None) -> CriterionResult:
     )
 
 
-# ---------------------------------------------------------------------------
 # 4. product-set volume bounds
 
 
@@ -186,7 +182,6 @@ def criterion_product_bound() -> CriterionResult:
     )
 
 
-# ---------------------------------------------------------------------------
 # 5. middle-thirds transform: non-decay along powers of three
 
 
@@ -216,7 +211,6 @@ def criterion_cantor_nondecay(depth: int = 40) -> CriterionResult:
     )
 
 
-# ---------------------------------------------------------------------------
 # 6. random construction: decay dichotomy across L^q exponents
 
 
@@ -244,9 +238,7 @@ def criterion_salem_decay() -> CriterionResult:
         rng = default_rng(seed)
         offsets = sample_salem_offsets(branches, ratio, rng)
         params = CantorParams.create(branches, ratio, offsets, seed=seed)
-        xi, spacing, values, _ = spectral_grid(params, depth=8, j_lo=j_lo, j_hi=j_hi)
-        hi_q = lq_annulus_diagnostics(xi, values, spacing, q_summable, j_lo, j_hi)
-        lo_q = lq_annulus_diagnostics(xi, values, spacing, q_divergent, j_lo, j_hi)
+        hi_q, lo_q = lq_grid_diagnostics(params, 8, (q_summable, q_divergent), j_lo, j_hi)
         ok = hi_q.verdict == "summable-like" and lo_q.verdict == "divergent-like"
         wins += ok
         per_seed.append(f"seed {seed}: q={q_summable:g} {hi_q.verdict}, "
@@ -259,7 +251,6 @@ def criterion_salem_decay() -> CriterionResult:
     )
 
 
-# ---------------------------------------------------------------------------
 # 7. weighted shell sums of the mollified profile
 
 
@@ -281,7 +272,6 @@ def criterion_mollifier_sum(alpha: float = 1.0) -> CriterionResult:
     )
 
 
-# ---------------------------------------------------------------------------
 # 8. octave mass of the slowly decaying surrogate at two exponents
 
 
@@ -303,7 +293,6 @@ def criterion_lp_tail_dichotomy() -> CriterionResult:
     )
 
 
-# ---------------------------------------------------------------------------
 # 9. span dimension: the circulant rank equals the DFT support count
 
 
@@ -319,7 +308,6 @@ def criterion_span_oracle() -> CriterionResult:
     )
 
 
-# ---------------------------------------------------------------------------
 # 10. verdict endpoint formulas
 
 
@@ -347,7 +335,6 @@ def criterion_verdict_formulas() -> CriterionResult:
     return _result("verdict-formulas", passed, detail)
 
 
-# ---------------------------------------------------------------------------
 # 11. upper density of the natural middle-thirds measure
 
 
@@ -377,7 +364,6 @@ def criterion_upper_density() -> CriterionResult:
     )
 
 
-# ---------------------------------------------------------------------------
 # registry
 
 

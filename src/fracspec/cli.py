@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -47,41 +48,45 @@ def build_parser() -> argparse.ArgumentParser:
 PARSER = build_parser()
 
 
-def _run_verify(suite: list[str] | None) -> int:
+def _run_verify(suite: list[str] | None) -> tuple[list, int]:
     results = run_suite(suite)
-    for res in results:
-        print(res.line())
     passed = sum(r.passed for r in results)
     summary = {
         "passed": passed,
         "failed": len(results) - passed,
         "criteria": {r.name: r.passed for r in results},
     }
-    print(json.dumps(summary, sort_keys=True))
-    return 0 if passed == len(results) else 1
+    lines = [res.line() for res in results] + [json.dumps(summary, sort_keys=True)]
+    return lines, 0 if passed == len(results) else 1
 
 
-def _run_experiment_command(args) -> int:
+def _run_experiment_command(args) -> tuple[list, int]:
     cfg = ExperimentConfig.from_file(
         args.config, experiment=args.command, seed=args.seed, out=args.out
     )
     record = run_experiment(cfg)
-    print(json.dumps(record.to_dict(), sort_keys=True))
-    return 0
+    return [json.dumps(record.to_dict(), sort_keys=True)], 0
 
 
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     try:
         if args.command == "verify":
-            return _run_verify(args.suite)
-        return _run_experiment_command(args)
+            lines, code = _run_verify(args.suite)
+        else:
+            lines, code = _run_experiment_command(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, SizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    try:
+        print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout: `fracspec verify | head -1`
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

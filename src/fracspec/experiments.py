@@ -36,9 +36,9 @@ from .fourier import (
     MIN_OCTAVES,
     bessel_tail_profile,
     cantor_fourier_grid,
-    check_grid_budget,
-    lq_annulus_diagnostics,
+    lq_grid_diagnostics,
     mollifier_sum,
+    octave_grid,
 )
 from .geometry import (
     PointCloud,
@@ -251,28 +251,6 @@ def run_minkowski(cfg: ExperimentConfig) -> ReportRecord:
     )
 
 
-def spectral_grid(
-    params: CantorParams, depth: int, j_lo: int, j_hi: int, per_octave: int = 512
-) -> tuple[np.ndarray, float, np.ndarray, float]:
-    """(xi, spacing, values, length): the transform on the frequencies
-    xi = spacing, 2 * spacing, ... up to 2**(j_hi + 1), with
-    spacing = 2**j_lo / per_octave, and the level length whose product
-    with abs(xi) bounds its truncation error.
-
-    The grid is checked against the transform's budget before it is
-    allocated.
-    """
-    # 2**1001 and 2**-1000 / per_octave stay finite, nonzero floats
-    if not -1000 <= j_lo <= j_hi <= 1000:
-        raise DomainError("octaves must satisfy -1000 <= j_lo <= j_hi <= 1000")
-    check_grid_budget(params.branches, depth, per_octave * 2 ** (j_hi + 1 - j_lo))
-    spacing = 2.0**j_lo / per_octave
-    top = 2.0 ** (j_hi + 1)
-    xi = np.arange(spacing, top + spacing / 2, spacing)
-    values, length = cantor_fourier_grid(params, depth, xi)
-    return xi, spacing, values, length
-
-
 def run_fourier(cfg: ExperimentConfig) -> ReportRecord:
     opts = cfg.resolve(FOURIER_KEYS)
     depth = opts["fourier.depth"]
@@ -281,10 +259,12 @@ def run_fourier(cfg: ExperimentConfig) -> ReportRecord:
         raise ConfigError(f"fourier.j_min..fourier.j_max must span at least {MIN_OCTAVES} octaves")
     per_octave, qs = opts["fourier.samples_per_octave"], opts["fourier.q_list"]
     params = _params_from_config(cfg, opts)
-    xi, spacing, values, length = spectral_grid(params, depth, j_lo, j_hi, per_octave)
-    stride = max(1, xi.size // 2048)
-    sample = list(zip(xi[::stride], values[::stride], np.abs(xi[::stride]) * length))
-    diags = [lq_annulus_diagnostics(xi, values, spacing, q, j_lo, j_hi) for q in qs]
+    diags = lq_grid_diagnostics(params, depth, qs, j_lo, j_hi, per_octave)
+    # spectrum.csv's sample, in one call of its own
+    spacing, step, size, _ = octave_grid(j_lo, j_hi, per_octave)
+    xi = spacing + np.arange(0, size, max(1, size // 2048)) * step
+    values, length = cantor_fourier_grid(params, depth, xi)
+    sample = list(zip(xi, values, np.abs(xi) * length))
     out = _out_dir(cfg)
     rows = []
     for q, diag in zip(qs, diags):
@@ -350,8 +330,8 @@ def run_mollify(cfg: ExperimentConfig) -> ReportRecord:
     )
 
 
-# Complex entries of the rows drawn and counted at once (1 MB).
-SPAN_CHUNK_ENTRIES = 2**16
+# Complex entries of the rows drawn and counted at once (256 KB).
+SPAN_CHUNK_ENTRIES = 2**14
 # trials x m**3, the SVD work of the span trials: one trial at m 2048
 # (about 1.8 s on a 2-core x86-64, as two 1024 x 1024 blocks) fits, and
 # so do 1000 at m 64 (2**28).

@@ -5,8 +5,9 @@ from .annuli import (
     RATIO_THRESHOLD,
     OctaveDiagnostics,
     OctaveRow,
-    lq_annulus_diagnostics,
+    lq_grid_diagnostics,
     lq_radial_diagnostics,
+    octave_grid,
 )
 from .bump import BumpFunction, annulus_sups_squared
 from .mollifier import (
@@ -16,7 +17,7 @@ from .mollifier import (
     bessel_tail_profile,
     mollifier_sum,
 )
-from .transforms import cantor_fourier_grid, check_grid_budget
+from .transforms import cantor_fourier_grid
 
 __all__ = [
     "MIN_OCTAVES",
@@ -30,8 +31,8 @@ __all__ = [
     "annulus_sups_squared",
     "bessel_tail_profile",
     "cantor_fourier_grid",
-    "check_grid_budget",
-    "lq_annulus_diagnostics",
+    "lq_grid_diagnostics",
     "lq_radial_diagnostics",
     "mollifier_sum",
+    "octave_grid",
 ]

@@ -7,16 +7,10 @@ peak between two samples can be missed.
 
 The transform at radius rho is a panelized Gauss-Legendre integral over
 [0, 1] whose panel count depends on rho only through
-ceil(1 / min(1/4, 12 / rho)), so every rho below 48 shares 4 panels.
-The rho-independent part of the integrand (the nodes, the kernel
-constant times the profile, the weights and the panel half-widths) is
-built once per (bump, panel count) and cached, for counts up to
-CACHED_PANELS_MAX.  An array of radii is grouped by panel count and each
-group is evaluated as one (radii, panels, nodes) batch.  An octave's
-64-radius dense scan is one call, and the golden-section refinements of
-all octaves run in lockstep, one call per step.  The arithmetic is done
-in the same order as a per-radius quadrature, so every value is
-bit-identical to it.
+ceil(1 / min(1/4, 12 / rho)).  The rho-independent part of the integrand
+is cached per (bump, panel count), for counts up to CACHED_PANELS_MAX,
+and radii are evaluated per panel count as one batch, in the order of a
+per-radius quadrature, so every value is bit-identical to it.
 """
 
 from __future__ import annotations

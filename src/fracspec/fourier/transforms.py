@@ -8,30 +8,17 @@ transform is the product over levels of the branch average
 exp(-i xi L_J / 2).  No FFT is involved anywhere here; grids would
 alias, the product cannot.
 
-The grid evaluation walks the flattened frequencies in blocks of BLOCK
-and runs every level on a block before moving on.  A level holds its
-phase arguments -xi a_k L_{j-1} as a real (N, block) array, one row per
-branch, and averages cos and sin of them with branch_sum, which adds
-the rows in the order numpy's mean over a contiguous axis of length N
-uses: the identity 0 plus a pairwise sum (sequential below 4 terms,
-four interleaved accumulators up to 64, halving above).  The order is
-kept because the pinned artifact hashes hold the bytes the first
-implementation, one `.mean(axis=-1)` per level of np.exp on an (F, N)
-complex array, wrote; floating-point addition is not associative, so
-any other order moves the last bits.  Adding N whole rows this way
-costs a few vector adds, where numpy's reduction over a length-N last
-axis restarts its loop for every frequency.
-
-The real cos and sin rows give that implementation's bits.  Its
-phases -1j * xi * a_k L_{j-1} have a real part of +0 or -0, and glibc's
-cexp returns exactly (cos y, sin y) for such an argument, from the same
-libm that numpy's float64 cos and sin call (the test suite checks
-this).  The two routes' sin arguments differ at most in the sign of a
-zero; a signed zero term changes a sum only when every term is zero,
-and branch_sum's added identity 0 makes such a sum +0 either way.
-Complex addition is componentwise, so summing the cos rows and the sin
-rows in the same pairwise order gives the complex sum's two parts, and
-cos and sin cost about 30 % less than the complex exp.
+The grid is evaluated in blocks of BLOCK frequencies, every level on a
+block before the next block.  A level holds its phase arguments
+-xi a_k L_{j-1} as a real (N, block) array, one row per branch, and
+averages their cos and sin with branch_sum, in the order numpy's mean
+over a contiguous axis of length N adds them.  That keeps the pinned
+bits, those of one `.mean(axis=-1)` per level of np.exp on an (F, N)
+complex array: glibc's cexp of a phase with real part +-0 is exactly
+(cos y, sin y) (the tests check this), complex addition is
+componentwise, and branch_sum's leading identity 0 makes a sum of
+signed zeros +0 either way.  cos and sin cost about 30 % less than exp.
+The octave diagnostics evaluate a block at a time, holding no grid.
 
 Convention note: measures are transformed without the (2pi)**(-n/2)
 prefactor that function transforms carry elsewhere in the package, so
@@ -44,13 +31,8 @@ import numpy as np
 
 from ..errors import DomainError, SizeError
 from ..cantor.params import CantorParams
+from ..numeric import BLOCK
 
-
-# Frequencies per block of cantor_fourier_grid, small enough that the
-# (N, BLOCK) temporaries stay in cache.  On 524,288 frequencies
-# with N = 4 (2-core x86-64), blocks of 2048..16384 ran within 5 % of
-# each other, and 1024 and 65536 were slower.
-BLOCK = 4096
 # Branch phases one grid evaluation may take: frequencies x depth x
 # branches, each a cos and a sin.  The spectral benchmark's grid (524,288
 # frequencies, depth 12, 4 branches) takes 2**24.6 of them in about 0.45 s
@@ -120,26 +102,31 @@ def cantor_fourier_grid(params: CantorParams, depth: int, xi) -> tuple[np.ndarra
     # propagate NaN), and they take no array of the grid's size
     if xi_arr.size and not (np.isfinite(xi_arr.min()) and np.isfinite(xi_arr.max())):
         raise DomainError("frequencies must be finite")
-    scales = [float(length) for length in params.level_lengths(depth)]
-    offsets = np.array([float(a) for a in params.offsets])
-    shifts = [(offsets * scales[j - 1])[:, None] for j in range(1, depth + 1)]
-    branches = len(offsets)
     flat = xi_arr.reshape(-1)
     values = np.ones(flat.shape, dtype=complex)
     # numpy multiplies a length-1 complex array on its scalar path, whose
     # rounding differs from the vector path, so a lone last frequency joins
     # the block before it; each value then matches the unblocked product.
     edges = [*range(0, max(flat.size - 1, 1), BLOCK), flat.size]
-    # work arrays for every level of every block: fresh (N, block)
-    # temporaries would be handed back to the system and faulted in again
-    # at each level.  The two real ones take the bytes of one complex array.
-    width = np.diff(edges).max()
+    evaluate, length = fourier_blocks(params, depth, np.diff(edges).max())
+    for start, stop in zip(edges, edges[1:]):
+        evaluate(flat[start:stop], values[start:stop])
+    return values.reshape(xi_arr.shape), length
+
+
+def fourier_blocks(params: CantorParams, depth: int, width: int):
+    """(evaluate, length): evaluate(xi, out) multiplies out by the
+    transform at 1-D frequencies xi, at most `width`.  Calls share the
+    (N, width) work arrays; fresh ones would be faulted in again."""
+    scales = [float(length) for length in params.level_lengths(depth)]
+    offsets = np.array([float(a) for a in params.offsets])
+    shifts = [(offsets * scales[j - 1])[:, None] for j in range(1, depth + 1)]
+    branches = len(offsets)
     args = np.empty(branches * width)
     cosines = np.empty(branches * width)
     factors = np.empty(width, dtype=complex)
-    for start, stop in zip(edges, edges[1:]):
-        xi_block = flat[start:stop]
-        block = values[start:stop]
+
+    def evaluate(xi_block, block):
         minus_xi = -xi_block
         t = args[: branches * len(xi_block)].reshape(branches, -1)
         c = cosines[: t.size].reshape(t.shape)
@@ -150,4 +137,5 @@ def cantor_fourier_grid(params: CantorParams, depth: int, xi) -> tuple[np.ndarra
             factor.imag = branch_sum(np.sin(t, out=t))
             block *= factor / branches
         block *= np.exp(-0.5j * xi_block * scales[depth])
-    return values.reshape(xi_arr.shape), scales[depth]
+
+    return evaluate, scales[depth]

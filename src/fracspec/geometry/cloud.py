@@ -121,7 +121,6 @@ class PointCloud:
         return tuple(rows)
 
 
-# ---------------------------------------------------------------------------
 # exact counts, one dimension: left-to-right sweeps, no size cap
 
 
@@ -155,7 +154,6 @@ def _exact_pack_1d(xs: Sequence[int], gap: int) -> int:
     return count
 
 
-# ---------------------------------------------------------------------------
 # exact counts, n >= 2: branch and bound over bitmasks, capped
 
 
@@ -223,7 +221,6 @@ def _exact_pack_nd(cloud: PointCloud, reach2: int) -> int:
     return rec((1 << len(cloud.lattice)) - 1)
 
 
-# ---------------------------------------------------------------------------
 # public operations
 
 

@@ -15,9 +15,8 @@ and the unitary (1/sqrt 2)[[I, I], [I, -I]] takes it to
 diag(A + B, A - B), the circulant of lo + hi (f mod x^h - 1) and the
 skew-circulant of lo - hi (f mod x^h + 1).  The singular values are
 those of the two blocks together, unscaled, and the SVD work falls by
-three quarters.  The fold is made once: a second one needs +-i
-twiddles, and folding all the way down is the FFT, so the rank would no
-longer check the transform by independent linear algebra.
+three quarters.  The fold is made once: folding all the way down is the
+FFT, and the rank would no longer be an independent check of it.
 """
 
 from __future__ import annotations

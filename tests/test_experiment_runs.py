@@ -2,18 +2,22 @@
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from octave_oracle import mask_masses
+from octave_oracle import mask_masses, spectral_grid
 
 import fracspec.cantor.sampling
 import fracspec.experiments
+import fracspec.fourier.annuli
 import fracspec.fourier.bump
 import fracspec.fourier.mollifier
 import fracspec.fourier.transforms
@@ -30,7 +34,9 @@ from fracspec.experiments import (
     MOLLIFY_KEYS,
     RADIAL_KEYS,
     SPAN_KEYS,
+    fmt,
     run_experiment,
+    write_csv,
 )
 
 
@@ -338,27 +344,82 @@ PINNED_SPECTRAL = {
 
 @pytest.mark.parametrize("name", ["salem-4", "tapered-3"])
 def test_octave_slices_match_mask_pinned(tmp_path, monkeypatch, name):
-    """On the pinned fourier configs, every octave mass of the slice route
-    equals the boolean-mask oracle's bit for bit, and the bytes stay pinned."""
+    """On the pinned fourier configs, every streamed octave mass equals the
+    boolean-mask oracle's over the full grid bit for bit, the route is
+    entered once, and the bytes stay pinned."""
     experiment, text, seed, pinned = PINNED_SPECTRAL[name]
-    real = fracspec.experiments.lq_annulus_diagnostics
+    real = fracspec.experiments.lq_grid_diagnostics
     checked = []
 
-    def both(xi, values, spacing, q, j0, j1):
-        diag = real(xi, values, spacing, q, j0, j1)
-        got = np.array([row.integral for row in diag.rows])
-        want = np.array(mask_masses(xi, values, spacing, q, j0, j1))
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        checked.append(q)
-        return diag
+    def both(params, depth, qs, j0, j1, per_octave):
+        diags = real(params, depth, qs, j0, j1, per_octave)
+        xi, spacing, values, _ = spectral_grid(params, depth, j0, j1, per_octave)
+        for q, diag in zip(qs, diags):
+            got = np.array([row.integral for row in diag.rows])
+            want = np.array(mask_masses(xi, values, spacing, q, j0, j1))
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            checked.append(q)
+        return diags
 
-    monkeypatch.setattr(fracspec.experiments, "lq_annulus_diagnostics", both)
+    monkeypatch.setattr(fracspec.experiments, "lq_grid_diagnostics", both)
     run(tmp_path, experiment, text, seed=seed)
     assert checked == [3.0, 6.0]
     digests = {
         rel: hashlib.sha256((tmp_path / "out" / rel).read_bytes()).hexdigest() for rel in pinned
     }
     assert digests == pinned
+
+
+# fourier windows the pinned configs leave out: one sample per octave (the
+# j_min octave holds one frequency), 3 and 500 per octave (an inexact
+# spacing), octaves below 1, and one or three exponents
+STREAMED_FOURIER = (
+    "fourier.samples_per_octave = 1\nfourier.j_min = -2\nfourier.j_max = 9\n",
+    "fourier.samples_per_octave = 3\nfourier.j_min = -2\nfourier.j_max = 3\n"
+    "fourier.q_list = 2.5\n",
+    "fourier.samples_per_octave = 500\nfourier.j_max = 6\nfourier.q_list = 1, 3, 6\n",
+    "fourier.samples_per_octave = 500\nfourier.j_min = -3\nfourier.j_max = 1\n"
+    "fourier.q_list = 2\n",
+)
+
+
+@pytest.mark.parametrize("window", STREAMED_FOURIER)
+@pytest.mark.parametrize("construction", ["cantor.branches = 3\ncantor.ratio = 1/7\n", ""])
+def test_fourier_artifacts_match_full_grid(tmp_path, window, construction):
+    """fourier writes what the full-array route gives, bit for bit: each
+    octave mass is the mask oracle's over the whole grid, and spectrum.csv
+    holds every stride-th value of the whole grid's transform."""
+    cfg, _, out = run(tmp_path, "fourier", construction + window, seed=3)
+    opts = cfg.resolve(FOURIER_KEYS)
+    params = fracspec.experiments._params_from_config(cfg, opts)
+    j0, j1 = opts["fourier.j_min"], opts["fourier.j_max"]
+    depth, per_octave = opts["fourier.depth"], opts["fourier.samples_per_octave"]
+    xi, spacing, values, length = spectral_grid(params, depth, j0, j1, per_octave)
+    lines = (out / "octaves.csv").read_text().splitlines()[1:]
+    for k, q in enumerate(opts["fourier.q_list"]):
+        rows = lines[k * (j1 - j0 + 1) : (k + 1) * (j1 - j0 + 1)]
+        got = np.array([float(line.split(",")[4]) for line in rows])
+        want = np.array(mask_masses(xi, values, spacing, q, j0, j1))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    stride = max(1, xi.size // 2048)
+    sample = zip(xi[::stride], values[::stride], np.abs(xi[::stride]) * length)
+    rows = [(fmt(x), fmt(v.real), fmt(v.imag), fmt(abs(v)), fmt(e)) for x, v, e in sample]
+    write_csv(tmp_path / "spectrum.csv", ("xi", "re", "im", "abs", "error_bound"), rows)
+    assert (out / "spectrum.csv").read_bytes() == (tmp_path / "spectrum.csv").read_bytes()
+
+
+def test_fourier_step_holds_no_full_grid(tmp_path):
+    """The benchmark's fourier config (524,288 frequencies) runs in blocks:
+    its traced peak stays far below the 12 MB of one frequency array and
+    its transform values."""
+    experiment, text, seed, _ = PINNED_SPECTRAL["salem-4-deep"]
+    tracemalloc.start()
+    try:
+        run(tmp_path, experiment, text, seed=seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_SPECTRAL))
@@ -431,6 +492,34 @@ def test_cli_runs_experiment(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify", "--suite", "box-dimension", "--suite", "upper-density"], 0),
+        (["verify", "--suite", "box-dimension", "--suite", "salem-decay"], 1),
+        (["construct", "--config", "{cfg}", "--out", "{out}"], 0),
+    ],
+)
+def test_cli_closed_stdout_keeps_exit_code(tmp_path, argv, code):
+    """With stdout closed before anything is printed (`fracspec ... | true`),
+    the exit code is still the verdict and no traceback is printed."""
+    (tmp_path / "run.cfg").write_text("level.depth = 2\n")
+    argv = [arg.format(cfg=tmp_path / "run.cfg", out=tmp_path / "out") for arg in argv]
+    src = str(Path(fracspec.experiments.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fracspec.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == code
+    assert "Traceback" not in err
+    assert "Error" not in err
+
+
+@pytest.mark.parametrize(
     "level_min, level_max, code, message",
     [
         (3, 21, 1, "exceed the budget"),
@@ -471,24 +560,28 @@ SMALL_FOURIER = "fourier.depth = 3\nfourier.j_max = 5\nfourier.samples_per_octav
     ],
 )
 def test_cli_fourier_budget(tmp_path, capsys, monkeypatch, text, budget, code, message):
-    """fourier refuses a grid over the phase budget before it allocates
-    the frequencies, and the budget counts frequencies x depth x branches."""
+    """fourier refuses a grid over the phase budget before it evaluates a
+    frequency, and the budget counts frequencies x depth x branches."""
     if budget is not None:
         monkeypatch.setattr(fracspec.fourier.transforms, "MAX_GRID_PHASES", budget)
-    called = []
-    real = fracspec.experiments.cantor_fourier_grid
-    monkeypatch.setattr(
-        fracspec.experiments,
-        "cantor_fourier_grid",
-        lambda *args: called.append(args) or real(*args),
-    )
+    calls = {"route": [], "blocks": [], "sample": []}
+    for module, name, key in (
+        (fracspec.experiments, "lq_grid_diagnostics", "route"),
+        (fracspec.fourier.annuli, "fourier_blocks", "blocks"),
+        (fracspec.experiments, "cantor_fourier_grid", "sample"),
+    ):
+        real = getattr(module, name)
+        spy = lambda *args, real=real, seen=calls[key]: seen.append(args) or real(*args)
+        monkeypatch.setattr(module, name, spy)
     path = tmp_path / "run.cfg"
     path.write_text(text + "\n")
     assert main(["fourier", "--config", str(path), "--out", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert message in err
-    assert len(called) == (code == 0)
+    # the route is entered once; a refused grid allocates no work arrays
+    assert len(calls["route"]) == 1
+    assert len(calls["blocks"]) == len(calls["sample"]) == (code == 0)
     assert (tmp_path / "out" / "fourier").exists() == (code == 0)
 
 

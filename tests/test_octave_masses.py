@@ -1,17 +1,20 @@
 """Octave mass tables for |transform|**q, against closed-form integrals."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from octave_oracle import mask_masses
+from octave_oracle import lq_annulus_diagnostics, mask_masses, spectral_grid
 
+from fracspec.cantor.params import CantorParams, middle_thirds_params
 from fracspec.errors import DomainError
 from fracspec.fourier.annuli import (
     MIN_OCTAVES,
-    lq_annulus_diagnostics,
+    lq_grid_diagnostics,
     lq_radial_diagnostics,
+    octave_grid,
 )
 
 
@@ -68,18 +71,23 @@ def test_octave_window_validation():
         lq_radial_diagnostics(inverse_sqrt, 3.0, 2, 2 + MIN_OCTAVES - 2, dim=1)
     with pytest.raises(DomainError):
         lq_radial_diagnostics(inverse_sqrt, 0.5, 2, 8, dim=1)
-    xi = np.arange(0.25, 2.0**9 + 0.125, 0.25)
-    with pytest.raises(DomainError):
-        lq_annulus_diagnostics(xi, inverse_sqrt(xi), 0.25, 3.0, 2, 2 + MIN_OCTAVES - 2)
-    with pytest.raises(DomainError):
-        lq_annulus_diagnostics(xi, inverse_sqrt(xi), 0.25, 0.5, 2, 8)
+    params = middle_thirds_params()
+    with pytest.raises(DomainError, match="octaves"):
+        lq_grid_diagnostics(params, 3, (3.0,), 2, 2 + MIN_OCTAVES - 2, 4)
+    with pytest.raises(DomainError, match="q must be"):
+        lq_grid_diagnostics(params, 3, (3.0, 0.5), 2, 8, 4)
 
 
 def test_grid_extent_must_cover_window():
-    spacing = 0.01
-    xi = np.arange(spacing, 10.0, spacing)
-    with pytest.raises(DomainError):
-        lq_annulus_diagnostics(xi, inverse_sqrt(xi), spacing, 2.0, 0, 4)
+    """At 3 samples per octave over j = -3..1 the arange's last frequency
+    rounds to just below 4, so both routes refuse the window."""
+    params = middle_thirds_params()
+    with pytest.raises(DomainError, match="grid extent") as streamed:
+        lq_grid_diagnostics(params, 3, (2.0,), -3, 1, 3)
+    xi, spacing, values, _ = spectral_grid(params, 3, -3, 1, 3)
+    with pytest.raises(DomainError, match="grid extent") as full:
+        lq_annulus_diagnostics(xi, values, spacing, 2.0, -3, 1)
+    assert str(streamed.value) == str(full.value)
 
 
 def bits(values):
@@ -113,3 +121,48 @@ def test_zero_mass_tail_ratio():
     assert diag.rows[-1].integral == 0.0
     assert diag.rows[-1].ratio == 0.0
     assert diag.verdict == "summable-like"
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_octave_grid_matches_arange(seed):
+    """The grid's length, frequencies and octave edges are those of the
+    np.arange the full-array route builds, and of searchsorted on it."""
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        j0 = int(rng.integers(-12, 12))
+        j1 = j0 + int(rng.integers(MIN_OCTAVES - 1, 8))
+        per_octave = int(rng.choice([1, 2, 3, 5, 7, 500, 512, int(rng.integers(1, 1000))]))
+        if per_octave * 2 ** (j1 + 1 - j0) > 2**18:
+            continue
+        spacing, step, size, edges = octave_grid(j0, j1, per_octave)
+        xi = np.arange(spacing, 2.0 ** (j1 + 1) + spacing / 2, spacing)
+        assert size == len(xi)
+        assert bits(spacing + np.arange(size) * step) == bits(xi)
+        assert edges == np.searchsorted(xi, 2.0 ** np.arange(j0, j1 + 2)).tolist()
+
+
+SALEM_4 = CantorParams.create(4, Fraction(1, 16), (0, Fraction(3, 10), Fraction(9, 20), 0.8))
+
+
+@pytest.mark.parametrize(
+    "params, depth, j0, j1, per_octave, qs",
+    [
+        (middle_thirds_params(), 6, 2, 9, 1, (3.0, 6.0)),
+        (SALEM_4, 5, -3, 2, 1, (2.0,)),
+        (SALEM_4, 8, -2, 3, 3, (1.0, 2.5, 6.0)),
+        (middle_thirds_params(), 7, 2, 7, 500, (3.0,)),
+        (SALEM_4, 4, -4, 1, 500, (1.5, 3.0, 6.0)),
+        (SALEM_4, 6, 0, 5, 512, (3.0, 6.0)),
+    ],
+)
+def test_streamed_masses_match_full_grid(params, depth, j0, j1, per_octave, qs):
+    """Each streamed octave mass equals, bit for bit, the full-array route's:
+    the slice sum over the whole grid and the boolean-mask sum alike."""
+    diags = lq_grid_diagnostics(params, depth, qs, j0, j1, per_octave)
+    xi, spacing, values, _ = spectral_grid(params, depth, j0, j1, per_octave)
+    assert len(diags) == len(qs)
+    for q, diag in zip(qs, diags):
+        got = [row.integral for row in diag.rows]
+        assert bits(got) == bits(mask_masses(xi, values, spacing, q, j0, j1))
+        full = lq_annulus_diagnostics(xi, values, spacing, q, j0, j1)
+        assert diag == full
