@@ -2,11 +2,10 @@
 
 The package splits into five layers:
 
-* ``geometry``: covering/packing counts, neighborhood volumes, box
-  dimension, ball-mass densities, all exact where the inputs allow;
+* ``geometry``: covering/packing counts, neighborhood volumes and box
+  dimension, all exact where the inputs allow;
 * ``cantor``: parametrized Cantor-type interval constructions, their
-  levels and closed-form tube data, natural measures, and random offset
-  draws;
+  levels and closed-form tube data, and random offset draws;
 * ``fourier``: transforms of those measures, octave diagnostics, bump
   mollifiers, and weighted shell sums;
 * ``tauberian``: cyclic-grid span/rank certificates, spherical zero

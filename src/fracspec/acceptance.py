@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,9 +25,9 @@ from numpy.random import SeedSequence, default_rng
 
 from .cantor import (
     CantorParams,
+    build_level,
     level_tube,
     middle_thirds_params,
-    natural_measure,
     sample_salem_offsets,
 )
 from .fourier import (
@@ -45,7 +46,6 @@ from .geometry import (
     geometric_scales,
     packing_number,
     tube_ratios,
-    upper_density_estimate,
 )
 from .numeric import LogRatio, unit_ball_volume
 from .tauberian import (
@@ -338,20 +338,34 @@ def criterion_verdict_formulas() -> CriterionResult:
 # 11. upper density of the natural middle-thirds measure
 
 
+def _ball_count(starts, center: int, reach: int) -> int:
+    """How many of the sorted integer starts lie within reach of center,
+    both ends included.  On a level over den, a midpoint lies in the
+    closed ball of radius r around another exactly when their starts
+    differ by at most floor(r * den)."""
+    return bisect_right(starts, center + reach) - bisect_left(starts, center - reach)
+
+
 def criterion_upper_density() -> CriterionResult:
+    """(2r)**-beta times the natural measure of closed balls around level-12
+    midpoints, each interval carrying mass 2**-12, counted exactly."""
     points = 200
-    measure = natural_measure(middle_thirds_params(), 12)
+    starts, _, den = build_level(middle_thirds_params(), 12)
     beta = math.log(2) / math.log(3)
     rng = default_rng(4217)
-    idx = rng.choice(len(measure.atoms), size=points, replace=False)
-    radii = [float(r) for r in geometric_scales(Fraction(1, 9), Fraction(1, 3), 9)]
+    idx = rng.choice(len(starts), size=points, replace=False)
+    radii = geometric_scales(Fraction(1, 9), Fraction(1, 3), 9)
+    reaches = [math.floor(r * den) for r in radii]
     lo_lim = 2.0**-beta - 0.05
     hi_lim = 1.05
     sup_min, sup_max = math.inf, -math.inf
     ok = 0
     for i in idx:
-        rows = upper_density_estimate(measure, measure.atoms[int(i)], beta, radii)
-        sup = max(ratio for _, _, ratio in rows)
+        center = starts[int(i)]
+        sup = max(
+            _ball_count(starts, center, reach) / len(starts) * (2.0 * float(r)) ** (-beta)
+            for r, reach in zip(radii, reaches)
+        )
         sup_min = min(sup_min, sup)
         sup_max = max(sup_max, sup)
         ok += lo_lim <= sup <= hi_lim

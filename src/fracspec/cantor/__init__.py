@@ -1,8 +1,7 @@
-"""Branching interval constructions, their levels, measures, and offset draws."""
+"""Branching interval constructions, their levels and tube data, and offset draws."""
 
 from .io import write_level_csv, write_params
 from .levels import CantorLevel, build_level, check_level_budget, level_tube
-from .measures import natural_measure
 from .params import (
     CantorParams,
     middle_thirds_params,
@@ -20,7 +19,6 @@ __all__ = [
     "check_level_budget",
     "level_tube",
     "middle_thirds_params",
-    "natural_measure",
     "sample_salem_offsets",
     "similarity_dimension",
     "tapered_eta",

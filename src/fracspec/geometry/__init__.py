@@ -6,7 +6,6 @@ from .cloud import (
     covering_number,
     packing_number,
 )
-from .density import WeightedMeasure, upper_density_estimate
 from .dimension import DimensionFit, box_dimension_estimate
 from .sweeps import geometric_scales
 from .volumes import eps_neighborhood_volume, tube_ratios
@@ -15,12 +14,10 @@ __all__ = [
     "EXACT_CAP",
     "DimensionFit",
     "PointCloud",
-    "WeightedMeasure",
     "box_dimension_estimate",
     "covering_number",
     "eps_neighborhood_volume",
     "geometric_scales",
     "packing_number",
     "tube_ratios",
-    "upper_density_estimate",
 ]

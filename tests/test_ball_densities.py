@@ -1,86 +1,77 @@
-"""Ball masses and upper-density estimates."""
+"""Ball masses of the natural measure on a level, counted exactly on the
+level's integer starts, against the float atom route and Fraction
+enumeration."""
 
 import math
 from fractions import Fraction
 
-import pytest
+from measure_oracle import natural_measure, upper_density_estimate
 
-from fracspec.cantor.measures import natural_measure
+from fracspec.acceptance import _ball_count, criterion_upper_density
+from fracspec.cantor.levels import build_level
 from fracspec.cantor.params import middle_thirds_params
-from fracspec.errors import DomainError
-import numpy as np
-
-from fracspec.geometry.density import WeightedMeasure, upper_density_estimate
 from fracspec.geometry.sweeps import geometric_scales
 
 BETA = math.log(2) / math.log(3)
+# the upper-density criterion's radii, 3**-k / 9 for k = 0..8
+CRITERION_RADII = geometric_scales(Fraction(1, 9), Fraction(1, 3), 9)
 
 
-def ball_mass(measure, x, r):
-    """Mass of the closed ball of radius r around x, one radius per call:
-    the oracle for the masses upper_density_estimate sums per radius."""
-    if isinstance(x, (int, float)):
-        x = (x,)
-    d2 = ((measure.atoms - np.asarray(x, dtype=float)) ** 2).sum(axis=1)
-    return float(measure.weights[d2 <= r * r].sum())
-
-
-def measure_of(atoms, weights):
-    """A measure from per-atom lists, one row per atom."""
-    return WeightedMeasure(
-        np.asarray(atoms, dtype=float).reshape(len(weights), -1), np.asarray(weights, dtype=float)
-    )
-
-
-def masses(measure, x, radii):
-    """The masses upper_density_estimate reports (alpha 0: ratio = mass)."""
-    return [mass for _, mass, _ in upper_density_estimate(measure, x, 0.0, radii)]
-
-
-def test_measure_is_its_two_arrays():
-    """A measure is the named pair (atoms, weights), and the alpha bound
-    is the dimension of the atoms."""
-    atoms = np.array([[0.0, 0.0], [1.0, 1.0]])
-    mu = WeightedMeasure(atoms, np.array([0.25, 0.75]))
-    assert mu._fields == ("atoms", "weights") and mu.atoms is atoms
-    assert masses(mu, (0.0, 0.0), [1.0, 2.0]) == [0.25, 1.0]
-    assert upper_density_estimate(mu, (0.0, 0.0), 2.0, [0.5]) == ((0.5, 0.25, 0.25),)
-    with pytest.raises(DomainError, match=r"alpha must lie in \[0, 2\]"):
-        upper_density_estimate(mu, (0.0, 0.0), 2.5, [1.0])
+def exact_rows(level, center, alpha, radii):
+    """(r, mass, ratio) rows of the closed balls around the point whose
+    start would be the integer center, each interval of the level carrying
+    mass 1 / len(starts), as the criterion computes them."""
+    starts, _, den = level
+    rows = []
+    for r in radii:
+        mass = _ball_count(starts, center, math.floor(r * den)) / len(starts)
+        rows.append((float(r), mass, mass * (2.0 * float(r)) ** (-alpha)))
+    return tuple(rows)
 
 
 def test_ball_mass_closed_boundary():
-    mu = measure_of([0.0, 1.0], [0.5, 0.5])
-    # atom exactly on the boundary counts: the ball is closed
-    assert masses(mu, 0.0, [1.0, 0.999]) == [1.0, 0.5]
-    assert masses(mu, (0.5,), [0.5]) == [1.0]
-    assert ball_mass(mu, 0.0, 1.0) == 1.0 and ball_mass(mu, 0.0, 0.999) == 0.5
+    """The level-1 midpoints 1/6 and 5/6 are 2/3 apart: the closed ball of
+    radius 2/3 holds both, and any smaller radius holds one."""
+    level = build_level(middle_thirds_params(), 1)
+    below = Fraction(2, 3) - Fraction(1, 10**9)
+    for center in level.starts:
+        rows = exact_rows(level, center, 0.0, [Fraction(2, 3), below])
+        assert [mass for _, mass, _ in rows] == [1.0, 0.5]
 
 
 def test_rows_match_per_radius_oracle():
-    """Distances computed once give each radius's mass and ratio bit for
-    bit as one ball_mass call per radius did, over the criterion's 9
-    radii floated once or taken from the schedule."""
-    mu = natural_measure(middle_thirds_params(), 8)
-    scales = geometric_scales(Fraction(1, 9), Fraction(1, 3), 9)
-    radii = [float(r) for r in scales]
-    for x in (mu.atoms[0], mu.atoms[77], (0.5,), 0.3):
-        rows = upper_density_estimate(mu, x, BETA, radii)
-        assert rows == upper_density_estimate(mu, x, BETA, scales)
-        want = []
-        for r in radii:
-            mass = ball_mass(mu, x, r)
-            want.append((r, mass, mass * (2.0 * r) ** (-BETA)))
-        assert rows == tuple(want)
+    """At the criterion's depth 12, for every one of the 4096 centers and
+    each of its 9 radii, the exact count gives the float route's mass and
+    ratio bit for bit."""
+    params = middle_thirds_params()
+    level = build_level(params, 12)
+    mu = natural_measure(params, 12)
+    for center, x in zip(level.starts, mu[0]):
+        want = upper_density_estimate(mu, x, BETA, CRITERION_RADII)
+        assert exact_rows(level, center, BETA, CRITERION_RADII) == want
+
+
+def test_closed_ball_ties_match_fraction_enumeration():
+    """At level 8 the radii 2 / 3**k, k = 1..7, are distances between
+    midpoints, so midpoints sit exactly on ball boundaries: the integer
+    count equals a count over the exact Fraction midpoints for every
+    center.  The float route miscounts some of these ties, which is why
+    its comparison above keeps to the criterion's radii."""
+    starts, length, den = level = build_level(middle_thirds_params(), 8)
+    radii = [Fraction(2, 3**k) for k in range(1, 8)]
+    midpoints = [Fraction(2 * s + length, 2 * den) for s in starts]
+    for s, c in zip(starts, midpoints):
+        distances = [abs(m - c) for m in midpoints]
+        want = [sum(d <= r for d in distances) / len(starts) for r in radii]
+        assert [mass for _, mass, _ in exact_rows(level, s, 0.0, radii)] == want
 
 
 def test_ternary_upper_density_hits_two_to_minus_beta():
     """At a level-J midpoint, the ball of radius 3**-k captures exactly the
     ancestor's mass 2**-k, so (2r)**-beta * mass = 2**-beta at every k."""
-    params = middle_thirds_params()
-    mu = natural_measure(params, 10)
-    x = mu.atoms[0]
-    rows = upper_density_estimate(mu, x, BETA, geometric_scales(Fraction(1, 9), Fraction(1, 3), 6))
+    level = build_level(middle_thirds_params(), 10)
+    radii = geometric_scales(Fraction(1, 9), Fraction(1, 3), 6)
+    rows = exact_rows(level, level.starts[0], BETA, radii)
     expected = 2.0 ** (-BETA)
     assert len(rows) == 6
     for _, _, ratio in rows:
@@ -88,18 +79,17 @@ def test_ternary_upper_density_hits_two_to_minus_beta():
 
 
 def test_uniform_grid_density_at_full_dimension():
-    # near-Lebesgue reference: (2r)**-1 * mass(B_r) ~ 1 for interior x
+    # near-Lebesgue reference: n abutting intervals [2k, 2k + 2] / (2n),
+    # where (2r)**-1 * mass(B_r) ~ 1 for interior x; x = 1/2 sits where a
+    # start of n - 1 would
     n = 4096
-    mu = measure_of([(k + 0.5) / n for k in range(n)], [1.0 / n] * n)
-    rows = upper_density_estimate(mu, (0.5,), 1.0, geometric_scales(Fraction(1, 8), Fraction(1, 2), 5))
+    level = (tuple(range(0, 2 * n, 2)), 2, 2 * n)
+    rows = exact_rows(level, n - 1, 1.0, geometric_scales(Fraction(1, 8), Fraction(1, 2), 5))
     assert abs(max(ratio for _, _, ratio in rows) - 1.0) < 0.01
 
 
-def test_density_input_validation():
-    mu = measure_of([0.0], [1.0])
-    radii = geometric_scales(Fraction(1, 2), Fraction(1, 2), 4)
-    with pytest.raises(DomainError):
-        upper_density_estimate(mu, 0.0, 1.5, radii)
-    with pytest.raises(DomainError):
-        upper_density_estimate(mu, 0.0, -0.2, radii)
-
+def test_criterion_detail_is_unchanged():
+    """Every sampled midpoint reads 2**-beta, as the float route read it."""
+    result = criterion_upper_density()
+    assert result.passed
+    assert result.detail == "200/200 points in [0.5958, 1.05] (observed range [0.6458, 0.6458])"

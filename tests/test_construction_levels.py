@@ -1,22 +1,23 @@
-"""Level recursion, natural measures, and on-disk round-trips."""
+"""Level recursion, the natural measure on a level, and on-disk round-trips."""
 
 import csv
 import json
+import math
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from fracspec.acceptance import _ball_count
 from fracspec.cantor.io import write_level_csv, write_params
 from fracspec.cantor import levels
 from fracspec.cantor.levels import MAX_INTERVALS, build_level, level_tube
-from fracspec.cantor.measures import natural_measure
 from fracspec.cantor.params import CantorParams, middle_thirds_params
 from fracspec.cantor.sampling import REJECTION_BUDGET, sample_salem_offsets
 from fracspec.errors import DomainError, SizeError
-from fracspec.geometry.density import upper_density_estimate
 from interval_oracle import from_pairs, level_union
+from measure_oracle import natural_measure
 from tube_oracle import union_tube
 
 
@@ -233,19 +234,20 @@ def test_unvalidated_offsets_raise():
 
 def test_natural_measure_totals_and_interval_mass():
     params = middle_thirds_params()
-    level = build_level(params, 5)
-    mu = natural_measure(params, 5)
-    assert mu.atoms.shape == (32, 1) and mu.weights.shape == (32,)
-    # the float of each exact midpoint, rounded once by Fraction
-    twice = 2 * level.denominator
-    midpoints = [Fraction(2 * s + level.length, twice) for s in level.starts]
-    assert mu.atoms[:, 0].tolist() == [float(m) for m in midpoints]
-    assert mu.weights.tolist() == [float(Fraction(1, 32))] * 32
-    assert mu.weights.sum() == 1.0
-    # each level-1 child, [0, 1/3] and [2/3, 1], carries exactly half the mass
-    for center in (1 / 6, 5 / 6):
-        rows = upper_density_estimate(mu, center, 0.0, [1 / 6])
-        assert rows[0][1] == 0.5
+    starts, length, den = build_level(params, 5)
+    atoms, weights = natural_measure(params, 5)
+    # the oracle's atoms are the floats of the exact midpoints, rounded once
+    midpoints = [Fraction(2 * s + length, 2 * den) for s in starts]
+    assert atoms[:, 0].tolist() == [float(m) for m in midpoints]
+    assert weights.tolist() == [1 / len(starts)] * 32 and weights.sum() == 1.0
+    # each level-1 child, [0, 1/3] and [2/3, 1], carries exactly half the
+    # mass: the closed ball of radius 1/6 around its center, counted on
+    # the starts, whose midpoint units put the center at x den - length / 2
+    for center in (Fraction(1, 6), Fraction(5, 6)):
+        shifted = center * den - Fraction(length, 2)
+        assert shifted.denominator == 1
+        count = _ball_count(starts, int(shifted), math.floor(Fraction(1, 6) * den))
+        assert count / len(starts) == 0.5
 
 
 def test_params_json_round_trip(tmp_path):

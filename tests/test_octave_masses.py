@@ -78,16 +78,33 @@ def test_octave_window_validation():
         lq_grid_diagnostics(params, 3, (3.0, 0.5), 2, 8, 4)
 
 
-def test_grid_extent_must_cover_window():
+def test_window_ending_just_below_top_edge_runs():
     """At 3 samples per octave over j = -3..1 the arange's last frequency
-    rounds to just below 4, so both routes refuse the window."""
+    rounds to just below 4.  The top octave is half-open, so the window
+    runs, and its masses are those of one mask per octave over the whole
+    arange grid, bit for bit."""
     params = middle_thirds_params()
-    with pytest.raises(DomainError, match="grid extent") as streamed:
-        lq_grid_diagnostics(params, 3, (2.0,), -3, 1, 3)
+    spacing, step, size, _ = octave_grid(-3, 1, 3)
+    assert spacing + (size - 1) * step < 4.0
+    qs = (2.0, 3.0)
+    streamed = lq_grid_diagnostics(params, 3, qs, -3, 1, 3)
     xi, spacing, values, _ = spectral_grid(params, 3, -3, 1, 3)
-    with pytest.raises(DomainError, match="grid extent") as full:
-        lq_annulus_diagnostics(xi, values, spacing, 2.0, -3, 1)
-    assert str(streamed.value) == str(full.value)
+    for q, diag in zip(qs, streamed):
+        got = [row.integral for row in diag.rows]
+        assert bits(got) == bits(mask_masses(xi, values, spacing, q, -3, 1))
+
+
+@pytest.mark.parametrize("j0", range(-6, 5))
+def test_octave_grid_covers_every_window(j0):
+    """Over 4 to 9 octaves at 1 to 699 samples per octave, the stop half a
+    spacing past 2**(j1 + 1) leaves the last frequency within 1e-9
+    spacings of that edge, and every octave holds at least one index."""
+    for octaves in range(MIN_OCTAVES, 10):
+        j1 = j0 + octaves - 1
+        for per_octave in range(1, 700):
+            spacing, step, size, edges = octave_grid(j0, j1, per_octave)
+            assert all(lo < hi for lo, hi in zip(edges, edges[1:]))
+            assert abs(spacing + (size - 1) * step - 2.0 ** (j1 + 1)) <= 1e-9 * spacing
 
 
 def bits(values):

@@ -39,4 +39,5 @@ def test_traced_upper_density_counts_measure_atoms(monkeypatch, capsys):
     finally:
         recorder.uninstall()
     assert code == 0, capsys.readouterr().out
-    assert recorder.counts["cantor.natural_measure"] == {"calls": 1, "atoms": 4096}
+    # the measure's 4096 atoms are the level-12 intervals, built once
+    assert recorder.counts["cantor.build_level"] == {"calls": 1, "intervals": 4096}
