@@ -64,10 +64,14 @@ def fmt(x) -> str:
 
 
 def write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(c) if isinstance(c, (str, int)) else fmt(c) for c in row))
-    path.write_text("\n".join(lines) + "\n")
+    """Write the header and then each row as one comma-separated line
+    ending in '\n'; str and int cells are written as they are, any other
+    through fmt.  The lines go to the open file one at a time, so rows may
+    be a generator, and no list of lines or joined text is held."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(str(c) if isinstance(c, (str, int)) else fmt(c) for c in row) + "\n")
 
 
 @dataclass
@@ -197,7 +201,7 @@ def run_dim(cfg: ExperimentConfig) -> ReportRecord:
     rows = [(lengths[m], params.branches**m) for m in range(lo, hi + 1)]
     fit = box_dimension_estimate(rows)
     out = _out_dir(cfg)
-    write_csv(out / "counts.csv", ("eps", "count"), [(fmt(eps), count) for eps, count in rows])
+    write_csv(out / "counts.csv", ("eps", "count"), ((fmt(eps), count) for eps, count in rows))
     return ReportRecord(
         experiment=cfg.experiment,
         digest=cfg.digest(opts),
@@ -235,7 +239,7 @@ def run_minkowski(cfg: ExperimentConfig) -> ReportRecord:
     write_csv(
         out / "ratios.csv",
         ("eps", "value", "bound_low", "bound_high"),
-        [(fmt(eps), fmt(r), fmt(r), fmt(r)) for (eps, _, _), r in zip(rows, ratios)],
+        ((fmt(eps), fmt(r), fmt(r), fmt(r)) for (eps, _, _), r in zip(rows, ratios)),
     )
     sup_ratio = max(ratios)
     return ReportRecord(
@@ -264,18 +268,22 @@ def run_fourier(cfg: ExperimentConfig) -> ReportRecord:
     spacing, step, size, _ = octave_grid(j_lo, j_hi, per_octave)
     xi = spacing + np.arange(0, size, max(1, size // 2048)) * step
     values, length = cantor_fourier_grid(params, depth, xi)
-    sample = list(zip(xi, values, np.abs(xi) * length))
+    sample = zip(xi.tolist(), values.tolist(), (np.abs(xi) * length).tolist())
     out = _out_dir(cfg)
-    rows = []
-    for q, diag in zip(qs, diags):
-        for row in diag.rows:
-            ratio = "" if row.ratio is None else fmt(row.ratio)
-            rows.append((fmt(q), row.j, fmt(row.lo), fmt(row.hi), fmt(row.integral), ratio))
-    write_csv(out / "octaves.csv", ("q", "j", "lo", "hi", "integral", "ratio"), rows)
+    write_csv(
+        out / "octaves.csv",
+        ("q", "j", "lo", "hi", "integral", "ratio"),
+        (
+            (fmt(q), row.j, fmt(row.lo), fmt(row.hi), fmt(row.integral),
+             "" if row.ratio is None else fmt(row.ratio))
+            for q, diag in zip(qs, diags)
+            for row in diag.rows
+        ),
+    )
     write_csv(
         out / "spectrum.csv",
         ("xi", "re", "im", "abs", "error_bound"),
-        [(fmt(x), fmt(v.real), fmt(v.imag), fmt(abs(v)), fmt(e)) for x, v, e in sample],
+        ((fmt(x), fmt(v.real), fmt(v.imag), fmt(abs(v)), fmt(e)) for x, v, e in sample),
     )
     metrics = {"depth": depth, "octaves": j_hi - j_lo + 1}
     flags = {}
@@ -299,12 +307,15 @@ def run_mollify(cfg: ExperimentConfig) -> ReportRecord:
     eps_schedule = [2.0**-e for e in range(e_lo, e_hi + 1)]
     sweep = mollifier_sum(f, alpha, eps_schedule, j_lo=j_lo, j_hi=j_hi)
     out = _out_dir(cfg)
-    rows = []
-    for e_idx, eps in enumerate(sweep.eps):
-        for row in sweep.rows:
-            b = row.b[e_idx]
-            rows.append((fmt(eps), row.j, fmt(b), fmt(row.a), fmt(row.a * b)))
-    write_csv(out / "sweep.csv", ("eps", "j", "b", "a", "product"), rows)
+    write_csv(
+        out / "sweep.csv",
+        ("eps", "j", "b", "a", "product"),
+        (
+            (fmt(eps), row.j, fmt(row.b[e_idx]), fmt(row.a), fmt(row.a * row.b[e_idx]))
+            for e_idx, eps in enumerate(sweep.eps)
+            for row in sweep.rows
+        ),
+    )
     summary = {
         "eps": [fmt(e) for e in sweep.eps],
         "sums": [fmt(s) for s in sweep.sums],
@@ -394,7 +405,7 @@ def _run_radial_scan(cfg: ExperimentConfig, opts: dict, out: Path) -> ReportReco
     rng = default_rng(seed)
     base = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     zero_radii = spherical_zero_radii(mask_spectrum_on_radii(base, radii, band))
-    write_csv(out / "radii.csv", ("radius",), [(fmt(r),) for r in zero_radii])
+    write_csv(out / "radii.csv", ("radius",), ((fmt(r),) for r in zero_radii))
     recovered = []
     for target in radii:
         hits = [r for r in zero_radii if abs(r - target) <= band]

@@ -39,6 +39,9 @@ def box_dimension_estimate(rows) -> DimensionFit:
         x = np.log(1.0 / np.asarray([float(scale) for scale, _ in rows]))
     if not np.isfinite(x).all():
         raise DomainError("a scale has no finite log(1/eps) as a float")
+    # on one abscissa the fit is rank deficient and its slope meaningless
+    if np.all(x == x[0]):
+        raise DomainError("the scales need at least two distinct values of log(1/eps)")
     y = np.log(np.asarray([count for _, count in rows], dtype=float))
     degenerate = bool(np.all(y == y[0]))
     slope, intercept = np.polyfit(x, y, 1)

@@ -5,11 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 
 def as_fraction(x) -> Fraction:
@@ -124,10 +122,26 @@ QUADRATURE_ORDER = 32
 # blocks of 2048..16384 ran within 5 %, and 1024 and 65536 were slower.
 BLOCK = 4096
 
-
-@lru_cache(maxsize=1)
-def _gauss_legendre():
-    return leggauss(QUADRATURE_ORDER)
+# The QUADRATURE_ORDER-node Gauss-Legendre rule on [-1, 1], bit for bit the
+# one numpy.polynomial.legendre.leggauss gives, each double written as the
+# shortest decimal that parses back to it.  Its nodes are antisymmetric and
+# its weights symmetric, so the positive nodes and their weights are listed,
+# ascending, and mirrored into read-only arrays.
+_GL_NODES = (
+    0.048307665687738324, 0.1444719615827965, 0.23928736225213706, 0.33186860228212767,
+    0.42135127613063533, 0.5068999089322294, 0.5877157572407623, 0.6630442669302152,
+    0.7321821187402897, 0.7944837959679424, 0.84936761373257, 0.8963211557660521,
+    0.9349060759377397, 0.9647622555875064, 0.9856115115452684, 0.9972638618494816,
+)
+_GL_WEIGHTS = (
+    0.09654008851472766, 0.09563872007927471, 0.09384439908080451, 0.09117387869576378,
+    0.08765209300440378, 0.08331192422694671, 0.07819389578707023, 0.07234579410884834,
+    0.06582222277636168, 0.058684093478535565, 0.05099805926237609, 0.042835898022226836,
+    0.034273862913021765, 0.025392065309262024, 0.016274394730905743, 0.007018610009470506,
+)
+_GL_X = np.array([-x for x in reversed(_GL_NODES)] + list(_GL_NODES))
+_GL_W = np.array(_GL_WEIGHTS[::-1] + _GL_WEIGHTS)
+_GL_X.flags.writeable = _GL_W.flags.writeable = False
 
 
 def panel_count(lo: float, hi: float, panel_width):
@@ -154,8 +168,7 @@ def _panels(lo, hi, count: int):
     are bit for bit those of a call on it alone.
     """
     mids, halves = _panel_halves(lo, hi, count)
-    x, w = _gauss_legendre()
-    return mids[..., None] + halves[..., None] * x, w, halves
+    return mids[..., None] + halves[..., None] * _GL_X, _GL_W, halves
 
 
 def pairwise_sum(leaf, start: int, stop: int):
@@ -186,16 +199,15 @@ def integrate_panels(fn, lo: float, hi: float, *, panel_width: float) -> float:
         return 0.0
     count = int(panel_count(lo, hi, panel_width))
     mids, halves = _panel_halves(lo, hi, count)
-    x, w = _gauss_legendre()
 
     def leaf(start, stop):
         # node k of the flattened (panels, nodes) array
-        panel, node = np.divmod(np.arange(start, stop), len(x))
+        panel, node = np.divmod(np.arange(start, stop), QUADRATURE_ORDER)
         h = halves[panel]
-        vals = np.asarray(fn(mids[panel] + h * x[node]), dtype=float)
-        return np.sum(vals * w[node] * h)
+        vals = np.asarray(fn(mids[panel] + h * _GL_X[node]), dtype=float)
+        return np.sum(vals * _GL_W[node] * h)
 
-    return float(pairwise_sum(leaf, 0, count * len(x)))
+    return float(pairwise_sum(leaf, 0, count * QUADRATURE_ORDER))
 
 
 # Cephes j0 (Moshier, Methods and Programs for Mathematical Functions, 1989):

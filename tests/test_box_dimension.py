@@ -70,6 +70,22 @@ def test_needs_enough_scales():
         box_dimension_estimate([])
 
 
+@pytest.mark.parametrize(
+    "scales",
+    [
+        [Fraction(1, 3)] * 4,
+        # distinct rationals that float to one value
+        [Fraction(1, 3) + Fraction(k, 10**30) for k in range(4)],
+    ],
+)
+def test_one_scale_value_is_refused(scales):
+    """Rows whose log(1/eps) floats take one value leave the fit rank
+    deficient (np.polyfit warns and returns a meaningless slope, 0.3616 for
+    counts 1..4 at eps = 1/3), so they are refused before it."""
+    with pytest.raises(DomainError, match="two distinct values"):
+        box_dimension_estimate(list(zip(scales, (1, 2, 3, 4))))
+
+
 def test_cloud_route_agrees_with_structural_route():
     """Covering counts of level endpoints reproduce the structural counts.
 

@@ -5,11 +5,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 import fracspec.numeric
 from fracspec.fourier import bessel_tail_profile
 from fracspec.fourier.annuli import OCTAVE_PANEL_WIDTH
-from fracspec.numeric import BLOCK, _panels, integrate_panels, pairwise_sum, panel_count
+from fracspec.numeric import (
+    BLOCK,
+    QUADRATURE_ORDER,
+    _panels,
+    integrate_panels,
+    pairwise_sum,
+    panel_count,
+)
 
 
 def bits(x):
@@ -99,7 +107,6 @@ def test_lp_tail_octave_is_integrated_in_blocks():
     them at a time keeps the traced peak far below the ~3 MB of holding
     every node's point, value and term."""
     fn = lp_tail_integrand(5.0)
-    integrate_panels(fn, 1.0, 2.0, panel_width=OCTAVE_PANEL_WIDTH)  # caches the rule
     tracemalloc.start()
     try:
         integrate_panels(fn, 1024.0, 2048.0, panel_width=OCTAVE_PANEL_WIDTH)
@@ -107,3 +114,13 @@ def test_lp_tail_octave_is_integrated_in_blocks():
     finally:
         tracemalloc.stop()
     assert peak <= 2**20
+
+
+def test_gauss_legendre_table_is_leggauss():
+    """The tabulated rule is numpy's leggauss at the stated order, bit for
+    bit, and _panels hands out its read-only arrays."""
+    x, w = leggauss(QUADRATURE_ORDER)
+    nodes, weights, _ = _panels(-1.0, 1.0, 1)
+    assert bits(fracspec.numeric._GL_X) == bits(x) == bits(nodes[0])
+    assert bits(weights) == bits(w)
+    assert not (weights.flags.writeable or fracspec.numeric._GL_X.flags.writeable)

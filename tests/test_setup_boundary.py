@@ -62,8 +62,12 @@ def run_python(code: str, **env_overrides) -> str:
 
 
 def test_cli_import_leaves_scipy_out():
-    out = run_python("import sys, fracspec.cli; print('scipy' in sys.modules)")
-    assert out.strip() == "False"
+    """Neither scipy nor numpy.polynomial is loaded: j0 is a port of Cephes,
+    and the Gauss-Legendre rule a table."""
+    out = run_python(
+        "import sys, fracspec.cli; print('scipy' in sys.modules, 'numpy.polynomial' in sys.modules)"
+    )
+    assert out.strip() == "False False"
 
 
 def test_commands_import_nothing_after_setup():
