@@ -104,9 +104,13 @@ class ExperimentConfig:
         out: Optional[str] = None,
     ) -> "ExperimentConfig":
         try:
-            text = Path(path).read_text()
+            text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                f"config {path} is not valid UTF-8: {exc.reason} at byte {exc.start}"
+            ) from exc
         options = parse_config_text(text)
         exp = experiment or options.pop("experiment", None)
         if exp is None:

@@ -158,7 +158,10 @@ def _params_from_config(cfg: ExperimentConfig, opts: dict) -> CantorParams:
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
     path = Path(cfg.out) / cfg.experiment
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {path}: {exc.strerror}") from exc
     return path
 
 

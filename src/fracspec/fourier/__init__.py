@@ -9,7 +9,7 @@ from .annuli import (
     lq_radial_diagnostics,
     octave_grid,
 )
-from .bump import BumpFunction, annulus_sups_squared
+from .bump import annulus_sups_squared, bump_transform
 from .mollifier import (
     MollifierRow,
     MollifierSweep,
@@ -22,7 +22,6 @@ from .transforms import cantor_fourier_grid
 __all__ = [
     "MIN_OCTAVES",
     "RATIO_THRESHOLD",
-    "BumpFunction",
     "MollifierRow",
     "MollifierSweep",
     "OctaveDiagnostics",
@@ -30,6 +29,7 @@ __all__ = [
     "RadialProfile",
     "annulus_sups_squared",
     "bessel_tail_profile",
+    "bump_transform",
     "cantor_fourier_grid",
     "lq_grid_diagnostics",
     "lq_radial_diagnostics",

@@ -75,6 +75,14 @@ def test_missing_file_and_missing_experiment(tmp_path):
     assert cfg.experiment == "construct"
 
 
+def test_config_not_utf8_rejected(tmp_path):
+    """Bytes that are not UTF-8 are unusable input, not a decode crash."""
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"seed = 1\nlevel.depth = 3 \xff\n")
+    with pytest.raises(ConfigError, match="not valid UTF-8: invalid start byte at byte 25"):
+        ExperimentConfig.from_file(path, experiment="construct")
+
+
 def test_unknown_experiment_rejected():
     with pytest.raises(ConfigError, match="unknown experiment"):
         ExperimentConfig(experiment="frobnicate")

@@ -678,6 +678,27 @@ def test_cli_config_errors_exit_2(tmp_path):
     assert main(["dim", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 
+def test_cli_unreadable_inputs_exit_2(tmp_path, capsys):
+    """A config that is not UTF-8, and an --out under an existing file,
+    exit 2 with one error line that names the file."""
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"seed = 1\nlevel.depth = 3 \xff\n")
+    assert main(["construct", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"config error: config {bad} is not valid UTF-8: invalid start byte at byte 25"
+    ]
+    ok = tmp_path / "ok.cfg"
+    ok.write_text("level.depth = 2\n")
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert main(["construct", "--config", str(ok), "--out", str(afile)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"config error: cannot make output directory {afile / 'construct'}: Not a directory"
+    ]
+
+
 @pytest.mark.parametrize("value", ["2", "four"])
 def test_cli_jobs_key_exits_2(tmp_path, capsys, value):
     path = tmp_path / "run.cfg"
@@ -911,7 +932,6 @@ def test_cli_mollify_work_budgets(tmp_path, capsys, monkeypatch, text, budget, m
 
     monkeypatch.setattr(fracspec.fourier.mollifier, "_panels", placed)
     monkeypatch.setattr(fracspec.fourier.bump, "_panels", placed)
-    monkeypatch.setattr(fracspec.fourier.bump, "_ANNULUS_SUPS", {})
     if budget is not None:
         name, value = budget
         module = fracspec.fourier.mollifier if name == "MAX_SHELL_NODES" else fracspec.fourier.bump

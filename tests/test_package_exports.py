@@ -156,3 +156,60 @@ def test_no_unused_imports():
         if names:
             unused[f"{path.parent.name}/{path.name}"] = names
     assert unused == {}
+
+
+CACHE_DECORATORS = {"lru_cache", "cache"}
+EMPTY_CONTAINERS = {"dict", "list", "set"}
+
+
+def is_cache_decorator(node) -> bool:
+    """functools.lru_cache or functools.cache, called or bare, by either
+    spelling."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name in CACHE_DECORATORS
+
+
+def is_empty_container(node) -> bool:
+    """{}, [], or a call of dict, list or set with no arguments."""
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) in EMPTY_CONTAINERS
+        and not node.args
+        and not node.keywords
+    )
+
+
+def process_state(path: Path) -> list:
+    """Module-level functions and methods a module caches across calls,
+    and module-level names it binds to an empty container to fill later."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.ClassDef):
+            defs = [(f"{node.name}.{f.name}", f) for f in node.body if isinstance(f, functions)]
+        else:
+            defs = [(node.name, node)] if isinstance(node, functions) else []
+        found += [name for name, f in defs if any(map(is_cache_decorator, f.decorator_list))]
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if is_empty_container(node.value):
+                found += [t.id for t in targets if isinstance(t, ast.Name)]
+    return found
+
+
+def test_no_process_wide_state():
+    """A cache or container that outlives the call that fills it makes a
+    result depend on what ran earlier in the process, and tests must clear
+    it.  State is scoped to one call, as in a closure's lru_cache."""
+    found = {}
+    for path in sorted(Path(fracspec.__file__).parent.rglob("*.py")):
+        names = process_state(path)
+        if names:
+            found[f"{path.parent.name}/{path.name}"] = names
+    assert found == {}
