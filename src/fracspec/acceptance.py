@@ -67,8 +67,7 @@ class CriterionResult:
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
-        timing = f" [{self.wall_time_s:.2f}s]"
-        return f"{mark} {self.name}{timing}: {self.detail}"
+        return f"{mark} {self.name} [{self.wall_time_s:.2f}s]: {self.detail}"
 
 
 def _result(name, passed, detail) -> CriterionResult:
@@ -217,17 +216,14 @@ def criterion_cantor_nondecay(depth: int = 40) -> CriterionResult:
 def criterion_salem_decay() -> CriterionResult:
     """Decay dichotomy for the random 4-branch, ratio-1/16 construction.
 
-    The default window is one full base-16 frequency block [16, 256],
-    aligned to the construction's own scale ratio; with a fixed offset
-    vector the transform recurs 16-adically, so any window straddling a
-    block boundary sees the recurrence spike.  KNOWN LIMITATION: even on
-    the aligned window the q=6 summable verdict holds only for a small
-    fraction of random draws.  Reusing one offset vector at every level
-    makes |transform|^6 have flat average mass per base-16 block (the
-    sixth-moment average of the single-level factor is exactly 1/16, the
-    scale ratio), so the summable-like reading is atypical by design of
-    the construction.  This criterion is expected to FAIL at the required
-    3-of-5 level and is kept as an honest record rather than weakened.
+    The window [16, 256] is one full base-16 block, aligned to the scale
+    ratio: with a fixed offset vector the transform recurs 16-adically,
+    so a window across a block edge sees the recurrence spike.  KNOWN
+    LIMITATION: with one offset vector at every level, |transform|^6 has
+    flat average mass per block (the sixth moment of the one-level factor
+    is exactly 1/16, the scale ratio), so the q=6 summable reading holds
+    for few draws.  This criterion is expected to FAIL the 3-of-5 level
+    and is kept as an honest record rather than weakened.
     """
     branches, ratio = 4, Fraction(1, 16)
     seeds, j_lo, j_hi = (1, 2, 3, 4, 5), 4, 7

@@ -156,6 +156,14 @@ def _params_from_config(cfg: ExperimentConfig, opts: dict) -> CantorParams:
     )
 
 
+def _check_out(cfg: ExperimentConfig) -> None:
+    """Refuse an <out>/<experiment> that is or lies under a non-directory,
+    before any work and without making it."""
+    path = Path(cfg.out) / cfg.experiment
+    if not next(p for p in (path, *path.parents) if p.exists()).is_dir():
+        raise ConfigError(f"cannot make output directory {path}: Not a directory")
+
+
 def _out_dir(cfg: ExperimentConfig) -> Path:
     path = Path(cfg.out) / cfg.experiment
     try:
@@ -344,8 +352,8 @@ def run_mollify(cfg: ExperimentConfig) -> ReportRecord:
     )
 
 
-# Complex entries of the rows drawn and counted at once (256 KB).
-SPAN_CHUNK_ENTRIES = 2**14
+# Complex entries of the rows drawn and counted at once (64 KB).
+SPAN_CHUNK_ENTRIES = 2**12
 # trials x m**3, the SVD work of the span trials: one trial at m 2048
 # (about 1.8 s on a 2-core x86-64, as two 1024 x 1024 blocks) fits, and
 # so do 1000 at m 64 (2**28).
@@ -354,21 +362,21 @@ MAX_SPAN_WORK = 2**33
 
 def span_trials(m: int, root: SeedSequence, trials: int) -> np.ndarray:
     """(3, trials) span_counts; row t is m complex normals from root's t-th
-    child.  Rows are spawned, drawn and counted a chunk at a time, after
-    the translate matrix and work budgets are checked."""
+    child, real parts first.  After the budget checks, rows are drawn and
+    counted a chunk at a time in one array of at most SPAN_CHUNK_ENTRIES:
+    it and span_counts' arrays of its size are all that is live."""
     check_square_budget(m, "translate matrix")
     if trials * m**3 > MAX_SPAN_WORK:
         raise SizeError(f"{trials} trials x {m}**3 exceed the span work budget of {MAX_SPAN_WORK}")
     counts = np.empty((3, trials), dtype=np.intp)
-    draws = np.empty((min(max(1, SPAN_CHUNK_ENTRIES // m), trials), 2, m))
-    for lo in range(0, trials, len(draws)):
-        children = root.spawn(min(len(draws), trials - lo))
-        for i, child in enumerate(children):
+    rows = np.empty((min(max(1, SPAN_CHUNK_ENTRIES // m), trials), m), dtype=complex)
+    for lo in range(0, trials, len(rows)):
+        children = root.spawn(min(len(rows), trials - lo))
+        for row, child in zip(rows, children):
             rng = default_rng(child)
-            rng.standard_normal(out=draws[i, 0])
-            rng.standard_normal(out=draws[i, 1])
-        part = draws[: len(children)]
-        counts[:, lo : lo + len(children)] = span_counts(part[:, 0] + 1j * part[:, 1])
+            row.real = rng.standard_normal(m)
+            row.imag = rng.standard_normal(m)
+        counts[:, lo : lo + len(children)] = span_counts(rows[: len(children)])
     return counts
 
 
@@ -382,8 +390,7 @@ def span_matches(counts: np.ndarray) -> int:
 
 def _run_span_trials(cfg: ExperimentConfig, opts: dict, out: Path) -> ReportRecord:
     m, trials = opts["tauberian.m"], opts["tauberian.trials"]
-    seed = cfg.seed if cfg.seed is not None else 0
-    counts = span_trials(m, SeedSequence(seed), trials)
+    counts = span_trials(m, SeedSequence(cfg.seed or 0), trials)
     write_csv(
         out / "trials.csv",
         ("trial", "span_dim", "circulant_rank", "dft_zeros"),
@@ -404,29 +411,26 @@ def _run_radial_scan(cfg: ExperimentConfig, opts: dict, out: Path) -> ReportReco
     if radii[-1] >= m / 2:
         raise ConfigError("tauberian.radii must sit below the grid Nyquist radius m/2")
     check_square_budget(m, "radial scan grid")
-    seed = cfg.seed if cfg.seed is not None else 0
-    rng = default_rng(seed)
-    base = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    zero_radii = spherical_zero_radii(mask_spectrum_on_radii(base, radii, band))
+    rng = default_rng(cfg.seed or 0)
+    grid = np.empty((m, m), dtype=complex)
+    grid.real = rng.standard_normal((m, m))
+    grid.imag = rng.standard_normal((m, m))
+    grid = mask_spectrum_on_radii(grid, radii, band)  # frees the drawn grid
+    zero_radii = spherical_zero_radii(grid)
     write_csv(out / "radii.csv", ("radius",), ((fmt(r),) for r in zero_radii))
-    recovered = []
-    for target in radii:
-        hits = [r for r in zero_radii if abs(r - target) <= band]
-        recovered.append(bool(hits))
+    recovered = all(any(abs(r - t) <= band for r in zero_radii) for t in radii)
     dim_est = 0.0
     if len(zero_radii) >= 2:
         cloud = PointCloud.from_points(zero_radii)
         lo = min(np.diff(zero_radii)) / 2
         hi = (zero_radii[-1] - zero_radii[0]) / 4
         if hi > lo > 0:
-            count = 6
             scales = geometric_scales(
                 Fraction(hi).limit_denominator(10**6),
-                Fraction(np.exp(np.log(lo / hi) / (count - 1))).limit_denominator(10**6),
-                count,
+                Fraction(np.exp(np.log(lo / hi) / 5)).limit_denominator(10**6),
+                6,
             )
-            fit = box_dimension_estimate([(eps, covering_number(cloud, eps)) for eps in scales])
-            dim_est = fit.slope
+            dim_est = box_dimension_estimate([(e, covering_number(cloud, e)) for e in scales]).slope
     report = radial_verdict(zero_radii, dim_est, 2)
     (out / "verdict.json").write_text(json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
     return ReportRecord(
@@ -438,7 +442,7 @@ def _run_radial_scan(cfg: ExperimentConfig, opts: dict, out: Path) -> ReportReco
             "target_radii": len(radii),
             "dim_estimate": dim_est,
         },
-        flags={"all_targets_recovered": all(recovered)},
+        flags={"all_targets_recovered": recovered},
     )
 
 
@@ -461,6 +465,7 @@ EXPERIMENTS = {
 
 def run_experiment(cfg: ExperimentConfig) -> ReportRecord:
     runner = EXPERIMENTS[cfg.experiment]
+    _check_out(cfg)
     started = time.perf_counter()
     record = runner(cfg)
     record.wall_time_s = time.perf_counter() - started

@@ -18,7 +18,6 @@ complex array: glibc's cexp of a phase with real part +-0 is exactly
 (cos y, sin y) (the tests check this), complex addition is
 componentwise, and branch_sum's leading identity 0 makes a sum of
 signed zeros +0 either way.  cos and sin cost about 30 % less than exp.
-The octave diagnostics evaluate a block at a time, holding no grid.
 
 Convention note: measures are transformed without the (2pi)**(-n/2)
 prefactor that function transforms carry elsewhere in the package, so

@@ -16,11 +16,9 @@ maximum packing cannot be extended, so no point is farther than 2*eps
 from one of its centers, and a closed eps/2 ball cannot hold two points
 more than 2*eps apart.
 
-Ball centers are restricted to the input cloud.  The unrestricted
-minimum cover (centers anywhere) can only be smaller at the same radius;
-every count reported here is the centers-in-set version, and callers who
-need two-sided control evaluate the chain at doubled / halved radii as
-above rather than guessing.
+Ball centers are restricted to the input cloud; a cover centered
+anywhere can only be smaller, and the chain above gives two-sided
+control.
 
 Every count is exact.  A cloud is its sorted, distinct lattice points:
 integer numerators over one common denominator den, the lcm of the exact

@@ -18,8 +18,6 @@ def as_fraction(x) -> Fraction:
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     if isinstance(x, float):
         if not math.isfinite(x):
             raise ValueError(f"cannot represent {x!r} as a rational")
@@ -78,12 +76,8 @@ class LogRatio:
         if self.num <= 1 or self.den <= 1:
             raise ValueError("LogRatio needs integers num, den > 1")
 
-    @property
-    def value(self) -> float:
-        return math.log(self.num) / math.log(self.den)
-
     def __float__(self) -> float:
-        return self.value
+        return math.log(self.num) / math.log(self.den)
 
     def exact_power(self, base, shift: int = 0) -> Fraction | None:
         """base ** (value + shift) as a Fraction, when exact.

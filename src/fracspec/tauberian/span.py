@@ -57,11 +57,9 @@ def span_counts(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     transform (grid.vanishing) and span_dim the others.  A circulant's
     singular values are sqrt(m) times those moduli, so the rank cutoff is
     sqrt(m) times the row's tol; the counts then agree on borderline
-    coefficients.  For even m the rank is the sum of the ranks of the two
-    half-size blocks of rank_blocks, whose singular values are the
-    circulant's, at the same cutoff.  The blocks are not folded again:
-    folding on ends in the FFT that the rank is there to check.  An m
-    over the translate matrix budget raises SizeError.
+    coefficients.  For even m the rank sums those of the two blocks of
+    rank_blocks at the same cutoff.  An m over the translate matrix budget
+    raises SizeError.
     """
     rows = np.asarray(values, dtype=complex)
     if rows.ndim != 2 or rows.shape[1] < 2:

@@ -1,27 +1,35 @@
-"""Radial zero scans on the 2-D frequency lattice."""
+"""Radial zero scans on the 2-D frequency lattice.
+
+The scans leave the caller's values as they are and hold, beside them,
+their own transform (masked and inverted in place), a float |k| array
+(shell index taken in place) and, to mask, a distance array.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.fft import fft2, fftfreq, ifft2
+from numpy.fft import fft2, fftfreq, ifftn
 
 from ..errors import DomainError
 from .grid import vanishing
 
 
-def _lattice_norms(values) -> tuple[np.ndarray, np.ndarray]:
-    """(fhat, |k|): the unitary transform of an m x m grid, m >= 2, and
-    the norm of each frequency k in centered integer coordinates
-    (fftfreq * m, so 0 sits at index 0)."""
-    vals = np.asarray(values, dtype=complex)
-    if vals.ndim != 2 or vals.shape[0] != vals.shape[1] or vals.shape[0] < 2:
+def _transform(values) -> np.ndarray:
+    """The unitary transform of an m x m grid, m >= 2, as a new array."""
+    fhat = np.array(values, dtype=complex)
+    if fhat.ndim != 2 or fhat.shape[0] != fhat.shape[1] or fhat.shape[0] < 2:
         raise DomainError("radial scans need an m x m grid with m >= 2")
-    if not np.isfinite(vals).all():
+    if not np.isfinite(fhat).all():
         raise DomainError("grid values must be finite")
-    m = vals.shape[0]
-    freqs = fftfreq(m, d=1.0 / m)
-    kx, ky = np.meshgrid(freqs, freqs, indexing="ij")
-    return fft2(vals, norm="ortho"), np.sqrt(kx**2 + ky**2)
+    return fft2(fhat, norm="ortho", out=fhat)
+
+
+def _lattice_norms(m: int) -> np.ndarray:
+    """The norm of each frequency k of the m x m lattice, in centered
+    integer coordinates (fftfreq * m, so 0 sits at index 0)."""
+    sq = fftfreq(m, d=1.0 / m) ** 2
+    norms = sq[:, None] + sq
+    return np.sqrt(norms, out=norms)
 
 
 def spherical_zero_radii(values) -> tuple:
@@ -40,11 +48,13 @@ def spherical_zero_radii(values) -> tuple:
     meets every half-open window [r - 1/2, r + 1/2) with r between its
     ends, so every shell with 1 <= r <= r_max does.
     """
-    fhat, norms = _lattice_norms(values)
-    zero, _ = vanishing(fhat)
-    top = int(norms.max())
-    shell = np.floor(norms + 0.5).astype(np.intp)
-    live = np.bincount(shell[~zero], minlength=top + 1)
+    zero, _ = vanishing(_transform(values))
+    shell = _lattice_norms(len(zero))
+    top = int(shell.max())
+    np.floor(np.add(shell, 0.5, out=shell), out=shell)
+    # vanishing points go to shell 0, which is not scanned
+    shell[zero] = 0.0
+    live = np.bincount(shell.ravel().astype(np.intp), minlength=top + 1)
     return tuple(float(r) for r in np.flatnonzero(live[1 : top + 1] == 0) + 1)
 
 
@@ -53,10 +63,13 @@ def mask_spectrum_on_radii(values, radii, band: float) -> np.ndarray:
 
     Round-trip helper for building test functions whose radial zero set
     is known by construction; returns the function with the masked
-    spectrum (inverse transform of the masked transform).
+    spectrum (inverse transform of the masked transform), a new array.
     """
-    fhat, norms = _lattice_norms(values)
-    mask = np.zeros_like(norms, dtype=bool)
+    fhat = _transform(values)
+    norms = _lattice_norms(len(fhat))
+    dist = np.empty_like(norms)
     for r in radii:
-        mask |= np.abs(norms - float(r)) <= band
-    return ifft2(np.where(mask, 0.0, fhat), norm="ortho")
+        np.abs(np.subtract(norms, float(r), out=dist), out=dist)
+        fhat[dist <= band] = 0.0
+    # ifft2 ignores out= in numpy 2.4; ifftn is the same transform
+    return ifftn(fhat, norm="ortho", out=fhat)

@@ -424,6 +424,21 @@ def test_fourier_step_holds_no_full_grid(tmp_path):
     assert peak <= 2**20
 
 
+def test_radial_scan_peak_at_benchmark_size(tmp_path):
+    """The benchmark's radial run (m 128) holds about three 256 KB complex
+    grids' worth at once (the drawn grid, its transform, the norms,
+    distances and masks): the traced peak is 0.77 MB (1.40 MB with a
+    meshgrid, np.where copies and a + 1j * b)."""
+    text = "tauberian.kind = radial\ntauberian.m = 128\ntauberian.radii = 10, 20, 30\n"
+    tracemalloc.start()
+    try:
+        run(tmp_path, "tauberian", text, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20, peak
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_SPECTRAL))
 def test_spectral_artifacts_pinned(tmp_path, name):
     """fourier and the tauberian span trials write the pinned bytes."""
@@ -697,6 +712,61 @@ def test_cli_unreadable_inputs_exit_2(tmp_path, capsys):
     assert err.splitlines() == [
         f"config error: cannot make output directory {afile / 'construct'}: Not a directory"
     ]
+
+
+def count_heavy_calls(monkeypatch):
+    """Wrap build_level, every fourier_blocks evaluator and the mollifier's
+    and bump's _panels in stubs that count their calls."""
+    calls = []
+
+    def counted(fn):
+        return lambda *args, **kw: calls.append(fn.__name__) or fn(*args, **kw)
+
+    def blocks(*args):
+        evaluate, length = real_blocks(*args)
+        return counted(evaluate), length
+
+    real_blocks = fracspec.fourier.transforms.fourier_blocks
+    build_level = counted(fracspec.experiments.build_level)
+    monkeypatch.setattr(fracspec.experiments, "build_level", build_level)
+    monkeypatch.setattr(fracspec.fourier.transforms, "fourier_blocks", blocks)
+    monkeypatch.setattr(fracspec.fourier.annuli, "fourier_blocks", blocks)
+    for module in (fracspec.fourier.mollifier, fracspec.fourier.bump):
+        monkeypatch.setattr(module, "_panels", counted(module._panels))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "experiment,text,heavy",
+    [
+        ("construct", "level.depth = 2", "build_level"),
+        ("fourier", "fourier.depth = 2\nfourier.j_max = 5\nfourier.samples_per_octave = 4",
+         "evaluate"),
+        ("mollify", MOLLIFY_SMALL, "_panels"),
+    ],
+    ids=["construct", "fourier", "mollify"],
+)
+def test_cli_unusable_out_refused_before_work(
+    tmp_path, capsys, monkeypatch, experiment, text, heavy
+):
+    """An --out under a file, or whose <experiment> entry is a file, exits
+    2 with one line before the step's kernel is called once; a usable --out
+    runs the same config, and the kernel is counted."""
+    calls = count_heavy_calls(monkeypatch)
+    path = tmp_path / "run.cfg"
+    path.write_text(text + "\n")
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    (tmp_path / "taken").mkdir()
+    (tmp_path / "taken" / experiment).write_text("")
+    for out in (afile, tmp_path / "taken"):
+        assert main([experiment, "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: cannot make output directory {out / experiment}: Not a directory"
+        ]
+        assert calls == []
+    assert main([experiment, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert heavy in calls
 
 
 @pytest.mark.parametrize("value", ["2", "four"])

@@ -5,7 +5,7 @@ import pytest
 
 from fracspec.errors import DomainError
 from fracspec.tauberian.grid import vanishing
-from fracspec.tauberian.spherical import _lattice_norms
+from fracspec.tauberian.spherical import _lattice_norms, _transform
 
 
 def unitary(values):
@@ -23,10 +23,10 @@ def test_grid_validation():
     """A radial scan's grid is m x m with m >= 2 and finite values."""
     for values in (np.zeros((2, 3)), np.ones((1, 1)), np.zeros((2, 2, 2)), np.ones(8)):
         with pytest.raises(DomainError):
-            _lattice_norms(values)
+            _transform(values)
     with pytest.raises(DomainError):
-        _lattice_norms(np.array([[1.0, np.inf], [0.0, 0.0]]))
-    fhat, norms = _lattice_norms(np.zeros((4, 4)))
+        _transform(np.array([[1.0, np.inf], [0.0, 0.0]]))
+    fhat, norms = _transform(np.zeros((4, 4))), _lattice_norms(4)
     assert fhat.shape == norms.shape == (4, 4)
     assert fhat.dtype == complex
 
@@ -35,7 +35,7 @@ def test_dft_is_unitary():
     """Parseval holds with constant 1 for the radial scan's transform."""
     rng = np.random.default_rng(12)
     values = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    fhat, _ = _lattice_norms(values)
+    fhat = _transform(values)
     assert np.abs(np.sum(np.abs(values) ** 2) - np.sum(np.abs(fhat) ** 2)) < 1e-10
 
 

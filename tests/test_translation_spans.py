@@ -321,3 +321,16 @@ def test_span_trials_memory_does_not_grow_with_trials(monkeypatch):
     monkeypatch.setattr(experiments, "SPAN_CHUNK_ENTRIES", chunk * m)
     one, four = traced_peak(m, chunk), traced_peak(m, 4 * chunk)
     assert four <= 1.1 * one, (one, four)
+
+
+def test_span_trials_peak_at_benchmark_size():
+    """The benchmark's 1000 trials at m 64 draw and rank 64-row chunks of
+    64 KB: the traced peak is 0.29 MB (1.29 MB with 256 KB chunks, as
+    floats drawn apart and summed into a new complex stack)."""
+    tracemalloc.start()
+    try:
+        span_trials(64, SeedSequence(1), 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**19, peak
