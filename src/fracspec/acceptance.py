@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
@@ -58,8 +58,7 @@ from .tauberian import (
 REL_SLACK = 1e-12
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -399,10 +398,11 @@ def run_criterion(name: str) -> CriterionResult:
         result = fn()
     except Exception as exc:  # a crash is a failure, not an abort
         result = CriterionResult(name=name, passed=False, detail=f"raised {exc!r}")
-    result.wall_time_s = time.perf_counter() - started
+    result = result._replace(wall_time_s=time.perf_counter() - started)
     if limit is not None and result.wall_time_s > limit:
-        result.passed = False
-        result.detail += f"; exceeded time limit {limit:.0f}s"
+        result = result._replace(
+            passed=False, detail=result.detail + f"; exceeded time limit {limit:.0f}s"
+        )
     return result
 
 

@@ -10,9 +10,8 @@ N * eta**beta = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from ..errors import DomainError
 from ..numeric import LogRatio, as_fraction
@@ -29,8 +28,7 @@ def tapered_eta(eta: Fraction, j: int) -> Fraction:
     return eta * (1 - Fraction(1, (j + 1) ** 2))
 
 
-@dataclass(frozen=True)
-class CantorParams:
+class CantorParams(NamedTuple):
     """Validated parameters for a branching construction.
 
     offsets are exact rationals; dimension is the float solution of

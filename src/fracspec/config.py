@@ -8,9 +8,8 @@ ever converts a ratio through a float.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ConfigError
 from .numeric import parse_rational
@@ -79,21 +78,31 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-@dataclass
-class ExperimentConfig:
+class _ExperimentConfigFields(NamedTuple):
     experiment: str
-    options: dict = field(default_factory=dict)
-    seed: Optional[int] = None
-    out: str = "out"
+    options: dict
+    seed: Optional[int]
+    out: str
 
-    def __post_init__(self):
-        if self.experiment not in EXPERIMENT_IDS:
+
+class ExperimentConfig(_ExperimentConfigFields):
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        experiment: str,
+        options: Optional[dict] = None,
+        seed: Optional[int] = None,
+        out: str = "out",
+    ):
+        if experiment not in EXPERIMENT_IDS:
             raise ConfigError(
-                f"unknown experiment {self.experiment!r}; "
-                f"known: {', '.join(EXPERIMENT_IDS)}"
+                f"unknown experiment {experiment!r}; known: {', '.join(EXPERIMENT_IDS)}"
             )
-        if self.seed is not None and self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        if seed is not None and seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+        # a fresh dict per config: a shared default would carry one run's keys to the next
+        return super().__new__(cls, experiment, {} if options is None else options, seed, out)
 
     @classmethod
     def from_file(

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
@@ -74,12 +74,11 @@ def write_csv(path: Path, header, rows) -> None:
             fh.write(",".join(str(c) if isinstance(c, (str, int)) else fmt(c) for c in row) + "\n")
 
 
-@dataclass
-class ReportRecord:
+class ReportRecord(NamedTuple):
     experiment: str
     digest: str
-    metrics: dict = field(default_factory=dict)
-    flags: dict = field(default_factory=dict)
+    metrics: dict
+    flags: dict
     wall_time_s: float = 0.0
 
     def to_dict(self) -> dict:
@@ -388,11 +387,11 @@ def span_matches(counts: np.ndarray) -> int:
     return int(np.count_nonzero(span_dim == rank))
 
 
-def _run_span_trials(cfg: ExperimentConfig, opts: dict, out: Path) -> ReportRecord:
+def _run_span_trials(cfg: ExperimentConfig, opts: dict) -> ReportRecord:
     m, trials = opts["tauberian.m"], opts["tauberian.trials"]
     counts = span_trials(m, SeedSequence(cfg.seed or 0), trials)
     write_csv(
-        out / "trials.csv",
+        _out_dir(cfg) / "trials.csv",
         ("trial", "span_dim", "circulant_rank", "dft_zeros"),
         zip(range(trials), *counts.tolist()),
     )
@@ -405,7 +404,7 @@ def _run_span_trials(cfg: ExperimentConfig, opts: dict, out: Path) -> ReportReco
     )
 
 
-def _run_radial_scan(cfg: ExperimentConfig, opts: dict, out: Path) -> ReportRecord:
+def _run_radial_scan(cfg: ExperimentConfig, opts: dict) -> ReportRecord:
     m, band = opts["tauberian.m"], opts["tauberian.band"]
     radii = tuple(sorted(opts["tauberian.radii"]))
     if radii[-1] >= m / 2:
@@ -417,6 +416,7 @@ def _run_radial_scan(cfg: ExperimentConfig, opts: dict, out: Path) -> ReportReco
     grid.imag = rng.standard_normal((m, m))
     grid = mask_spectrum_on_radii(grid, radii, band)  # frees the drawn grid
     zero_radii = spherical_zero_radii(grid)
+    out = _out_dir(cfg)
     write_csv(out / "radii.csv", ("radius",), ((fmt(r),) for r in zero_radii))
     recovered = all(any(abs(r - t) <= band for r in zero_radii) for t in radii)
     dim_est = 0.0
@@ -449,8 +449,8 @@ def _run_radial_scan(cfg: ExperimentConfig, opts: dict, out: Path) -> ReportReco
 def run_tauberian(cfg: ExperimentConfig) -> ReportRecord:
     # the kind picks the table; the table's choice rejects any other kind
     if cfg.options.get("tauberian.kind") == "radial":
-        return _run_radial_scan(cfg, cfg.resolve(RADIAL_KEYS), _out_dir(cfg))
-    return _run_span_trials(cfg, cfg.resolve(SPAN_KEYS), _out_dir(cfg))
+        return _run_radial_scan(cfg, cfg.resolve(RADIAL_KEYS))
+    return _run_span_trials(cfg, cfg.resolve(SPAN_KEYS))
 
 
 EXPERIMENTS = {
@@ -467,8 +467,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReportRecord:
     runner = EXPERIMENTS[cfg.experiment]
     _check_out(cfg)
     started = time.perf_counter()
-    record = runner(cfg)
-    record.wall_time_s = time.perf_counter() - started
+    record = runner(cfg)._replace(wall_time_s=time.perf_counter() - started)
     out = _out_dir(cfg)
     (out / "report.json").write_text(
         json.dumps(record.to_dict(), indent=2, sort_keys=True) + "\n"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +27,7 @@ MIN_OCTAVES = 4
 OCTAVE_PANEL_WIDTH = 0.5
 
 
-@dataclass(frozen=True)
-class OctaveRow:
+class OctaveRow(NamedTuple):
     j: int
     lo: float
     hi: float
@@ -36,8 +35,7 @@ class OctaveRow:
     ratio: float | None  # integral / previous integral
 
 
-@dataclass(frozen=True)
-class OctaveDiagnostics:
+class OctaveDiagnostics(NamedTuple):
     rows: tuple
     tail_ratios: tuple
     verdict: str

@@ -14,8 +14,7 @@ holds exactly in the discrete sense, not merely up to quadrature error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -31,22 +30,26 @@ BOUND_SLACK = 1e-9
 MAX_SHELL_NODES = 2**22
 
 
-@dataclass(frozen=True)
-class RadialProfile:
-    """A radial function on R^dim with a declared integrability exponent."""
-
+class _RadialProfileFields(NamedTuple):
     func: Callable
     dim: int
     p: float
     support_radius: Optional[float] = None
 
-    def __post_init__(self):
-        if self.dim < 1:
+
+class RadialProfile(_RadialProfileFields):
+    """A radial function on R^dim with a declared integrability exponent."""
+
+    __slots__ = ()
+
+    def __new__(cls, func: Callable, dim: int, p: float, support_radius: Optional[float] = None):
+        if dim < 1:
             raise DomainError("dim must be >= 1")
-        if self.p < 2:
+        if p < 2:
             raise DomainError("declared p must be >= 2 for the shell bounds")
-        if self.support_radius is not None and not self.support_radius > 0:
+        if support_radius is not None and not support_radius > 0:
             raise DomainError("support_radius must be positive")
+        return super().__new__(cls, func, dim, p, support_radius)
 
     def __call__(self, r) -> np.ndarray:
         return np.asarray(self.func(np.asarray(r, dtype=float)), dtype=float)
@@ -74,8 +77,7 @@ def bessel_tail_profile(dim: int = 2, p: float = 4.0, truncate_at: Optional[floa
     return RadialProfile(func, dim, p, truncate_at)
 
 
-@dataclass(frozen=True)
-class MollifierRow:
+class MollifierRow(NamedTuple):
     """One octave j of the sweep: the bump's weight a_j and b across the
     eps schedule."""
 
@@ -84,8 +86,7 @@ class MollifierRow:
     b: tuple
 
 
-@dataclass(frozen=True)
-class MollifierSweep:
+class MollifierSweep(NamedTuple):
     eps: tuple
     rows: tuple
     sums: tuple  # per eps: sum over j of a_j * b_j

@@ -40,12 +40,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from operator import or_
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,13 +54,15 @@ from ..numeric import as_fraction, to_lattice
 EXACT_CAP = 15
 
 
-@dataclass(frozen=True)
-class PointCloud:
-    """A finite point set as its sorted, distinct lattice points: integer
-    n-tuples of numerators over one denominator."""
-
+class _PointCloudFields(NamedTuple):
     lattice: tuple
     denominator: int
+
+
+class PointCloud(_PointCloudFields):
+    """A finite point set as its sorted, distinct lattice points: integer
+    n-tuples of numerators over one denominator.  It declares no
+    __slots__, so each cloud has the __dict__ its cached properties fill."""
 
     @classmethod
     def from_points(cls, pts: Iterable) -> "PointCloud":

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -11,8 +11,7 @@ from ..errors import DomainError
 MIN_SCALES = 4
 
 
-@dataclass(frozen=True)
-class DimensionFit:
+class DimensionFit(NamedTuple):
     """Least-squares slope of log(count) against log(1/eps)."""
 
     slope: float

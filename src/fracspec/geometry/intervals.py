@@ -10,16 +10,14 @@ eps_neighborhood_volume off a 1-D cloud's gap counts.  Downstream checks assert 
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from ..errors import DomainError
 from ..numeric import as_fraction
 
 
-@dataclass(frozen=True)
-class Tube:
+class Tube(NamedTuple):
     """A nonempty finite union of closed intervals and points in R, as the
     data of its tube formula: the Lebesgue measure length / denominator,
     and the lengths of its bounded complementary intervals as (gap,

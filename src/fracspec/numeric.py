@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -59,8 +58,12 @@ def _perfect_power_exponent(value: int, base: int) -> int | None:
     return m if v == 1 else None
 
 
-@dataclass(frozen=True)
-class LogRatio:
+class _LogRatioFields(NamedTuple):
+    num: int
+    den: int
+
+
+class LogRatio(_LogRatioFields):
     """The exponent log(num)/log(den), kept symbolic.
 
     Raising an exact integer power of 1/den to this exponent gives an
@@ -69,12 +72,12 @@ class LogRatio:
     float approximations.
     """
 
-    num: int
-    den: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.num <= 1 or self.den <= 1:
+    def __new__(cls, num: int, den: int):
+        if num <= 1 or den <= 1:
             raise ValueError("LogRatio needs integers num, den > 1")
+        return super().__new__(cls, num, den)
 
     def __float__(self) -> float:
         return math.log(self.num) / math.log(self.den)

@@ -13,7 +13,7 @@ p_lo = 2n/(2n-alpha).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import DomainError
 
@@ -28,8 +28,7 @@ STATUS_NONE = "no-conclusion"
 NO_CONCLUSION_NOTE = "no conclusion from these density rules"
 
 
-@dataclass(frozen=True)
-class VerdictRow:
+class _VerdictRowFields(NamedTuple):
     rule: str
     status: str
     p_lo: float
@@ -37,9 +36,16 @@ class VerdictRow:
     formula: str
     notes: tuple = ()
 
-    def __post_init__(self):
-        if self.status != STATUS_NONE and not (1.0 <= self.p_lo <= self.p_hi):
+
+class VerdictRow(_VerdictRowFields):
+    __slots__ = ()
+
+    def __new__(
+        cls, rule: str, status: str, p_lo: float, p_hi: float, formula: str, notes: tuple = ()
+    ):
+        if status != STATUS_NONE and not (1.0 <= p_lo <= p_hi):
             raise DomainError("p-interval must sit inside [1, inf)")
+        return super().__new__(cls, rule, status, p_lo, p_hi, formula, notes)
 
     def as_dict(self) -> dict:
         return {
@@ -53,8 +59,7 @@ class VerdictRow:
         }
 
 
-@dataclass(frozen=True)
-class DensityVerdict:
+class DensityVerdict(NamedTuple):
     ambient_dim: int
     zero_kind: str  # "radial" | "full"
     dim_estimate: float

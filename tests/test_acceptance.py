@@ -133,7 +133,8 @@ def test_time_limit_enforced(monkeypatch):
     monkeypatch.setitem(acceptance.CRITERIA, "slow", (slow, 0.01))
     result = run_criterion("slow")
     assert not result.passed
-    assert "exceeded time limit" in result.detail
+    assert result.detail == "ok; exceeded time limit 0s"
+    assert result.wall_time_s >= 0.05
 
 
 def test_unknown_names_rejected():

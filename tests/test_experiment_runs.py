@@ -1020,6 +1020,38 @@ def test_cli_mollify_work_budgets(tmp_path, capsys, monkeypatch, text, budget, m
     assert not (tmp_path / "out" / "mollify").exists()
 
 
+@pytest.mark.parametrize(
+    "refused, message, valid, artifact",
+    [
+        (
+            "tauberian.kind = radial\ntauberian.m = 4096\ntauberian.radii = 2",
+            "radial scan grid of 4096**2 entries exceeds the budget",
+            "tauberian.kind = radial\ntauberian.m = 16\ntauberian.radii = 3",
+            "radii.csv",
+        ),
+        (
+            "tauberian.m = 64\ntauberian.trials = 100000",
+            "100000 trials x 64**3 exceed the span work budget",
+            "tauberian.m = 8\ntauberian.trials = 2",
+            "trials.csv",
+        ),
+    ],
+)
+def test_cli_tauberian_budgets_make_no_out_dir(tmp_path, capsys, refused, message, valid, artifact):
+    """A radial or span run refused by its budget exits 1 and leaves no
+    out/tauberian, as a refused mollify does; a valid run still writes
+    its artifacts there."""
+    path, out = tmp_path / "run.cfg", tmp_path / "out"
+    path.write_text(refused + "\n")
+    assert main(["tauberian", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and message in err
+    assert not (out / "tauberian").exists()
+    path.write_text(valid + "\n")
+    assert main(["tauberian", "--config", str(path), "--out", str(out)]) == 0
+    assert (out / "tauberian" / artifact).is_file() and (out / "tauberian" / "report.json").is_file()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("text", ["mollify.p = 1000", "mollify.p = 1000\nmollify.truncate = none"])
 def test_cli_mollify_lp_overflow_exits_1(tmp_path, capsys, text):

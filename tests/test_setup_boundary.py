@@ -62,12 +62,14 @@ def run_python(code: str, **env_overrides) -> str:
 
 
 def test_cli_import_leaves_scipy_out():
-    """Neither scipy nor numpy.polynomial is loaded: j0 is a port of Cephes,
-    and the Gauss-Legendre rule a table."""
+    """Neither scipy nor numpy.polynomial nor dataclasses is loaded: j0 is
+    a port of Cephes, the Gauss-Legendre rule a table, and every value
+    type a NamedTuple."""
     out = run_python(
-        "import sys, fracspec.cli; print('scipy' in sys.modules, 'numpy.polynomial' in sys.modules)"
+        "import sys, fracspec.cli; print(*(name in sys.modules for name in "
+        "('scipy', 'numpy.polynomial', 'dataclasses')))"
     )
-    assert out.strip() == "False False"
+    assert out.strip() == "False False False"
 
 
 def test_commands_import_nothing_after_setup():
