@@ -6,7 +6,6 @@ from .params import (
     CantorParams,
     middle_thirds_params,
     similarity_dimension,
-    tapered_eta,
     validate_params,
 )
 from .sampling import REJECTION_BUDGET, sample_salem_offsets
@@ -21,7 +20,6 @@ __all__ = [
     "middle_thirds_params",
     "sample_salem_offsets",
     "similarity_dimension",
-    "tapered_eta",
     "validate_params",
     "write_level_csv",
     "write_params",

@@ -23,11 +23,13 @@ def _frac_str(x: Fraction) -> str:
 
 
 def write_params(params: CantorParams, path) -> None:
+    # every construction has one ratio; "eta_rule" stays as a fixed key so
+    # the file keeps its layout
     doc = {
         "branches": params.branches,
         "ratio": _frac_str(params.ratio),
         "offsets": [_frac_str(a) for a in params.offsets],
-        "eta_rule": params.eta_rule,
+        "eta_rule": "constant",
     }
     if params.seed is not None:
         doc["seed"] = params.seed

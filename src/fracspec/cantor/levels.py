@@ -63,7 +63,7 @@ def build_level(params: CantorParams, depth: int) -> CantorLevel:
     here as well: one made without CantorParams.create is refused.
     """
     check_level_budget(params, depth)
-    validate_params(params.branches, params.ratio, params.offsets, params.eta_rule)
+    validate_params(params.branches, params.ratio, params.offsets)
     length, moves, den = _lattice_moves(params, depth)
     k = len(params.offsets)
     starts = [0]
@@ -91,7 +91,7 @@ def level_tube(params: CantorParams, depth: int) -> Tube:
     Gaps above eta keep these gaps positive, so the parameters are
     validated as in build_level.
     """
-    validate_params(params.branches, params.ratio, params.offsets, params.eta_rule)
+    validate_params(params.branches, params.ratio, params.offsets)
     length, moves, den = _lattice_moves(params, depth)
     k = len(params.offsets)
     lo, hi = 0, length

@@ -18,30 +18,18 @@ from ..numeric import LogRatio, as_fraction
 
 DIMENSION_RTOL = 1e-12
 
-ETA_RULES = ("constant", "tapered")
-
-
-def tapered_eta(eta: Fraction, j: int) -> Fraction:
-    """Level-dependent ratio eta_j = eta * (1 - 1/(j+1)**2), j >= 1."""
-    if j < 1:
-        raise DomainError("levels are indexed from 1")
-    return eta * (1 - Fraction(1, (j + 1) ** 2))
-
 
 class CantorParams(NamedTuple):
     """Validated parameters for a branching construction.
 
     offsets are exact rationals; dimension is the float solution of
-    N * eta**beta = 1.  eta_rule selects how the per-level ratio varies:
-    "constant" uses eta at every level, "tapered" shrinks it by the
-    factor 1 - 1/(j+1)**2.
+    N * eta**beta = 1.
     """
 
     branches: int
     ratio: Fraction
     offsets: tuple
     dimension: float
-    eta_rule: str = "constant"
     seed: Optional[int] = None
 
     @classmethod
@@ -50,32 +38,20 @@ class CantorParams(NamedTuple):
         branches: int,
         ratio,
         offsets: Sequence,
-        eta_rule: str = "constant",
         seed: Optional[int] = None,
     ) -> "CantorParams":
         ratio = as_fraction(ratio)
         offsets = tuple(as_fraction(a) for a in offsets)
-        validate_params(branches, ratio, offsets, eta_rule)
+        validate_params(branches, ratio, offsets)
         dim = similarity_dimension(branches, ratio)
-        return cls(branches, ratio, offsets, dim, eta_rule, seed)
-
-    def eta_at(self, level: int) -> Fraction:
-        """Contraction ratio used when refining level level-1 into level."""
-        if level < 1:
-            raise DomainError("levels are indexed from 1")
-        if self.eta_rule == "constant":
-            return self.ratio
-        return tapered_eta(self.ratio, level)
+        return cls(branches, ratio, offsets, dim, seed)
 
     def level_lengths(self, depth: int) -> tuple:
-        """Exact (L_0, ..., L_depth): L_j = eta_1 * ... * eta_j is the length
-        of each of the branches**j level-j intervals."""
+        """Exact (L_0, ..., L_depth): L_j = eta**j is the length of each of
+        the branches**j level-j intervals."""
         if depth < 0:
             raise DomainError("depth must be >= 0")
-        out = [Fraction(1)]
-        for j in range(1, depth + 1):
-            out.append(out[-1] * self.eta_at(j))
-        return tuple(out)
+        return tuple(self.ratio**j for j in range(depth + 1))
 
     def dimension_log_ratio(self) -> LogRatio:
         """Exact-form dimension log(N)/log(1/eta) when eta is 1/q for integer q."""
@@ -97,7 +73,7 @@ def similarity_dimension(branches: int, ratio: Fraction) -> float:
     return beta
 
 
-def validate_params(branches: int, ratio, offsets: Sequence, eta_rule: str = "constant") -> None:
+def validate_params(branches: int, ratio, offsets: Sequence) -> None:
     """Raise one DomainError naming every violation, joined by "; ",
     instead of stopping at the first."""
     if not isinstance(branches, int) or branches < 2:
@@ -123,8 +99,6 @@ def validate_params(branches: int, ratio, offsets: Sequence, eta_rule: str = "co
                     f"gap offsets[{i + 1}] - offsets[{i}] = "
                     f"{offsets[i + 1] - offsets[i]} must exceed ratio {ratio}"
                 )
-    if eta_rule not in ETA_RULES:
-        problems.append(f"eta_rule must be one of {ETA_RULES}, got {eta_rule!r}")
     if problems:
         raise DomainError("; ".join(problems))
 

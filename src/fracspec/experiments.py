@@ -25,11 +25,11 @@ from .cantor import (
     build_level,
     check_level_budget,
     level_tube,
+    middle_thirds_params,
     sample_salem_offsets,
     write_level_csv,
     write_params,
 )
-from .cantor.params import ETA_RULES
 from .config import REQUIRED, ExperimentConfig, at_least, choice, list_of, parse_real
 from .errors import ConfigError, DomainError, SizeError
 from .fourier import (
@@ -102,7 +102,6 @@ CANTOR_KEYS = {
     "cantor.branches": (at_least(2), 2),
     "cantor.ratio": (parse_rational, Fraction(1, 3)),
     "cantor.offsets": (list_of(parse_rational), None),
-    "cantor.rule": (choice(*ETA_RULES), "constant"),
 }
 CONSTRUCT_KEYS = {**CANTOR_KEYS, "level.depth": (int, 6)}
 DIM_KEYS = {**CANTOR_KEYS, "dim.level_min": (int, 3), "dim.level_max": (int, 10)}
@@ -145,14 +144,12 @@ def _params_from_config(cfg: ExperimentConfig, opts: dict) -> CantorParams:
     branches, ratio, offsets = opts["cantor.branches"], opts["cantor.ratio"], opts["cantor.offsets"]
     if offsets is None:
         if branches == 2 and ratio == Fraction(1, 3):
-            offsets = (Fraction(0), Fraction(2, 3))
+            offsets = middle_thirds_params().offsets
         elif cfg.seed is None:
             raise ConfigError("cantor.offsets missing and no seed given to draw them")
         else:
             offsets = sample_salem_offsets(branches, ratio, default_rng(cfg.seed))
-    return CantorParams.create(
-        branches, ratio, offsets, eta_rule=opts["cantor.rule"], seed=cfg.seed
-    )
+    return CantorParams.create(branches, ratio, offsets, seed=cfg.seed)
 
 
 def _check_out(cfg: ExperimentConfig) -> None:

@@ -101,7 +101,7 @@ def test_removed_jobs_key_rejected(tmp_path, value):
 TABLE = {
     "cantor.branches": (at_least(2), 5),
     "cantor.ratio": (parse_rational, None),
-    "cantor.rule": (choice("constant", "tapered"), "constant"),
+    "tauberian.kind": (choice("span", "radial"), "span"),
     "dim.level_max": (int, 10),
     "dim.level_min": (int, 3),
     "fourier.q_list": (list_of(parse_rational), None),
@@ -117,7 +117,7 @@ def test_typed_getters(tmp_path):
     assert got == {
         "cantor.branches": 2,
         "cantor.ratio": Fraction(1, 3),
-        "cantor.rule": "constant",
+        "tauberian.kind": "span",
         "dim.level_max": 9,
         "dim.level_min": 3,
         "fourier.q_list": (Fraction(3), Fraction(6)),

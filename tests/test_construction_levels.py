@@ -53,18 +53,6 @@ def test_levels_nest():
         prev = cur
 
 
-def test_tapered_level_one_frozen():
-    params = CantorParams.create(
-        2, Fraction(1, 3), (Fraction(0), Fraction(2, 3)), eta_rule="tapered"
-    )
-    level = build_level(params, 1)
-    # eta_1 = (1/3)(1 - 1/4) = 1/4
-    assert spans(level_union(level)) == (
-        (Fraction(0), Fraction(1, 4)),
-        (Fraction(2, 3), Fraction(1, 4)),
-    )
-
-
 def test_depth_limits(monkeypatch):
     params = middle_thirds_params()
     three = CantorParams.create(
@@ -92,19 +80,20 @@ def test_depth_limits(monkeypatch):
 def merged_level(params, depth):
     """The enumerating route: every child of every parent, sorted and merged."""
     union = from_pairs([(0, 1)])
-    for j in range(1, depth + 1):
-        eta = params.eta_at(j)
+    for _ in range(depth):
         union = from_pairs(
-            (s + a * l, l * eta) for s, l in reversed(spans(union)) for a in params.offsets
+            (s + a * l, l * params.ratio)
+            for s, l in reversed(spans(union))
+            for a in params.offsets
         )
     return union
 
 
-TAPERED_3 = CantorParams.create(
+# three branches on a non-dyadic lattice: ratio 1/5, offsets over 100
+THREE_1_5 = CantorParams.create(
     3,
     Fraction(1, 5),
     (Fraction(0), Fraction(3, 10), Fraction(61, 100)),
-    eta_rule="tapered",
 )
 SEEDED_4 = CantorParams.create(
     4,
@@ -114,8 +103,8 @@ SEEDED_4 = CantorParams.create(
 
 ORACLE_CASES = pytest.mark.parametrize(
     "params, depth",
-    [(middle_thirds_params(), 8), (TAPERED_3, 6), (SEEDED_4, 5)],
-    ids=["middle-thirds", "tapered-3", "seeded-4"],
+    [(middle_thirds_params(), 8), (THREE_1_5, 6), (SEEDED_4, 5)],
+    ids=["middle-thirds", "three-1-5", "seeded-4"],
 )
 
 
@@ -136,8 +125,8 @@ SHARED_FACTOR = CantorParams.create(2, Fraction(1, 9), (Fraction(1, 4), Fraction
 
 @pytest.mark.parametrize(
     "params",
-    [middle_thirds_params(), TAPERED_3, SEEDED_4, SHARED_FACTOR],
-    ids=["middle-thirds", "tapered-3", "seeded-4", "shared-factor"],
+    [middle_thirds_params(), THREE_1_5, SEEDED_4, SHARED_FACTOR],
+    ids=["middle-thirds", "three-1-5", "seeded-4", "shared-factor"],
 )
 def test_build_level_matches_fraction_recursion(params):
     """The integer recursion against the Fraction one it replaced, with
@@ -186,8 +175,7 @@ def random_construction(rng):
     offsets = [w[0] * room / sum(w)]
     for k in range(1, n):
         offsets.append(offsets[-1] + eta + w[k] * room / sum(w))
-    rule = ("constant", "tapered")[int(rng.integers(0, 2))]
-    return CantorParams.create(n, eta, offsets, eta_rule=rule)
+    return CantorParams.create(n, eta, offsets)
 
 
 def tube_value(tube):
@@ -198,7 +186,7 @@ def tube_value(tube):
 
 def test_level_tube_matches_built_levels():
     """The closed-form gap spectrum against the gaps of the built level,
-    on 200 seeded random constructions, constant and tapered, at depths
+    on 200 seeded random constructions, with ratios 1/q and p/q, at depths
     0..6: length, gap multiset and volume agree as exact Fractions."""
     rng = np.random.default_rng(2024)
     seen = Counter()
@@ -213,7 +201,7 @@ def test_level_tube_matches_built_levels():
             assert tube.volume(eps) == built.volume(eps), (params, depth, eps)
         a_1, a_n = params.offsets[0], params.offsets[-1]
         seen["short"] += a_1 > 0 and a_n + params.ratio < 1 and depth > 1
-        seen[params.eta_rule] += 1
+        seen["ratio p/q"] += params.ratio.numerator > 1
         seen["depth 0"] += depth == 0
     # every kind of case was drawn
     assert min(seen.values()) >= 10, seen
@@ -252,27 +240,26 @@ def test_natural_measure_totals_and_interval_mass():
 
 def test_params_json_round_trip(tmp_path):
     params = CantorParams.create(
-        2,
-        Fraction(1, 3),
-        (Fraction(0), Fraction(2, 3)),
-        eta_rule="tapered",
+        3,
+        Fraction(1, 5),
+        (Fraction(0), Fraction(3, 10), Fraction(61, 100)),
         seed=11,
     )
     path = tmp_path / "params.json"
     write_params(params, path)
     doc = json.loads(path.read_text())
+    # "eta_rule" is a fixed layout key: every construction has one ratio
     assert doc == {
-        "branches": 2,
-        "ratio": "1/3",
-        "offsets": ["0/1", "2/3"],
-        "eta_rule": "tapered",
+        "branches": 3,
+        "ratio": "1/5",
+        "offsets": ["0/1", "3/10", "61/100"],
+        "eta_rule": "constant",
         "seed": 11,
     }
     back = CantorParams.create(
         doc["branches"],
         Fraction(doc["ratio"]),
         [Fraction(a) for a in doc["offsets"]],
-        eta_rule=doc["eta_rule"],
         seed=doc["seed"],
     )
     assert back == params

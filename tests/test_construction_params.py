@@ -9,7 +9,6 @@ from fracspec.cantor.params import (
     CantorParams,
     middle_thirds_params,
     similarity_dimension,
-    tapered_eta,
     validate_params,
 )
 from fracspec.errors import DomainError
@@ -21,8 +20,9 @@ def test_middle_thirds_defaults():
     assert p.ratio == Fraction(1, 3)
     assert p.offsets == (Fraction(0), Fraction(2, 3))
     assert abs(p.dimension - math.log(2) / math.log(3)) < 1e-15
-    assert p.eta_rule == "constant"
     assert p.level_lengths(3) == (1, Fraction(1, 3), Fraction(1, 9), Fraction(1, 27))
+    with pytest.raises(DomainError):
+        p.level_lengths(-1)
 
 
 def test_similarity_dimension_solves_moran():
@@ -77,21 +77,6 @@ def test_three_branch_feasibility():
         3, Fraction(1, 5), [Fraction(0), Fraction(3, 10), Fraction(61, 100)]
     )
     assert good.dimension == similarity_dimension(3, Fraction(1, 5))
-
-
-def test_tapered_rule_values():
-    eta = Fraction(1, 3)
-    assert tapered_eta(eta, 1) == Fraction(1, 4)
-    assert tapered_eta(eta, 2) == Fraction(8, 27)
-    with pytest.raises(DomainError):
-        tapered_eta(eta, 0)
-    p = CantorParams.create(
-        2, eta, (Fraction(0), Fraction(2, 3)), eta_rule="tapered"
-    )
-    assert p.eta_at(1) == Fraction(1, 4)
-    assert p.level_lengths(2) == (1, Fraction(1, 4), Fraction(1, 4) * Fraction(8, 27))
-    with pytest.raises(DomainError):
-        p.level_lengths(-1)
 
 
 def test_dimension_log_ratio_exactness():

@@ -212,11 +212,11 @@ def test_reruns_are_byte_identical(tmp_path, experiment, text, seed):
     assert ra == rb
 
 
-TAPERED_TEXT = (
+# three branches on a non-dyadic lattice: offsets over 100, ratio 1/5
+THREE_1_5_TEXT = (
     "cantor.branches = 3\n"
     "cantor.ratio = 1/5\n"
     "cantor.offsets = 0, 3/10, 61/100\n"
-    "cantor.rule = tapered\n"
 )
 
 # SHA-256 of the exact-path artifacts as the enumerating implementation
@@ -233,14 +233,14 @@ PINNED_ARTIFACTS = {
             "minkowski/ratios.csv": "d96b2674e69240fdb5675bba84b63fbb8a4e76bd1dbdd4ebceb7d5e675fa10ae",
         },
     ),
-    "tapered-3": (
-        TAPERED_TEXT,
+    "three-1-5": (
+        THREE_1_5_TEXT,
         6,
         {
-            "construct/level.csv": "68e730964cc973ccc8856604696d38f467890a4df68792b2cba459bec27e57dc",
-            "construct/params.json": "0a561979cb06c37a6b1fff8428829ad1fa0fe8fa7a50c3c2b035170934ec4e18",
-            "dim/counts.csv": "a556a1bd3c9584ab1e0a94efe63caf9f8c0d1a635d2fdffd1a0a6c069bd3ca59",
-            "minkowski/ratios.csv": "ee83f1ac5fdf506a8533d817093eb15b9c798be61a1ed7c27c43eec752b0d751",
+            "construct/level.csv": "b46562bb60103219b91f49546d54e83f327ad1540be7962a124bdd9e075df8ea",
+            "construct/params.json": "4bf00f2c38bacf5de0488afff7b30186cad0a6475b6dde05d136c4e58e8b24b1",
+            "dim/counts.csv": "350630dd2d417f90477e19afa54d5465f78503de627f2a279e2cde001592ad2a",
+            "minkowski/ratios.csv": "84bcbe19547bafccaf87ab0b3ba736a0d4784536fa53282cc97295edb6b110a7",
         },
     ),
     # eta = 2/7 is not 1/q: the dimension has no LogRatio, so minkowski
@@ -276,13 +276,14 @@ def test_exact_artifacts_pinned(tmp_path, name):
 
 
 # SHA-256 of level.csv at depth 8 as the Fraction recursion wrote it, for
-# a tapered ratio and for offsets drawn from a seed (dyadic numerators
-# over 2**81), so integer levels over a common denominator must keep it.
+# three branches on a non-dyadic lattice and for offsets drawn from a seed
+# (dyadic numerators over 2**81), so integer levels over a common
+# denominator must keep it.
 PINNED_LEVELS = {
-    "tapered-3": (
-        TAPERED_TEXT,
+    "three-1-5": (
+        THREE_1_5_TEXT,
         None,
-        "44a58221d3576cc60bc0968b3969c42fe81eacb18bbda4947f5a7980255e97db",
+        "47e4db4a19c4097ce1a2ba749ee4061933d72601460ced4614a085453a041de7",
     ),
     "seeded-4": (
         "cantor.branches = 4\ncantor.ratio = 1/16\n",
@@ -325,13 +326,13 @@ PINNED_SPECTRAL = {
             "fourier/spectrum.csv": "548e2da09f0ced4023e147bdff9e4979d1ee3923c24b3312348de8a986728ca4",
         },
     ),
-    "tapered-3": (
+    "three-1-5": (
         "fourier",
-        TAPERED_TEXT + "fourier.depth = 6\nfourier.j_max = 6\n",
+        THREE_1_5_TEXT + "fourier.depth = 6\nfourier.j_max = 6\n",
         None,
         {
-            "fourier/octaves.csv": "384d44f553d8cfa40d41b9f0da00cf9527e3ace62d46c47f7269523685d9d0f2",
-            "fourier/spectrum.csv": "92248dddada7107330142e2cd9804ccd1779fd5422f43062fc5c38f3a2798d15",
+            "fourier/octaves.csv": "feaf8daeef87db6cc9e95c0b8a8653bf18bac1c5f1d4875a7aa3d5198bbb1f8e",
+            "fourier/spectrum.csv": "6047fbc80c92fe48731be6e06e9c41348d8f38ac201e13ce4b83f75849034eec",
         },
     ),
     "span-64": (
@@ -343,7 +344,7 @@ PINNED_SPECTRAL = {
 }
 
 
-@pytest.mark.parametrize("name", ["salem-4", "tapered-3"])
+@pytest.mark.parametrize("name", ["salem-4", "three-1-5"])
 def test_octave_slices_match_mask_pinned(tmp_path, monkeypatch, name):
     """On the pinned fourier configs, every streamed octave mass equals the
     boolean-mask oracle's over the full grid bit for bit, the route is
@@ -798,6 +799,11 @@ def test_cli_jobs_key_exits_2(tmp_path, capsys, value):
         ("construct", "cantor.branches = 3\ncantor.ratio = 1/5", ("--seed", "-3"), "seed"),
         ("fourier", "fourier.j_min = 2\nfourier.j_max = 3", (), "fourier.j_min..fourier.j_max"),
         ("dim", "dim.level_min = 3\ndim.level_max = 5", (), "dim.level_min..dim.level_max"),
+        # one ratio per construction: cantor.rule is no key of any run
+        ("construct", "cantor.rule = tapered", (), "unknown key(s) for construct: 'cantor.rule'"),
+        ("construct", "cantor.rule = constant", (), "unknown key(s) for construct: 'cantor.rule'"),
+        ("fourier", "cantor.rule = tapered", (), "unknown key(s) for fourier: 'cantor.rule'"),
+        ("fourier", "cantor.rule = constant", (), "unknown key(s) for fourier: 'cantor.rule'"),
     ],
 )
 def test_cli_unusable_input_exits_2(tmp_path, capsys, experiment, text, argv, named):

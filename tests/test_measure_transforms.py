@@ -77,8 +77,9 @@ def unblocked_transform(params, depth, xi):
     return values, scales[depth]
 
 
-TAPERED = CantorParams.create(
-    3, Fraction(1, 5), (Fraction(0), Fraction(3, 10), Fraction(61, 100)), eta_rule="tapered"
+# three branches on a non-dyadic lattice
+THREE_1_5 = CantorParams.create(
+    3, Fraction(1, 5), (Fraction(0), Fraction(3, 10), Fraction(61, 100))
 )
 # the spectral benchmark's construction: 4 branches, ratio 1/16, offsets
 # drawn as `fracspec fourier` draws them at seed 1
@@ -98,7 +99,7 @@ def evenly_spaced(branches):
 # accumulators with and without leftover rows (4, 5, 8, 9), halving (70)
 GRID_PARAMS = {
     "constant": middle_thirds_params(),
-    "tapered": TAPERED,
+    "three-1-5": THREE_1_5,
     "salem4": SALEM_4,
     "even5": evenly_spaced(5),
     "even8": evenly_spaced(8),

@@ -6,6 +6,8 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import textwrap
+from collections import Counter
 from functools import cached_property
 from pathlib import Path
 
@@ -104,17 +106,65 @@ def class_members():
     return seen
 
 
+# A member name that two or more classes define is read for all of them by
+# one obj.name anywhere, so each such Class.member names a function of the
+# program that reads it from that class.
+SHARED_READERS = {
+    "CantorLevel.denominator": "fracspec.experiments.run_construct",
+    "CantorLevel.length": "fracspec.experiments.run_construct",
+    "CantorParams.ratio": "fracspec.experiments.run_minkowski",
+    "CantorParams.seed": "fracspec.cantor.io.write_params",
+    "CriterionResult.wall_time_s": "fracspec.acceptance.run_criterion",
+    "DensityVerdict.as_dict": "fracspec.experiments._run_radial_scan",
+    "DensityVerdict.rows": "fracspec.acceptance.criterion_verdict_formulas",
+    "ExperimentConfig.digest": "fracspec.experiments.run_construct",
+    "MollifierRow.j": "fracspec.experiments.run_mollify",
+    "MollifierSweep.notes": "fracspec.experiments.run_mollify",
+    "MollifierSweep.rows": "fracspec.experiments.run_mollify",
+    "OctaveDiagnostics.rows": "fracspec.experiments.run_fourier",
+    "OctaveRow.j": "fracspec.experiments.run_fourier",
+    "OctaveRow.ratio": "fracspec.fourier.annuli._diagnostics",
+    "ReportRecord.digest": "fracspec.experiments.ReportRecord.to_dict",
+    "ReportRecord.experiment": "fracspec.experiments.ReportRecord.to_dict",
+    "ReportRecord.wall_time_s": "fracspec.experiments.ReportRecord.to_dict",
+    "Tube.denominator": "fracspec.geometry.intervals.Tube.volume",
+    "Tube.length": "fracspec.geometry.intervals.Tube.volume",
+    "VerdictRow.as_dict": "fracspec.tauberian.verdict.DensityVerdict.as_dict",
+    "_ExperimentConfigFields.experiment": "fracspec.experiments.run_experiment",
+    "_ExperimentConfigFields.seed": "fracspec.experiments._params_from_config",
+    "_PointCloudFields.denominator": "fracspec.geometry.cloud._check_eps",
+    "_VerdictRowFields.notes": "fracspec.tauberian.verdict.VerdictRow.as_dict",
+}
+
+
+def function_reads(qualified: str, attr: str) -> bool:
+    """Whether the function at module.function (or module.Class.method)
+    reads .attr in a load context."""
+    source = inspect.getsource(pkgutil.resolve_name(qualified))
+    return any(
+        isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr == attr
+        for node in ast.walk(ast.parse(textwrap.dedent(source)))
+    )
+
+
 def test_all_members_are_used():
     """A method, property or field that no module of the program reads as
     an attribute is library surface only tests reach: use it in the
-    program or delete it."""
+    program or delete it.  A name more than one class defines counts as
+    read only where SHARED_READERS says, in the function it names."""
+    members = class_members()
     read = read_attributes()
-    unused = sorted(
-        qualified
-        for qualified, attr in class_members().items()
-        if attr not in read
-    )
+    unused = sorted(qualified for qualified, attr in members.items() if attr not in read)
     assert unused == []
+    owners = Counter(members.values())
+    shared = {qualified for qualified, attr in members.items() if owners[attr] > 1}
+    assert sorted(shared) == sorted(SHARED_READERS)
+    unread = sorted(
+        qualified
+        for qualified in shared
+        if not function_reads(SHARED_READERS[qualified], members[qualified])
+    )
+    assert unread == []
 
 
 def import_scan_paths():
