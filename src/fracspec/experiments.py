@@ -103,8 +103,8 @@ CANTOR_KEYS = {
     "cantor.ratio": (parse_rational, Fraction(1, 3)),
     "cantor.offsets": (list_of(parse_rational), None),
 }
-CONSTRUCT_KEYS = {**CANTOR_KEYS, "level.depth": (int, 6)}
-DIM_KEYS = {**CANTOR_KEYS, "dim.level_min": (int, 3), "dim.level_max": (int, 10)}
+CONSTRUCT_KEYS = {**CANTOR_KEYS, "level.depth": (at_least(0), 6)}
+DIM_KEYS = {**CANTOR_KEYS, "dim.level_min": (at_least(0), 3), "dim.level_max": (int, 10)}
 MINKOWSKI_KEYS = {
     **CANTOR_KEYS,
     "level.depth": (int, 12),
@@ -114,7 +114,7 @@ MINKOWSKI_KEYS = {
 }
 FOURIER_KEYS = {
     **CANTOR_KEYS,
-    "fourier.depth": (int, 8),
+    "fourier.depth": (at_least(1), 8),
     "fourier.j_min": (int, 2),
     "fourier.j_max": (int, 10),
     "fourier.samples_per_octave": (at_least(1), 512),

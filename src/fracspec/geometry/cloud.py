@@ -28,11 +28,14 @@ d is within eps when d * q <= p * den, that is d <= (p * den) // q, or
 d**2 <= (p * den)**2 // q**2.  So the searches run on Python ints, and
 Fraction appears only at the edge; they return counts only.  In one
 dimension they are left-to-right sweeps (optimal by the standard
-exchange argument) with no size cap; in higher dimensions a
-branch-and-bound search over at most EXACT_CAP points, and a larger
-cloud raises SizeError before any work.  The squared distances do not
-depend on eps: each point's row is sorted once per cloud, on the first
-count, and each eps then costs one bisect per row.
+exchange argument), one bisect per step, with no size cap.  In higher
+dimensions each is a memoized search over the bitmask of the points
+left, at most EXACT_CAP of them: it branches on the lowest point left,
+over the centers that cover it (a cover) or on keeping or dropping it
+(a packing), and a larger cloud raises SizeError before any work.  The
+squared distances do not depend on eps: each point's row is sorted once
+per cloud, on the first count, and each eps then costs one bisect per
+row.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate
 from operator import or_
 from typing import Iterable, NamedTuple, Sequence
@@ -126,34 +129,26 @@ class PointCloud(_PointCloudFields):
 def _exact_cover_1d(xs: Sequence[int], reach: int) -> int:
     """Fewest centers covering the sorted lattice points xs, where a center
     covers the points at most reach away."""
-    count = 0
-    i, n = 0, len(xs)
-    while i < n:
+    count = i = 0
+    while i < len(xs):
         # cover the leftmost uncovered point with the rightmost usable center
-        limit = xs[i] + reach
-        c = i
-        while c + 1 < n and xs[c + 1] <= limit:
-            c += 1
+        c = bisect_right(xs, xs[i] + reach) - 1
+        i = bisect_right(xs, xs[c] + reach)
         count += 1
-        limit = xs[c] + reach
-        while i < n and xs[i] <= limit:
-            i += 1
     return count
 
 
 def _exact_pack_1d(xs: Sequence[int], gap: int) -> int:
     """Most of the sorted lattice points xs that lie pairwise more than gap
     apart."""
-    count = 1
-    last = xs[0]
-    for x in xs[1:]:
-        if x - last > gap:
-            count += 1
-            last = x
+    count = i = 0
+    while i < len(xs):
+        i = bisect_right(xs, xs[i] + gap)
+        count += 1
     return count
 
 
-# exact counts, n >= 2: branch and bound over bitmasks, capped
+# exact counts, n >= 2: memoized search over bitmasks, capped
 
 
 def _cover_masks(cloud: PointCloud, reach2: int) -> list[int]:
@@ -164,58 +159,31 @@ def _cover_masks(cloud: PointCloud, reach2: int) -> list[int]:
 
 def _exact_cover_nd(cloud: PointCloud, reach2: int) -> int:
     masks = _cover_masks(cloud, reach2)
-    # distance is symmetric: the centers covering point j are masks[j]
-    opts = [[c for c in range(len(masks)) if m >> c & 1] for m in masks]
-    full = (1 << len(masks)) - 1
-    best_count = _incumbent_cover(masks, full)
-    max_gain = max(map(len, opts))
 
-    def rec(uncovered: int, used: int):
-        nonlocal best_count
+    @cache
+    def rec(uncovered: int) -> int:
         if uncovered == 0:
-            best_count = min(best_count, used)
-            return
-        need = -(-uncovered.bit_count() // max_gain)  # ceil division
-        if used + need >= best_count:
-            return
-        # branch on the uncovered point with the fewest usable centers
-        target_opts = min((opts[j] for j in range(len(opts)) if uncovered >> j & 1), key=len)
-        for c in sorted(target_opts, key=lambda c: -(masks[c] & uncovered).bit_count()):
-            rec(uncovered & ~masks[c], used + 1)
+            return 0
+        v = (uncovered & -uncovered).bit_length() - 1
+        # distance is symmetric: the centers covering point v are masks[v]
+        m = masks[v]
+        return 1 + min(rec(uncovered & ~masks[c]) for c in range(m.bit_length()) if m >> c & 1)
 
-    rec(full, 0)
-    return best_count
-
-
-def _incumbent_cover(masks: list[int], full: int) -> int:
-    """The size of a first cover to bound the search: take the center that
-    covers the most uncovered points until none is left."""
-    uncovered, count = full, 0
-    while uncovered:
-        gains = [(m & uncovered).bit_count() for m in masks]
-        count += 1
-        uncovered &= ~masks[gains.index(max(gains))]
-    return count
+    return rec((1 << len(masks)) - 1)
 
 
 def _exact_pack_nd(cloud: PointCloud, reach2: int) -> int:
     # i and j conflict unless their squared lattice distance exceeds reach2
     conflict = [m & ~(1 << i) for i, m in enumerate(_cover_masks(cloud, reach2))]
 
-    memo: dict[int, int] = {}
-
+    @cache
     def rec(cand: int) -> int:
         if cand == 0:
             return 0
-        hit = memo.get(cand)
-        if hit is not None:
-            return hit
         v = (cand & -cand).bit_length() - 1
         bit = 1 << v
         # the lowest candidate is either in the packing or out of it
-        res = max(rec(cand & ~(bit | conflict[v])) + 1, rec(cand & ~bit))
-        memo[cand] = res
-        return res
+        return max(rec(cand & ~(bit | conflict[v])) + 1, rec(cand & ~bit))
 
     return rec((1 << len(cloud.lattice)) - 1)
 

@@ -96,12 +96,6 @@ def _ratio_factor(alpha, eps, n: int):
     return float(eps) ** (float(alpha) - n)
 
 
-def _scaled(factor, volume):
-    """factor * volume: exact for a Fraction factor, while a float factor
-    multiplies the float of the exact volume."""
-    return factor * volume if isinstance(factor, Fraction) else factor * float(volume)
-
-
 # floor(2**40 / sqrt(n)) / 2**40 as an exact rational <= 1/sqrt(n)
 _SQRT_SHIFT = 40
 
@@ -140,9 +134,9 @@ def tube_ratios(tube: Tube, alpha, scales, power: int = 1) -> tuple:
         vol = tube.volume(eps)
         if n == 1:
             # the shrink is exactly 1: one volume is both bounds
-            ratio = _scaled(factor, vol)
+            ratio = factor * vol
             rows.append((eps, ratio, ratio))
         else:
             low = tube.volume(as_fraction(eps) * shrink) ** n
-            rows.append((eps, _scaled(factor, low), _scaled(factor, vol**n)))
+            rows.append((eps, factor * low, factor * vol**n))
     return tuple(rows)

@@ -90,9 +90,10 @@ def translate_p_lower(n: int, alpha: float) -> float:
 
 
 def _prior_rows(n: int, zero_set_empty: bool) -> list[VerdictRow]:
-    """Informational restatements of the earlier motion-group results."""
+    """Informational restatements of the earlier motion-group results,
+    for ambient dimension n >= 2."""
     empty_note = f"radial zero set is {'empty' if zero_set_empty else 'nonempty'} on this grid"
-    rows = [
+    return [
         VerdictRow(
             rule="prior-l1",
             status=STATUS_PRIOR,
@@ -113,20 +114,19 @@ def _prior_rows(n: int, zero_set_empty: bool) -> list[VerdictRow]:
             rule="prior-mid-p",
             status=STATUS_PRIOR,
             p_lo=2.0,
-            p_hi=2 * n / (n - 1) if n > 1 else math.inf,
+            p_hi=2 * n / (n - 1),
             formula="2 <= p <= 2n/(n-1): dense when zero radii have zero length",
             notes=(),
         ),
         VerdictRow(
             rule="prior-large-p",
             status=STATUS_PRIOR,
-            p_lo=2 * n / (n - 1) if n > 1 else math.inf,
+            p_lo=2 * n / (n - 1),
             p_hi=math.inf,
             formula="2n/(n-1) < p: dense iff zero radii nowhere dense",
             notes=(),
         ),
     ]
-    return [r for r in rows if math.isfinite(r.p_lo)]
 
 
 def _checked(dim_estimate: float, n: int) -> float:

@@ -542,13 +542,14 @@ def test_cli_closed_stdout_keeps_exit_code(tmp_path, argv, code):
     [
         (3, 21, 1, "exceed the budget"),
         (3, 10**6, 1, "exceed the budget"),
-        (-1, 5, 1, ">= 0"),
+        (-1, 5, 2, ">= 0"),
         (3, 20, 0, ""),
     ],
 )
 def test_cli_dim_budget(tmp_path, capsys, monkeypatch, level_min, level_max, code, message):
     """dim refuses the windows build_level would, before any work: two
-    branches fit 2**20 intervals at level 20 but not at level 21."""
+    branches fit 2**20 intervals at level 20 but not at level 21, and a
+    negative level is refused as the config is parsed."""
     called = []
     monkeypatch.setattr(fracspec.experiments, "build_level", lambda *args: called.append(args))
     path = tmp_path / "run.cfg"
@@ -780,33 +781,64 @@ def test_cli_jobs_key_exits_2(tmp_path, capsys, value):
     assert "Traceback" not in err
 
 
+# Each case names its id, so adding a case renames no other; the first 20
+# keep the ids pytest derived from their places in the list.
 @pytest.mark.parametrize(
     "experiment,text,argv,named",
     [
-        ("mollify", "mollify.truncate = abc", (), "mollify.truncate"),
-        ("minkowski", "level.depth = 4\nminkowski.limit = 1e400", (), "minkowski.limit"),
-        ("fourier", "fourier.samples_per_octave = 0", (), "fourier.samples_per_octave"),
-        ("tauberian", "tauberian.trials = -1", (), "tauberian.trials"),
-        ("construct", "cantor.branches = -1", ("--seed", "1"), "cantor.branches"),
-        ("construct", "cantor.bogus = 1", (), "'cantor.bogus'"),
-        ("dim", "dim.level_mx = 5", (), "'dim.level_mx'"),
-        ("tauberian", "tauberian.kind = radial\ntauberian.band = -1\ntauberian.radii = 5", (), "tauberian.band"),
-        ("tauberian", "tauberian.kind = radial\ntauberian.radii = -5", (), "tauberian.radii"),
-        ("construct", "cantor.rule = custom", (), "cantor.rule"),
-        ("construct", "jobs = 2", (), "'jobs'"),
-        ("construct", "jobs = four", (), "'jobs'"),
-        ("tauberian", "seed = -1\ntauberian.kind = span", (), "seed"),
-        ("construct", "cantor.branches = 3\ncantor.ratio = 1/5", ("--seed", "-3"), "seed"),
-        ("fourier", "fourier.j_min = 2\nfourier.j_max = 3", (), "fourier.j_min..fourier.j_max"),
-        ("dim", "dim.level_min = 3\ndim.level_max = 5", (), "dim.level_min..dim.level_max"),
-        # one ratio per construction: cantor.rule is no key of any run
-        ("construct", "cantor.rule = tapered", (), "unknown key(s) for construct: 'cantor.rule'"),
-        ("construct", "cantor.rule = constant", (), "unknown key(s) for construct: 'cantor.rule'"),
-        ("fourier", "cantor.rule = tapered", (), "unknown key(s) for fourier: 'cantor.rule'"),
-        ("fourier", "cantor.rule = constant", (), "unknown key(s) for fourier: 'cantor.rule'"),
+        pytest.param("mollify", "mollify.truncate = abc", (), "mollify.truncate",
+                     id='mollify-mollify.truncate = abc-argv0-mollify.truncate'),
+        pytest.param("minkowski", "level.depth = 4\nminkowski.limit = 1e400", (), "minkowski.limit",
+                     id='minkowski-level.depth = 4\nminkowski.limit = 1e400-argv1-minkowski.limit'),
+        pytest.param("fourier", "fourier.samples_per_octave = 0", (), "fourier.samples_per_octave",
+                     id='fourier-fourier.samples_per_octave = 0-argv2-fourier.samples_per_octave'),
+        pytest.param("tauberian", "tauberian.trials = -1", (), "tauberian.trials",
+                     id='tauberian-tauberian.trials = -1-argv3-tauberian.trials'),
+        pytest.param("construct", "cantor.branches = -1", ("--seed", "1"), "cantor.branches",
+                     id='construct-cantor.branches = -1-argv4-cantor.branches'),
+        pytest.param("construct", "cantor.bogus = 1", (), "'cantor.bogus'",
+                     id="construct-cantor.bogus = 1-argv5-'cantor.bogus'"),
+        pytest.param("dim", "dim.level_mx = 5", (), "'dim.level_mx'",
+                     id="dim-dim.level_mx = 5-argv6-'dim.level_mx'"),
+        pytest.param("tauberian", "tauberian.kind = radial\ntauberian.band = -1\ntauberian.radii = 5", (), "tauberian.band",
+                     id='tauberian-tauberian.kind = radial\ntauberian.band = -1\ntauberian.radii = 5-argv7-tauberian.band'),
+        pytest.param("tauberian", "tauberian.kind = radial\ntauberian.radii = -5", (), "tauberian.radii",
+                     id='tauberian-tauberian.kind = radial\ntauberian.radii = -5-argv8-tauberian.radii'),
+        pytest.param("construct", "cantor.rule = custom", (), "cantor.rule",
+                     id='construct-cantor.rule = custom-argv9-cantor.rule'),
+        pytest.param("construct", "jobs = 2", (), "'jobs'",
+                     id="construct-jobs = 2-argv10-'jobs'"),
+        pytest.param("construct", "jobs = four", (), "'jobs'",
+                     id="construct-jobs = four-argv11-'jobs'"),
+        pytest.param("tauberian", "seed = -1\ntauberian.kind = span", (), "seed",
+                     id='tauberian-seed = -1\ntauberian.kind = span-argv12-seed'),
+        pytest.param("construct", "cantor.branches = 3\ncantor.ratio = 1/5", ("--seed", "-3"), "seed",
+                     id='construct-cantor.branches = 3\ncantor.ratio = 1/5-argv13-seed'),
+        pytest.param("fourier", "fourier.j_min = 2\nfourier.j_max = 3", (), "fourier.j_min..fourier.j_max",
+                     id='fourier-fourier.j_min = 2\nfourier.j_max = 3-argv14-fourier.j_min..fourier.j_max'),
+        pytest.param("dim", "dim.level_min = 3\ndim.level_max = 5", (), "dim.level_min..dim.level_max",
+                     id='dim-dim.level_min = 3\ndim.level_max = 5-argv15-dim.level_min..dim.level_max'),
+        pytest.param("construct", "cantor.rule = tapered", (), "unknown key(s) for construct: 'cantor.rule'",
+                     id="construct-cantor.rule = tapered-argv16-unknown key(s) for construct: 'cantor.rule'"),
+        pytest.param("construct", "cantor.rule = constant", (), "unknown key(s) for construct: 'cantor.rule'",
+                     id="construct-cantor.rule = constant-argv17-unknown key(s) for construct: 'cantor.rule'"),
+        pytest.param("fourier", "cantor.rule = tapered", (), "unknown key(s) for fourier: 'cantor.rule'",
+                     id="fourier-cantor.rule = tapered-argv18-unknown key(s) for fourier: 'cantor.rule'"),
+        pytest.param("fourier", "cantor.rule = constant", (), "unknown key(s) for fourier: 'cantor.rule'",
+                     id="fourier-cantor.rule = constant-argv19-unknown key(s) for fourier: 'cantor.rule'"),
+        # depths are refused while the config is parsed, before any octave
+        pytest.param("fourier", "fourier.depth = 0\nfourier.j_max = 14", (), "fourier.depth = '0'",
+                     id="fourier-depth-0"),
+        pytest.param("construct", "level.depth = -1", (), "level.depth = '-1'",
+                     id="construct-depth-negative"),
+        pytest.param("dim", "dim.level_min = -3", (), "dim.level_min = '-3'",
+                     id="dim-level-min-negative"),
     ],
 )
-def test_cli_unusable_input_exits_2(tmp_path, capsys, experiment, text, argv, named):
+def test_cli_unusable_input_exits_2(
+    tmp_path, capsys, monkeypatch, experiment, text, argv, named
+):
+    calls = count_heavy_calls(monkeypatch)
     path = tmp_path / "run.cfg"
     path.write_text(text + "\n")
     code = main([experiment, "--config", str(path), "--out", str(tmp_path / "out"), *argv])
@@ -814,6 +846,8 @@ def test_cli_unusable_input_exits_2(tmp_path, capsys, experiment, text, argv, na
     assert code == 2
     assert named in err
     assert "Traceback" not in err
+    assert calls == []
+    assert not (tmp_path / "out" / experiment).exists()
 
 
 # Small runs of each experiment, and values that are malformed for most keys.

@@ -354,6 +354,57 @@ def test_tie_heavy_grids_match_brute_force(n, side):
             assert _cover_masks(cloud, reach2) == want
 
 
+def scan_cover_1d(xs, reach):
+    """Reference one-dimensional cover: step a center right while it still
+    covers the leftmost uncovered point, then step past what it covers."""
+    count = 0
+    i, n = 0, len(xs)
+    while i < n:
+        limit = xs[i] + reach
+        c = i
+        while c + 1 < n and xs[c + 1] <= limit:
+            c += 1
+        count += 1
+        limit = xs[c] + reach
+        while i < n and xs[i] <= limit:
+            i += 1
+    return count
+
+
+def scan_pack_1d(xs, gap):
+    """Reference one-dimensional packing: keep each point more than gap
+    past the last one kept."""
+    count = 1
+    last = xs[0]
+    for x in xs[1:]:
+        if x - last > gap:
+            count += 1
+            last = x
+    return count
+
+
+@pytest.mark.parametrize(
+    "gaps", [(1,), (1, 2), (2, 3, 5), (1, 1, 1, 4, 9)], ids=lambda g: "-".join(map(str, g))
+)
+def test_one_dimensional_counts_match_scans_on_large_tied_clouds(gaps):
+    """Thousands of integer points whose consecutive gaps come from a few
+    lengths, so many pairs lie exactly a reach apart: the counts equal the
+    reference scans at every distance of up to three consecutive gaps, and
+    one below and above it."""
+    rng = np.random.default_rng(len(gaps))
+    xs = np.cumsum(rng.choice(gaps, size=3000)).tolist()
+    cloud = PointCloud.from_points(xs)
+    assert [x for x, in cloud.lattice] == xs
+    distances = {b - a for k in (1, 2, 3) for a, b in zip(xs, xs[k:])}
+    for reach in sorted({d + s for d in distances for s in (-1, 0, 1)}):
+        assert cloud_module._exact_cover_1d(xs, reach) == scan_cover_1d(xs, reach)
+        assert cloud_module._exact_pack_1d(xs, reach) == scan_pack_1d(xs, reach)
+    # through the public counts, at a tied radius and off it
+    for eps in (Fraction(min(gaps)), Fraction(max(gaps), 2), Fraction(2 * max(gaps) + 1, 3)):
+        assert covering_number(cloud, eps) == scan_cover_1d(xs, math.floor(eps))
+        assert packing_number(cloud, eps) == scan_pack_1d(xs, math.floor(2 * eps))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     pts=st.lists(
