@@ -121,21 +121,24 @@ class ExperimentConfig(_ExperimentConfigFields):
                 f"config {path} is not valid UTF-8: {exc.reason} at byte {exc.start}"
             ) from exc
         options = parse_config_text(text)
-        exp = experiment or options.pop("experiment", None)
+        cfg_exp = options.pop("experiment", None)
+        exp = experiment or cfg_exp
         if exp is None:
             raise ConfigError("no experiment named on the command line or in the config")
-        options.pop("experiment", None)
         cfg_seed = options.pop("seed", None)
-        if seed is None and cfg_seed is not None:
+        if cfg_seed is not None:
             try:
-                seed = int(cfg_seed)
+                cfg_seed = int(cfg_seed)
             except ValueError as exc:
                 raise ConfigError(f"seed must be an integer, got {cfg_seed!r}") from exc
+        # the file's own experiment and seed must be valid even where the
+        # command line overrides them
+        cls(cfg_exp or exp, seed=cfg_seed)
         cfg_out = options.pop("out", None)
         return cls(
             experiment=exp,
             options=options,
-            seed=seed,
+            seed=cfg_seed if seed is None else seed,
             out=out if out is not None else (cfg_out or "out"),
         )
 

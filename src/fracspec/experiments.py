@@ -1,12 +1,16 @@
 """Experiment runners behind the command-line interface.
 
 Each runner takes an ExperimentConfig, computes with the library
-modules, writes its artifacts under `<out>/<experiment>/`, and returns
-a ReportRecord.  Artifact bytes are deterministic for a fixed config
-and seed: floats are always formatted with '.17g' and rows are emitted
-in a fixed order.  Lines end in '\n', except in level.csv, whose rows
-end in '\r\n' as csv.writer's do.  Wall time is reported but is not
-part of the deterministic identity.
+modules and returns (opts, metrics, flags, artifacts): the resolved
+options, the report's metrics and flags, and a map from each artifact's
+file name to a write(path) callable, in write order.  Runners touch no
+file: run_experiment alone makes `<out>/<experiment>/` and writes every
+artifact and then report.json, after every check has passed, so a
+refused run leaves nothing on disk.  Artifact bytes are deterministic
+for a fixed config and seed: write_csv formats every float with '.17g'
+and rows are emitted in a fixed order.  Lines end in '\n', except in
+level.csv, whose rows end in '\r\n' as csv.writer's do.  Wall time is
+reported but is not part of the deterministic identity.
 """
 
 from __future__ import annotations
@@ -74,12 +78,16 @@ def write_csv(path: Path, header, rows) -> None:
             fh.write(",".join(str(c) if isinstance(c, (str, int)) else fmt(c) for c in row) + "\n")
 
 
+def write_json(path: Path, doc) -> None:
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 class ReportRecord(NamedTuple):
     experiment: str
     digest: str
     metrics: dict
     flags: dict
-    wall_time_s: float = 0.0
+    wall_time_s: float
 
     def to_dict(self) -> dict:
         return {
@@ -169,32 +177,29 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return path
 
 
-def run_construct(cfg: ExperimentConfig) -> ReportRecord:
+def run_construct(cfg: ExperimentConfig) -> tuple:
     opts = cfg.resolve(CONSTRUCT_KEYS)
     params = _params_from_config(cfg, opts)
     depth = opts["level.depth"]
     level = build_level(params, depth)
-    out = _out_dir(cfg)
-    write_params(params, out / "params.json")
-    write_level_csv(level, out / "level.csv")
     count = level.member_count
     tube = level_tube(params, depth)
-    return ReportRecord(
-        experiment=cfg.experiment,
-        digest=cfg.digest(opts),
-        metrics={
-            "depth": depth,
-            "intervals": count,
-            "total_length": float(Fraction(count * level.length, level.denominator)),
-            "min_gap": tube.gaps[0][0] / tube.denominator if tube.gaps else 0.0,
-            "dimension": float(params.dimension),
-            "first_start": level.starts[0] / level.denominator,
-        },
-        flags={"count_matches_branching": count == params.branches**depth},
-    )
+    metrics = {
+        "depth": depth,
+        "intervals": count,
+        "total_length": float(Fraction(count * level.length, level.denominator)),
+        "min_gap": tube.gaps[0][0] / tube.denominator if tube.gaps else 0.0,
+        "dimension": float(params.dimension),
+        "first_start": level.starts[0] / level.denominator,
+    }
+    flags = {"count_matches_branching": count == params.branches**depth}
+    return opts, metrics, flags, {
+        "params.json": lambda path: write_params(params, path),
+        "level.csv": lambda path: write_level_csv(level, path),
+    }
 
 
-def run_dim(cfg: ExperimentConfig) -> ReportRecord:
+def run_dim(cfg: ExperimentConfig) -> tuple:
     opts = cfg.resolve(DIM_KEYS)
     lo, hi = opts["dim.level_min"], opts["dim.level_max"]
     if hi - lo + 1 < MIN_SCALES:
@@ -207,22 +212,18 @@ def run_dim(cfg: ExperimentConfig) -> ReportRecord:
     lengths = params.level_lengths(hi)
     rows = [(lengths[m], params.branches**m) for m in range(lo, hi + 1)]
     fit = box_dimension_estimate(rows)
-    out = _out_dir(cfg)
-    write_csv(out / "counts.csv", ("eps", "count"), ((fmt(eps), count) for eps, count in rows))
-    return ReportRecord(
-        experiment=cfg.experiment,
-        digest=cfg.digest(opts),
-        metrics={
-            "slope": fit.slope,
-            "residual_rms": fit.residual_rms,
-            "expected": float(params.dimension),
-            "abs_error": abs(fit.slope - float(params.dimension)),
-        },
-        flags={"degenerate": fit.degenerate},
-    )
+    metrics = {
+        "slope": fit.slope,
+        "residual_rms": fit.residual_rms,
+        "expected": float(params.dimension),
+        "abs_error": abs(fit.slope - float(params.dimension)),
+    }
+    return opts, metrics, {"degenerate": fit.degenerate}, {
+        "counts.csv": lambda path: write_csv(path, ("eps", "count"), rows),
+    }
 
 
-def run_minkowski(cfg: ExperimentConfig) -> ReportRecord:
+def run_minkowski(cfg: ExperimentConfig) -> tuple:
     opts = cfg.resolve(MINKOWSKI_KEYS)
     depth, m_lo = opts["level.depth"], opts["minkowski.m_min"]
     m_hi = depth if opts["minkowski.m_max"] is None else opts["minkowski.m_max"]
@@ -242,27 +243,22 @@ def run_minkowski(cfg: ExperimentConfig) -> ReportRecord:
     # at power 1 the bounds agree: one ratio per scale
     rows = tube_ratios(tube, alpha, scales)
     ratios = [float(ratio) for _, ratio, _ in rows]
-    out = _out_dir(cfg)
-    write_csv(
-        out / "ratios.csv",
-        ("eps", "value", "bound_low", "bound_high"),
-        ((fmt(eps), fmt(r), fmt(r), fmt(r)) for (eps, _, _), r in zip(rows, ratios)),
-    )
     sup_ratio = max(ratios)
-    return ReportRecord(
-        experiment=cfg.experiment,
-        digest=cfg.digest(opts),
-        metrics={
-            "sup_ratio": sup_ratio,
-            "rows": len(rows),
-            "exact_rows": sum(isinstance(ratio, Fraction) for _, ratio, _ in rows),
-            "limit": limit,
-        },
-        flags={"bounded": sup_ratio <= limit},
-    )
+    metrics = {
+        "sup_ratio": sup_ratio,
+        "rows": len(rows),
+        "exact_rows": sum(isinstance(ratio, Fraction) for _, ratio, _ in rows),
+        "limit": limit,
+    }
+    table = ((eps, r, r, r) for (eps, _, _), r in zip(rows, ratios))
+    return opts, metrics, {"bounded": sup_ratio <= limit}, {
+        "ratios.csv": lambda path: write_csv(
+            path, ("eps", "value", "bound_low", "bound_high"), table
+        ),
+    }
 
 
-def run_fourier(cfg: ExperimentConfig) -> ReportRecord:
+def run_fourier(cfg: ExperimentConfig) -> tuple:
     opts = cfg.resolve(FOURIER_KEYS)
     depth = opts["fourier.depth"]
     j_lo, j_hi = opts["fourier.j_min"], opts["fourier.j_max"]
@@ -276,31 +272,28 @@ def run_fourier(cfg: ExperimentConfig) -> ReportRecord:
     xi = spacing + np.arange(0, size, max(1, size // 2048)) * step
     values, length = cantor_fourier_grid(params, depth, xi)
     sample = zip(xi.tolist(), values.tolist(), (np.abs(xi) * length).tolist())
-    out = _out_dir(cfg)
-    write_csv(
-        out / "octaves.csv",
-        ("q", "j", "lo", "hi", "integral", "ratio"),
-        (
-            (fmt(q), row.j, fmt(row.lo), fmt(row.hi), fmt(row.integral),
-             "" if row.ratio is None else fmt(row.ratio))
-            for q, diag in zip(qs, diags)
-            for row in diag.rows
-        ),
+    octaves = (
+        (q, row.j, row.lo, row.hi, row.integral, "" if row.ratio is None else row.ratio)
+        for q, diag in zip(qs, diags)
+        for row in diag.rows
     )
-    write_csv(
-        out / "spectrum.csv",
-        ("xi", "re", "im", "abs", "error_bound"),
-        ((fmt(x), fmt(v.real), fmt(v.imag), fmt(abs(v)), fmt(e)) for x, v, e in sample),
-    )
+    spectrum = ((x, v.real, v.imag, abs(v), e) for x, v, e in sample)
     metrics = {"depth": depth, "octaves": j_hi - j_lo + 1}
     flags = {}
     for q, diag in zip(qs, diags):
         metrics[f"tail_ratio_max_q{fmt(q)}"] = max(diag.tail_ratios)
         flags[f"summable_q{fmt(q)}"] = diag.verdict == "summable-like"
-    return ReportRecord(cfg.experiment, cfg.digest(opts), metrics, flags)
+    return opts, metrics, flags, {
+        "octaves.csv": lambda path: write_csv(
+            path, ("q", "j", "lo", "hi", "integral", "ratio"), octaves
+        ),
+        "spectrum.csv": lambda path: write_csv(
+            path, ("xi", "re", "im", "abs", "error_bound"), spectrum
+        ),
+    }
 
 
-def run_mollify(cfg: ExperimentConfig) -> ReportRecord:
+def run_mollify(cfg: ExperimentConfig) -> tuple:
     opts = cfg.resolve(MOLLIFY_KEYS)
     dim, alpha, p = opts["mollify.dim"], opts["mollify.alpha"], opts["mollify.p"]
     e_lo, e_hi = opts["mollify.eps_exp_min"], opts["mollify.eps_exp_max"]
@@ -313,39 +306,33 @@ def run_mollify(cfg: ExperimentConfig) -> ReportRecord:
     f = bessel_tail_profile(dim=dim, p=p, truncate_at=opts["mollify.truncate"])
     eps_schedule = [2.0**-e for e in range(e_lo, e_hi + 1)]
     sweep = mollifier_sum(f, alpha, eps_schedule, j_lo=j_lo, j_hi=j_hi)
-    out = _out_dir(cfg)
-    write_csv(
-        out / "sweep.csv",
-        ("eps", "j", "b", "a", "product"),
-        (
-            (fmt(eps), row.j, fmt(row.b[e_idx]), fmt(row.a), fmt(row.a * row.b[e_idx]))
-            for e_idx, eps in enumerate(sweep.eps)
-            for row in sweep.rows
-        ),
+    table = (
+        (eps, row.j, row.b[e_idx], row.a, row.a * row.b[e_idx])
+        for e_idx, eps in enumerate(sweep.eps)
+        for row in sweep.rows
     )
+    flags = {
+        "sums_nonincreasing": sweep.sums_nonincreasing(),
+        "tails_nonincreasing": sweep.tails_nonincreasing,
+        "uniform_bound_ok": sweep.uniform_bound_ok,
+    }
     summary = {
         "eps": [fmt(e) for e in sweep.eps],
         "sums": [fmt(s) for s in sweep.sums],
         "final_over_initial": fmt(sweep.final_over_initial),
         "holder_constant": fmt(sweep.holder_constant),
-        "flags": {
-            "sums_nonincreasing": sweep.sums_nonincreasing(),
-            "tails_nonincreasing": sweep.tails_nonincreasing,
-            "uniform_bound_ok": sweep.uniform_bound_ok,
-        },
+        "flags": flags,
         "notes": list(sweep.notes),
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return ReportRecord(
-        cfg.experiment,
-        cfg.digest(opts),
-        metrics={
-            "final_over_initial": sweep.final_over_initial,
-            "holder_constant": sweep.holder_constant,
-            "eps_count": len(sweep.eps),
-        },
-        flags=dict(summary["flags"]),
-    )
+    metrics = {
+        "final_over_initial": sweep.final_over_initial,
+        "holder_constant": sweep.holder_constant,
+        "eps_count": len(sweep.eps),
+    }
+    return opts, metrics, flags, {
+        "sweep.csv": lambda path: write_csv(path, ("eps", "j", "b", "a", "product"), table),
+        "summary.json": lambda path: write_json(path, summary),
+    }
 
 
 # Complex entries of the rows drawn and counted at once (64 KB).
@@ -384,24 +371,20 @@ def span_matches(counts: np.ndarray) -> int:
     return int(np.count_nonzero(span_dim == rank))
 
 
-def _run_span_trials(cfg: ExperimentConfig, opts: dict) -> ReportRecord:
+def _run_span_trials(cfg: ExperimentConfig, opts: dict) -> tuple:
     m, trials = opts["tauberian.m"], opts["tauberian.trials"]
     counts = span_trials(m, SeedSequence(cfg.seed or 0), trials)
-    write_csv(
-        _out_dir(cfg) / "trials.csv",
-        ("trial", "span_dim", "circulant_rank", "dft_zeros"),
-        zip(range(trials), *counts.tolist()),
-    )
     matches = span_matches(counts)
-    return ReportRecord(
-        cfg.experiment,
-        cfg.digest(opts),
-        metrics={"m": m, "trials": trials, "matches": matches},
-        flags={"all_match": matches == trials},
-    )
+    table = zip(range(trials), *counts.tolist())
+    metrics = {"m": m, "trials": trials, "matches": matches}
+    return opts, metrics, {"all_match": matches == trials}, {
+        "trials.csv": lambda path: write_csv(
+            path, ("trial", "span_dim", "circulant_rank", "dft_zeros"), table
+        ),
+    }
 
 
-def _run_radial_scan(cfg: ExperimentConfig, opts: dict) -> ReportRecord:
+def _run_radial_scan(cfg: ExperimentConfig, opts: dict) -> tuple:
     m, band = opts["tauberian.m"], opts["tauberian.band"]
     radii = tuple(sorted(opts["tauberian.radii"]))
     if radii[-1] >= m / 2:
@@ -413,8 +396,6 @@ def _run_radial_scan(cfg: ExperimentConfig, opts: dict) -> ReportRecord:
     grid.imag = rng.standard_normal((m, m))
     grid = mask_spectrum_on_radii(grid, radii, band)  # frees the drawn grid
     zero_radii = spherical_zero_radii(grid)
-    out = _out_dir(cfg)
-    write_csv(out / "radii.csv", ("radius",), ((fmt(r),) for r in zero_radii))
     recovered = all(any(abs(r - t) <= band for r in zero_radii) for t in radii)
     dim_est = 0.0
     if len(zero_radii) >= 2:
@@ -429,21 +410,19 @@ def _run_radial_scan(cfg: ExperimentConfig, opts: dict) -> ReportRecord:
             )
             dim_est = box_dimension_estimate([(e, covering_number(cloud, e)) for e in scales]).slope
     report = radial_verdict(zero_radii, dim_est, 2)
-    (out / "verdict.json").write_text(json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
-    return ReportRecord(
-        cfg.experiment,
-        cfg.digest(opts),
-        metrics={
-            "m": m,
-            "detected_radii": len(zero_radii),
-            "target_radii": len(radii),
-            "dim_estimate": dim_est,
-        },
-        flags={"all_targets_recovered": recovered},
-    )
+    metrics = {
+        "m": m,
+        "detected_radii": len(zero_radii),
+        "target_radii": len(radii),
+        "dim_estimate": dim_est,
+    }
+    return opts, metrics, {"all_targets_recovered": recovered}, {
+        "radii.csv": lambda path: write_csv(path, ("radius",), ((r,) for r in zero_radii)),
+        "verdict.json": lambda path: write_json(path, report.as_dict()),
+    }
 
 
-def run_tauberian(cfg: ExperimentConfig) -> ReportRecord:
+def run_tauberian(cfg: ExperimentConfig) -> tuple:
     # the kind picks the table; the table's choice rejects any other kind
     if cfg.options.get("tauberian.kind") == "radial":
         return _run_radial_scan(cfg, cfg.resolve(RADIAL_KEYS))
@@ -461,12 +440,17 @@ EXPERIMENTS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> ReportRecord:
+    """Run cfg's experiment, then write its artifacts and report.json;
+    wall_time_s covers the computation and the artifact writes."""
     runner = EXPERIMENTS[cfg.experiment]
     _check_out(cfg)
     started = time.perf_counter()
-    record = runner(cfg)._replace(wall_time_s=time.perf_counter() - started)
+    opts, metrics, flags, artifacts = runner(cfg)
     out = _out_dir(cfg)
-    (out / "report.json").write_text(
-        json.dumps(record.to_dict(), indent=2, sort_keys=True) + "\n"
+    for name, write in artifacts.items():
+        write(out / name)
+    record = ReportRecord(
+        cfg.experiment, cfg.digest(opts), metrics, flags, time.perf_counter() - started
     )
+    write_json(out / "report.json", record.to_dict())
     return record

@@ -77,6 +77,7 @@ def test_needs_enough_scales():
         # distinct rationals that float to one value
         [Fraction(1, 3) + Fraction(k, 10**30) for k in range(4)],
     ],
+    ids=["scales0", "scales1"],
 )
 def test_one_scale_value_is_refused(scales):
     """Rows whose log(1/eps) floats take one value leave the fit rank

@@ -516,6 +516,7 @@ def test_cli_runs_experiment(tmp_path, capsys):
         (["verify", "--suite", "box-dimension", "--suite", "salem-decay"], 1),
         (["construct", "--config", "{cfg}", "--out", "{out}"], 0),
     ],
+    ids=["argv0-0", "argv1-1", "argv2-0"],
 )
 def test_cli_closed_stdout_keeps_exit_code(tmp_path, argv, code):
     """With stdout closed before anything is printed (`fracspec ... | true`),
@@ -833,6 +834,13 @@ def test_cli_jobs_key_exits_2(tmp_path, capsys, value):
                      id="construct-depth-negative"),
         pytest.param("dim", "dim.level_min = -3", (), "dim.level_min = '-3'",
                      id="dim-level-min-negative"),
+        # the file's seed and experiment are checked even where the command line overrides them
+        pytest.param("construct", "seed = abc", ("--seed", "3"), "seed must be an integer, got 'abc'",
+                     id="construct-file-seed-malformed-overridden"),
+        pytest.param("construct", "seed = -1", ("--seed", "3"), "seed must be a non-negative integer",
+                     id="construct-file-seed-negative-overridden"),
+        pytest.param("dim", "experiment = bogus", (), "unknown experiment 'bogus'",
+                     id="dim-file-experiment-unknown-overridden"),
     ],
 )
 def test_cli_unusable_input_exits_2(
@@ -942,8 +950,24 @@ def test_artifact_line_endings(tmp_path):
             assert b"\r" not in data and data.endswith(b"\n"), path
 
 
+@pytest.mark.parametrize("base", sorted(FUZZ_BASES))
+def test_runners_write_nothing(tmp_path, base):
+    """A runner only computes: called directly it makes no <out>, and the
+    files run_experiment writes are the artifacts it returns and
+    report.json."""
+    experiment, text, _ = FUZZ_BASES[base]
+    path = tmp_path / "run.cfg"
+    path.write_text(text + "\n")
+    cfg = ExperimentConfig.from_file(path, experiment=experiment, seed=1, out=str(tmp_path / "out"))
+    *_, artifacts = fracspec.experiments.EXPERIMENTS[experiment](cfg)
+    assert not (tmp_path / "out").exists()
+    run_experiment(cfg)
+    written = sorted(p.name for p in (tmp_path / "out" / experiment).iterdir())
+    assert written == sorted([*artifacts, "report.json"])
+
+
 @pytest.mark.parametrize("experiment", ["construct", "dim", "fourier"])
-@pytest.mark.parametrize("seed", [(), ("--seed", "1")])
+@pytest.mark.parametrize("seed", [(), ("--seed", "1")], ids=["seed0", "seed1"])
 def test_cli_ratio_underflow_exits_1(tmp_path, capsys, experiment, seed):
     """A ratio whose float underflows to 0 ends in one error line, as an
     out-of-range ratio does, not in a traceback."""
@@ -1030,6 +1054,13 @@ def test_cli_mollify_eps_out_of_range_exit_1(tmp_path, capsys, monkeypatch, text
         ("mollify.j_max = 18", None, "annulus scan"),
         ("", ("MAX_SHELL_NODES", 3359), "shell quadrature nodes"),
         ("", ("MAX_SCAN_NODES", 8191), "annulus scan"),
+    ],
+    ids=[
+        "mollify.truncate = none\nmollify.eps_exp_max = 14-None-shell quadrature nodes",
+        "mollify.truncate = none\nmollify.eps_exp_max = 60-None-shell quadrature nodes",
+        "mollify.j_max = 18-None-annulus scan",
+        "-budget3-shell quadrature nodes",
+        "-budget4-annulus scan",
     ],
 )
 def test_cli_mollify_work_budgets(tmp_path, capsys, monkeypatch, text, budget, message):

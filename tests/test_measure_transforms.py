@@ -112,6 +112,7 @@ GRID_PARAMS = {
 @pytest.mark.parametrize(
     "shape",
     [(0,), (1,), (BLOCK - 1,), (BLOCK,), (BLOCK + 1,), (5 * BLOCK // 2,), (37, 301), ()],
+    ids=[f"shape{k}" for k in range(8)],
 )
 def test_blocked_grid_matches_unblocked_reference(params, shape):
     """Blocking over xi and taking real cos/sin rows in place of the complex
@@ -223,7 +224,9 @@ def test_grid_depth_validation():
         cantor_fourier_grid(middle_thirds_params(), 0, np.array([1.0]))
 
 
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -math.nan])
+@pytest.mark.parametrize(
+    "bad", [math.inf, -math.inf, math.nan, -math.nan], ids=["inf", "-inf", "nan0", "nan1"]
+)
 @pytest.mark.parametrize("at", [0, BLOCK + 5])
 def test_grid_rejects_non_finite_frequencies(bad, at):
     """A NaN or infinite frequency raises, wherever it sits, so every

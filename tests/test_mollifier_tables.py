@@ -132,6 +132,7 @@ def per_shell_integrals(f, lo, hi):
 @pytest.mark.parametrize(
     "eps_schedule",
     [[2.0**-k for k in range(2, 9)], [0.3, 0.17, 0.11, 0.05, 0.013]],
+    ids=["eps_schedule0", "eps_schedule1"],
 )
 def test_batched_shells_match_per_shell(dim, truncate_at, eps_schedule):
     """Shells grouped by panel count give each shell's own integrals bit for

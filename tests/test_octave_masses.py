@@ -171,6 +171,14 @@ SALEM_4 = CantorParams.create(4, Fraction(1, 16), (0, Fraction(3, 10), Fraction(
         (SALEM_4, 4, -4, 1, 500, (1.5, 3.0, 6.0)),
         (SALEM_4, 6, 0, 5, 512, (3.0, 6.0)),
     ],
+    ids=[
+        "params0-6-2-9-1-qs0",
+        "params1-5--3-2-1-qs1",
+        "params2-8--2-3-3-qs2",
+        "params3-7-2-7-500-qs3",
+        "params4-4--4-1-500-qs4",
+        "params5-6-0-5-512-qs5",
+    ],
 )
 def test_streamed_masses_match_full_grid(params, depth, j0, j1, per_octave, qs):
     """Each streamed octave mass equals, bit for bit, the full-array route's:

@@ -117,7 +117,7 @@ SHARED_READERS = {
     "CriterionResult.wall_time_s": "fracspec.acceptance.run_criterion",
     "DensityVerdict.as_dict": "fracspec.experiments._run_radial_scan",
     "DensityVerdict.rows": "fracspec.acceptance.criterion_verdict_formulas",
-    "ExperimentConfig.digest": "fracspec.experiments.run_construct",
+    "ExperimentConfig.digest": "fracspec.experiments.run_experiment",
     "MollifierRow.j": "fracspec.experiments.run_mollify",
     "MollifierSweep.notes": "fracspec.experiments.run_mollify",
     "MollifierSweep.rows": "fracspec.experiments.run_mollify",

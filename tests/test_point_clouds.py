@@ -453,6 +453,7 @@ def test_direct_cloud_matches_from_points(pts, eps):
 @pytest.mark.parametrize(
     "eps",
     [Fraction(1, 3), Fraction(5, 2), 1, 3, 0.1, 0.5, 2.5, 1e-3, Fraction(5, 1000)],
+    ids=["eps0", "eps1", "1", "3", "0.1", "0.5", "2.5", "0.001", "eps8"],
 )
 def test_integer_thresholds(monkeypatch, eps):
     """The integer reach of every count is floor(eps * den) and its square
@@ -476,7 +477,11 @@ def test_integer_thresholds(monkeypatch, eps):
         assert all(type(reach) is int for reach in seen)
 
 
-@pytest.mark.parametrize("bad", [0, -1, Fraction(-1, 2), -0.5, float("inf"), float("nan")])
+@pytest.mark.parametrize(
+    "bad",
+    [0, -1, Fraction(-1, 2), -0.5, float("inf"), float("nan")],
+    ids=["0", "-1", "bad2", "-0.5", "inf", "nan"],
+)
 def test_check_eps_message(bad):
     for cloud in (PointCloud.from_points([0, 1]), PointCloud.from_points([(0, 0), (1, 1)])):
         for measure in (covering_number, packing_number, eps_neighborhood_volume):
