@@ -1,15 +1,23 @@
 """End-to-end acceptance criteria.
 
-Each criterion is a self-contained check of one headline behavior,
-run on fixed seeds and fixed tolerances.  `run_suite()` executes them
-in order and reports one CriterionResult per name; the CLI prints one
-pass/fail line each and exits nonzero if any fail.
+Each criterion checks one headline behavior on fixed seeds and fixed
+tolerances and returns (passed, detail).  `run_criterion` alone records
+it: it times the call, turns a crash into a failure, applies the time
+limit and builds the CriterionResult named by the CRITERIA key.
+`run_suite()` runs each named criterion once, in first-given order; the
+CLI prints one pass/fail line each and exits nonzero if any fail.
+
+Three criteria run an experiment's runner at its defaults on an
+in-memory config and read its metrics and flags: box-dimension runs
+`dim`, mollifier-sum runs `mollify`, and span-oracle runs the
+`tauberian` span trials at tauberian.m = 8, 16 and 32, seeded 907 + m.
 
 Three criteria take one keyword override each: `alpha` on
 minkowski-ratio (a wrong exponent), `depth` on cantor-nondecay (a
-truncated transform) and `alpha` on mollifier-sum (a wrong weight).
-Those exist so tests can inject faults and watch the criterion fail;
-the registry always runs the defaults.
+truncated transform) and `alpha` on mollifier-sum (a wrong weight,
+handed to the runner as the mollify.alpha option).  Those exist so tests
+can inject faults and watch the criterion fail; the registry always runs
+the defaults.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from numpy.random import SeedSequence, default_rng
+from numpy.random import default_rng
 
 from .cantor import (
     CantorParams,
@@ -35,12 +43,11 @@ from .fourier import (
     cantor_fourier_grid,
     lq_grid_diagnostics,
     lq_radial_diagnostics,
-    mollifier_sum,
 )
-from .experiments import span_matches, span_trials
+from .config import ExperimentConfig
+from .experiments import run_dim, run_mollify, run_tauberian
 from .geometry import (
     PointCloud,
-    box_dimension_estimate,
     covering_number,
     eps_neighborhood_volume,
     geometric_scales,
@@ -62,21 +69,17 @@ class CriterionResult(NamedTuple):
     name: str
     passed: bool
     detail: str
-    wall_time_s: float = 0.0
+    wall_time_s: float
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
         return f"{mark} {self.name} [{self.wall_time_s:.2f}s]: {self.detail}"
 
 
-def _result(name, passed, detail) -> CriterionResult:
-    return CriterionResult(name=name, passed=bool(passed), detail=detail)
-
-
 # 1. covering / packing chain and the volume sandwich
 
 
-def criterion_chain_inequalities() -> CriterionResult:
+def criterion_chain_inequalities() -> tuple[bool, str]:
     rng = default_rng(1811)
     # halving radii 4/5 .. 1/80: eps_values[k] = radii[k + 1], so 2 eps is
     # radii[k] and eps/2 is radii[k + 2]
@@ -113,32 +116,22 @@ def criterion_chain_inequalities() -> CriterionResult:
                 if low <= float(vol_high) * slack and float(vol_low) <= high * slack:
                     volume_ok += 1
     passed = chain_ok == checks and volume_ok == checks
-    return _result(
-        "chain-inequalities",
-        passed,
-        f"chain {chain_ok}/{checks}, volume sandwich {volume_ok}/{checks}",
-    )
+    return passed, f"chain {chain_ok}/{checks}, volume sandwich {volume_ok}/{checks}"
 
 
 # 2. box-counting dimension of the middle-thirds set
 
 
-def criterion_box_dimension() -> CriterionResult:
-    lengths = middle_thirds_params().level_lengths(10)
-    fit = box_dimension_estimate([(lengths[m], 2**m) for m in range(3, 11)])
-    expected = math.log(2) / math.log(3)
-    err = abs(fit.slope - expected)
-    return _result(
-        "box-dimension",
-        err <= 0.02,
-        f"slope {fit.slope:.6f}, expected {expected:.6f}, error {err:.2e} (tol 0.02)",
-    )
+def criterion_box_dimension() -> tuple[bool, str]:
+    metrics = run_dim(ExperimentConfig("dim"))[1]
+    slope, expected, err = metrics["slope"], metrics["expected"], metrics["abs_error"]
+    return err <= 0.02, f"slope {slope:.6f}, expected {expected:.6f}, error {err:.2e} (tol 0.02)"
 
 
 # 3. scale-normalized neighborhood volume of the middle-thirds set
 
 
-def criterion_minkowski_ratio(alpha=None) -> CriterionResult:
+def criterion_minkowski_ratio(alpha=None) -> tuple[bool, str]:
     if alpha is None:
         alpha = LogRatio(2, 3)
     rows = tube_ratios(
@@ -152,18 +145,16 @@ def criterion_minkowski_ratio(alpha=None) -> CriterionResult:
     first = ratios[0] if isinstance(ratios[0], Fraction) else None
     first_ok = first == Fraction(5, 2)
     passed = in_range and all_exact and first_ok
-    return _result(
-        "minkowski-ratio",
-        passed,
+    return passed, (
         f"ratios in [1,3]: {in_range}, exact rows: {all_exact}, "
-        f"ratio at eps=1/9 is {first} (want 5/2)",
+        f"ratio at eps=1/9 is {first} (want 5/2)"
     )
 
 
 # 4. product-set volume bounds
 
 
-def criterion_product_bound() -> CriterionResult:
+def criterion_product_bound() -> tuple[bool, str]:
     rows = tube_ratios(
         level_tube(middle_thirds_params(), 8),
         LogRatio(4, 3),
@@ -173,17 +164,15 @@ def criterion_product_bound() -> CriterionResult:
     lows = [float(low) for _, low, _ in rows]
     highs = [float(high) for _, _, high in rows]
     passed = all(1.0 <= low and high <= 9.0 for low, high in zip(lows, highs))
-    return _result(
-        "product-bound",
-        passed,
-        f"ratio bounds within [1,9]: {passed} (inf {min(lows):.4f}, sup {max(highs):.4f})",
+    return passed, (
+        f"ratio bounds within [1,9]: {passed} (inf {min(lows):.4f}, sup {max(highs):.4f})"
     )
 
 
 # 5. middle-thirds transform: non-decay along powers of three
 
 
-def criterion_cantor_nondecay(depth: int = 40) -> CriterionResult:
+def criterion_cantor_nondecay(depth: int = 40) -> tuple[bool, str]:
     params = middle_thirds_params()
     # F at pi, at 3**k pi for k < 9, and at 0, in one call
     points = [math.pi, *(3.0**k * math.pi for k in range(9)), 0.0]
@@ -201,18 +190,16 @@ def criterion_cantor_nondecay(depth: int = 40) -> CriterionResult:
     zero_ok = abs(at_zero - 1.0) <= 1e-12
 
     passed = powers_ok and identity_ok and zero_ok
-    return _result(
-        "cantor-nondecay",
-        passed,
+    return passed, (
         f"|F(3^k pi)| spread {max_dev:.2e} (tol 1e-6), "
-        f"scale identity residual {identity_dev:.2e} (tol 1e-10), F(0)={at_zero:.12f}",
+        f"scale identity residual {identity_dev:.2e} (tol 1e-10), F(0)={at_zero:.12f}"
     )
 
 
 # 6. random construction: decay dichotomy across L^q exponents
 
 
-def criterion_salem_decay() -> CriterionResult:
+def criterion_salem_decay() -> tuple[bool, str]:
     """Decay dichotomy for the random 4-branch, ratio-1/16 construction.
 
     The window [16, 256] is one full base-16 block, aligned to the scale
@@ -239,38 +226,30 @@ def criterion_salem_decay() -> CriterionResult:
         per_seed.append(f"seed {seed}: q={q_summable:g} {hi_q.verdict}, "
                         f"q={q_divergent:g} {lo_q.verdict}")
     passed = wins >= 3
-    return _result(
-        "salem-decay",
-        passed,
-        f"{wins}/{len(seeds)} seeds show the dichotomy (need >= 3); " + "; ".join(per_seed),
+    return passed, (
+        f"{wins}/{len(seeds)} seeds show the dichotomy (need >= 3); " + "; ".join(per_seed)
     )
 
 
 # 7. weighted shell sums of the mollified profile
 
 
-def criterion_mollifier_sum(alpha: float = 1.0) -> CriterionResult:
-    f = bessel_tail_profile(dim=2, p=4.0, truncate_at=1.0)
-    eps_schedule = [2.0**-e for e in range(2, 9)]
-    sweep = mollifier_sum(f, alpha, eps_schedule)
-    decreasing = sweep.sums_nonincreasing()
-    final_ratio = sweep.final_over_initial
-    ratio_ok = final_ratio <= 0.1
-    tails_ok = sweep.tails_nonincreasing
-    bound_ok = sweep.uniform_bound_ok
-    passed = decreasing and ratio_ok and tails_ok and bound_ok
-    return _result(
-        "mollifier-sum",
-        passed,
+def criterion_mollifier_sum(alpha: float | None = None) -> tuple[bool, str]:
+    options = {} if alpha is None else {"mollify.alpha": str(alpha)}
+    _, metrics, flags, _ = run_mollify(ExperimentConfig("mollify", options))
+    decreasing, tails_ok = flags["sums_nonincreasing"], flags["tails_nonincreasing"]
+    bound_ok, final_ratio = flags["uniform_bound_ok"], metrics["final_over_initial"]
+    passed = decreasing and final_ratio <= 0.1 and tails_ok and bound_ok
+    return passed, (
         f"sums nonincreasing: {decreasing}, final/initial {final_ratio:.4f} (tol 0.1), "
-        f"fixed-j tails monotone: {tails_ok}, Holder bound holds: {bound_ok}",
+        f"fixed-j tails monotone: {tails_ok}, Holder bound holds: {bound_ok}"
     )
 
 
 # 8. octave mass of the slowly decaying surrogate at two exponents
 
 
-def criterion_lp_tail_dichotomy() -> CriterionResult:
+def criterion_lp_tail_dichotomy() -> tuple[bool, str]:
     f = bessel_tail_profile(dim=2, p=4.0, truncate_at=None)
     diag_hi = lq_radial_diagnostics(f, 5.0, 4, 10, dim=2)
     diag_crit = lq_radial_diagnostics(f, 4.0, 4, 10, dim=2)
@@ -279,34 +258,32 @@ def criterion_lp_tail_dichotomy() -> CriterionResult:
     hi_ok = all(r < 0.85 for r in hi_ratios)
     crit_ok = all(0.9 <= r <= 1.1 for r in crit_ratios)
     passed = hi_ok and crit_ok
-    return _result(
-        "lp-tail-dichotomy",
-        passed,
+    return passed, (
         f"p=5 ratios < 0.85: {hi_ok} (max {max(hi_ratios):.4f}); "
         f"p=4 ratios in [0.9,1.1]: {crit_ok} "
-        f"(range [{min(crit_ratios):.4f}, {max(crit_ratios):.4f}])",
+        f"(range [{min(crit_ratios):.4f}, {max(crit_ratios):.4f}])"
     )
 
 
 # 9. span dimension: the circulant rank equals the DFT support count
 
 
-def criterion_span_oracle() -> CriterionResult:
-    sizes, trials = (8, 16, 32), 100
-    total = trials * len(sizes)
-    matches = sum(span_matches(span_trials(m, SeedSequence(907 + m), trials)) for m in sizes)
-    passed = matches == total
-    return _result(
-        "span-oracle",
-        passed,
-        f"{matches}/{total} trials: circulant rank equals the DFT support count",
+def criterion_span_oracle() -> tuple[bool, str]:
+    matches = total = 0
+    for m in (8, 16, 32):
+        cfg = ExperimentConfig("tauberian", {"tauberian.m": str(m)}, seed=907 + m)
+        metrics = run_tauberian(cfg)[1]
+        matches += metrics["matches"]
+        total += metrics["trials"]
+    return matches == total, (
+        f"{matches}/{total} trials: circulant rank equals the DFT support count"
     )
 
 
 # 10. verdict endpoint formulas
 
 
-def criterion_verdict_formulas() -> CriterionResult:
+def criterion_verdict_formulas() -> tuple[bool, str]:
     issues = []
 
     report = radial_verdict((1.0,), 0.0, 2)
@@ -327,7 +304,7 @@ def criterion_verdict_formulas() -> CriterionResult:
 
     passed = not issues
     detail = "all endpoint formulas match" if passed else "; ".join(issues)
-    return _result("verdict-formulas", passed, detail)
+    return passed, detail
 
 
 # 11. upper density of the natural middle-thirds measure
@@ -341,7 +318,7 @@ def _ball_count(starts, center: int, reach: int) -> int:
     return bisect_right(starts, center + reach) - bisect_left(starts, center - reach)
 
 
-def criterion_upper_density() -> CriterionResult:
+def criterion_upper_density() -> tuple[bool, str]:
     """(2r)**-beta times the natural measure of closed balls around level-12
     midpoints, each interval carrying mass 2**-12, counted exactly."""
     points = 200
@@ -365,11 +342,9 @@ def criterion_upper_density() -> CriterionResult:
         sup_max = max(sup_max, sup)
         ok += lo_lim <= sup <= hi_lim
     passed = ok == points
-    return _result(
-        "upper-density",
-        passed,
+    return passed, (
         f"{ok}/{points} points in [{lo_lim:.4f}, {hi_lim}] "
-        f"(observed range [{sup_min:.4f}, {sup_max:.4f}])",
+        f"(observed range [{sup_min:.4f}, {sup_max:.4f}])"
     )
 
 
@@ -395,20 +370,19 @@ def run_criterion(name: str) -> CriterionResult:
     fn, limit = CRITERIA[name]
     started = time.perf_counter()
     try:
-        result = fn()
+        passed, detail = fn()
     except Exception as exc:  # a crash is a failure, not an abort
-        result = CriterionResult(name=name, passed=False, detail=f"raised {exc!r}")
-    result = result._replace(wall_time_s=time.perf_counter() - started)
-    if limit is not None and result.wall_time_s > limit:
-        result = result._replace(
-            passed=False, detail=result.detail + f"; exceeded time limit {limit:.0f}s"
-        )
-    return result
+        passed, detail = False, f"raised {exc!r}"
+    wall_time_s = time.perf_counter() - started
+    if limit is not None and wall_time_s > limit:
+        passed, detail = False, detail + f"; exceeded time limit {limit:.0f}s"
+    return CriterionResult(name, bool(passed), detail, wall_time_s)
 
 
 def run_suite(names=None) -> list[CriterionResult]:
-    if names is None:
-        names = list(CRITERIA)
+    """Run each named criterion once, in first-given order (all of them
+    by default)."""
+    names = list(CRITERIA if names is None else dict.fromkeys(names))
     unknown = [n for n in names if n not in CRITERIA]
     if unknown:
         raise KeyError(f"unknown criteria: {', '.join(unknown)}")

@@ -363,18 +363,13 @@ def span_trials(m: int, root: SeedSequence, trials: int) -> np.ndarray:
     return counts
 
 
-def span_matches(counts: np.ndarray) -> int:
-    """Trials whose circulant rank equals the span dimension, the count of
-    nonvanishing transform coefficients (span_dim is m - dft_zeros by
-    definition, so this is the one equality the trials check)."""
-    span_dim, rank, _ = counts
-    return int(np.count_nonzero(span_dim == rank))
-
-
 def _run_span_trials(cfg: ExperimentConfig, opts: dict) -> tuple:
     m, trials = opts["tauberian.m"], opts["tauberian.trials"]
     counts = span_trials(m, SeedSequence(cfg.seed or 0), trials)
-    matches = span_matches(counts)
+    # span_dim is m - dft_zeros by definition, so the one equality the
+    # trials check is the circulant rank against it
+    span_dim, rank, _ = counts
+    matches = int(np.count_nonzero(span_dim == rank))
     table = zip(range(trials), *counts.tolist())
     metrics = {"m": m, "trials": trials, "matches": matches}
     return opts, metrics, {"all_match": matches == trials}, {

@@ -1278,3 +1278,20 @@ def test_cli_verify_single_criterion(capsys):
         "failed": 0,
         "passed": 1,
     }
+
+
+def test_cli_verify_repeated_suite_runs_once(capsys):
+    """A criterion named twice runs once, in first-given order, so the
+    counts match the criteria map."""
+    argv = ["verify", "--suite", "salem-decay", "--suite", "box-dimension"]
+    assert main([*argv, "--suite", "salem-decay", "--suite", "box-dimension"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in out[:-1]] == [
+        ["FAIL", "salem-decay"],
+        ["PASS", "box-dimension"],
+    ]
+    assert json.loads(out[-1]) == {
+        "criteria": {"box-dimension": True, "salem-decay": False},
+        "failed": 1,
+        "passed": 1,
+    }

@@ -114,7 +114,7 @@ SHARED_READERS = {
     "CantorLevel.length": "fracspec.experiments.run_construct",
     "CantorParams.ratio": "fracspec.experiments.run_minkowski",
     "CantorParams.seed": "fracspec.cantor.io.write_params",
-    "CriterionResult.wall_time_s": "fracspec.acceptance.run_criterion",
+    "CriterionResult.wall_time_s": "fracspec.acceptance.CriterionResult.line",
     "DensityVerdict.as_dict": "fracspec.experiments._run_radial_scan",
     "DensityVerdict.rows": "fracspec.acceptance.criterion_verdict_formulas",
     "ExperimentConfig.digest": "fracspec.experiments.run_experiment",
