@@ -16,8 +16,8 @@ The package splits into five layers:
 
 import os
 
-# One OpenBLAS thread: the largest BLAS call is the SVD of one translate
-# matrix, h x h with h = m/2 for even m (m <= 2048), and a worker thread
+# One OpenBLAS thread: the largest BLAS calls rank one translate matrix,
+# h x h with h = m/2 for even m (m <= 2048), and a worker thread
 # started with numpy spins for about 0.05 CPU-s after the import.  Set
 # before numpy loads; a value the user set is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

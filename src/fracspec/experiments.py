@@ -337,9 +337,11 @@ def run_mollify(cfg: ExperimentConfig) -> tuple:
 
 # Complex entries of the rows drawn and counted at once (64 KB).
 SPAN_CHUNK_ENTRIES = 2**12
-# trials x m**3, the SVD work of the span trials: one trial at m 2048
-# (about 1.8 s on a 2-core x86-64, as two 1024 x 1024 blocks) fits, and
-# so do 1000 at m 64 (2**28).
+# trials x m**3, the rank work of the span trials: one trial at m 2048
+# (about 0.45 s on one core of a 2-core x86-64, as two 1024 x 1024 Gram
+# matrices and their Cholesky factors) fits, and so do 1000 at m 64
+# (2**28).  A trial the certificate cannot clear costs an SVD, about 4
+# times as much.
 MAX_SPAN_WORK = 2**33
 
 

@@ -8,10 +8,13 @@ on stacks of trials (`span_counts`), ranking an even-m matrix as two
 half-size blocks; the per-trial functions below are the oracle the
 stack's counts are compared with.  The stacked FFT and the stacked SVD of
 full matrices match the per-trial ones bit for bit, and the blocks'
-singular values match the full matrix's to rounding.
+singular values match the full matrix's to rounding.  Route two certifies
+most blocks as full rank by a shifted Cholesky factorization and ranks
+the rest by SVD; its counts equal the stacked SVD's on every block.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ import fracspec.experiments as experiments
 import fracspec.tauberian.span as span
 from fracspec.errors import DomainError, SizeError
 from fracspec.experiments import span_trials
-from fracspec.tauberian.grid import DEFAULT_TOL_FACTOR
+from fracspec.tauberian.grid import DEFAULT_TOL_FACTOR, vanishing
 from fracspec.tauberian.span import rank_blocks, span_counts, translate_matrices
 
 
@@ -309,8 +312,8 @@ def traced_peak(m, trials):
 
 
 def test_span_trials_hold_no_dense_matrix_stack():
-    """1000 trials at m 64 peak at about 5 MB; a dense (T, 32, 32) copy of
-    either half-size block would add 16 MB."""
+    """1000 trials at m 64 peak at about 0.46 MB; a dense (T, 32, 32) copy
+    of either half-size block would add 16 MB."""
     assert traced_peak(64, 1000) <= 6 * 2**20
 
 
@@ -325,8 +328,9 @@ def test_span_trials_memory_does_not_grow_with_trials(monkeypatch):
 
 def test_span_trials_peak_at_benchmark_size():
     """The benchmark's 1000 trials at m 64 draw and rank 64-row chunks of
-    64 KB: the traced peak is 0.29 MB (1.29 MB with 256 KB chunks, as
-    floats drawn apart and summed into a new complex stack)."""
+    64 KB, and certify their blocks 4 at a time: the traced peak is
+    0.46 MB, of which about 0.2 MB is one batch's copy, its conjugate and
+    its Gram matrix."""
     tracemalloc.start()
     try:
         span_trials(64, SeedSequence(1), 1000)
@@ -334,3 +338,112 @@ def test_span_trials_peak_at_benchmark_size():
     finally:
         tracemalloc.stop()
     assert peak <= 2**19, peak
+
+
+def svd_rank(rows):
+    """The rank as the stacked SVD alone counts it: matrix_rank of every
+    block of rank_blocks at span_counts' cutoff, summed."""
+    cut = np.sqrt(rows.shape[1]) * vanishing(np.fft.fft(rows, axis=-1, norm="ortho"), axis=-1)[1]
+    return sum(np.linalg.matrix_rank(translate_matrices(b, sign), tol=cut) for b, sign in rank_blocks(rows))
+
+
+def planted_modulus_rows(m, factor, trials, seed, spike=1.0):
+    """Rows whose unitary transform has moduli in [1/2, 1], one of them
+    `spike` times larger, and one, at k = 3, `factor` times the vanishing
+    tol: a singular value at factor times the rank cutoff.  A large spike
+    makes the shift 4 cut^2 rather than the rounding term."""
+    rng = np.random.default_rng(seed)
+    mods = rng.uniform(0.5, 1.0, (trials, m))
+    mods[:, 0] *= spike
+    mods[:, 3] = factor * DEFAULT_TOL_FACTOR * mods.max(axis=-1)
+    fhat = mods * np.exp(2j * np.pi * rng.uniform(size=(trials, m)))
+    return np.fft.ifft(fhat, axis=-1, norm="ortho")
+
+
+CERTIFICATE_CASES = {
+    **{
+        f"planted-{factor}-cut{name}": (planted_modulus_rows, (64, factor, 8, 17, spike))
+        for factor in (0.5, 0.9, 1.1, 1.5, 2.5)
+        for name, spike in (("", 1.0), ("-spike", 1e5))
+    },
+    **{
+        f"planted-{factor}-cut-odd": (planted_modulus_rows, (65, factor, 4, 18))
+        for factor in (0.5, 1.1, 2.5)
+    },
+    **{
+        f"zeros-{which}-m{m}": (lambda m, which: planted_zero_rows(m, zero_sets(m)[which], 6, m), (m, which))
+        for m in (8, 64, 65)
+        for which in ("odd", "even", "both")
+    },
+    "random-m2": (seeded_rows, (2, 50, 1)),
+    "random-m3": (seeded_rows, (3, 50, 2)),
+    "random-m65": (seeded_rows, (65, 20, 3)),
+    "empty-m64": (seeded_rows, (64, 0, 4)),
+    "empty-m65": (seeded_rows, (65, 0, 5)),
+    "one-trial-m2048": (seeded_rows, (2048, 1, 6)),
+}
+# 1e-120 still forms a normal Gram matrix and is certified; 1e-150 and
+# below leave the shift under the guard, 1e200 overflows it.
+SCALES = {"1": 1.0, "1e150": 1e150, "1e-120": 1e-120, "1e-150": 1e-150, "1e-160": 1e-160, "1e200": 1e200}
+
+
+@pytest.mark.parametrize(
+    "case, scale",
+    [(case, scale) for case in CERTIFICATE_CASES for scale in SCALES if "2048" not in case or scale == "1"],
+)
+def test_certificate_counts_match_svd(case, scale):
+    """Whatever the certificate clears, the counts are the stacked SVD's:
+    planted singular values on both sides of the cutoff, exact zeros, odd
+    m, m 2, empty stacks and one m 2048 trial (at scale 1 only), at scales
+    whose Gram matrix is subnormal (1e-160) or overflows (1e200), with no
+    RuntimeWarning."""
+    make, args = CERTIFICATE_CASES[case]
+    rows = make(*args) * SCALES[scale]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        span_dim, rank, zeros = span_counts(rows)
+        want = svd_rank(rows)
+    assert rank.dtype == np.intp
+    assert rank.tolist() == np.broadcast_to(want, rank.shape).tolist()
+    if case.startswith("planted"):
+        factor = args[1]
+        assert rank.tolist() == [args[0] - (factor < 1)] * len(rows)
+
+
+def count_svd_calls(monkeypatch):
+    """Record the stacks span.py hands to matrix_rank or svd."""
+    seen = []
+    for name in ("matrix_rank", "svd"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            span.np.linalg,
+            name,
+            lambda a, *args, real=real, **kwargs: seen.append(np.array(a)) or real(a, *args, **kwargs),
+        )
+    return seen
+
+
+def test_certificate_clears_the_benchmark_trials(monkeypatch):
+    """The benchmark's 1000 Gaussian trials at m 64 reach no SVD: every
+    block is certified (the stacked SVD made 32 calls)."""
+    seen = count_svd_calls(monkeypatch)
+    counts = span_trials(64, SeedSequence(1), 1000)
+    assert seen == []
+    assert counts.tolist() == [[64] * 1000, [64] * 1000, [0] * 1000]
+
+
+def test_only_an_uncleared_batch_reaches_the_svd(monkeypatch):
+    """A zero at odd k in row 9 of a 64-row stack at m 64 leaves the
+    skew-circulant block of that row singular; only its batch of 4 blocks,
+    rows 8 to 11 of the skew block, goes to the SVD."""
+    rows = seeded_rows(64, 64, 9)
+    fhat = np.fft.fft(rows[9], norm="ortho")
+    fhat[3] = 0
+    rows[9] = np.fft.ifft(fhat, norm="ortho")
+    seen = count_svd_calls(monkeypatch)
+    span_dim, rank, zeros = span_counts(rows)
+    [stack] = seen
+    skew = rows[:, :32] - rows[:, 32:]
+    assert np.array_equal(stack, translate_matrices(skew, -1)[8:12])
+    assert rank.tolist() == span_dim.tolist() == [64] * 9 + [63] + [64] * 54
+    assert zeros.tolist() == [0] * 9 + [1] + [0] * 54
